@@ -12,8 +12,11 @@ Three estimation routes, in increasing order of built-in structure:
   data, algebraic-only (no rigidity), and fragile under noise.
 - solve_constrained: intrinsics factored out by a diagonal column scaling,
   so the linear unknown is the line matrix of a metric camera [R T]; the
-  decoded pose is then polished by Gauss-Newton over (R, T) directly on
-  the geometric point-to-line cost.
+  decoded pose is then polished by Levenberg-Marquardt over (R, T)
+  directly on the geometric point-to-line cost, with an analytic
+  Jacobian: a line with direction w and moment v has the camera-frame
+  moment m = R v - T x R w (the cross product of its two points after
+  the camera moves them), whose image line is K^-T m.
 - focal_sweep: one-dimensional search over a shared focal length with the
   principal point pinned to the image center, using solve_constrained as
   the inner solver and the point-to-line cost as the objective.
@@ -45,10 +48,12 @@ from scipy.optimize import least_squares
 from .errors import (
     CheiralityUnresolvableError,
     DegenerateLineProjectionError,
+    RankDeficientError,
     RankDeficientZError,
     SweepNoMinimumError,
     TooFewObservationsError,
 )
+from .plane_pose import _closest_rotation
 from .plucker import dual, line_to_point_matrix, lines_from_points, point_to_line_matrix
 from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, PlanePosePair
 
@@ -212,14 +217,6 @@ def camera_line_matrix(
     return point_to_line_matrix(p)
 
 
-def _closest_rotation(g: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(g)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
-
-
 def _rotation_to_axis_angle(r: np.ndarray) -> np.ndarray:
     cos = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
     theta = np.arccos(cos)
@@ -272,45 +269,145 @@ def _metric_decode(metric_lm: np.ndarray):
     return _closest_rotation(g[:, :3]), g[:, 3].copy(), info
 
 
+def _cross(p, q) -> np.ndarray:
+    """p x q by components; p and q are 3-vectors or (3, n) column stacks.
+
+    Spelled out because np.cross costs more than the arithmetic on the
+    short stacks the camera refinement works with.
+    """
+    return np.array(
+        [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]
+    )
+
+
+def _so3_left_jacobian(v: np.ndarray) -> np.ndarray:
+    """J with exp(v + dv) = exp(J dv) exp(v) to first order (axis-angle v)."""
+    theta = float(np.linalg.norm(v))
+    if theta < 1e-3:
+        # series: both closed-form coefficients cancel catastrophically here
+        a = 0.5 - theta * theta / 24.0
+        b = 1.0 / 6.0 - theta * theta / 120.0
+    else:
+        a = (1.0 - np.cos(theta)) / theta**2
+        b = (theta - np.sin(theta)) / theta**3
+    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    return np.eye(3) + a * vx + b * (vx @ vx)
+
+
+def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
+    """Point-to-line residuals and their Jacobian, both in closed form.
+
+    Returns (residuals, jacobian), functions of theta = (log f, axis-angle
+    of R, T) for the camera diag(f, f aspect, 1)[R T] with aspect = fy / fx
+    held fixed; the jacobian has one column per entry of theta.
+
+    A line through p and q has direction w = p - q and moment v = p x q; the
+    camera maps the points to R p + T and R q + T, whose cross product is
+    the camera-frame moment m = R v - T x R w.  The image line is K^-T m,
+    proportional to (m0, m1 / aspect, f m2), so a pixel (x0, x1, 1) lies at
+    signed distance r = num / s from it, with num = x0 m0 + x1 m1 / aspect + f m2
+    and s = sqrt(m0^2 + m1^2 / aspect^2).  With u = dr/dm = (g - (num / s^2) h) / s,
+    g = (x0, x1 / aspect, f) and h = (m0, m1 / aspect^2, 0):
+    dr/dT = u x R w, dr/dlog f = f m2 / s, and a left rotation increment
+    dphi moves r by ((u x T) x R w - u x R v) . dphi, which the SO(3) left
+    Jacobian carries to the axis-angle.  By the triple-product expansion
+    that rotation gradient equals (dr/dT) x T - u x m, one cross product
+    fewer.
+    """
+    aspect = fy / fx
+    if not (np.isfinite(aspect) and aspect != 0.0):
+        raise RankDeficientError(f"singular intrinsics: fx={fx!r}, fy={fy!r}")
+    n = len(obs)
+    x0 = obs.pixels[:, 0]
+    x1 = obs.pixels[:, 1] / aspect
+    lines = obs.lines
+    # moments v then directions w, as columns, so one product rotates both
+    vw = np.hstack(
+        [
+            np.stack([lines[:, 3], -lines[:, 1], lines[:, 0]]),
+            np.stack([lines[:, 2], -lines[:, 5], lines[:, 4]]),
+        ]
+    )
+    # state at the last theta: the solver asks for the Jacobian at the
+    # point whose residuals it has just evaluated
+    state: dict = {}
+
+    def evaluate(theta):
+        if state and np.array_equal(state["theta"], theta):
+            return state
+        f = np.exp(theta[0])
+        # K R is invertible exactly when f is finite and positive
+        if not (np.isfinite(f) and f > 0.0):
+            raise RankDeficientError(f"singular camera: focal {f!r}")
+        ab = _axis_angle_to_rotation(theta[1:4]) @ vw
+        b = ab[:, n:]
+        m = ab[:, :n] - _cross(theta[4:], b)
+        h1 = m[1] / (aspect * aspect)
+        s = np.sqrt(m[0] * m[0] + m[1] * h1 + 1e-30)
+        num = x0 * m[0] + x1 * m[1] + f * m[2]
+        state.update(theta=theta.copy(), f=f, b=b, m=m, h1=h1, s=s, num=num)
+        return state
+
+    def residuals(theta):
+        st = evaluate(theta)
+        return st["num"] / st["s"]
+
+    def jacobian(theta):
+        st = evaluate(theta)
+        m, s = st["m"], st["s"]
+        c = st["num"] / (s * s)
+        u = np.array([(x0 - c * m[0]) / s, (x1 - c * st["h1"]) / s, st["f"] / s])
+        d_t = _cross(u, st["b"])
+        d_phi = _cross(d_t, theta[4:]) - _cross(u, m)
+        jac = np.empty((n, 7))
+        jac[:, 0] = st["f"] * m[2] / s
+        jac[:, 1:4] = d_phi.T @ _so3_left_jacobian(theta[1:4])
+        jac[:, 4:] = d_t.T
+        return jac
+
+    return residuals, jacobian
+
+
 def _refine_metric(fx: float, fy: float, obs: LineObservationSet, starts, free_focal=False):
-    """Gauss-Newton over (R, T) on the point-to-line residuals.
+    """Levenberg-Marquardt over (R, T) on the point-to-line residuals.
 
     Parameters live on the rigid-motion manifold (axis-angle + translation)
     so directions that are not realizable by any metric camera cannot enter
     the solution.  With free_focal a shared log-focal joins the parameters
     (fy scaled in proportion).  Returns the best (f, R, T, cost) over the
     given starts.
+
+    The solver gets the analytic Jacobian of _point_line_objective, which
+    works on the camera-frame moment m = R v - T x R w of each line
+    (direction w, moment v): the cross product of its two points once the
+    camera has moved them.
     """
-    lines = obs.lines
-    pixels = obs.pixels
-    aspect = fy / fx
-
-    def residuals(theta):
-        f = np.exp(theta[0])
-        p = np.diag([f, f * aspect, 1.0]) @ np.hstack(
-            [_axis_angle_to_rotation(theta[1:4]), theta[4:].reshape(3, 1)]
-        )
-        img = lines @ dual(point_to_line_matrix(p)).T
-        ab2 = img[:, 0] ** 2 + img[:, 1] ** 2 + 1e-30
-        return np.einsum("ij,ij->i", pixels, img) / np.sqrt(ab2)
-
+    residuals, jacobian = _point_line_objective(fx, fy, obs)
+    log_fx = np.log(fx)
     best = None
     for r0, t0 in starts:
-        theta0 = np.concatenate([[np.log(fx)], _rotation_to_axis_angle(r0), t0])
+        theta0 = np.concatenate([[log_fx], _rotation_to_axis_angle(r0), t0])
         if free_focal:
             fit = least_squares(
-                residuals, theta0, method="lm", xtol=1e-12, ftol=1e-12, max_nfev=400
+                residuals,
+                theta0,
+                jac=jacobian,
+                method="lm",
+                xtol=1e-12,
+                ftol=1e-12,
+                max_nfev=400,
             )
         else:
             fit = least_squares(
-                lambda q: residuals(np.concatenate([[np.log(fx)], q])),
+                lambda q: residuals(np.concatenate([[log_fx], q])),
                 theta0[1:],
+                jac=lambda q: jacobian(np.concatenate([[log_fx], q]))[:, 1:],
                 method="lm",
                 xtol=1e-12,
                 ftol=1e-12,
                 max_nfev=300,
             )
-            fit.x = np.concatenate([[np.log(fx)], fit.x])
+            fit.x = np.concatenate([[log_fx], fit.x])
         if best is None or fit.cost < best.cost:
             best = fit
     rotation = _axis_angle_to_rotation(best.x[1:4])
@@ -362,8 +459,9 @@ def solve_constrained(
     the incidence columns reduces the linear unknown to the metric camera
     itself.  Rigidity is restored from the row norms (|scale| from their
     mean, sign from requiring the world origin in front of the camera) and
-    the decoded pose is then refined on the geometric cost unless refine
-    is false.  An optional init (R, T) joins the refinement starts, which
+    the decoded pose is then refined on the geometric cost by
+    Levenberg-Marquardt with an analytic Jacobian unless refine is false.
+    An optional init (R, T) joins the refinement starts, which
     lets a caller sweeping over focal lengths warm-start each solve.
 
     Under heavy noise the solve is only as good as its start: the geometric

@@ -12,6 +12,7 @@ from specsurf import projection as pj
 from specsurf.errors import (
     CheiralityUnresolvableError,
     DegenerateLineProjectionError,
+    RankDeficientError,
     RankDeficientZError,
     SweepNoMinimumError,
     TooFewObservationsError,
@@ -190,6 +191,73 @@ class TestPointLineCost:
         assert np.isfinite(cost)
 
 
+class TestPointLineObjective:
+    """Closed-form residuals and Jacobian behind the constrained refinement."""
+
+    @staticmethod
+    def random_problem(seed, angle):
+        # camera diag(f, f aspect, 1)[R T] with R at the given rotation angle;
+        # pixels are the projections of random lines, perturbed so that
+        # every residual is nonzero
+        rng = np.random.default_rng(seed)
+        f, aspect = rng.uniform(0.5, 5.0), rng.uniform(0.8, 1.25)
+        axis = rng.normal(size=3)
+        rvec = angle * axis / np.linalg.norm(axis)
+        t = np.array([*rng.uniform(-1.0, 1.0, size=2), rng.uniform(4.0, 8.0)])
+        r = pj._axis_angle_to_rotation(rvec)
+        n = 40
+        cam_pts = np.column_stack([rng.uniform(-2, 2, (n, 2)), rng.uniform(3, 9, n)])
+        pts = (cam_pts - t) @ r  # world points in front of the camera
+        ends = pts + rng.normal(size=(n, 3))
+        lines = lines_from_points(pts, ends)
+        lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+        img = (cam_pts[:, :2] / cam_pts[:, 2:]) * [f, f * aspect]
+        pixels = np.hstack([img + 0.05 * rng.normal(size=(n, 2)), np.ones((n, 1))])
+        obs = pj.LineObservationSet(pixels, lines, np.arange(n))
+        theta = np.concatenate([[np.log(f)], rvec, t])
+        return f, f * aspect, obs, theta
+
+    @pytest.mark.parametrize("free_focal", [False, True])
+    @pytest.mark.parametrize("angle", [1e-8, 5e-4, 0.9, np.pi - 1e-4])
+    def test_jacobian_matches_central_differences(self, angle, free_focal):
+        for seed in range(3):
+            fx, fy, obs, theta = self.random_problem(seed, angle)
+            residuals, jacobian = pj._point_line_objective(fx, fy, obs)
+            cols = range(7) if free_focal else range(1, 7)
+            jac = jacobian(theta)[:, list(cols)]
+            h = 1e-6
+            numeric = np.column_stack(
+                [
+                    (residuals(theta + h * np.eye(7)[k]) - residuals(theta - h * np.eye(7)[k]))
+                    / (2.0 * h)
+                    for k in cols
+                ]
+            )
+            assert np.max(np.abs(jac - numeric)) < 1e-6 * np.max(np.abs(jac))
+
+    @pytest.mark.parametrize("angle", [1e-8, 0.9, np.pi - 1e-4])
+    def test_squared_residuals_match_line_matrix_cost(self, angle):
+        for seed in range(3):
+            fx, fy, obs, theta = self.random_problem(seed, angle)
+            residuals, _ = pj._point_line_objective(fx, fy, obs)
+            f = np.exp(theta[0])
+            lm = pj.camera_line_matrix(
+                Intrinsics(f, f * fy / fx, 0.0, 0.0),
+                pj._axis_angle_to_rotation(theta[1:4]),
+                theta[4:],
+            )
+            cost = pj.point_line_cost(lm, obs)
+            assert abs(np.sum(residuals(theta) ** 2) - cost) < 1e-10 * cost
+
+    def test_singular_camera_raises(self):
+        fx, fy, obs, theta = self.random_problem(0, 0.9)
+        residuals, _ = pj._point_line_objective(fx, fy, obs)
+        with pytest.raises(RankDeficientError):
+            residuals(np.concatenate([[-800.0], theta[1:]]))  # f underflows to 0
+        with pytest.raises(RankDeficientError):
+            pj._point_line_objective(fx, 0.0, obs)
+
+
 class TestSolveConstrained:
     def test_exact_recovery_at_true_focals(self, scene, clean_obs):
         intr = scene.intrinsics
@@ -282,6 +350,11 @@ class TestFocalSweep:
         est = clean_sweep
         assert abs(est.intrinsics.fx - scene.intrinsics.fx) / scene.intrinsics.fx < 1e-4
         assert est.intrinsics.fx == est.intrinsics.fy
+
+    def test_focal_exact_noise_free(self, clean_sweep, scene):
+        # the clean solution is exact to roundoff, about 1e-15 relative
+        gt = scene.intrinsics.fx
+        assert abs(clean_sweep.intrinsics.fx - gt) / gt < 1e-8
 
     def test_recovers_pose_noise_free(self, clean_sweep, scene):
         assert rot_err_deg(clean_sweep.rotation, scene.camera_pose.rotation) < 1e-5
