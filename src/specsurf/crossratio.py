@@ -8,7 +8,10 @@ surface and a per-point reprojection error.  Minimizing that error over
 the 10 camera parameters (focals, principal point, angle-axis rotation,
 translation) is a strictly stronger criterion than the point-to-line
 distance used for initialization, because a line can pass near a pixel
-while the point on it reprojects far away.
+while the point on it reprojects far away.  The minimization is
+Levenberg-Marquardt on the closed-form Jacobian of that error, carried
+forward from the projections through the cross-ratio and the chosen root
+to the rebuilt point (see _frozen_jacobian).
 
 The plane poses stay fixed throughout; only the camera moves.
 """
@@ -19,13 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CoincidentPointsError,
-    DegenerateCrossRatioError,
-    DegenerateNormalError,
-    DivergedLMError,
+from .errors import DivergedLMError
+from .projection import (
+    _axis_angle_to_rotation,
+    _rotation_to_axis_angle,
+    _so3_left_jacobian,
 )
-from .projection import _axis_angle_to_rotation, _rotation_to_axis_angle
 from .types import (
     CalibrationEstimate,
     CorrespondenceSet,
@@ -40,7 +42,6 @@ MIN_LIFT_SEPARATION_MM = 1.0
 # before the triple is treated as corrupted rather than merely noisy
 COLLINEARITY_TOL = 0.05
 MIN_PIXEL_SEPARATION = 1e-6
-DEGENERATE_RATIO = 1e-10
 # surface points further than 10 km from the plane are poles of the
 # cross-ratio, not geometry
 MAX_OFFSET_MM = 1e7
@@ -95,7 +96,6 @@ class LMConfig:
     max_iterations: int = 200
     gradient_tol: float = 1e-10
     step_tol: float = 1e-12
-    fd_step_rel: float = 1e-6
     max_rejects: int = 25
     damping0: float = 1e-3
     # triples whose residual moves more than this multiple of the median
@@ -133,28 +133,59 @@ def lift_triples(corrs: CorrespondenceSet, poses: PlanePosePair):
     )
 
 
+@dataclass(frozen=True)
+class _Lifts:
+    """Lifted triples and the part of their geometry no camera changes.
+
+    seg_len is the X2-X0 distance B (safe_len the same with zeros replaced
+    by 1), direction the unit vector from X2 toward X0 and xi1 the signed
+    coordinate of X1 along it.
+    """
+
+    p0: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    seg_len: np.ndarray
+    safe_len: np.ndarray
+    direction: np.ndarray
+    xi1: np.ndarray
+
+    @classmethod
+    def of(cls, p0, p1, p2) -> "_Lifts":
+        axis = p0 - p2
+        seg_len = np.linalg.norm(axis, axis=1)
+        safe_len = np.where(seg_len > 0, seg_len, 1.0)
+        return cls(
+            p0=p0,
+            p1=p1,
+            p2=p2,
+            seg_len=seg_len,
+            safe_len=safe_len,
+            direction=axis / safe_len[:, None],
+            xi1=np.einsum("ij,ij->i", p1 - p2, axis) / safe_len,
+        )
+
+
 def _theta_vector(theta) -> np.ndarray:
     if isinstance(theta, OptimizationParams):
         return theta.theta
     return np.asarray(theta, dtype=float)
 
 
-def _projection_matrix(theta: np.ndarray) -> np.ndarray:
-    fx, fy, u0, v0 = theta[:4]
-    k = np.array([[fx, 0.0, u0], [0.0, fy, v0], [0.0, 0.0, 1.0]])
-    return k @ np.hstack(
-        [_axis_angle_to_rotation(theta[4:7]), theta[7:].reshape(3, 1)]
-    )
+def _dehom(h: np.ndarray) -> np.ndarray:
+    """First two coordinates of (n, 3) rows over the third, kept finite at 0."""
+    w = np.where(np.abs(h[:, 2]) < 1e-300, 1e-300, h[:, 2])
+    return h[:, :2] / w[:, None]
 
 
-def _cross_ratio_roots(p0, p1, p2, x0, x1, x2, m):
+def _cross_ratio_roots(lifts: _Lifts, x0, x1, x2, m):
     """Candidate cross-ratio offsets for each triple.
 
-    p* are the lifted 3D points, x*/m dehomogenized image points.  With B
-    the X2-X0 distance and xi1 the signed axis coordinate of X1, equating
-    the 3D length ratio |xi1 - s| / |s| with its image counterpart k
-    (built from the four Euclidean segment lengths) gives the quadratic
-    (xi1 - s)^2 = k^2 s^2, whose roots are
+    x*/m are dehomogenized image points.  With B the X2-X0 distance and
+    xi1 the signed axis coordinate of X1, equating the 3D length ratio
+    |xi1 - s| / |s| with its image counterpart k (built from the four
+    Euclidean segment lengths) gives the quadratic (xi1 - s)^2 = k^2 s^2,
+    whose roots are
 
         s = xi1 / (1 - k)   and   s = xi1 / (1 + k).
 
@@ -163,23 +194,18 @@ def _cross_ratio_roots(p0, p1, p2, x0, x1, x2, m):
     must land back on the observation).  The observation enters through
     its full 2D position, so the residual built from the winning root
     measures point-to-point error, not merely the distance from m to the
-    projected line.  Returns (roots_minus, roots_plus, k, xi1).
+    projected line.  Returns (roots_minus, roots_plus, k).
     """
-    axis = p0 - p2
-    b = np.linalg.norm(axis, axis=-1)
-    safe_b = np.where(b > 0, b, 1.0)
-    xi1 = np.einsum("...i,...i->...", p1 - p2, axis) / safe_b
-
     d10 = np.linalg.norm(x1 - m, axis=-1)
     d20 = np.linalg.norm(x2 - x0, axis=-1)
     d1x = np.linalg.norm(x1 - x0, axis=-1)
     d2m = np.linalg.norm(x2 - m, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cr_img = (d10 * d20) / (d1x * d2m)
-        k = cr_img * np.abs(safe_b - xi1) / safe_b
-        roots_minus = xi1 / (1.0 - k)
-        roots_plus = xi1 / (1.0 + k)
-    return roots_minus, roots_plus, k, xi1
+        k = cr_img * np.abs(lifts.safe_len - lifts.xi1) / lifts.safe_len
+        roots_minus = lifts.xi1 / (1.0 - k)
+        roots_plus = lifts.xi1 / (1.0 + k)
+    return roots_minus, roots_plus, k
 
 
 def _collinearity(p0, p1, p2):
@@ -191,128 +217,103 @@ def _collinearity(p0, p1, p2):
         return np.where(seg_len > 0, off / (seg_len * seg_len), np.inf)
 
 
-def cross_ratio_s(triple_3d, images) -> float:
-    """Signed distance from X2 to the surface point along the X2 -> X0 ray.
-
-    triple_3d is the lifted (X0, X1, X2); images the 2D (x0, x1, x2, m)
-    with m the observed pixel of the surface point.  The three plane
-    points must be collinear up to COLLINEARITY_TOL and their images
-    pairwise distinct.  Negative values mean the point lies on the far
-    side of X2 from X0 (the mirror side).
-
-    The image points are taken as measured pixels, so the solve runs in
-    signed coordinates along the line through x0 and x2 (m's offset from
-    that line is projected away); this keeps the branch of the length
-    equality unambiguous, and on collinear inputs the signed separations
-    coincide with the Euclidean segment lengths.
-    """
-    p0, p1, p2 = (np.asarray(p, dtype=float) for p in triple_3d)
-    x0, x1, x2, m = (np.asarray(p, dtype=float) for p in images)
-    if _collinearity(p0, p1, p2) > COLLINEARITY_TOL:
-        raise CoincidentPointsError(
-            "lifted plane points are not collinear; wrong poses or corrupted triple"
-        )
-    for a, b, name in ((x0, x1, "x0/x1"), (x0, x2, "x0/x2"), (x1, x2, "x1/x2")):
-        if np.linalg.norm(a - b) <= MIN_PIXEL_SEPARATION:
-            raise CoincidentPointsError(f"image points {name} coincide")
-
-    axis = p0 - p2
-    b3 = float(np.linalg.norm(axis))
-    xi1 = float((p1 - p2) @ axis) / b3
-    d = x0 - x2
-    d = d / np.linalg.norm(d)
-    t0, t1, t2, tm = (float((y - x2) @ d) for y in (x0, x1, x2, m))
-    numerator = b3 * xi1 * (t0 - t1) * (tm - t2)
-    denominator = b3 * (t0 - t1) * (tm - t2) - (b3 - xi1) * (tm - t1) * (t0 - t2)
-    if abs(denominator) < DEGENERATE_RATIO * abs(numerator):
-        raise DegenerateCrossRatioError(
-            "cross-ratio denominator vanishes; surface point is near infinity "
-            "for this camera"
-        )
-    if numerator == 0.0:
-        return 0.0
-    return float(numerator / denominator)
-
-
-def reconstruct_point(triple_3d, s: float) -> np.ndarray:
-    """Surface point at signed offset s from X2 toward X0."""
-    p0, _, p2 = (np.asarray(p, dtype=float) for p in triple_3d)
-    seg = p0 - p2
-    length = np.linalg.norm(seg)
-    if length <= 0:
-        raise CoincidentPointsError("X0 and X2 coincide; the line is undefined")
-    if not np.isfinite(s):
-        raise DegenerateCrossRatioError("offset s is not finite")
-    return p2 + s * seg / length
-
-
-def _homogeneous(p: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return points @ p[:, :3].T + p[:, 3]
-
-
 # stand-in for a singular evaluation in the noise-sensitivity probe;
 # large enough to land far beyond any gate threshold, small enough that
 # squaring stays finite
 _SINGULAR_RESIDUAL = 1e100
 
 
-def _resolve_offsets(theta: np.ndarray, lifts, m_obs):
+@dataclass(frozen=True)
+class _View:
+    """The triples seen by one camera, shared by residuals and Jacobian.
+
+    pixels are the images of X0, X1, X2 and depths their camera-frame
+    depths.  minus marks triples whose offset s is the root xi1 / (1 - k);
+    m_proj and depth are the image and depth of the rebuilt surface point.
+    """
+
+    theta: np.ndarray
+    pixels: tuple
+    depths: tuple
+    k: np.ndarray
+    minus: np.ndarray
+    s: np.ndarray
+    m_proj: np.ndarray
+    depth: np.ndarray
+    feasible: np.ndarray
+
+
+def _projection_matrix(theta: np.ndarray) -> np.ndarray:
+    fx, fy, u0, v0 = theta[:4]
+    k = np.array([[fx, 0.0, u0], [0.0, fy, v0], [0.0, 0.0, 1.0]])
+    return k @ np.hstack(
+        [_axis_angle_to_rotation(theta[4:7]), theta[7:].reshape(3, 1)]
+    )
+
+
+def _homogeneous(p: np.ndarray, points: np.ndarray) -> np.ndarray:
+    return points @ p[:, :3].T + p[:, 3]
+
+
+def _on_line(lifts: _Lifts, s: np.ndarray) -> np.ndarray:
+    """Points at signed offset s from X2 toward X0."""
+    return lifts.p2 + s[:, None] * lifts.direction
+
+
+def _resolve_offsets(theta: np.ndarray, lifts: _Lifts, m_obs) -> _View:
     """Solve the cross-ratio for every triple and pick the physical root.
 
     Projects the lifted plane points with the camera described by theta,
     solves the segment-length cross-ratio equality for both algebraic
     roots, rebuilds a candidate surface point from each, and keeps the
-    root whose reprojection lands closer to the observed pixel.  Returns
-    (s, points, m_proj, feasible) where feasible marks triples whose
-    plane projections and winning reprojection all have positive depth
-    and a finite offset; everything else in those rows is unreliable.
+    root whose reprojection lands closer to the observed pixel.  feasible
+    marks triples whose plane projections and winning reprojection all
+    have positive depth and a finite offset; everything else in those rows
+    is unreliable.
     """
-    p0, p1, p2 = lifts
     p = _projection_matrix(theta)
     with np.errstate(all="ignore"):
-        h0 = _homogeneous(p, p0)
-        h1 = _homogeneous(p, p1)
-        h2 = _homogeneous(p, p2)
-        in_front = (h0[:, 2] > 0) & (h1[:, 2] > 0) & (h2[:, 2] > 0)
-
-        def dehom(h):
-            w = np.where(np.abs(h[:, 2]) < 1e-300, 1e-300, h[:, 2])
-            return h[:, :2] / w[:, None]
-
-        x0, x1, x2 = dehom(h0), dehom(h1), dehom(h2)
-        roots_minus, roots_plus, _, _ = _cross_ratio_roots(
-            p0, p1, p2, x0, x1, x2, m_obs
-        )
-        seg_len = np.linalg.norm(p0 - p2, axis=1)
-        direction = (p0 - p2) / np.where(seg_len > 0, seg_len, 1.0)[:, None]
+        hs = tuple(_homogeneous(p, q) for q in (lifts.p0, lifts.p1, lifts.p2))
+        pixels = tuple(_dehom(h) for h in hs)
+        roots_minus, roots_plus, k = _cross_ratio_roots(lifts, *pixels, m_obs)
 
         def rebuild(s):
-            points = p2 + s[:, None] * direction
-            h = _homogeneous(p, points)
-            w = np.where(np.abs(h[:, 2]) < 1e-300, 1e-300, h[:, 2])
-            proj = h[:, :2] / w[:, None]
+            h = _homogeneous(p, _on_line(lifts, s))
+            proj = _dehom(h)
             gap = np.einsum("ij,ij->i", m_obs - proj, m_obs - proj)
             gap = np.where(np.isfinite(gap) & (h[:, 2] > 0), gap, np.inf)
-            return points, proj, h[:, 2], gap
+            return h[:, 2], proj, gap
 
-        pts_a, proj_a, w_a, gap_a = rebuild(roots_minus)
-        pts_b, proj_b, w_b, gap_b = rebuild(roots_plus)
-        pick_a = gap_a <= gap_b
-        s = np.where(pick_a, roots_minus, roots_plus)
-        points = np.where(pick_a[:, None], pts_a, pts_b)
-        m_proj = np.where(pick_a[:, None], proj_a, proj_b)
-        depth = np.where(pick_a, w_a, w_b)
+        depth_a, proj_a, gap_a = rebuild(roots_minus)
+        depth_b, proj_b, gap_b = rebuild(roots_plus)
+        minus = gap_a <= gap_b
+        s = np.where(minus, roots_minus, roots_plus)
+        depth = np.where(minus, depth_a, depth_b)
+        m_proj = np.where(minus[:, None], proj_a, proj_b)
+        depths = tuple(h[:, 2] for h in hs)
         feasible = (
-            in_front
+            (depths[0] > 0)
+            & (depths[1] > 0)
+            & (depths[2] > 0)
             & (depth > 0)
             & np.isfinite(s)
             & (np.abs(s) < MAX_OFFSET_MM)
             & np.isfinite(m_proj).all(axis=1)
         )
-    return s, points, m_proj, depth, feasible
+    return _View(
+        theta=theta,
+        pixels=pixels,
+        depths=depths,
+        k=k,
+        minus=minus,
+        s=s,
+        m_proj=m_proj,
+        depth=depth,
+        feasible=feasible,
+    )
 
 
-def _frozen_residuals(theta: np.ndarray, lifts, m_obs, frozen: np.ndarray) -> np.ndarray:
+def _frozen_residuals(view: _View, m_obs, frozen: np.ndarray) -> np.ndarray:
     """Residual vector under a fixed validity mask, continuous in theta.
 
     Unlike _evaluate this never re-gates validity: every triple in the
@@ -320,16 +321,100 @@ def _frozen_residuals(theta: np.ndarray, lifts, m_obs, frozen: np.ndarray) -> np
     objective instead of residuals snapping to zero when a triple crosses
     a gating boundary.  A frozen-in triple that becomes infeasible at this
     theta (plane projection or rebuilt point behind the camera, offset
-    blown up) turns its rows into NaN: the trial cost comparison then
-    rejects the step, and Jacobian columns built from such evaluations
-    are zeroed by the caller.
+    blown up) turns its rows into NaN, and the trial cost comparison then
+    rejects the step.
     """
-    _, _, m_proj, _, feasible = _resolve_offsets(theta, lifts, m_obs)
     with np.errstate(invalid="ignore"):
-        residuals = m_obs - m_proj
-    residuals = np.where(feasible[:, None], residuals, np.nan)
+        residuals = m_obs - view.m_proj
+    residuals = np.where(view.feasible[:, None], residuals, np.nan)
     residuals = np.where(frozen[:, None], residuals, 0.0)
     return residuals.ravel()
+
+
+def _pixel_jacobian(theta: np.ndarray, x: np.ndarray, z: np.ndarray):
+    """Derivatives over theta of the pixels x of fixed world points at depth z.
+
+    With q = (x - (u0, v0)) / (fx, fy) the normalized coordinates, the
+    camera-frame point is c = R p + T = (q z, z) and the pixel
+    (fx q0 + u0, fy q1 + v0).  A left rotation increment w moves c by
+    w x R p and a translation increment by itself; qi then moves by
+    (e_i - qi e_z) . dc / z, which for the rotation is
+    w . (R p x (e_i - qi e_z)) / z.  The rotation rows are in w; the
+    caller maps them to the angle-axis.  Returns the transposed Jacobians
+    of the two pixel coordinates, (10, n) each.
+    """
+    n = len(x)
+    q0 = (x[:, 0] - theta[2]) / theta[0]
+    q1 = (x[:, 1] - theta[3]) / theta[1]
+    rp0, rp1, rp2 = q0 * z - theta[7], q1 * z - theta[8], z - theta[9]
+    gx = theta[0] / z
+    gy = theta[1] / z
+    du = np.zeros((10, n))
+    dv = np.zeros((10, n))
+    du[0] = q0
+    du[2] = 1.0
+    du[4] = -gx * q0 * rp1
+    du[5] = gx * (rp2 + q0 * rp0)
+    du[6] = -gx * rp1
+    du[7] = gx
+    du[9] = -gx * q0
+    dv[1] = q1
+    dv[3] = 1.0
+    dv[4] = -gy * (rp2 + q1 * rp1)
+    dv[5] = gy * q1 * rp0
+    dv[6] = gy * rp0
+    dv[8] = gy
+    dv[9] = -gy * q1
+    return du, dv
+
+
+def _frozen_jacobian(view: _View, lifts: _Lifts, m_obs, frozen: np.ndarray) -> np.ndarray:
+    """Jacobian of _frozen_residuals over theta, in closed form.
+
+    Forward mode through the residual.  The image length ratio
+    k = c d10 d20 / (d1x d2m), with the 3D factor c fixed, moves by
+    dk = k (dd10/d10 + dd20/d20 - dd1x/d1x - dd2m/d2m), and an image
+    distance d = |a| by a . da / d, so dk / k is a weighted sum of the
+    three plane points' pixel derivatives.  The chosen root moves by
+    ds = s dk / (1 - k) for xi1 / (1 - k) and by -s dk / (1 + k) for
+    xi1 / (1 + k).  The rebuilt point's pixel moves as a fixed world point
+    would, plus ds along the camera-frame line direction R d.  The residual
+    is the observed pixel minus that one, hence the sign.  Rows outside the
+    frozen set, infeasible at this theta or without a finite derivative
+    are zero.
+    """
+    theta = view.theta
+    x0, x1, x2 = view.pixels
+    n = len(x0)
+    with np.errstate(all="ignore"):
+
+        def over_sq(a):
+            return a.T / np.einsum("ij,ij->i", a, a)
+
+        e10, e20 = over_sq(x1 - m_obs), over_sq(x2 - x0)
+        e1x, e2m = over_sq(x1 - x0), over_sq(x2 - m_obs)
+        dlogk = np.zeros((10, n))
+        for x, z, w in zip(view.pixels, view.depths, (e1x - e20, e10 - e1x, e20 - e2m)):
+            du, dv = _pixel_jacobian(theta, x, z)
+            dlogk += w[0] * du + w[1] * dv
+        k, s = view.k, view.s
+        ds_dlogk = np.where(view.minus, s * k / (1.0 - k), -s * k / (1.0 + k))
+        x = view.m_proj
+        du, dv = _pixel_jacobian(theta, x, view.depth)
+        ray = lifts.direction @ _axis_angle_to_rotation(theta[4:7]).T
+        along = ds_dlogk / view.depth
+        q0 = (x[:, 0] - theta[2]) / theta[0]
+        q1 = (x[:, 1] - theta[3]) / theta[1]
+        du += theta[0] * (ray[:, 0] - q0 * ray[:, 2]) * along * dlogk
+        dv += theta[1] * (ray[:, 1] - q1 * ray[:, 2]) * along * dlogk
+    jac = np.empty((n, 2, 10))
+    np.negative(du.T, out=jac[:, 0])
+    np.negative(dv.T, out=jac[:, 1])
+    keep = frozen & view.feasible & np.isfinite(jac).all(axis=(1, 2))
+    jac[~keep] = 0.0
+    jac = jac.reshape(2 * n, 10)
+    jac[:, 4:7] = jac[:, 4:7] @ _so3_left_jacobian(theta[4:7])
+    return jac
 
 
 def noise_sensitivity(
@@ -355,8 +440,9 @@ def noise_sensitivity(
     keep_all = np.ones(len(m_obs), dtype=bool)
 
     def residuals_at(arrays):
-        lifts = _lift_arrays(*arrays, poses)
-        return _frozen_residuals(vec, lifts, m_obs, keep_all).reshape(-1, 2)
+        lifts = _Lifts.of(*_lift_arrays(*arrays, poses))
+        view = _resolve_offsets(vec, lifts, m_obs)
+        return _frozen_residuals(view, m_obs, keep_all).reshape(-1, 2)
 
     total = np.zeros(len(m_obs))
     for which in range(3):
@@ -377,7 +463,7 @@ def noise_sensitivity(
     return np.sqrt(total)
 
 
-def _evaluate(theta: np.ndarray, lifts, m_obs):
+def _evaluate(theta: np.ndarray, lifts: _Lifts, m_obs):
     """Residuals and validity for one camera vector.
 
     Returns (residuals (n, 2), valid (n,), reasons, s (n,), points (n, 3)).
@@ -387,8 +473,7 @@ def _evaluate(theta: np.ndarray, lifts, m_obs):
     disabled, as are those whose rebuilt surface point falls behind the
     camera or whose cross-ratio has no usable root.
     """
-    p0, p1, p2 = lifts
-    n = len(p0)
+    n = len(lifts.p0)
     valid = np.ones(n, dtype=bool)
     reasons: dict[int, str] = {}
 
@@ -398,23 +483,13 @@ def _evaluate(theta: np.ndarray, lifts, m_obs):
             reasons[int(i)] = reason
         valid[fresh] = False
 
-    seg_len = np.linalg.norm(p0 - p2, axis=1)
-    disable(seg_len < MIN_LIFT_SEPARATION_MM, "coincident_lift")
-    disable(_collinearity(p0, p1, p2) > COLLINEARITY_TOL, "noncollinear_lift")
+    disable(lifts.seg_len < MIN_LIFT_SEPARATION_MM, "coincident_lift")
+    disable(_collinearity(lifts.p0, lifts.p1, lifts.p2) > COLLINEARITY_TOL, "noncollinear_lift")
 
-    p = _projection_matrix(theta)
+    view = _resolve_offsets(theta, lifts, m_obs)
+    depths, (x0, x1, x2) = view.depths, view.pixels
     with np.errstate(all="ignore"):
-        h0 = _homogeneous(p, p0)
-        h1 = _homogeneous(p, p1)
-        h2 = _homogeneous(p, p2)
-        in_front = (h0[:, 2] > 0) & (h1[:, 2] > 0) & (h2[:, 2] > 0)
-        disable(~in_front, "behind_camera")
-
-        def dehom(h):
-            w = np.where(np.abs(h[:, 2]) < 1e-300, 1e-300, h[:, 2])
-            return h[:, :2] / w[:, None]
-
-        x0, x1, x2 = dehom(h0), dehom(h1), dehom(h2)
+        disable(~((depths[0] > 0) & (depths[1] > 0) & (depths[2] > 0)), "behind_camera")
 
         def close(a, b):
             return np.linalg.norm(a - b, axis=1) < MIN_PIXEL_SEPARATION
@@ -423,38 +498,27 @@ def _evaluate(theta: np.ndarray, lifts, m_obs):
             close(x0, x1) | close(x0, x2) | close(x1, x2), "coincident_pixels"
         )
 
-    s, points, m_proj, depth, feasible = _resolve_offsets(theta, lifts, m_obs)
-    disable(~np.isfinite(depth) | (depth <= 0), "behind_camera")
-    disable(~feasible, "degenerate_cross_ratio")
-    s = np.where(valid, s, 0.0)
+    disable(~np.isfinite(view.depth) | (view.depth <= 0), "behind_camera")
+    disable(~view.feasible, "degenerate_cross_ratio")
+    s = np.where(valid, view.s, 0.0)
 
     with np.errstate(invalid="ignore"):
-        residuals = np.where(valid[:, None], m_obs - m_proj, 0.0)
+        residuals = np.where(valid[:, None], m_obs - view.m_proj, 0.0)
     residuals = np.nan_to_num(residuals, nan=0.0)
-    points = np.where(valid[:, None], points, np.nan)
+    points = np.where(valid[:, None], _on_line(lifts, s), np.nan)
     return residuals, valid, reasons, s, points
 
 
-def reproject_residuals(theta, corrs: CorrespondenceSet, poses: PlanePosePair):
-    """Reprojection residual vector (2 entries per triple, pixels).
-
-    For each triple the three plane correspondences are lifted with the
-    fixed poses, projected with the camera described by theta, the offset
-    s solved from the cross-ratio of those projections with the observed
-    pixel, and the rebuilt surface point reprojected; the residual is the
-    observed pixel minus that reprojection.  Invalid triples (degenerate
-    ratio, coincident or behind-camera geometry) contribute zeros.
-    """
-    vec = _theta_vector(theta)
-    lifts = lift_triples(corrs, poses)
-    m_obs = np.asarray(corrs.pixels, dtype=float)
-    residuals, _, _, _, _ = _evaluate(vec, lifts, m_obs)
-    return residuals.ravel()
-
-
 def _surface_from_theta(
-    theta: np.ndarray, lifts, m_obs, pre_invalid: dict[int, str] | None = None
+    theta: np.ndarray, lifts: _Lifts, m_obs, pre_invalid: dict[int, str] | None = None
 ) -> SurfaceEstimate:
+    """Surface points and normals at one camera.
+
+    The normal at M bisects the ray toward the camera center and the ray
+    toward the pose-0 correspondence; both rays leave the surface, so the
+    bisector points toward the camera side.  A point whose rays have zero
+    length or cancel is dropped as degenerate_normal.
+    """
     residuals, valid, reasons, s, points = _evaluate(theta, lifts, m_obs)
     for i, reason in (pre_invalid or {}).items():
         if valid[i]:
@@ -465,24 +529,21 @@ def _surface_from_theta(
     normals = np.full_like(points, np.nan)
     rotation = _axis_angle_to_rotation(theta[4:7])
     center = -rotation.T @ theta[7:]
-    p0 = lifts[0]
-    for i in np.flatnonzero(valid):
-        view = center - points[i]
-        incident = p0[i] - points[i]
-        nv, ni = np.linalg.norm(view), np.linalg.norm(incident)
-        if nv <= 0 or ni <= 0:
-            valid[i] = False
-            reasons[int(i)] = "degenerate_normal"
-            points[i] = np.nan
-            continue
-        bisector = view / nv + incident / ni
-        nb = np.linalg.norm(bisector)
-        if nb < 1e-9:
-            valid[i] = False
-            reasons[int(i)] = "degenerate_normal"
-            points[i] = np.nan
-            continue
-        normals[i] = bisector / nb
+    rows = np.flatnonzero(valid)
+    view = center - points[rows]
+    incident = lifts.p0[rows] - points[rows]
+    nv = np.linalg.norm(view, axis=1)
+    ni = np.linalg.norm(incident, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bisector = view / nv[:, None] + incident / ni[:, None]
+        nb = np.linalg.norm(bisector, axis=1)
+        normals[rows] = bisector / nb[:, None]
+        degenerate = rows[(nv <= 0) | (ni <= 0) | (nb < 1e-9)]
+    valid[degenerate] = False
+    points[degenerate] = np.nan
+    normals[degenerate] = np.nan
+    for i in degenerate:
+        reasons[int(i)] = "degenerate_normal"
     return SurfaceEstimate(
         points=points,
         normals=normals,
@@ -490,34 +551,6 @@ def _surface_from_theta(
         valid=valid,
         invalid_reason=reasons,
     )
-
-
-def estimate_normals(
-    surface: SurfaceEstimate, camera_center: np.ndarray, corrs: CorrespondenceSet
-) -> np.ndarray:
-    """Unit surface normals as the bisector of the view and incident rays.
-
-    The normal at M bisects the ray toward the camera center and the ray
-    toward the pose-0 correspondence; both rays leave the surface, so the
-    bisector points toward the camera side (n . (C - M) > 0).
-    """
-    center = np.asarray(camera_center, dtype=float)
-    x0 = np.asarray(corrs.x0, dtype=float)
-    p0 = np.hstack([x0, np.zeros((len(x0), 1))])
-    normals = np.full((len(p0), 3), np.nan)
-    for i in np.flatnonzero(surface.valid):
-        view = center - surface.points[i]
-        incident = p0[i] - surface.points[i]
-        u = view / np.linalg.norm(view)
-        v = incident / np.linalg.norm(incident)
-        bisector = u + v
-        nb = np.linalg.norm(bisector)
-        if nb < 1e-9:
-            raise DegenerateNormalError(
-                f"view and incident rays are anti-parallel for triple {i}"
-            )
-        normals[i] = bisector / nb
-    return normals
 
 
 def refine(
@@ -529,19 +562,27 @@ def refine(
     """Levenberg-Marquardt over the 10 camera parameters.
 
     Starts from a focal-sweep estimate, minimizes the cross-ratio
-    reprojection cost with a central-difference Jacobian, and returns the
-    refined camera, the surface rebuilt from it, and a convergence report
-    (status one of non_decreasing_start, gradient, step, plateau,
-    max_iterations).  The validity mask is frozen at the starting camera
-    so the objective stays fixed during the optimization; the returned
-    surface is rebuilt (mask and all) at the optimized camera.
+    reprojection cost, and returns the refined camera, the surface rebuilt
+    from it, and a convergence report (status one of non_decreasing_start,
+    gradient, step, plateau, max_iterations).  The validity mask is frozen
+    at the starting camera so the objective stays fixed during the
+    optimization; the returned surface is rebuilt (mask and all) at the
+    optimized camera.
+
+    The Jacobian is analytic (_frozen_jacobian): each projected plane point
+    moves with the intrinsics directly and with the pose through the SO(3)
+    left Jacobian, the image length ratio k through its four image
+    distances, the winning root s = xi1 / (1 -+ k) through k, and the
+    rebuilt point through s along the camera-frame line direction.  It is
+    built from the same projections as the residuals at the accepted
+    camera.
 
     Raises DivergedLMError when max_rejects consecutive damped steps all
     increase the cost by more than roundoff.
     """
     cfg = lm_cfg or LMConfig()
     theta = OptimizationParams.from_estimate(theta0).theta.copy()
-    lifts = lift_triples(corrs, poses)
+    lifts = _Lifts.of(*lift_triples(corrs, poses))
     m_obs = np.asarray(corrs.pixels, dtype=float)
 
     _, valid0, reasons0, _, _ = _evaluate(theta, lifts, m_obs)
@@ -557,7 +598,8 @@ def refine(
         reason_counts[r] = reason_counts.get(r, 0) + 1
 
     def masked_residuals(vec):
-        return _frozen_residuals(vec, lifts, m_obs, valid0)
+        view = _resolve_offsets(vec, lifts, m_obs)
+        return view, _frozen_residuals(view, m_obs, valid0)
 
     def report_with(status, iterations, cost0, cost):
         return ConvergenceReport(
@@ -591,7 +633,7 @@ def refine(
         surface.calibration = est
         return est, surface, report_with(status, iterations, cost0, cost)
 
-    r = masked_residuals(theta)
+    view, r = masked_residuals(theta)
     cost0 = float(r @ r)
     if cost0 < 1e-16:
         return finish(theta, "non_decreasing_start", 0, cost0, cost0)
@@ -599,17 +641,7 @@ def refine(
     damping = cfg.damping0
     cost = cost0
     for iteration in range(1, cfg.max_iterations + 1):
-        jac = np.empty((len(r), 10))
-        for k in range(10):
-            h = cfg.fd_step_rel * max(abs(theta[k]), 1.0)
-            plus = theta.copy()
-            minus = theta.copy()
-            plus[k] += h
-            minus[k] -= h
-            column = (masked_residuals(plus) - masked_residuals(minus)) / (2.0 * h)
-            # a triple that turns infeasible inside the finite-difference
-            # stencil contributes no derivative this iteration
-            jac[:, k] = np.nan_to_num(column, nan=0.0)
+        jac = _frozen_jacobian(view, lifts, m_obs, valid0)
         gradient = jac.T @ r
         if np.max(np.abs(gradient)) < cfg.gradient_tol:
             return finish(theta, "gradient", iteration - 1, cost0, cost)
@@ -625,10 +657,10 @@ def refine(
                 damping *= 10.0
                 continue
             trial = theta + step
-            r_trial = masked_residuals(trial)
+            view_trial, r_trial = masked_residuals(trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial < cost:
-                theta, r, cost = trial, r_trial, cost_trial
+                theta, view, r, cost = trial, view_trial, r_trial, cost_trial
                 damping = max(damping * 0.1, 1e-15)
                 accepted = True
                 break
