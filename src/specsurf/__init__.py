@@ -10,7 +10,6 @@ and ships a ray-tracing simulator to generate ground-truth data end to end.
 from .types import (
     CalibrationEstimate,
     CorrespondenceSet,
-    ErrorReport,
     Intrinsics,
     NoiseSpec,
     PlanePosePair,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibrationEstimate",
     "CorrespondenceSet",
-    "ErrorReport",
     "Intrinsics",
     "NoiseSpec",
     "PlanePosePair",

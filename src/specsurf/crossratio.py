@@ -8,10 +8,11 @@ surface and a per-point reprojection error.  Minimizing that error over
 the 10 camera parameters (focals, principal point, angle-axis rotation,
 translation) is a strictly stronger criterion than the point-to-line
 distance used for initialization, because a line can pass near a pixel
-while the point on it reprojects far away.  The minimization is
-Levenberg-Marquardt on the closed-form Jacobian of that error, carried
-forward from the projections through the cross-ratio and the chosen root
-to the rebuilt point (see _frozen_jacobian).
+while the point on it reprojects far away.  The minimization is MINPACK's
+Levenberg-Marquardt (scipy least_squares, as for the camera in projection)
+on the closed-form Jacobian of that error, carried forward from the
+projections through the cross-ratio and the chosen root to the rebuilt
+point (see _frozen_jacobian).
 
 The plane poses stay fixed throughout; only the camera moves.
 """
@@ -21,13 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import least_squares
 
-from .errors import DivergedLMError
-from .projection import (
-    _axis_angle_to_rotation,
-    _rotation_to_axis_angle,
-    _so3_left_jacobian,
-)
+from . import so3
+from .errors import TooFewCorrespondencesError
+from .plane_pose import lift_triples
 from .types import (
     CalibrationEstimate,
     CorrespondenceSet,
@@ -45,6 +44,16 @@ MIN_PIXEL_SEPARATION = 1e-6
 # surface points further than 10 km from the plane are poles of the
 # cross-ratio, not geometry
 MAX_OFFSET_MM = 1e7
+# two residuals per triple must at least match the 10 camera parameters
+MIN_TRIPLES = 5
+# triples whose residual moves more than this multiple of the median
+# response per mm of correspondence noise are masked before the
+# optimization
+SENSITIVITY_CAP = 5.0
+# central-difference step of the noise-sensitivity probe
+SENSITIVITY_STEP_MM = 1e-3
+# report status of each scipy least_squares status refine's fit can end on
+_LM_STATUS = {0: "max_iterations", 1: "gradient", 2: "plateau", 3: "step", 4: "step"}
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,7 @@ class OptimizationParams:
             np.concatenate(
                 [
                     [intr.fx, intr.fy, intr.u0, intr.v0],
-                    _rotation_to_axis_angle(est.rotation),
+                    so3.log(est.rotation),
                     est.translation,
                 ]
             )
@@ -84,24 +93,11 @@ class OptimizationParams:
 
     @property
     def rotation(self) -> np.ndarray:
-        return _axis_angle_to_rotation(self.theta[4:7])
+        return so3.exp(self.theta[4:7])
 
     @property
     def translation(self) -> np.ndarray:
         return self.theta[7:].copy()
-
-
-@dataclass(frozen=True)
-class LMConfig:
-    max_iterations: int = 200
-    gradient_tol: float = 1e-10
-    step_tol: float = 1e-12
-    max_rejects: int = 25
-    damping0: float = 1e-3
-    # triples whose residual moves more than this multiple of the median
-    # response per mm of correspondence noise are masked before the
-    # optimization; math.inf disables the gate
-    sensitivity_cap: float = 5.0
 
 
 @dataclass
@@ -113,24 +109,6 @@ class ConvergenceReport:
     n_valid: int
     n_masked: int
     mask_reasons: dict[str, int] = field(default_factory=dict)
-
-
-def _lift_arrays(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, poses: PlanePosePair):
-    z = np.zeros((len(x0), 1))
-    p0 = np.hstack([x0, z])
-    p1 = np.hstack([x1, z]) @ poses.pose1.rotation.T + poses.pose1.translation
-    p2 = np.hstack([x2, z]) @ poses.pose2.rotation.T + poses.pose2.translation
-    return p0, p1, p2
-
-
-def lift_triples(corrs: CorrespondenceSet, poses: PlanePosePair):
-    """World positions of the three plane correspondences per triple."""
-    return _lift_arrays(
-        np.asarray(corrs.x0, dtype=float),
-        np.asarray(corrs.x1, dtype=float),
-        np.asarray(corrs.x2, dtype=float),
-        poses,
-    )
 
 
 @dataclass(frozen=True)
@@ -164,12 +142,6 @@ class _Lifts:
             direction=axis / safe_len[:, None],
             xi1=np.einsum("ij,ij->i", p1 - p2, axis) / safe_len,
         )
-
-
-def _theta_vector(theta) -> np.ndarray:
-    if isinstance(theta, OptimizationParams):
-        return theta.theta
-    return np.asarray(theta, dtype=float)
 
 
 def _dehom(h: np.ndarray) -> np.ndarray:
@@ -247,7 +219,7 @@ def _projection_matrix(theta: np.ndarray) -> np.ndarray:
     fx, fy, u0, v0 = theta[:4]
     k = np.array([[fx, 0.0, u0], [0.0, fy, v0], [0.0, 0.0, 1.0]])
     return k @ np.hstack(
-        [_axis_angle_to_rotation(theta[4:7]), theta[7:].reshape(3, 1)]
+        [so3.exp(theta[4:7]), theta[7:].reshape(3, 1)]
     )
 
 
@@ -321,8 +293,8 @@ def _frozen_residuals(view: _View, m_obs, frozen: np.ndarray) -> np.ndarray:
     objective instead of residuals snapping to zero when a triple crosses
     a gating boundary.  A frozen-in triple that becomes infeasible at this
     theta (plane projection or rebuilt point behind the camera, offset
-    blown up) turns its rows into NaN, and the trial cost comparison then
-    rejects the step.
+    blown up) turns its rows into NaN, which the solver takes as a failed
+    step and answers by shrinking its trust region.
     """
     with np.errstate(invalid="ignore"):
         residuals = m_obs - view.m_proj
@@ -401,7 +373,7 @@ def _frozen_jacobian(view: _View, lifts: _Lifts, m_obs, frozen: np.ndarray) -> n
         ds_dlogk = np.where(view.minus, s * k / (1.0 - k), -s * k / (1.0 + k))
         x = view.m_proj
         du, dv = _pixel_jacobian(theta, x, view.depth)
-        ray = lifts.direction @ _axis_angle_to_rotation(theta[4:7]).T
+        ray = lifts.direction @ so3.exp(theta[4:7]).T
         along = ds_dlogk / view.depth
         q0 = (x[:, 0] - theta[2]) / theta[0]
         q1 = (x[:, 1] - theta[3]) / theta[1]
@@ -413,24 +385,24 @@ def _frozen_jacobian(view: _View, lifts: _Lifts, m_obs, frozen: np.ndarray) -> n
     keep = frozen & view.feasible & np.isfinite(jac).all(axis=(1, 2))
     jac[~keep] = 0.0
     jac = jac.reshape(2 * n, 10)
-    jac[:, 4:7] = jac[:, 4:7] @ _so3_left_jacobian(theta[4:7])
+    jac[:, 4:7] = jac[:, 4:7] @ so3.left_jacobian(theta[4:7])
     return jac
 
 
 def noise_sensitivity(
-    theta, corrs: CorrespondenceSet, poses: PlanePosePair, step_mm: float = 1e-3
+    theta: np.ndarray, corrs: CorrespondenceSet, poses: PlanePosePair
 ) -> np.ndarray:
     """Per-triple response of the residual to correspondence noise, px/mm.
 
-    Central differences of the reprojection residual with respect to the
-    six in-plane coordinates of the triple, root-sum-squared.  The
+    theta is the packed camera vector of OptimizationParams.  Central
+    differences of the reprojection residual with respect to the six
+    in-plane coordinates of the triple, root-sum-squared.  The
     cross-ratio loses its grip on the surface point when the middle
     correspondence lifts close to either end of the segment (the ratio
     saturates), and this derivative is how that shows up numerically:
     such triples answer with hundreds of pixels per millimetre while
     well-posed ones answer with tens.
     """
-    vec = _theta_vector(theta)
     m_obs = np.asarray(corrs.pixels, dtype=float)
     base = (
         np.asarray(corrs.x0, dtype=float),
@@ -440,8 +412,8 @@ def noise_sensitivity(
     keep_all = np.ones(len(m_obs), dtype=bool)
 
     def residuals_at(arrays):
-        lifts = _Lifts.of(*_lift_arrays(*arrays, poses))
-        view = _resolve_offsets(vec, lifts, m_obs)
+        lifts = _Lifts.of(*lift_triples(poses, *arrays))
+        view = _resolve_offsets(theta, lifts, m_obs)
         return _frozen_residuals(view, m_obs, keep_all).reshape(-1, 2)
 
     total = np.zeros(len(m_obs))
@@ -449,9 +421,9 @@ def noise_sensitivity(
         for coord in range(2):
             plus = [a.copy() for a in base]
             minus = [a.copy() for a in base]
-            plus[which][:, coord] += step_mm
-            minus[which][:, coord] -= step_mm
-            dr = (residuals_at(plus) - residuals_at(minus)) / (2.0 * step_mm)
+            plus[which][:, coord] += SENSITIVITY_STEP_MM
+            minus[which][:, coord] -= SENSITIVITY_STEP_MM
+            dr = (residuals_at(plus) - residuals_at(minus)) / (2.0 * SENSITIVITY_STEP_MM)
             dr = np.nan_to_num(
                 dr,
                 nan=_SINGULAR_RESIDUAL,
@@ -527,7 +499,7 @@ def _surface_from_theta(
             points[i] = np.nan
             s[i] = 0.0
     normals = np.full_like(points, np.nan)
-    rotation = _axis_angle_to_rotation(theta[4:7])
+    rotation = so3.exp(theta[4:7])
     center = -rotation.T @ theta[7:]
     rows = np.flatnonzero(valid)
     view = center - points[rows]
@@ -554,41 +526,43 @@ def _surface_from_theta(
 
 
 def refine(
-    theta0: CalibrationEstimate,
-    corrs: CorrespondenceSet,
-    poses: PlanePosePair,
-    lm_cfg: LMConfig | None = None,
+    theta0: CalibrationEstimate, corrs: CorrespondenceSet, poses: PlanePosePair
 ) -> tuple[CalibrationEstimate, SurfaceEstimate, ConvergenceReport]:
     """Levenberg-Marquardt over the 10 camera parameters.
 
     Starts from a focal-sweep estimate, minimizes the cross-ratio
     reprojection cost, and returns the refined camera, the surface rebuilt
-    from it, and a convergence report (status one of non_decreasing_start,
-    gradient, step, plateau, max_iterations).  The validity mask is frozen
-    at the starting camera so the objective stays fixed during the
-    optimization; the returned surface is rebuilt (mask and all) at the
-    optimized camera.
+    from it, and a convergence report.  The validity mask is frozen at the
+    starting camera so the objective stays fixed during the optimization;
+    the returned surface is rebuilt (mask and all) at the optimized camera.
 
-    The Jacobian is analytic (_frozen_jacobian): each projected plane point
-    moves with the intrinsics directly and with the pose through the SO(3)
-    left Jacobian, the image length ratio k through its four image
-    distances, the winning root s = xi1 / (1 -+ k) through k, and the
-    rebuilt point through s along the camera-frame line direction.  It is
-    built from the same projections as the residuals at the accepted
-    camera.
+    The solver is MINPACK's Levenberg-Marquardt (scipy least_squares, as in
+    projection._refine_metric) on the analytic Jacobian of _frozen_jacobian:
+    each projected plane point moves with the intrinsics directly and with
+    the pose through the SO(3) left Jacobian, the image length ratio k
+    through its four image distances, the winning root s = xi1 / (1 -+ k)
+    through k, and the rebuilt point through s along the camera-frame line
+    direction.  Residuals and Jacobian at one camera share one
+    _resolve_offsets.  The report's status is non_decreasing_start (the
+    start is already exact), gradient (residuals orthogonal to every
+    Jacobian column to 1e-8), plateau (relative cost decrease below 1e-12),
+    step (relative step below 1e-12) or max_iterations, and its iterations
+    count the Jacobian evaluations.
 
-    Raises DivergedLMError when max_rejects consecutive damped steps all
-    increase the cost by more than roundoff.
+    Raises TooFewCorrespondencesError below MIN_TRIPLES triples.
     """
-    cfg = lm_cfg or LMConfig()
+    if len(corrs) < MIN_TRIPLES:
+        raise TooFewCorrespondencesError(
+            f"need at least {MIN_TRIPLES} triples, got {len(corrs)}"
+        )
     theta = OptimizationParams.from_estimate(theta0).theta.copy()
-    lifts = _Lifts.of(*lift_triples(corrs, poses))
+    lifts = _Lifts.of(*lift_triples(poses, corrs.x0, corrs.x1, corrs.x2))
     m_obs = np.asarray(corrs.pixels, dtype=float)
 
     _, valid0, reasons0, _, _ = _evaluate(theta, lifts, m_obs)
-    if np.isfinite(cfg.sensitivity_cap) and valid0.any():
+    if valid0.any():
         sens = noise_sensitivity(theta, corrs, poses)
-        cap = cfg.sensitivity_cap * float(np.median(sens[valid0]))
+        cap = SENSITIVITY_CAP * float(np.median(sens[valid0]))
         flagged = (sens > cap) & valid0
         for i in np.flatnonzero(flagged):
             reasons0[int(i)] = "noise_sensitive"
@@ -596,27 +570,12 @@ def refine(
     reason_counts: dict[str, int] = {}
     for r in reasons0.values():
         reason_counts[r] = reason_counts.get(r, 0) + 1
-
-    def masked_residuals(vec):
-        view = _resolve_offsets(vec, lifts, m_obs)
-        return view, _frozen_residuals(view, m_obs, valid0)
-
-    def report_with(status, iterations, cost0, cost):
-        return ConvergenceReport(
-            status=status,
-            iterations=iterations,
-            initial_cost=cost0,
-            final_cost=cost,
-            n_valid=int(valid0.sum()),
-            n_masked=int(len(valid0) - valid0.sum()),
-            mask_reasons=reason_counts,
-        )
-
     carry_invalid = {i: r for i, r in reasons0.items() if r == "noise_sensitive"}
 
     def finish(vec, status, iterations, cost0, cost):
         params = OptimizationParams(_canonical(vec))
         surface = _surface_from_theta(params.theta, lifts, m_obs, carry_invalid)
+        n_valid = int(valid0.sum())
         est = CalibrationEstimate(
             intrinsics=params.intrinsics,
             rotation=params.rotation,
@@ -624,64 +583,52 @@ def refine(
             source="crossratio",
             cost=cost,
             diagnostics={
-                "n_valid": int(valid0.sum()),
-                "n_masked": int(len(valid0) - valid0.sum()),
+                "n_valid": n_valid,
+                "n_masked": len(valid0) - n_valid,
                 "iterations": iterations,
                 "status": status,
             },
         )
         surface.calibration = est
-        return est, surface, report_with(status, iterations, cost0, cost)
+        report = ConvergenceReport(
+            status=status,
+            iterations=iterations,
+            initial_cost=cost0,
+            final_cost=cost,
+            n_valid=n_valid,
+            n_masked=len(valid0) - n_valid,
+            mask_reasons=reason_counts,
+        )
+        return est, surface, report
 
-    view, r = masked_residuals(theta)
-    cost0 = float(r @ r)
+    # the view at the last camera: the solver asks for the Jacobian at the
+    # point whose residuals it has just evaluated
+    last = [_resolve_offsets(theta, lifts, m_obs)]
+
+    def view_at(vec):
+        if not np.array_equal(last[0].theta, vec):
+            last[0] = _resolve_offsets(vec.copy(), lifts, m_obs)
+        return last[0]
+
+    r0 = _frozen_residuals(last[0], m_obs, valid0)
+    cost0 = float(r0 @ r0)
     if cost0 < 1e-16:
         return finish(theta, "non_decreasing_start", 0, cost0, cost0)
 
-    damping = cfg.damping0
-    cost = cost0
-    for iteration in range(1, cfg.max_iterations + 1):
-        jac = _frozen_jacobian(view, lifts, m_obs, valid0)
-        gradient = jac.T @ r
-        if np.max(np.abs(gradient)) < cfg.gradient_tol:
-            return finish(theta, "gradient", iteration - 1, cost0, cost)
-        jtj = jac.T @ jac
-        scale = np.diag(jtj).copy()
-        scale[scale < 1e-12] = 1e-12
-        accepted = False
-        best_trial = np.inf
-        for _reject in range(cfg.max_rejects):
-            try:
-                step = np.linalg.solve(jtj + damping * np.diag(scale), -gradient)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            trial = theta + step
-            view_trial, r_trial = masked_residuals(trial)
-            cost_trial = float(r_trial @ r_trial)
-            if cost_trial < cost:
-                theta, view, r, cost = trial, view_trial, r_trial, cost_trial
-                damping = max(damping * 0.1, 1e-15)
-                accepted = True
-                break
-            if np.isfinite(cost_trial):
-                best_trial = min(best_trial, cost_trial)
-            damping *= 10.0
-        if not accepted:
-            # at a noise-limited minimum the trials land a roundoff above
-            # the current cost; that is convergence, not divergence
-            if best_trial <= cost * (1.0 + 1e-12):
-                return finish(theta, "plateau", iteration, cost0, cost)
-            raise DivergedLMError(
-                f"{cfg.max_rejects} consecutive damped steps increased the cost"
-            )
-        if np.linalg.norm(step) < cfg.step_tol * (np.linalg.norm(theta) + cfg.step_tol):
-            return finish(theta, "step", iteration, cost0, cost)
-    return finish(theta, "max_iterations", cfg.max_iterations, cost0, cost)
+    fit = least_squares(
+        lambda vec: _frozen_residuals(view_at(vec), m_obs, valid0),
+        theta,
+        jac=lambda vec: _frozen_jacobian(view_at(vec), lifts, m_obs, valid0),
+        method="lm",
+        x_scale="jac",
+        xtol=1e-12,
+        ftol=1e-12,
+    )
+    return finish(fit.x, _LM_STATUS[fit.status], int(fit.njev), cost0, 2.0 * float(fit.cost))
 
 
 def _canonical(theta: np.ndarray) -> np.ndarray:
     """Angle-axis block back onto the canonical chart (angle < pi)."""
     out = theta.copy()
-    out[4:7] = _rotation_to_axis_angle(_axis_angle_to_rotation(theta[4:7]))
+    out[4:7] = so3.log(so3.exp(theta[4:7]))
     return out

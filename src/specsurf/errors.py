@@ -67,7 +67,9 @@ class NoRealAlphaError(SpecsurfError):
 
 
 class NoValidCandidateError(SpecsurfError):
-    """No pose candidate survived the rotation validity filters."""
+    """No pose candidate: plane coordinates all zero or not finite, or no
+    factorization survived the rotation validity filters.
+    """
 
 
 # projection estimation
@@ -92,34 +94,6 @@ class SweepNoMinimumError(SpecsurfError):
     """Focal sweep cost is monotone over the whole range (range misconfigured)."""
 
 
-# cross ratio / refinement
-
-class DegenerateCrossRatioError(SpecsurfError):
-    """Cross-ratio denominator vanishes for a triple."""
-
-
-class DivergedLMError(SpecsurfError):
-    """Damped steps failed to reduce the cost for many consecutive attempts."""
-
-
-class DegenerateNormalError(SpecsurfError):
-    """View and incident rays are anti-parallel; bisector undefined."""
-
-
-# metrics
-
-class ZeroGroundTruthError(SpecsurfError):
-    """Ground-truth translation has zero norm; angle undefined."""
-
-
-class TooFewPointsError(SpecsurfError):
-    """Not enough matched points for rigid alignment."""
-
-
-class DegenerateGeometryError(SpecsurfError):
-    """Coverage geometry with no valid solution (e.g. h1 + h2 = 0)."""
-
-
 # io
 
 class ParseError(SpecsurfIOError):
@@ -134,15 +108,3 @@ class ParseError(SpecsurfIOError):
 
 class SchemaMismatchError(SpecsurfIOError):
     """File parsed but did not match the expected schema (columns, units)."""
-
-
-class NoValidPointsError(SpecsurfIOError):
-    """A surface estimate holds no valid point to write."""
-
-
-class PeakAtBoundaryError(SpecsurfError):
-    """Intensity maximum sits at the profile boundary; no interior fit."""
-
-
-class FlatProfileError(SpecsurfError):
-    """Quadratic fit has non-negative curvature; no strict maximum."""

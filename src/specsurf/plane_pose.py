@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import least_squares
 
+from . import so3
 from .errors import (
     AllComplexRootsError,
     BranchM31ZeroError,
@@ -34,6 +36,12 @@ MIN_TRIPLES = 12
 # rank gap below which the nullspace is wider than the generic two
 # directions and the motion cannot be recovered (e.g. pure translation)
 RANK_GAP_MIN = 10.0
+
+# a factored candidate is kept when its rotation columns are unit and
+# orthogonal to within this
+ORTHO_TOL = 0.3
+# candidates kept after ranking by line-offset residual
+MAX_CANDIDATES = 8
 
 # cubic terms of the motion-form identity: slot indices (0-based) and sign
 _CUBIC_TERMS = ((18, 6, 23, 1.0), (18, 8, 21, -1.0), (20, 0, 23, -1.0), (20, 2, 21, 1.0))
@@ -394,27 +402,19 @@ def _factor_null_vector(d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _closest_rotation(g: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(g)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
-
-
-def _rows_to_pair(m: np.ndarray, n: np.ndarray, ortho_tol: float) -> PlanePosePair | None:
+def _rows_to_pair(m: np.ndarray, n: np.ndarray) -> PlanePosePair | None:
     """Build the pose pair from row matrices, or None when far from rigid."""
     poses = []
     for mat in (m, n):
         c1 = mat[:, 0]
         c2 = mat[:, 1]
         for col in (c1, c2):
-            if abs(np.linalg.norm(col) - 1.0) > ortho_tol:
+            if abs(np.linalg.norm(col) - 1.0) > ORTHO_TOL:
                 return None
-        if abs(c1 @ c2) > ortho_tol:
+        if abs(c1 @ c2) > ORTHO_TOL:
             return None
         frame = np.column_stack([c1, c2, np.cross(c1, c2)])
-        poses.append(RigidPose(_closest_rotation(frame), mat[:, 2]))
+        poses.append(RigidPose(so3.closest_rotation(frame), mat[:, 2]))
     return PlanePosePair(poses[0], poses[1])
 
 
@@ -426,20 +426,6 @@ def lift_triples(pair: PlanePosePair, x0, x1, x2):
     p1 = np.hstack([np.asarray(x1, dtype=float), z]) @ pair.pose1.rotation.T + pair.pose1.translation
     p2 = np.hstack([np.asarray(x2, dtype=float), z]) @ pair.pose2.rotation.T + pair.pose2.translation
     return p0, p1, p2
-
-
-def collinearity_residual(pair: PlanePosePair, x0, x1, x2) -> float:
-    """RMS sine of the bend angle at each lifted triple (0 for perfect fit)."""
-    p0, p1, p2 = lift_triples(pair, x0, x1, x2)
-    d1 = p1 - p0
-    d2 = p2 - p0
-    cross = np.cross(d1, d2)
-    denom = np.linalg.norm(d1, axis=1) * np.linalg.norm(d2, axis=1)
-    good = denom > 1e-12
-    if not np.any(good):
-        return np.inf
-    sin = np.linalg.norm(cross[good], axis=1) / denom[good]
-    return float(np.sqrt(np.mean(sin**2)))
 
 
 def line_offset_residual(pair: PlanePosePair, x0, x1, x2) -> float:
@@ -458,50 +444,27 @@ def line_offset_residual(pair: PlanePosePair, x0, x1, x2) -> float:
     return float(np.sqrt(np.mean(np.sum(off**2, axis=1))))
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    """Batched cross-product matrices: (n,3) -> (n,3,3)."""
-    n = len(v)
-    k = np.zeros((n, 3, 3))
-    k[:, 0, 1] = -v[:, 2]
-    k[:, 0, 2] = v[:, 1]
-    k[:, 1, 0] = v[:, 2]
-    k[:, 1, 2] = -v[:, 0]
-    k[:, 2, 0] = -v[:, 1]
-    k[:, 2, 1] = v[:, 0]
-    return k
+def _polish_objective(pair: PlanePosePair, x0, x1, x2):
+    """Line-offset residuals of the polish and their Jacobian, in closed form.
 
-
-def _rotvec_matrix(r: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(r)
-    if theta < 1e-12:
-        k = np.array([[0, -r[2], r[1]], [r[2], 0, -r[0]], [-r[1], r[0], 0]])
-        return np.eye(3) + k
-    axis = r / theta
-    k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
-
-
-def refine_plane_poses(
-    pair: PlanePosePair, x0, x1, x2, max_iters: int = 25
-) -> PlanePosePair:
-    """Damped Gauss-Newton polish of a motion pair on the geometric residual.
-
-    The residual per triple is the offset of the lifted pose-1 point from
-    the line through the lifted pose-0 and pose-2 points (the longest
-    baseline), which the algebraic nullspace solution only minimizes in a
-    weighted algebraic sense.  Twelve parameters: a rotation increment and
-    translation shift per motion.
+    Returns (residuals, jacobian), functions of x = (w1, t1, w2, t2) for the
+    motions R_i = exp(w_i) R_i^0 of pair with translations t_i.  Both come
+    from one evaluation per x, as the solver asks for the Jacobian at the
+    point whose residuals it has just evaluated.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    r1 = pair.pose1.rotation.copy()
-    t1 = pair.pose1.translation.copy()
-    r2 = pair.pose2.rotation.copy()
-    t2 = pair.pose2.translation.copy()
+    last: dict = {}
 
-    def residual_and_jacobian(r1, t1, r2, t2):
-        cur = PlanePosePair(RigidPose(r1, t1), RigidPose(r2, t2))
+    def evaluate(x):
+        if last and np.array_equal(last["x"], x):
+            return last
+        t1, t2 = x[3:6], x[9:12]
+        cur = PlanePosePair(
+            RigidPose(so3.exp(x[0:3]) @ pair.pose1.rotation, t1),
+            RigidPose(so3.exp(x[6:9]) @ pair.pose2.rotation, t2),
+        )
         p0, p1, p2 = lift_triples(cur, x0, x1, x2)
         v = p1 - p0
         base = p2 - p0
@@ -512,55 +475,46 @@ def refine_plane_poses(
         res = np.cross(v, u)
         res[~good] = 0.0
         # d res / d p1 = -[u]x ; d res / d p2 = [v]x (I - u u^T) / L
-        du = -_skew(u)
+        du = -so3.skew(u)
         proj = (np.eye(3)[None, :, :] - u[:, :, None] * u[:, None, :]) / length[:, None, None]
-        dv = np.einsum("nij,njk->nik", _skew(v), proj)
+        dv = np.einsum("nij,njk->nik", so3.skew(v), proj)
         dv[~good] = 0.0
         du[~good] = 0.0
-        # d p / d rotvec (left increment) = -[p - t]x ; d p / d t = I
-        dp1_dr = -_skew(p1 - t1)
-        dp2_dr = -_skew(p2 - t2)
+        # d p / d w = -[p - t]x J(w), with J(w) the SO(3) left Jacobian
+        # carrying w to a left increment of R; d p / d t = I
+        dp1_dw = -so3.skew(p1 - t1) @ so3.left_jacobian(x[0:3])
+        dp2_dw = -so3.skew(p2 - t2) @ so3.left_jacobian(x[6:9])
         jac = np.zeros((len(x0), 3, 12))
-        jac[:, :, 0:3] = np.einsum("nij,njk->nik", du, dp1_dr)
+        jac[:, :, 0:3] = np.einsum("nij,njk->nik", du, dp1_dw)
         jac[:, :, 3:6] = du
-        jac[:, :, 6:9] = np.einsum("nij,njk->nik", dv, dp2_dr)
+        jac[:, :, 6:9] = np.einsum("nij,njk->nik", dv, dp2_dw)
         jac[:, :, 9:12] = dv
-        return res.reshape(-1), jac.reshape(-1, 12)
+        last.update(x=x.copy(), res=res.reshape(-1), jac=jac.reshape(-1, 12))
+        return last
 
-    res, jac = residual_and_jacobian(r1, t1, r2, t2)
-    cost = float(res @ res)
-    lam = 1e-6
-    for _ in range(max_iters):
-        jtj = jac.T @ jac
-        jtr = jac.T @ res
-        step_ok = False
-        for _attempt in range(12):
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            r1n = _rotvec_matrix(delta[0:3]) @ r1
-            t1n = t1 + delta[3:6]
-            r2n = _rotvec_matrix(delta[6:9]) @ r2
-            t2n = t2 + delta[9:12]
-            res_n, jac_n = residual_and_jacobian(r1n, t1n, r2n, t2n)
-            cost_n = float(res_n @ res_n)
-            if cost_n < cost:
-                r1, t1, r2, t2 = r1n, t1n, r2n, t2n
-                res, jac = res_n, jac_n
-                improvement = cost - cost_n
-                cost = cost_n
-                lam = max(lam * 0.3, 1e-12)
-                step_ok = True
-                break
-            lam *= 10.0
-        if not step_ok:
-            break
-        if improvement < 1e-15 * (cost + 1e-300):
-            break
+    return (lambda x: evaluate(x)["res"]), (lambda x: evaluate(x)["jac"])
+
+
+def refine_plane_poses(pair: PlanePosePair, x0, x1, x2) -> PlanePosePair:
+    """Levenberg-Marquardt polish of a motion pair on the geometric residual.
+
+    The residual per triple is the offset of the lifted pose-1 point from
+    the line through the lifted pose-0 and pose-2 points (the longest
+    baseline), which the algebraic nullspace solution only minimizes in a
+    weighted algebraic sense.  Twelve parameters: a rotation vector w_i
+    with R_i = exp(w_i) R_i^0 and the translation of each motion, solved by
+    MINPACK's Levenberg-Marquardt (scipy least_squares) on the analytic
+    Jacobian of _polish_objective.
+    """
+    residuals, jacobian = _polish_objective(pair, x0, x1, x2)
+    start = np.concatenate([np.zeros(3), pair.pose1.translation, np.zeros(3), pair.pose2.translation])
+    fit = least_squares(
+        residuals, start, jac=jacobian, method="lm", x_scale="jac", xtol=1e-12, ftol=1e-12
+    )
+    w1, t1, w2, t2 = np.split(fit.x, 4)
     return PlanePosePair(
-        RigidPose(_closest_rotation(r1), t1), RigidPose(_closest_rotation(r2), t2)
+        RigidPose(so3.closest_rotation(so3.exp(w1) @ pair.pose1.rotation), t1),
+        RigidPose(so3.closest_rotation(so3.exp(w2) @ pair.pose2.rotation), t2),
     )
 
 
@@ -587,14 +541,12 @@ def _family_key(pair: PlanePosePair) -> tuple:
 
 def estimate_plane_poses(
     data: CorrespondenceSet,
-    ortho_tol: float = 0.3,
-    max_candidates: int = 8,
     polish: bool = True,
     min_gap: float = RANK_GAP_MIN,
 ) -> PoseSolution:
     """Recover the two plane motions from a correspondence set.
 
-    Candidates are ranked by collinearity residual; mirror twins (identical
+    Candidates are ranked by line-offset residual; mirror twins (identical
     residual, plane normal flipped) are both returned because only
     camera-side reasoning can tell them apart.  The ambiguous flag is set
     when two candidates from different twin families fit equally well
@@ -608,8 +560,8 @@ def estimate_plane_poses(
         )
     coords = np.concatenate([data.x0.ravel(), data.x1.ravel(), data.x2.ravel()])
     scale = float(np.sqrt(np.mean(coords**2)))
-    if scale <= 0:
-        raise NoValidCandidateError("all plane coordinates are zero")
+    if not 0.0 < scale < np.inf:
+        raise NoValidCandidateError("plane coordinates are all zero or not finite")
     x0 = data.x0 / scale
     x1 = data.x1 / scale
     x2 = data.x2 / scale
@@ -644,7 +596,7 @@ def estimate_plane_poses(
 
     scored: list[tuple[float, PlanePosePair]] = []
     for m, n, _swapped in row_sets:
-        pair = _rows_to_pair(m, n, ortho_tol)
+        pair = _rows_to_pair(m, n)
         if pair is None:
             continue
         scored.append((line_offset_residual(pair, x0, x1, x2), pair))
@@ -653,7 +605,7 @@ def estimate_plane_poses(
             "no candidate factorization is close enough to a rigid motion"
         )
     scored.sort(key=lambda item: item[0])
-    scored = scored[:max_candidates]
+    scored = scored[:MAX_CANDIDATES]
 
     # geometric polish of every candidate within reach of the best fit
     # (twins included; they converge to distinct, equally scored optima)

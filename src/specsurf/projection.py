@@ -53,7 +53,8 @@ from .errors import (
     SweepNoMinimumError,
     TooFewObservationsError,
 )
-from .plane_pose import _closest_rotation
+from . import so3
+from .plane_pose import lift_triples
 from .plucker import dual, line_to_point_matrix, lines_from_points, point_to_line_matrix
 from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, PlanePosePair
 
@@ -98,12 +99,8 @@ def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineOb
     (the line direction would be noise); the skip count is kept on the
     result.
     """
-    x0 = np.asarray(corrs.x0, dtype=float)
-    x2 = np.asarray(corrs.x2, dtype=float)
-    n = len(x0)
-    z = np.zeros((n, 1))
-    p0 = np.hstack([x0, z])
-    p2 = np.hstack([x2, z]) @ poses.pose2.rotation.T + poses.pose2.translation
+    n = len(corrs)
+    p0, _, p2 = lift_triples(poses, corrs.x0, corrs.x1, corrs.x2)
     keep = np.linalg.norm(p2 - p0, axis=1) >= 1.0
     lines = lines_from_points(p0[keep], p2[keep])
     lines /= np.linalg.norm(lines, axis=1, keepdims=True)
@@ -217,30 +214,6 @@ def camera_line_matrix(
     return point_to_line_matrix(p)
 
 
-def _rotation_to_axis_angle(r: np.ndarray) -> np.ndarray:
-    cos = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos)
-    if theta < 1e-12:
-        return np.zeros(3)
-    axis = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    n = np.linalg.norm(axis)
-    if n < 1e-12:
-        # theta near pi: axis from the dominant column of r + I
-        m = r + np.eye(3)
-        axis = m[:, int(np.argmax(np.diag(m)))]
-        return theta * axis / np.linalg.norm(axis)
-    return theta * axis / n
-
-
-def _axis_angle_to_rotation(v: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(v)
-    if theta < 1e-14:
-        return np.eye(3)
-    k = v / theta
-    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + np.sin(theta) * kx + (1.0 - np.cos(theta)) * (kx @ kx)
-
-
 def _metric_decode(metric_lm: np.ndarray):
     """Scaled line matrix of lambda [R T] -> (R0, T0, info).
 
@@ -266,7 +239,7 @@ def _metric_decode(metric_lm: np.ndarray):
         "non_rotation_residual": spread > 0.10,
         "improper_rotation": bool(np.linalg.det(g[:, :3]) < 0),
     }
-    return _closest_rotation(g[:, :3]), g[:, 3].copy(), info
+    return so3.closest_rotation(g[:, :3]), g[:, 3].copy(), info
 
 
 def _cross(p, q) -> np.ndarray:
@@ -278,20 +251,6 @@ def _cross(p, q) -> np.ndarray:
     return np.array(
         [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]
     )
-
-
-def _so3_left_jacobian(v: np.ndarray) -> np.ndarray:
-    """J with exp(v + dv) = exp(J dv) exp(v) to first order (axis-angle v)."""
-    theta = float(np.linalg.norm(v))
-    if theta < 1e-3:
-        # series: both closed-form coefficients cancel catastrophically here
-        a = 0.5 - theta * theta / 24.0
-        b = 1.0 / 6.0 - theta * theta / 120.0
-    else:
-        a = (1.0 - np.cos(theta)) / theta**2
-        b = (theta - np.sin(theta)) / theta**3
-    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + a * vx + b * (vx @ vx)
 
 
 def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
@@ -339,7 +298,7 @@ def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
         # K R is invertible exactly when f is finite and positive
         if not (np.isfinite(f) and f > 0.0):
             raise RankDeficientError(f"singular camera: focal {f!r}")
-        ab = _axis_angle_to_rotation(theta[1:4]) @ vw
+        ab = so3.exp(theta[1:4]) @ vw
         b = ab[:, n:]
         m = ab[:, :n] - _cross(theta[4:], b)
         h1 = m[1] / (aspect * aspect)
@@ -361,7 +320,7 @@ def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
         d_phi = _cross(d_t, theta[4:]) - _cross(u, m)
         jac = np.empty((n, 7))
         jac[:, 0] = st["f"] * m[2] / s
-        jac[:, 1:4] = d_phi.T @ _so3_left_jacobian(theta[1:4])
+        jac[:, 1:4] = d_phi.T @ so3.left_jacobian(theta[1:4])
         jac[:, 4:] = d_t.T
         return jac
 
@@ -386,13 +345,14 @@ def _refine_metric(fx: float, fy: float, obs: LineObservationSet, starts, free_f
     log_fx = np.log(fx)
     best = None
     for r0, t0 in starts:
-        theta0 = np.concatenate([[log_fx], _rotation_to_axis_angle(r0), t0])
+        theta0 = np.concatenate([[log_fx], so3.log(r0), t0])
         if free_focal:
             fit = least_squares(
                 residuals,
                 theta0,
                 jac=jacobian,
                 method="lm",
+                x_scale="jac",
                 xtol=1e-12,
                 ftol=1e-12,
                 max_nfev=400,
@@ -403,6 +363,7 @@ def _refine_metric(fx: float, fy: float, obs: LineObservationSet, starts, free_f
                 theta0[1:],
                 jac=lambda q: jacobian(np.concatenate([[log_fx], q]))[:, 1:],
                 method="lm",
+                x_scale="jac",
                 xtol=1e-12,
                 ftol=1e-12,
                 max_nfev=300,
@@ -410,7 +371,7 @@ def _refine_metric(fx: float, fy: float, obs: LineObservationSet, starts, free_f
             fit.x = np.concatenate([[log_fx], fit.x])
         if best is None or fit.cost < best.cost:
             best = fit
-    rotation = _axis_angle_to_rotation(best.x[1:4])
+    rotation = so3.exp(best.x[1:4])
     return float(np.exp(best.x[0])), rotation, best.x[4:].copy(), 2.0 * float(best.cost)
 
 

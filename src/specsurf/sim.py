@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import so3
 from .errors import EmptyDatasetError, ParseError, SchemaMismatchError
 from .types import CorrespondenceSet, Intrinsics, NoiseSpec, ReflectionTriple, RigidPose
 
@@ -94,12 +95,7 @@ class MirrorScene:
 def rotation_about_axis(axis, angle_deg: float) -> np.ndarray:
     """Rotation matrix for a right-handed turn about a (not nec. unit) axis."""
     ax = np.asarray(axis, dtype=float).reshape(3)
-    ax = ax / np.linalg.norm(ax)
-    th = np.deg2rad(angle_deg)
-    k = np.array(
-        [[0, -ax[2], ax[1]], [ax[2], 0, -ax[0]], [-ax[1], ax[0], 0]]
-    )
-    return np.eye(3) + np.sin(th) * k + (1.0 - np.cos(th)) * (k @ k)
+    return so3.exp(np.deg2rad(angle_deg) * ax / np.linalg.norm(ax))
 
 
 def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> RigidPose:

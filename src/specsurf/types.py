@@ -111,8 +111,7 @@ class CorrespondenceSet:
     """Column-array container for reflection correspondences.
 
     meta carries image size, plane extent, units, the noise spec used and
-    (optionally) ground-truth camera and plane poses; see io module for the
-    serialized key set.
+    (optionally) ground-truth camera and plane poses.
     """
 
     pixels: np.ndarray  # (n, 2)
@@ -138,16 +137,6 @@ class CorrespondenceSet:
     def has_ground_truth(self) -> bool:
         return self.gt_points is not None and self.gt_normals is not None
 
-    def triple(self, i: int) -> ReflectionTriple:
-        return ReflectionTriple(
-            pixel=self.pixels[i],
-            x0=self.x0[i],
-            x1=self.x1[i],
-            x2=self.x2[i],
-            gt_point=None if self.gt_points is None else self.gt_points[i],
-            gt_normal=None if self.gt_normals is None else self.gt_normals[i],
-        )
-
 
 @dataclass(frozen=True)
 class PlanePosePair:
@@ -164,7 +153,7 @@ class CalibrationEstimate:
     intrinsics: Intrinsics
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,) mm
-    source: str  # "linear" | "constrained" | "refined"
+    source: str  # "linear" | "constrained" | "crossratio"
     cost: float = float("nan")  # point-to-line cost, px^2 (sum)
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
@@ -196,16 +185,3 @@ class SurfaceEstimate:
     def n_valid(self) -> int:
         return int(np.count_nonzero(self.valid))
 
-
-@dataclass
-class ErrorReport:
-    """Evaluation summary comparing an estimate against ground truth."""
-
-    rot_deg: float = float("nan")
-    t_deg: float = float("nan")
-    t_scale_mm: float = float("nan")
-    t_scale_rel_pct: float = float("nan")
-    intrinsic_errors_pct: dict[str, float] = field(default_factory=dict)
-    s_rms_mm: float = float("nan")
-    n_points: int = 0
-    extras: dict[str, float] = field(default_factory=dict)

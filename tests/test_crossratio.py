@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from specsurf import crossratio as cr
+from specsurf.errors import TooFewCorrespondencesError
+from specsurf.plane_pose import lift_triples
 from specsurf.sim import default_two_sphere_scene, generate_dataset
-from specsurf.types import CalibrationEstimate, NoiseSpec, PlanePosePair
+from specsurf.types import CalibrationEstimate, CorrespondenceSet, NoiseSpec, PlanePosePair
 
 
 def angles_deg(a, b):
@@ -54,7 +56,7 @@ class TestFrozenJacobian:
         theta[4:] += self.EXTRINSIC_STEP
         if free_intrinsics:
             theta[:4] += self.INTRINSIC_STEP
-        lifts = cr._Lifts.of(*cr.lift_triples(noisy_data, poses))
+        lifts = cr._Lifts.of(*lift_triples(poses, noisy_data.x0, noisy_data.x1, noisy_data.x2))
         m_obs = np.asarray(noisy_data.pixels, dtype=float)
         _, frozen, _, _, _ = cr._evaluate(theta, lifts, m_obs)
         assert frozen.sum() > 0.8 * len(frozen)
@@ -75,7 +77,7 @@ class TestFrozenJacobian:
 
     def test_rows_outside_frozen_set_are_zero(self, rig, noisy_data, poses):
         theta = cr.OptimizationParams.from_estimate(rig).theta
-        lifts = cr._Lifts.of(*cr.lift_triples(noisy_data, poses))
+        lifts = cr._Lifts.of(*lift_triples(poses, noisy_data.x0, noisy_data.x1, noisy_data.x2))
         m_obs = np.asarray(noisy_data.pixels, dtype=float)
         frozen = np.arange(len(m_obs)) % 3 != 0
         view = cr._resolve_offsets(theta, lifts, m_obs)
@@ -113,3 +115,26 @@ class TestRefine:
         assert np.isfinite(surface.points[surface.valid]).all()
         norms = np.linalg.norm(surface.normals[surface.valid], axis=1)
         assert np.allclose(norms, 1.0)
+
+    def test_iterations_count_jacobian_evaluations(self, rig, noisy_data, poses, monkeypatch):
+        original = cr.least_squares
+        fits = []
+
+        def recorded(*args, **kwargs):
+            fits.append(original(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(cr, "least_squares", recorded)
+        _, _, report = cr.refine(rig, noisy_data, poses)
+        assert len(fits) == 1
+        assert report.iterations == fits[0].njev > 0
+
+    def test_too_few_triples_rejected(self, rig, noisy_data, poses):
+        few = CorrespondenceSet(
+            pixels=noisy_data.pixels[:4],
+            x0=noisy_data.x0[:4],
+            x1=noisy_data.x1[:4],
+            x2=noisy_data.x2[:4],
+        )
+        with pytest.raises(TooFewCorrespondencesError):
+            cr.refine(rig, few, poses)

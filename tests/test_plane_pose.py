@@ -14,10 +14,12 @@ from specsurf.errors import (
     AllComplexRootsError,
     BranchM31ZeroError,
     NoRealAlphaError,
+    NoValidCandidateError,
     RankAmbiguousError,
     TooFewCorrespondencesError,
 )
 from specsurf.plane_pose import (
+    _polish_objective,
     build_design_matrix,
     candidate_null_vectors,
     estimate_plane_poses,
@@ -404,6 +406,15 @@ class TestEstimate:
         with pytest.raises(TooFewCorrespondencesError):
             estimate_plane_poses(data)
 
+    def test_non_finite_coordinate_rejected(self, clean_data):
+        x1 = clean_data.x1.copy()
+        x1[3, 0] = np.nan
+        data = CorrespondenceSet(
+            pixels=clean_data.pixels, x0=clean_data.x0, x1=x1, x2=clean_data.x2
+        )
+        with pytest.raises(NoValidCandidateError):
+            estimate_plane_poses(data)
+
     def test_noisy_recovery_within_tolerance(self, scene):
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(1.0, 0.0, 0.0, 11))
         sol = estimate_plane_poses(data, min_gap=2.0)
@@ -477,6 +488,30 @@ class TestRefine:
         refined = refine_plane_poses(pair, x0, x1, x2)
         assert rotation_angle_deg(refined.pose1.rotation, pair.pose1.rotation) < 1e-9
         assert np.linalg.norm(refined.pose1.translation - pair.pose1.translation) < 1e-9
+
+    def test_polish_jacobian_matches_central_differences(self, scene):
+        # away from w = 0 the rotation columns carry the SO(3) left
+        # Jacobian; without it they are off by about |w| / 2
+        data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(1.0, 0.0, 0.0, 17))
+        s = rms_scale(data.x0, data.x1, data.x2)
+        x0, x1, x2 = data.x0 / s, data.x1 / s, data.x2 / s
+        pair = PlanePosePair(
+            RigidPose(scene.pose1.rotation, scene.pose1.translation / s),
+            RigidPose(scene.pose2.rotation, scene.pose2.translation / s),
+        )
+        residuals, jacobian = _polish_objective(pair, x0, x1, x2)
+        x = np.concatenate(
+            [[0.2, -0.1, 0.15], pair.pose1.translation, [-0.1, 0.25, 0.05], pair.pose2.translation]
+        )
+        jac = jacobian(x)
+        numeric = np.empty_like(jac)
+        for k in range(12):
+            h = 1e-6 * max(abs(x[k]), 1.0)
+            step = h * np.eye(12)[k]
+            numeric[:, k] = (residuals(x + step) - residuals(x - step)) / (2.0 * h)
+        col_max = np.max(np.abs(numeric), axis=0)
+        assert np.all(col_max > 0)
+        assert np.all(np.max(np.abs(jac - numeric), axis=0) <= 1e-6 * col_max)
 
     def test_rotations_stay_orthonormal(self, scene):
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(2.0, 0.0, 0.0, 19))

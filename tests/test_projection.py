@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from specsurf import projection as pj
+from specsurf import so3
 from specsurf.errors import (
     CheiralityUnresolvableError,
     DegenerateLineProjectionError,
@@ -204,7 +205,7 @@ class TestPointLineObjective:
         axis = rng.normal(size=3)
         rvec = angle * axis / np.linalg.norm(axis)
         t = np.array([*rng.uniform(-1.0, 1.0, size=2), rng.uniform(4.0, 8.0)])
-        r = pj._axis_angle_to_rotation(rvec)
+        r = so3.exp(rvec)
         n = 40
         cam_pts = np.column_stack([rng.uniform(-2, 2, (n, 2)), rng.uniform(3, 9, n)])
         pts = (cam_pts - t) @ r  # world points in front of the camera
@@ -243,7 +244,7 @@ class TestPointLineObjective:
             f = np.exp(theta[0])
             lm = pj.camera_line_matrix(
                 Intrinsics(f, f * fy / fx, 0.0, 0.0),
-                pj._axis_angle_to_rotation(theta[1:4]),
+                so3.exp(theta[1:4]),
                 theta[4:],
             )
             cost = pj.point_line_cost(lm, obs)

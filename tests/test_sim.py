@@ -46,6 +46,22 @@ class TestRotationHelpers:
         ).as_matrix()
         np.testing.assert_allclose(r, expected, atol=1e-14)
 
+    def test_default_scene_rotations_unchanged(self):
+        # the plane poses every test and benchmark scene is built from
+        scene = default_two_sphere_scene()
+        pose1 = [
+            [0.9848432766475461, -0.13841069615108434, 0.10452846326765347],
+            [0.11908421768385855, 0.9777498272686621, 0.1726969147805622],
+            [-0.12610578710252898, -0.1576317051454865, 0.9794128730990714],
+        ]
+        pose2 = [
+            [0.9632873407929415, 0.16985354835670552, -0.20791169081775934],
+            [-0.20045436175062997, 0.9701990375235617, -0.1361318347907717],
+            [0.17859324713776506, 0.17281087841623477, 0.9686283355228664],
+        ]
+        np.testing.assert_allclose(scene.pose1.rotation, pose1, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(scene.pose2.rotation, pose2, rtol=0, atol=1e-15)
+
     def test_look_at_geometry(self):
         eye = np.array([100.0, -500.0, 300.0])
         target = np.array([0.0, 0.0, 900.0])
