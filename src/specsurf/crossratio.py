@@ -602,13 +602,22 @@ def refine(
         return est, surface, report
 
     # the view at the last camera: the solver asks for the Jacobian at the
-    # point whose residuals it has just evaluated
+    # point whose residuals it has just evaluated.  The last Jacobian is
+    # kept apart: scipy asks for it once more at the solution after MINPACK
+    # returns, and a rejected last trial has moved the view on from there.
     last = [_resolve_offsets(theta, lifts, m_obs)]
+    last_jac = [None, None]
 
     def view_at(vec):
         if not np.array_equal(last[0].theta, vec):
             last[0] = _resolve_offsets(vec.copy(), lifts, m_obs)
         return last[0]
+
+    def jacobian(vec):
+        if last_jac[0] is None or not np.array_equal(last_jac[0], vec):
+            view = view_at(vec)
+            last_jac[:] = view.theta, _frozen_jacobian(view, lifts, m_obs, valid0)
+        return last_jac[1]
 
     r0 = _frozen_residuals(last[0], m_obs, valid0)
     cost0 = float(r0 @ r0)
@@ -618,7 +627,7 @@ def refine(
     fit = least_squares(
         lambda vec: _frozen_residuals(view_at(vec), m_obs, valid0),
         theta,
-        jac=lambda vec: _frozen_jacobian(view_at(vec), lifts, m_obs, valid0),
+        jac=jacobian,
         method="lm",
         x_scale="jac",
         xtol=1e-12,

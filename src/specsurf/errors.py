@@ -91,7 +91,12 @@ class CheiralityUnresolvableError(SpecsurfError):
 
 
 class SweepNoMinimumError(SpecsurfError):
-    """Focal sweep cost is monotone over the whole range (range misconfigured)."""
+    """Focal sweep cost has no interior minimum over its grid.
+
+    The range misses the focal length, the lines come from the wrong mirror
+    twin (its lowest cost lies at an end of the range), or the constrained
+    solve failed at every sample.
+    """
 
 
 # io

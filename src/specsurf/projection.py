@@ -17,9 +17,11 @@ Three estimation routes, in increasing order of built-in structure:
   Jacobian: a line with direction w and moment v has the camera-frame
   moment m = R v - T x R w (the cross product of its two points after
   the camera moves them), whose image line is K^-T m.
-- focal_sweep: one-dimensional search over a shared focal length with the
-  principal point pinned to the image center, using solve_constrained as
-  the inner solver and the point-to-line cost as the objective.
+- focal_sweep: a coarse logarithmic grid over a shared focal length with
+  the principal point pinned to the image center, using solve_constrained
+  as the inner solver (each sample warm-started from its neighbor) and the
+  point-to-line cost as the objective, then Levenberg-Marquardt over
+  (f, R, T) from the best sample.
 
 Conditioning matters here far more than in ordinary resection.  Reflected
 rays off a rotationally symmetric mirror all meet the axis through the
@@ -60,7 +62,7 @@ from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, PlanePose
 
 MIN_OBSERVATIONS = 17
 SWEEP_SPAN = (0.15, 10.0)  # focal range as multiples of the image diagonal
-SWEEP_SAMPLES = 120
+SWEEP_SAMPLES = 20
 
 # line-coordinate slots that are quadratic (resp. linear) in the endpoints;
 # a world rescale X -> X/rho divides them by rho^2 (resp. rho)
@@ -288,8 +290,11 @@ def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
         ]
     )
     # state at the last theta: the solver asks for the Jacobian at the
-    # point whose residuals it has just evaluated
+    # point whose residuals it has just evaluated.  The last Jacobian is
+    # kept apart: scipy asks for it once more at the solution after MINPACK
+    # returns, and a rejected last trial has moved the state on from there.
     state: dict = {}
+    last_jac: dict = {}
 
     def evaluate(theta):
         if state and np.array_equal(state["theta"], theta):
@@ -312,6 +317,8 @@ def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
         return st["num"] / st["s"]
 
     def jacobian(theta):
+        if last_jac and np.array_equal(last_jac["theta"], theta):
+            return last_jac["jac"]
         st = evaluate(theta)
         m, s = st["m"], st["s"]
         c = st["num"] / (s * s)
@@ -322,19 +329,20 @@ def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
         jac[:, 0] = st["f"] * m[2] / s
         jac[:, 1:4] = d_phi.T @ so3.left_jacobian(theta[1:4])
         jac[:, 4:] = d_t.T
+        last_jac.update(theta=st["theta"], jac=jac)
         return jac
 
     return residuals, jacobian
 
 
-def _refine_metric(fx: float, fy: float, obs: LineObservationSet, starts, free_focal=False):
+def _refine_metric(fx: float, fy: float, obs: LineObservationSet, start, free_focal=False):
     """Levenberg-Marquardt over (R, T) on the point-to-line residuals.
 
     Parameters live on the rigid-motion manifold (axis-angle + translation)
     so directions that are not realizable by any metric camera cannot enter
     the solution.  With free_focal a shared log-focal joins the parameters
-    (fy scaled in proportion).  Returns the best (f, R, T, cost) over the
-    given starts.
+    (fy scaled in proportion).  Starts from start = (R, T) and returns
+    (f, R, T, cost).
 
     The solver gets the analytic Jacobian of _point_line_objective, which
     works on the camera-frame moment m = R v - T x R w of each line
@@ -343,61 +351,55 @@ def _refine_metric(fx: float, fy: float, obs: LineObservationSet, starts, free_f
     """
     residuals, jacobian = _point_line_objective(fx, fy, obs)
     log_fx = np.log(fx)
-    best = None
-    for r0, t0 in starts:
-        theta0 = np.concatenate([[log_fx], so3.log(r0), t0])
-        if free_focal:
-            fit = least_squares(
-                residuals,
-                theta0,
-                jac=jacobian,
-                method="lm",
-                x_scale="jac",
-                xtol=1e-12,
-                ftol=1e-12,
-                max_nfev=400,
-            )
-        else:
-            fit = least_squares(
-                lambda q: residuals(np.concatenate([[log_fx], q])),
-                theta0[1:],
-                jac=lambda q: jacobian(np.concatenate([[log_fx], q]))[:, 1:],
-                method="lm",
-                x_scale="jac",
-                xtol=1e-12,
-                ftol=1e-12,
-                max_nfev=300,
-            )
-            fit.x = np.concatenate([[log_fx], fit.x])
-        if best is None or fit.cost < best.cost:
-            best = fit
-    rotation = so3.exp(best.x[1:4])
-    return float(np.exp(best.x[0])), rotation, best.x[4:].copy(), 2.0 * float(best.cost)
+    theta0 = np.concatenate([[log_fx], so3.log(start[0]), start[1]])
+    if free_focal:
+        fit = least_squares(
+            residuals,
+            theta0,
+            jac=jacobian,
+            method="lm",
+            x_scale="jac",
+            xtol=1e-12,
+            ftol=1e-12,
+            max_nfev=400,
+        )
+    else:
+        fit = least_squares(
+            lambda q: residuals(np.concatenate([[log_fx], q])),
+            theta0[1:],
+            jac=lambda q: jacobian(np.concatenate([[log_fx], q]))[:, 1:],
+            method="lm",
+            x_scale="jac",
+            xtol=1e-12,
+            ftol=1e-12,
+            max_nfev=300,
+        )
+        fit.x = np.concatenate([[log_fx], fit.x])
+    rotation = so3.exp(fit.x[1:4])
+    return float(np.exp(fit.x[0])), rotation, fit.x[4:].copy(), 2.0 * float(fit.cost)
 
 
 def _solve_constrained_scaled(fx_n, fy_n, obs_n, z_n, init=None, refine=True):
-    """Constrained solve in an already-rescaled frame; T stays in that frame."""
+    """Constrained solve in an already-rescaled frame; T stays in that frame.
+
+    The refinement starts from init when given, else from the decode.
+    """
     d = np.concatenate([np.full(6, fy_n), np.full(6, fx_n), np.full(6, fx_n * fy_n)])
     _, s, vt = np.linalg.svd(z_n * d, full_matrices=False)
     if s[16] < 1e-12 * s[0]:
         raise RankDeficientZError(
             "incidence matrix leaves more than a scale ambiguity"
         )
-    starts = []
-    info = {}
-    try:
-        r0, t0, info = _metric_decode(vt[17].reshape(3, 6))
-        starts.append((r0, t0))
-    except (CheiralityUnresolvableError, RankDeficientZError):
-        if init is None:
-            raise
-    if init is not None:
-        starts.append(init)
+    if init is None:
+        rotation, translation, info = _metric_decode(vt[17].reshape(3, 6))
+    else:
+        (rotation, translation), info = init, {}
     if refine:
-        _, rotation, translation, cost = _refine_metric(fx_n, fy_n, obs_n, starts)
+        _, rotation, translation, cost = _refine_metric(
+            fx_n, fy_n, obs_n, (rotation, translation)
+        )
         info = dict(info, refined=True, cost_scaled=cost)
     else:
-        rotation, translation = starts[0]
         info = dict(info, refined=False)
     if translation[2] < 0:
         raise CheiralityUnresolvableError(
@@ -422,8 +424,9 @@ def solve_constrained(
     mean, sign from requiring the world origin in front of the camera) and
     the decoded pose is then refined on the geometric cost by
     Levenberg-Marquardt with an analytic Jacobian unless refine is false.
-    An optional init (R, T) joins the refinement starts, which
-    lets a caller sweeping over focal lengths warm-start each solve.
+    An optional init (R, T) replaces the decoded start (the decode is then
+    skipped), which lets a caller sweeping over focal lengths warm-start
+    each solve from its neighbor's.
 
     Under heavy noise the solve is only as good as its start: the geometric
     cost at a fixed focal length has spurious attractors (a reflected and a
@@ -433,9 +436,10 @@ def solve_constrained(
     solution across focal lengths and the continuation escapes basins that
     a fixed-focal solve cannot.
 
-    Returns (rotation, translation, info); info flags non_rotation_residual
-    (decoded row norms off by > 10%) and improper_rotation (mirrored
-    geometry), both best-effort returns rather than failures.
+    Returns (rotation, translation, info).  When the decode is the start,
+    info flags non_rotation_residual (decoded row norms off by > 10%) and
+    improper_rotation (mirrored geometry), both best-effort returns rather
+    than failures.
     """
     if len(obs_centered) < MIN_OBSERVATIONS:
         raise TooFewObservationsError(
@@ -457,11 +461,12 @@ def focal_sweep(
 ) -> CalibrationEstimate:
     """Best shared focal length with the principal point at the image center.
 
-    Logarithmic grid search over the configured range followed by a
-    golden-section refinement of the bracket around the best sample, with
-    each constrained solve warm-started from its neighbor.  The minimum
-    must be interior to the grid; a monotone cost curve means the range
-    does not contain the answer.
+    Logarithmic grid search over the configured range, each constrained
+    solve started from its neighbor's solution (the first from the
+    algebraic decode), then Levenberg-Marquardt over (f, R, T) from the
+    best sample.  The minimum must be interior to the grid; a monotone
+    cost curve means the range does not contain the answer, or the lines
+    come from the wrong mirror twin.
     """
     width, height = image_size
     u0 = (width - 1) / 2.0
@@ -479,15 +484,6 @@ def focal_sweep(
     obs_n, _, s_pix, rho = _normalized_copy(centered, center_pixels=False)
     z_n = _incidence_rows(obs_n)
 
-    def evaluate(f: float, init):
-        try:
-            rotation, t_n, info = _solve_constrained_scaled(
-                f * s_pix, f * s_pix, obs_n, z_n, init=init
-            )
-        except (CheiralityUnresolvableError, RankDeficientZError):
-            return np.inf, None
-        return info["cost_scaled"], (rotation, t_n, info)
-
     grid = np.geomspace(f_lo, f_hi, int(samples))
     costs = np.full(len(grid), np.inf)
     solutions: list = [None] * len(grid)
@@ -497,12 +493,16 @@ def focal_sweep(
         # value must not cut the chain for everything after it
         warm = None
         for i in order:
-            cost_i, sol = evaluate(grid[i], warm)
-            if cost_i < costs[i]:
-                costs[i] = cost_i
+            try:
+                sol = _solve_constrained_scaled(
+                    grid[i] * s_pix, grid[i] * s_pix, obs_n, z_n, init=warm
+                )
+            except (CheiralityUnresolvableError, RankDeficientZError):
+                continue
+            if sol[2]["cost_scaled"] < costs[i]:
+                costs[i] = sol[2]["cost_scaled"]
                 solutions[i] = sol
-            if sol is not None:
-                warm = (sol[0], sol[1])
+            warm = sol[:2]
 
     sweep_pass(range(len(grid)))
     if not np.all(np.isfinite(costs)):
@@ -514,33 +514,10 @@ def focal_sweep(
             f"[{f_lo:.1f}, {f_hi:.1f}] px"
         )
 
-    # golden-section in log-f on the bracketing interval
-    warm = (solutions[best][0], solutions[best][1])
-    lo, hi = np.log(grid[best - 1]), np.log(grid[best + 1])
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    e = lo + invphi * (hi - lo)
-    fc, sc = evaluate(np.exp(c), warm)
-    fe, se = evaluate(np.exp(e), warm)
-    while hi - lo > 1e-6:
-        if fc < fe:
-            hi, e, fe, se = e, c, fc, sc
-            c = hi - invphi * (hi - lo)
-            fc, sc = evaluate(np.exp(c), warm)
-        else:
-            lo, c, fc, sc = c, e, fe, se
-            e = lo + invphi * (hi - lo)
-            fe, se = evaluate(np.exp(e), warm)
-    f_best = float(np.exp((lo + hi) / 2.0))
-    _, solution = evaluate(f_best, warm)
-    if solution is None:
-        raise SweepNoMinimumError("constrained solve failed at the sweep minimum")
-    rotation, t_n, info = solution
-
-    # joint polish of (f, R, T); the nested search leaves f quantized at the
-    # golden-section resolution, which the free-focal solve removes
+    # joint polish of (f, R, T): the free-focal solve takes f off the grid
+    rotation, t_n, info = solutions[best]
     f_n, rotation, t_n, _ = _refine_metric(
-        f_best * s_pix, f_best * s_pix, obs_n, [(rotation, t_n)], free_focal=True
+        grid[best] * s_pix, grid[best] * s_pix, obs_n, (rotation, t_n), free_focal=True
     )
     if t_n[2] <= 0:
         raise CheiralityUnresolvableError(

@@ -12,20 +12,25 @@ from __future__ import annotations
 import numpy as np
 
 
+# row k is the flattened cross-product matrix of the k-th unit vector
+_SKEW_BASIS = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+)
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix [v]x, so that skew(v) @ p = v x p.
 
-    v is one 3-vector or an (n, 3) stack, giving (3, 3) or (n, 3, 3).
+    v is one 3-vector or an (n, 3) stack, giving (3, 3) or (n, 3, 3).  One
+    product with the basis builds every entry; the products are by 0 and
+    +-1, so the entries are exact.
     """
     v = np.asarray(v, dtype=float)
-    k = np.zeros(v.shape + (3,))
-    k[..., 0, 1] = -v[..., 2]
-    k[..., 0, 2] = v[..., 1]
-    k[..., 1, 0] = v[..., 2]
-    k[..., 1, 2] = -v[..., 0]
-    k[..., 2, 0] = -v[..., 1]
-    k[..., 2, 1] = v[..., 0]
-    return k
+    return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
 
 
 def exp(v: np.ndarray) -> np.ndarray:

@@ -258,6 +258,41 @@ class TestPointLineObjective:
         with pytest.raises(RankDeficientError):
             pj._point_line_objective(fx, 0.0, obs)
 
+    def test_jacobian_at_solution_not_recomputed(self, scene, clean_obs, monkeypatch):
+        # scipy asks for the Jacobian once more at the solution after
+        # MINPACK returns.  This fit ends on a rejected trial, so the
+        # residual state has moved past the solution, where the solver has
+        # already differentiated: the kept Jacobian answers that call.
+        # so3.left_jacobian runs once per Jacobian the objective computes.
+        computed = []
+        left_jacobian = so3.left_jacobian
+        monkeypatch.setattr(
+            so3, "left_jacobian", lambda v: computed.append(1) or left_jacobian(v)
+        )
+        original = pj.least_squares
+        fits = []
+        last_trial = []
+
+        def recorded(fun, x0, **kwargs):
+            def traced(x):
+                last_trial[:] = [x.copy()]
+                return fun(x)
+
+            fits.append(original(traced, x0, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(pj, "least_squares", recorded)
+        intr = scene.intrinsics
+        cobs = clean_obs.centered(intr.u0, intr.v0)
+        start = (
+            so3.exp(np.array([0.02, -0.01, 0.015])) @ scene.camera_pose.rotation,
+            scene.camera_pose.translation + np.array([5.0, -5.0, 20.0]),
+        )
+        pj._refine_metric(1.1 * intr.fx, 1.1 * intr.fy, cobs, start, free_focal=True)
+        assert len(fits) == 1
+        assert not np.array_equal(last_trial[0], fits[0].x)
+        assert len(computed) == fits[0].njev > 0
+
 
 class TestSolveConstrained:
     def test_exact_recovery_at_true_focals(self, scene, clean_obs):
@@ -403,6 +438,30 @@ class TestFocalSweep:
         assert np.array_equal(again.rotation, clean_sweep.rotation)
         assert np.array_equal(again.translation, clean_sweep.translation)
 
+    def test_least_squares_calls(self, clean_obs, scene, monkeypatch):
+        # one fit per grid sample (every sample solves, so no reverse pass)
+        # and the free-focal polish
+        original = pj.least_squares
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pj, "least_squares", counted)
+        pj.focal_sweep(clean_obs, scene.image_size)
+        assert len(calls) == pj.SWEEP_SAMPLES + 1
+
+    @pytest.mark.parametrize(
+        "seed, focal",
+        [(0, 1460.6423731701473), (1, 1441.6992285177505), (2, 1410.812975808804)],
+    )
+    def test_noisy_focal_regression_pin(self, scene, poses, seed, focal):
+        # f reached by the 120-sample grid with golden-section refinement
+        data = generate_dataset(scene, grid_step=8, noise=NoiseSpec(sigma_mm=2.0, seed=seed))
+        est = pj.focal_sweep(pj.build_observations(data, poses), scene.image_size)
+        assert est.intrinsics.fx == pytest.approx(focal, rel=1e-6)
+
     def test_noisy_recovery_stays_close(self, scene, poses):
         data = generate_dataset(scene, grid_step=8, noise=NoiseSpec(sigma_mm=2.0, seed=0))
         obs = pj.build_observations(data, poses)
@@ -428,6 +487,13 @@ class TestFocalSweep:
         except (SweepNoMinimumError, CheiralityUnresolvableError):
             return
         assert twin.cost > 1e3 * max(good.cost, 1e-12)
+
+    def test_mirror_twin_has_no_minimum_at_default_range(self, scene, poses, clean_data):
+        sol = estimate_plane_poses(clean_data)
+        dist = [rot_err_deg(c.pose1.rotation, poses.pose1.rotation) for c in sol.candidates]
+        twin = sol.candidates[int(np.argmax(dist))]
+        with pytest.raises(SweepNoMinimumError):
+            pj.focal_sweep(pj.build_observations(clean_data, twin), scene.image_size)
 
 
 class TestDecomposePointMatrix:
