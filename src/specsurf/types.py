@@ -12,6 +12,7 @@ Conventions
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -77,7 +78,10 @@ class NoiseSpec:
     gamma_px   : half-width of uniform noise added to pixel coordinates.
     k1         : one-parameter radial distortion applied to pixels
                  (in [-1,1]-normalized image coordinates) before quantization.
-    seed       : RNG seed; per-triple streams are derived from (seed, index).
+    seed       : non-negative integer.  Triple i of the full pixel grid
+                 draws from ``np.random.default_rng([seed, i])``; the
+                 simulator seeds these streams in batch, and the tests pin
+                 the equality.
     """
 
     sigma_mm: float = 0.0
@@ -88,6 +92,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.sigma_mm < 0 or self.gamma_px < 0:
             raise ValueError("noise magnitudes must be non-negative")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"noise seed must be a non-negative integer, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
 
     @property
     def is_zero(self) -> bool:

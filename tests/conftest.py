@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# the same examples on every run, and no per-example deadline, so timing
+# noise cannot fail a property test
+settings.register_profile("reproducible", derandomize=True, deadline=None, database=None)
+settings.load_profile("reproducible")
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -6,8 +6,11 @@ the whole estimation pipeline, so they are tested at machine precision.
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from specsurf import sim
 from specsurf.errors import EmptyDatasetError, ParseError, SchemaMismatchError
 from specsurf.sim import (
     MirrorScene,
@@ -221,6 +224,97 @@ class TestTracer:
     def test_pure_translation_scene_traces(self):
         ds = generate_dataset(pure_translation_scene(), 12, NoiseSpec())
         assert len(ds) >= 12
+
+
+class TestChunkedTrace:
+    def test_grid2_yield_count(self, scene):
+        valid, *_ = trace_pixels(scene, grid_pixels(scene.image_size, 2))
+        assert int(valid.sum()) == 56232
+
+    def test_split_off_chunk_boundary_matches_whole(self, scene):
+        pixels = grid_pixels(scene.image_size, 2)
+        assert len(pixels) > 2 * sim._TRACE_CHUNK
+        cut = sim._TRACE_CHUNK + 12345
+        whole = trace_pixels(scene, pixels)
+        halves = zip(trace_pixels(scene, pixels[:cut]), trace_pixels(scene, pixels[cut:]))
+        for full, (head, tail) in zip(whole, halves):
+            assert np.array_equal(full, np.concatenate([head, tail]), equal_nan=True)
+
+
+def reference_dataset(scene, grid_step, noise):
+    """The simulator's noise model with one default_rng per triple.
+
+    Triple i of the full grid draws normal(0, 1, 6), then uniform(-1, 1, 2),
+    from default_rng([seed, i]); generate_dataset must match it bit for bit.
+    """
+    pixels = grid_pixels(scene.image_size, grid_step)
+    valid, x0, x1, x2, _, _ = trace_pixels(scene, pixels)
+    idx = np.nonzero(valid)[0]
+    plane_noise = np.zeros((idx.size, 6))
+    pixel_noise = np.zeros((idx.size, 2))
+    for row, grid_index in enumerate(idx):
+        stream = np.random.default_rng([noise.seed, int(grid_index)])
+        plane_noise[row] = stream.normal(0.0, 1.0, size=6)
+        pixel_noise[row] = stream.uniform(-1.0, 1.0, size=2)
+    pix = sim._distort_pixels(pixels[idx], noise.k1, scene.intrinsics, scene.image_size)
+    return (
+        pix + noise.gamma_px * pixel_noise,
+        x0[idx] + noise.sigma_mm * plane_noise[:, 0:2],
+        x1[idx] + noise.sigma_mm * plane_noise[:, 2:4],
+        x2[idx] + noise.sigma_mm * plane_noise[:, 4:6],
+    )
+
+
+class TestNoiseStreams:
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**64 + 7])
+    def test_matches_per_triple_streams(self, scene, seed):
+        noise = NoiseSpec(sigma_mm=0.5, gamma_px=0.5, k1=0.01, seed=seed)
+        ds = generate_dataset(scene, 8, noise)
+        for got, want in zip((ds.pixels, ds.x0, ds.x1, ds.x2), reference_dataset(scene, 8, noise)):
+            assert np.array_equal(got, want)
+
+    def test_survivors_keep_their_full_grid_stream(self, scene):
+        noise = NoiseSpec(sigma_mm=1.0, gamma_px=0.7, seed=11)
+        ds = generate_dataset(scene, 12, noise)
+        for got, want in zip((ds.pixels, ds.x0, ds.x1, ds.x2), reference_dataset(scene, 12, noise)):
+            assert np.array_equal(got, want)
+        # dropping triples leaves the noise of the others unchanged
+        valid, *_ = trace_pixels(scene, grid_pixels(scene.image_size, 12))
+        idx = np.nonzero(valid)[0]
+        every, _ = sim._draw_noise(noise.seed, idx)
+        some, _ = sim._draw_noise(noise.seed, idx[::7])
+        assert np.array_equal(some, every[::7])
+
+    @given(
+        seed=st.integers(0, 2**100),
+        indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    )
+    # one entropy word per 32 bits: at 2**96 the seed and index overflow the
+    # four-word pool and take SeedSequence's extra mixing rounds
+    @example(seed=2**96 - 1, indices=[0, 2**32 - 1])
+    @example(seed=2**96, indices=[0, 2**32 - 1])
+    @example(seed=2**100, indices=[7])
+    def test_batched_seeding_matches_numpy(self, seed, indices):
+        words = sim._stream_words(seed, indices)
+        states, incs = sim._pcg64_states(words)
+        for row, index in enumerate(indices):
+            seq = np.random.SeedSequence([seed, index])
+            assert np.array_equal(words[row], seq.generate_state(4, np.uint64))
+            pcg = np.random.PCG64(seq).state["state"]
+            assert (states[row], incs[row]) == (pcg["state"], pcg["inc"])
+
+    def test_index_beyond_one_word_rejected(self):
+        with pytest.raises(ValueError):
+            sim._stream_words(0, [2**32])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None, True])
+    def test_invalid_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            NoiseSpec(seed=seed)
+
+    def test_numpy_integer_seed_becomes_int(self):
+        spec = NoiseSpec(seed=np.uint64(2**63))
+        assert spec.seed == 2**63 and type(spec.seed) is int
 
 
 class TestGenerateDataset:
