@@ -11,11 +11,16 @@ The factorization is sign-ambiguous: flipping the plane normal direction of
 both motions (a mirror twin) satisfies the same constraints with identical
 residual, so candidates are returned ranked and the caller disambiguates
 with camera-side evidence.
+
+The nullspace is accepted only when its rank gap clears RANK_GAP_MIN.  The
+gap ratio shrinks with measurement noise on healthy data, and the
+reconstruction chain does not lower the threshold: data noisy enough to
+close the gap raises RankAmbiguousError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -167,21 +172,6 @@ def real_cubic_roots(coeffs: np.ndarray) -> list[float]:
     return unique
 
 
-def solve_beta(d1: np.ndarray, d2: np.ndarray) -> list[float]:
-    """Real mixing coefficients beta with d1 + beta*d2 a valid motion form.
-
-    The rank-one structure of the two outer-product blocks forces a cubic
-    in beta built from four third-row slot products.  Raises
-    AllComplexRootsError when the cubic has no real root (then no direction
-    in the pencil satisfies the identity with a finite beta).
-    """
-    coeffs = _cubic_coefficients(d1, d2)  # ascending
-    betas = real_cubic_roots(coeffs[::-1])
-    if not betas:
-        raise AllComplexRootsError("no real root of the motion-form cubic")
-    return betas
-
-
 def candidate_null_vectors(d1: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
     """Unit null directions satisfying the cubic motion-form identity.
 
@@ -207,18 +197,6 @@ def candidate_null_vectors(d1: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
         out.append(d2.copy())
     if not out:
         raise AllComplexRootsError("no real root of the motion-form cubic")
-    return out
-
-
-def _swap_roles(d: np.ndarray) -> np.ndarray:
-    """Null vector of the same data with the two motions' roles exchanged."""
-    out = np.empty(24)
-    for i in range(3):
-        for j in range(3):
-            out[3 * i + j] = -d[3 * j + i]
-            out[9 + 3 * i + j] = -d[9 + 3 * j + i]
-    out[18:21] = d[21:24]
-    out[21:24] = d[18:21]
     return out
 
 
@@ -334,29 +312,6 @@ def _eliminate_family(d: np.ndarray):
     if t <= 0:
         return None
     return m1, m2, n1, n2, lam1, lam2, t
-
-
-def solve_alpha(d: np.ndarray) -> list[float]:
-    """Scales alpha making alpha*d a motion form with unit rotation columns.
-
-    The sign of the third rows is not observable from the collinearity
-    system, so both signs are returned.  Raises BranchM31ZeroError when the
-    first entry of motion 1's third row (the pivot this branch keys on)
-    vanishes relative to the vector norm, and NoRealAlphaError when the
-    scale constraint has no positive solution.
-    """
-    d = np.asarray(d, dtype=float)
-    nd = np.linalg.norm(d)
-    if nd == 0.0:
-        raise NoRealAlphaError("zero vector has no motion-form scaling")
-    if abs(d[21]) < 1e-8 * nd:
-        raise BranchM31ZeroError("pivot slot 22 of the null vector is zero")
-    res = _eliminate_family(d / nd)
-    if res is None:
-        raise NoRealAlphaError("no positive squared scale fits the unit constraints")
-    t = res[6]
-    alpha = float(np.sqrt(t)) / nd
-    return [alpha, -alpha]
 
 
 def _factor_null_vector(d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -520,17 +475,12 @@ def refine_plane_poses(pair: PlanePosePair, x0, x1, x2) -> PlanePosePair:
 
 @dataclass(frozen=True)
 class PoseSolution:
-    """Ranked plane-motion candidates with solver diagnostics."""
+    """Plane-motion candidates ranked by line-offset residual."""
 
     candidates: tuple[PlanePosePair, ...]
     residuals: np.ndarray  # RMS line-offset per candidate, mm
     gap_ratio: float
     ambiguous: bool
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def best(self) -> PlanePosePair:
-        return self.candidates[0]
 
 
 def _family_key(pair: PlanePosePair) -> tuple:
@@ -539,20 +489,24 @@ def _family_key(pair: PlanePosePair) -> tuple:
     return tuple(np.round([t1[0], t1[1], abs(t1[2]), t2[0], t2[1], abs(t2[2])], 3))
 
 
-def estimate_plane_poses(
-    data: CorrespondenceSet,
-    polish: bool = True,
-    min_gap: float = RANK_GAP_MIN,
-) -> PoseSolution:
+def estimate_plane_poses(data: CorrespondenceSet, min_gap: float = RANK_GAP_MIN) -> PoseSolution:
     """Recover the two plane motions from a correspondence set.
 
-    Candidates are ranked by line-offset residual; mirror twins (identical
-    residual, plane normal flipped) are both returned because only
-    camera-side reasoning can tell them apart.  The ambiguous flag is set
-    when two candidates from different twin families fit equally well
-    (within 1 percent).  min_gap is the degeneracy threshold on the
-    nullspace rank gap; heavy pixel noise shrinks the gap on healthy data,
-    so noisy pipelines pass a smaller value than the strict default.
+    Each candidate direction of the nullspace pencil is factored once.  The
+    factored pairs are ranked by line-offset residual, and those within 100
+    times the best residual, at most the first four, are polished by
+    refine_plane_poses.  Mirror twins (identical residual, plane normal
+    flipped) are both returned because only camera-side reasoning can tell
+    them apart.  The ambiguous flag is set when two candidates from
+    different twin families fit equally well (within 1 percent).
+
+    min_gap is the degeneracy threshold on the nullspace rank gap (see
+    nullspace_basis).  The reconstruction chain keeps the strict default,
+    so noise that shrinks the gap below it raises RankAmbiguousError.
+
+    Raises BranchM31ZeroError when the third-row blocks vanish for every
+    candidate direction, and NoRealAlphaError when no direction admits a
+    positive scale otherwise.
     """
     if len(data) < MIN_TRIPLES:
         raise TooFewCorrespondencesError(
@@ -570,32 +524,22 @@ def estimate_plane_poses(
     d1, d2, gap = nullspace_basis(e, min_gap=min_gap)
     directions = candidate_null_vectors(d1, d2)
 
-    row_sets: list[tuple[np.ndarray, np.ndarray, bool]] = []
+    row_sets: list[tuple[np.ndarray, np.ndarray]] = []
     branch_zero = 0
     for d in directions:
         try:
-            for m, n in _factor_null_vector(d):
-                row_sets.append((m, n, False))
+            row_sets.extend(_factor_null_vector(d))
         except BranchM31ZeroError:
             branch_zero += 1
-    used_swap = False
     if not row_sets:
-        for d in directions:
-            try:
-                for m, n in _factor_null_vector(_swap_roles(d)):
-                    row_sets.append((n, m, True))
-                    used_swap = True
-            except BranchM31ZeroError:
-                branch_zero += 1
-    if not row_sets:
-        if branch_zero == len(directions) and branch_zero > 0:
+        if branch_zero == len(directions):
             raise BranchM31ZeroError(
                 "third-row blocks vanish for every candidate direction"
             )
         raise NoRealAlphaError("no candidate direction admits a positive scale")
 
     scored: list[tuple[float, PlanePosePair]] = []
-    for m, n, _swapped in row_sets:
+    for m, n in row_sets:
         pair = _rows_to_pair(m, n)
         if pair is None:
             continue
@@ -609,16 +553,15 @@ def estimate_plane_poses(
 
     # geometric polish of every candidate within reach of the best fit
     # (twins included; they converge to distinct, equally scored optima)
-    if polish:
-        cutoff = 100.0 * max(scored[0][0], 1e-12)
-        polished: list[tuple[float, PlanePosePair]] = []
-        for res, pair in scored:
-            if res <= cutoff and len(polished) < 4:
-                better = refine_plane_poses(pair, x0, x1, x2)
-                polished.append((line_offset_residual(better, x0, x1, x2), better))
-            else:
-                polished.append((res, pair))
-        scored = sorted(polished, key=lambda item: item[0])
+    cutoff = 100.0 * max(scored[0][0], 1e-12)
+    polished: list[tuple[float, PlanePosePair]] = []
+    for res, pair in scored:
+        if res <= cutoff and len(polished) < 4:
+            better = refine_plane_poses(pair, x0, x1, x2)
+            polished.append((line_offset_residual(better, x0, x1, x2), better))
+        else:
+            polished.append((res, pair))
+    scored = sorted(polished, key=lambda item: item[0])
 
     # ambiguity check on twin-deduplicated families
     families: dict[tuple, float] = {}
@@ -642,11 +585,4 @@ def estimate_plane_poses(
         residuals=residuals,
         gap_ratio=gap,
         ambiguous=ambiguous,
-        diagnostics={
-            "n_triples": len(data),
-            "coordinate_scale": scale,
-            "n_directions": len(directions),
-            "n_row_sets": len(row_sets),
-            "used_role_swap": used_swap,
-        },
     )

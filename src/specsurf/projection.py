@@ -16,12 +16,16 @@ Three estimation routes, in increasing order of built-in structure:
   directly on the geometric point-to-line cost, with an analytic
   Jacobian: a line with direction w and moment v has the camera-frame
   moment m = R v - T x R w (the cross product of its two points after
-  the camera moves them), whose image line is K^-T m.
+  the camera moves them), whose image line is K^-T m.  Given a warm start
+  the solve skips the SVD and the decode and runs the polish alone.
 - focal_sweep: a coarse logarithmic grid over a shared focal length with
-  the principal point pinned to the image center, using solve_constrained
-  as the inner solver (each sample warm-started from its neighbor) and the
-  point-to-line cost as the objective, then Levenberg-Marquardt over
-  (f, R, T) from the best sample.
+  the principal point pinned to the image center, using the constrained
+  solve as the inner solver and the point-to-line cost as the objective,
+  then Levenberg-Marquardt over (f, R, T) from the best sample.  Each
+  sample is warm-started from its neighbor, so the decode runs only on a
+  cold start: the first sample, or one after a failed neighbor.  The
+  inner solves report no diagnostics; the estimate carries the focal grid
+  and the cost curve.
 
 Conditioning matters here far more than in ordinary resection.  Reflected
 rays off a rotationally symmetric mirror all meet the axis through the
@@ -57,7 +61,14 @@ from .errors import (
 )
 from . import so3
 from .plane_pose import lift_triples
-from .plucker import dual, line_to_point_matrix, lines_from_points, point_to_line_matrix
+from .plucker import (
+    direction_of,
+    dual,
+    line_to_point_matrix,
+    lines_from_points,
+    moment_of,
+    point_to_line_matrix,
+)
 from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, PlanePosePair
 
 MIN_OBSERVATIONS = 17
@@ -130,9 +141,7 @@ def _scale_line_coords(lines: np.ndarray, rho: float) -> np.ndarray:
 
 def _world_scale(lines: np.ndarray) -> float:
     """Typical distance of the lines from the world origin."""
-    w = np.stack([lines[:, 2], -lines[:, 5], lines[:, 4]], axis=1)
-    v = np.stack([lines[:, 3], -lines[:, 1], lines[:, 0]], axis=1)
-    dists = np.linalg.norm(v, axis=1) / np.linalg.norm(w, axis=1)
+    dists = np.linalg.norm(moment_of(lines), axis=1) / np.linalg.norm(direction_of(lines), axis=1)
     rho = float(np.mean(dists))
     return rho if np.isfinite(rho) and rho > 1e-9 else 1.0
 
@@ -217,7 +226,7 @@ def camera_line_matrix(
 
 
 def _metric_decode(metric_lm: np.ndarray):
-    """Scaled line matrix of lambda [R T] -> (R0, T0, info).
+    """Scaled line matrix of lambda [R T] -> (R0, T0).
 
     Scale from the mean rotation-row norm, sign from the cheirality rule
     (world origin in front of the camera).
@@ -235,13 +244,7 @@ def _metric_decode(metric_lm: np.ndarray):
             "world origin sits in the camera's principal plane; sign of the "
             "camera cannot be fixed"
         )
-    spread = float(np.max(np.abs(row_norms / lam - 1.0)))
-    info = {
-        "row_norm_spread": spread,
-        "non_rotation_residual": spread > 0.10,
-        "improper_rotation": bool(np.linalg.det(g[:, :3]) < 0),
-    }
-    return so3.closest_rotation(g[:, :3]), g[:, 3].copy(), info
+    return so3.closest_rotation(g[:, :3]), g[:, 3].copy()
 
 
 def _cross(p, q) -> np.ndarray:
@@ -281,14 +284,8 @@ def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
     n = len(obs)
     x0 = obs.pixels[:, 0]
     x1 = obs.pixels[:, 1] / aspect
-    lines = obs.lines
     # moments v then directions w, as columns, so one product rotates both
-    vw = np.hstack(
-        [
-            np.stack([lines[:, 3], -lines[:, 1], lines[:, 0]]),
-            np.stack([lines[:, 2], -lines[:, 5], lines[:, 4]]),
-        ]
-    )
+    vw = np.hstack([moment_of(obs.lines).T, direction_of(obs.lines).T])
     # state at the last theta: the solver asks for the Jacobian at the
     # point whose residuals it has just evaluated.  The last Jacobian is
     # kept apart: scipy asks for it once more at the solution after MINPACK
@@ -342,7 +339,8 @@ def _refine_metric(fx: float, fy: float, obs: LineObservationSet, start, free_fo
     so directions that are not realizable by any metric camera cannot enter
     the solution.  With free_focal a shared log-focal joins the parameters
     (fy scaled in proportion).  Starts from start = (R, T) and returns
-    (f, R, T, cost).
+    (f, R, T, cost); the fit stops after 300 evaluations, 400 with
+    free_focal.
 
     The solver gets the analytic Jacobian of _point_line_objective, which
     works on the camera-frame moment m = R v - T x R w of each line
@@ -350,62 +348,45 @@ def _refine_metric(fx: float, fy: float, obs: LineObservationSet, start, free_fo
     camera has moved them.
     """
     residuals, jacobian = _point_line_objective(fx, fy, obs)
-    log_fx = np.log(fx)
-    theta0 = np.concatenate([[log_fx], so3.log(start[0]), start[1]])
-    if free_focal:
-        fit = least_squares(
-            residuals,
-            theta0,
-            jac=jacobian,
-            method="lm",
-            x_scale="jac",
-            xtol=1e-12,
-            ftol=1e-12,
-            max_nfev=400,
-        )
-    else:
-        fit = least_squares(
-            lambda q: residuals(np.concatenate([[log_fx], q])),
-            theta0[1:],
-            jac=lambda q: jacobian(np.concatenate([[log_fx], q]))[:, 1:],
-            method="lm",
-            x_scale="jac",
-            xtol=1e-12,
-            ftol=1e-12,
-            max_nfev=300,
-        )
-        fit.x = np.concatenate([[log_fx], fit.x])
-    rotation = so3.exp(fit.x[1:4])
-    return float(np.exp(fit.x[0])), rotation, fit.x[4:].copy(), 2.0 * float(fit.cost)
+    theta0 = np.concatenate([[np.log(fx)], so3.log(start[0]), start[1]])
+    # the log-focal leads theta; a fixed-focal fit holds it out of the solve
+    held = theta0[: 0 if free_focal else 1]
+    fit = least_squares(
+        lambda q: residuals(np.concatenate([held, q])),
+        theta0[len(held) :],
+        jac=lambda q: jacobian(np.concatenate([held, q]))[:, len(held) :],
+        method="lm",
+        x_scale="jac",
+        xtol=1e-12,
+        ftol=1e-12,
+        max_nfev=400 if free_focal else 300,
+    )
+    theta = np.concatenate([held, fit.x])
+    return float(np.exp(theta[0])), so3.exp(theta[1:4]), theta[4:], 2.0 * float(fit.cost)
 
 
-def _solve_constrained_scaled(fx_n, fy_n, obs_n, z_n, init=None, refine=True):
+def _solve_constrained_scaled(fx_n, fy_n, obs_n, z_n, init=None):
     """Constrained solve in an already-rescaled frame; T stays in that frame.
 
-    The refinement starts from init when given, else from the decode.
+    The refinement starts from init when given, else from the decode of the
+    column-scaled incidence matrix's least singular vector; only that cold
+    start takes the SVD and its rank test.  Returns (R, T, cost) with the
+    point-to-line cost in rescaled pixel units.
     """
-    d = np.concatenate([np.full(6, fy_n), np.full(6, fx_n), np.full(6, fx_n * fy_n)])
-    _, s, vt = np.linalg.svd(z_n * d, full_matrices=False)
-    if s[16] < 1e-12 * s[0]:
-        raise RankDeficientZError(
-            "incidence matrix leaves more than a scale ambiguity"
-        )
     if init is None:
-        rotation, translation, info = _metric_decode(vt[17].reshape(3, 6))
-    else:
-        (rotation, translation), info = init, {}
-    if refine:
-        _, rotation, translation, cost = _refine_metric(
-            fx_n, fy_n, obs_n, (rotation, translation)
-        )
-        info = dict(info, refined=True, cost_scaled=cost)
-    else:
-        info = dict(info, refined=False)
+        d = np.concatenate([np.full(6, fy_n), np.full(6, fx_n), np.full(6, fx_n * fy_n)])
+        _, s, vt = np.linalg.svd(z_n * d, full_matrices=False)
+        if s[16] < 1e-12 * s[0]:
+            raise RankDeficientZError(
+                "incidence matrix leaves more than a scale ambiguity"
+            )
+        init = _metric_decode(vt[17].reshape(3, 6))
+    _, rotation, translation, cost = _refine_metric(fx_n, fy_n, obs_n, init)
     if translation[2] < 0:
         raise CheiralityUnresolvableError(
             "refined camera places the world origin behind itself"
         )
-    return rotation, translation, info
+    return rotation, translation, cost
 
 
 def solve_constrained(
@@ -413,7 +394,6 @@ def solve_constrained(
     fy: float,
     obs_centered: LineObservationSet,
     init: tuple[np.ndarray, np.ndarray] | None = None,
-    refine: bool = True,
 ):
     """Metric camera (R, T) given focal lengths, principal point at origin.
 
@@ -423,10 +403,10 @@ def solve_constrained(
     itself.  Rigidity is restored from the row norms (|scale| from their
     mean, sign from requiring the world origin in front of the camera) and
     the decoded pose is then refined on the geometric cost by
-    Levenberg-Marquardt with an analytic Jacobian unless refine is false.
-    An optional init (R, T) replaces the decoded start (the decode is then
-    skipped), which lets a caller sweeping over focal lengths warm-start
-    each solve from its neighbor's.
+    Levenberg-Marquardt with an analytic Jacobian.  An optional init (R, T)
+    replaces the decoded start (the SVD and decode are then skipped), which
+    lets a caller sweeping over focal lengths warm-start each solve from
+    its neighbor's.
 
     Under heavy noise the solve is only as good as its start: the geometric
     cost at a fixed focal length has spurious attractors (a reflected and a
@@ -436,10 +416,7 @@ def solve_constrained(
     solution across focal lengths and the continuation escapes basins that
     a fixed-focal solve cannot.
 
-    Returns (rotation, translation, info).  When the decode is the start,
-    info flags non_rotation_residual (decoded row norms off by > 10%) and
-    improper_rotation (mirrored geometry), both best-effort returns rather
-    than failures.
+    Returns (rotation, translation).
     """
     if len(obs_centered) < MIN_OBSERVATIONS:
         raise TooFewObservationsError(
@@ -448,34 +425,30 @@ def solve_constrained(
     obs_n, _, s_pix, rho = _normalized_copy(obs_centered, center_pixels=False)
     z_n = _incidence_rows(obs_n)
     init_n = None if init is None else (init[0], np.asarray(init[1], dtype=float) / rho)
-    rotation, t_n, info = _solve_constrained_scaled(
-        fx * s_pix, fy * s_pix, obs_n, z_n, init=init_n, refine=refine
-    )
-    return rotation, t_n * rho, info
+    rotation, t_n, _ = _solve_constrained_scaled(fx * s_pix, fy * s_pix, obs_n, z_n, init=init_n)
+    return rotation, t_n * rho
 
 
-def focal_sweep(
-    obs: LineObservationSet,
-    image_size: tuple[int, int],
-    range_cfg: tuple[float, float, int] | None = None,
-) -> CalibrationEstimate:
+def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> CalibrationEstimate:
     """Best shared focal length with the principal point at the image center.
 
-    Logarithmic grid search over the configured range, each constrained
-    solve started from its neighbor's solution (the first from the
-    algebraic decode), then Levenberg-Marquardt over (f, R, T) from the
-    best sample.  The minimum must be interior to the grid; a monotone
-    cost curve means the range does not contain the answer, or the lines
-    come from the wrong mirror twin.
+    Logarithmic grid of SWEEP_SAMPLES focal lengths spanning SWEEP_SPAN
+    times the image diagonal.  Each constrained solve is started from its
+    neighbor's solution; only the first, or one after a failed neighbor,
+    decodes a cold start from the incidence matrix.  Levenberg-Marquardt
+    over (f, R, T) then polishes the best sample.  The minimum must be
+    interior to the grid; a monotone cost curve means the range does not
+    contain the answer, or the lines come from the wrong mirror twin.
+
+    The estimate's diagnostics hold the focal grid (f_grid), the cost of
+    each sample in pixels squared (cost_curve, inf where the solve failed),
+    n_observations and n_skipped.
     """
     width, height = image_size
     u0 = (width - 1) / 2.0
     v0 = (height - 1) / 2.0
-    if range_cfg is None:
-        diagonal = float(np.hypot(width, height))
-        f_lo, f_hi, samples = SWEEP_SPAN[0] * diagonal, SWEEP_SPAN[1] * diagonal, SWEEP_SAMPLES
-    else:
-        f_lo, f_hi, samples = range_cfg
+    diagonal = float(np.hypot(width, height))
+    f_lo, f_hi = SWEEP_SPAN[0] * diagonal, SWEEP_SPAN[1] * diagonal
     if len(obs) < MIN_OBSERVATIONS:
         raise TooFewObservationsError(
             f"need at least {MIN_OBSERVATIONS} observations, got {len(obs)}"
@@ -484,7 +457,7 @@ def focal_sweep(
     obs_n, _, s_pix, rho = _normalized_copy(centered, center_pixels=False)
     z_n = _incidence_rows(obs_n)
 
-    grid = np.geomspace(f_lo, f_hi, int(samples))
+    grid = np.geomspace(f_lo, f_hi, SWEEP_SAMPLES)
     costs = np.full(len(grid), np.inf)
     solutions: list = [None] * len(grid)
 
@@ -494,15 +467,15 @@ def focal_sweep(
         warm = None
         for i in order:
             try:
-                sol = _solve_constrained_scaled(
+                rotation, t_n, cost = _solve_constrained_scaled(
                     grid[i] * s_pix, grid[i] * s_pix, obs_n, z_n, init=warm
                 )
             except (CheiralityUnresolvableError, RankDeficientZError):
                 continue
-            if sol[2]["cost_scaled"] < costs[i]:
-                costs[i] = sol[2]["cost_scaled"]
-                solutions[i] = sol
-            warm = sol[:2]
+            warm = (rotation, t_n)
+            if cost < costs[i]:
+                costs[i] = cost
+                solutions[i] = warm
 
     sweep_pass(range(len(grid)))
     if not np.all(np.isfinite(costs)):
@@ -515,9 +488,8 @@ def focal_sweep(
         )
 
     # joint polish of (f, R, T): the free-focal solve takes f off the grid
-    rotation, t_n, info = solutions[best]
     f_n, rotation, t_n, _ = _refine_metric(
-        grid[best] * s_pix, grid[best] * s_pix, obs_n, (rotation, t_n), free_focal=True
+        grid[best] * s_pix, grid[best] * s_pix, obs_n, solutions[best], free_focal=True
     )
     if t_n[2] <= 0:
         raise CheiralityUnresolvableError(
@@ -538,7 +510,6 @@ def focal_sweep(
             "cost_curve": costs / (s_pix * s_pix),  # back to raw pixel units
             "n_observations": len(obs),
             "n_skipped": obs.n_skipped,
-            **{k: v for k, v in info.items() if k != "cost_scaled"},
         },
     )
 

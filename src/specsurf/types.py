@@ -97,10 +97,6 @@ class NoiseSpec:
             raise ValueError(f"noise seed must be a non-negative integer, got {seed!r}")
         object.__setattr__(self, "seed", int(seed))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.sigma_mm == 0.0 and self.gamma_px == 0.0 and self.k1 == 0.0
-
 
 @dataclass(frozen=True)
 class ReflectionTriple:
@@ -165,17 +161,8 @@ class CalibrationEstimate:
     cost: float = float("nan")  # point-to-line cost, px^2 (sum)
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def pose(self) -> RigidPose:
-        return RigidPose(self.rotation, self.translation)
-
     def camera_center(self) -> np.ndarray:
         return -self.rotation.T @ self.translation
-
-    def projection_matrix(self) -> np.ndarray:
-        return self.intrinsics.matrix() @ np.hstack(
-            [self.rotation, self.translation.reshape(3, 1)]
-        )
 
 
 @dataclass
@@ -188,8 +175,4 @@ class SurfaceEstimate:
     valid: np.ndarray  # (n,) bool
     invalid_reason: dict[int, str] = field(default_factory=dict)
     calibration: CalibrationEstimate | None = None
-
-    @property
-    def n_valid(self) -> int:
-        return int(np.count_nonzero(self.valid))
 

@@ -18,7 +18,9 @@ from specsurf.errors import (
     RankAmbiguousError,
     TooFewCorrespondencesError,
 )
+from specsurf import plane_pose
 from specsurf.plane_pose import (
+    _factor_null_vector,
     _polish_objective,
     build_design_matrix,
     candidate_null_vectors,
@@ -28,8 +30,6 @@ from specsurf.plane_pose import (
     pack_motion,
     real_cubic_roots,
     refine_plane_poses,
-    solve_alpha,
-    solve_beta,
     spurious_null_vector,
 )
 from specsurf.sim import default_two_sphere_scene, generate_dataset, pure_translation_scene
@@ -91,6 +91,22 @@ def scaled_pack(pose1, pose2, scale):
     p1 = RigidPose(pose1.rotation, pose1.translation / scale)
     p2 = RigidPose(pose2.rotation, pose2.translation / scale)
     return pack_motion(p1, p2)
+
+
+def rows_pack(m, n):
+    """pack_motion of the motions whose row matrices _factor_null_vector returns."""
+
+    def pose(rows):
+        return RigidPose(
+            np.column_stack([rows[:, 0], rows[:, 1], np.cross(rows[:, 0], rows[:, 1])]), rows[:, 2]
+        )
+
+    return pack_motion(pose(m), pose(n))
+
+
+def unpolished(monkeypatch):
+    """Make estimate_plane_poses return its candidates without the polish."""
+    monkeypatch.setattr(plane_pose, "refine_plane_poses", lambda pair, x0, x1, x2: pair)
 
 
 def rotation_angle_deg(r1, r2):
@@ -238,17 +254,17 @@ class TestNullspace:
 
 
 class TestBetaSolver:
+    """The pencil cubic of candidate_null_vectors."""
+
     def test_truth_direction_among_pencil_roots(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
         s = rms_scale(x0, x1, x2)
         d1, d2, _ = nullspace_basis(build_design_matrix(x0 / s, x1 / s, x2 / s))
         w = scaled_pack(pose1, pose2, s)
         w /= np.linalg.norm(w)
-        best = np.inf
-        for beta in solve_beta(d1, d2):
-            v = d1 + beta * d2
-            v /= np.linalg.norm(v)
-            best = min(best, np.linalg.norm(v - w), np.linalg.norm(v + w))
+        best = min(
+            min(np.linalg.norm(v - w), np.linalg.norm(v + w)) for v in candidate_null_vectors(d1, d2)
+        )
         assert best < 1e-8
 
     def test_zero_root_when_first_vector_already_solves(self, synthetic):
@@ -256,15 +272,16 @@ class TestBetaSolver:
         s = rms_scale(x0, x1, x2)
         w = scaled_pack(pose1, pose2, s)
         w /= np.linalg.norm(w)
-        betas = solve_beta(w, spurious_null_vector())
-        assert min(abs(b) for b in betas) < 1e-10
+        vectors = candidate_null_vectors(w, spurious_null_vector())
+        assert min(np.linalg.norm(v - w) for v in vectors) < 1e-10
 
     def test_plain_cubic_roots(self):
         roots = real_cubic_roots(np.array([1.0, 0.0, -1.0, 0.0]))
         assert np.allclose(sorted(roots), [-1.0, 0.0, 1.0], atol=1e-12)
 
     def test_all_complex_roots_raise(self):
-        # slots chosen so the identity reduces to 1 + beta^2
+        # slots chosen so the identity reduces to 1 + beta^2: no finite beta
+        # is real, so the only direction left is d2 (beta at infinity)
         d1 = np.zeros(24)
         d2 = np.zeros(24)
         d1[18] = 1.0
@@ -272,8 +289,12 @@ class TestBetaSolver:
         d1[23] = 1.0
         d2[20] = 1.0
         d2[0] = -1.0
+        (v,) = candidate_null_vectors(d1, d2)
+        assert np.array_equal(v, d2)
+        # along 0 + beta*d1 the identity is beta^3: its one real root gives
+        # the zero vector, which is no direction at all
         with pytest.raises(AllComplexRootsError):
-            solve_beta(d1, d2)
+            candidate_null_vectors(np.zeros(24), d1)
 
     def test_candidate_directions_are_unit(self, synthetic):
         x0, x1, x2, *_ = synthetic
@@ -284,55 +305,62 @@ class TestBetaSolver:
 
 
 class TestAlphaSolver:
+    """The scale step of _factor_null_vector."""
+
     def pencil_truth(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
         s = rms_scale(x0, x1, x2)
         d1, d2, _ = nullspace_basis(build_design_matrix(x0 / s, x1 / s, x2 / s))
         w = scaled_pack(pose1, pose2, s)
-        beta = min(
-            solve_beta(d1, d2),
-            key=lambda b: min(
-                np.linalg.norm((d1 + b * d2) / np.linalg.norm(d1 + b * d2) - w / np.linalg.norm(w)),
-                np.linalg.norm((d1 + b * d2) / np.linalg.norm(d1 + b * d2) + w / np.linalg.norm(w)),
-            ),
+        unit = w / np.linalg.norm(w)
+        v = min(
+            candidate_null_vectors(d1, d2),
+            key=lambda v: min(np.linalg.norm(v - unit), np.linalg.norm(v + unit)),
         )
-        return d1 + beta * d2, w
+        return v, w
 
     def test_scale_recovers_ground_truth_motion(self, synthetic):
+        # the twins' packs are the truth and its negative
         v, w = self.pencil_truth(synthetic)
-        err = min(
-            np.linalg.norm(alpha * v - w) / np.linalg.norm(w) for alpha in solve_alpha(v)
+        packs = [rows_pack(m, n) for m, n in _factor_null_vector(v)]
+        assert len(packs) == 2
+        errors = sorted(
+            min(np.linalg.norm(p - w), np.linalg.norm(p + w)) / np.linalg.norm(w) for p in packs
         )
-        assert err < 1e-7
+        assert errors[1] < 1e-7
+        assert np.linalg.norm(packs[0] + packs[1]) < 1e-12 * np.linalg.norm(w)
 
     def test_both_signs_returned(self, synthetic):
         v, _ = self.pencil_truth(synthetic)
-        alphas = solve_alpha(v)
-        assert len(alphas) == 2
-        assert alphas[0] == pytest.approx(-alphas[1])
+        (m_a, n_a), (m_b, n_b) = _factor_null_vector(v)
+        assert np.array_equal(m_a[:2], m_b[:2])
+        assert np.array_equal(n_a[:2], n_b[:2])
+        assert np.array_equal(m_a[2], -m_b[2])
+        assert np.array_equal(n_a[2], -n_b[2])
 
     def test_negating_input_flips_signs(self, synthetic):
+        # -v factors into the same twins in the opposite order
         v, _ = self.pencil_truth(synthetic)
-        a_pos = sorted(solve_alpha(v))
-        a_neg = sorted(-a for a in solve_alpha(-v))
-        assert np.allclose(a_pos, a_neg, rtol=1e-12)
+        rows_pos = _factor_null_vector(v)
+        rows_neg = _factor_null_vector(-v)
+        for (m_p, n_p), (m_n, n_n) in zip(rows_pos, rows_neg[::-1]):
+            assert np.allclose(m_p, m_n, rtol=0, atol=1e-12)
+            assert np.allclose(n_p, n_n, rtol=0, atol=1e-12)
 
     def test_scale_halves_when_vector_doubles(self, synthetic):
+        # the factored rows do not depend on the input's length, so the
+        # scale applied to 2v is half the one applied to v
         v, _ = self.pencil_truth(synthetic)
-        a1 = max(solve_alpha(v))
-        a2 = max(solve_alpha(2.0 * v))
-        assert a2 == pytest.approx(a1 / 2.0, rel=1e-9)
+        for (m1, n1), (m2, n2) in zip(_factor_null_vector(v), _factor_null_vector(2.0 * v)):
+            assert np.allclose(m1, m2, rtol=1e-9, atol=0)
+            assert np.allclose(n1, n2, rtol=1e-9, atol=0)
 
     def test_zero_pivot_slot_rejected(self, synthetic):
         v, _ = self.pencil_truth(synthetic)
         v = v.copy()
-        v[21] = 0.0
+        v[18:24] = 0.0
         with pytest.raises(BranchM31ZeroError):
-            solve_alpha(v)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(NoRealAlphaError):
-            solve_alpha(np.zeros(24))
+            _factor_null_vector(v)
 
 
 class TestMotionForm:
@@ -447,25 +475,62 @@ class TestEstimate:
 
     def test_diagnostics_present(self, clean_data):
         sol = estimate_plane_poses(clean_data)
-        assert sol.diagnostics["n_triples"] == len(clean_data)
+        assert len(sol.residuals) == len(sol.candidates)
         assert sol.gap_ratio >= 100.0
+
+    def test_swapped_roles_swap_the_motions(self, scene):
+        # exchanging x1 and x2 exchanges the two motions the data encodes
+        data = generate_dataset(scene, grid_step=20, noise=NoiseSpec(0.0, 0.0, 0.0, 0))
+        swapped = CorrespondenceSet(pixels=data.pixels, x0=data.x0, x1=data.x2, x2=data.x1)
+        sol = estimate_plane_poses(data)
+        sol_swapped = estimate_plane_poses(swapped)
+        assert len(sol_swapped.candidates) == len(sol.candidates)
+        for cand in sol.candidates:
+            errors = [
+                max(
+                    np.abs(other.pose2.rotation - cand.pose1.rotation).max(),
+                    np.abs(other.pose1.rotation - cand.pose2.rotation).max(),
+                    np.abs(other.pose2.translation - cand.pose1.translation).max(),
+                    np.abs(other.pose1.translation - cand.pose2.translation).max(),
+                )
+                for other in sol_swapped.candidates
+            ]
+            assert min(errors) < 1e-9
+
+    @pytest.mark.parametrize(
+        "directions, error",
+        [
+            # third-row blocks vanish for both directions
+            ([np.eye(24)[0], np.eye(24)[9]], BranchM31ZeroError),
+            # one direction vanishes, the other is the structural vector,
+            # which factors into nothing without raising
+            ([np.eye(24)[0], spurious_null_vector()], NoRealAlphaError),
+        ],
+        ids=["all-vanish", "one-vanishes"],
+    )
+    def test_unfactorable_directions_raise(self, clean_data, monkeypatch, directions, error):
+        monkeypatch.setattr(plane_pose, "candidate_null_vectors", lambda d1, d2: directions)
+        with pytest.raises(error):
+            estimate_plane_poses(clean_data)
 
 
 class TestRefine:
-    def test_polish_reduces_residual_on_noisy_data(self, scene):
+    def test_polish_reduces_residual_on_noisy_data(self, scene, monkeypatch):
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(1.0, 0.0, 0.0, 17))
-        raw = estimate_plane_poses(data, polish=False, min_gap=2.0)
+        with monkeypatch.context() as patch:
+            unpolished(patch)
+            raw = estimate_plane_poses(data, min_gap=2.0).candidates[0]
         s = rms_scale(data.x0, data.x1, data.x2)
         x0, x1, x2 = data.x0 / s, data.x1 / s, data.x2 / s
         pair = PlanePosePair(
-            RigidPose(raw.best.pose1.rotation, raw.best.pose1.translation / s),
-            RigidPose(raw.best.pose2.rotation, raw.best.pose2.translation / s),
+            RigidPose(raw.pose1.rotation, raw.pose1.translation / s),
+            RigidPose(raw.pose2.rotation, raw.pose2.translation / s),
         )
         before = line_offset_residual(pair, x0, x1, x2)
         after = line_offset_residual(refine_plane_poses(pair, x0, x1, x2), x0, x1, x2)
         assert after < before
 
-    def test_polish_improves_mean_pose_accuracy(self, scene):
+    def test_polish_improves_mean_pose_accuracy(self, scene, monkeypatch):
         # single seeds can go either way on the noise floor; the mean error
         # across seeds must drop
         raws, refs = [], []
@@ -473,9 +538,12 @@ class TestRefine:
             data = generate_dataset(
                 scene, grid_step=12, noise=NoiseSpec(1.0, 0.0, 0.0, 100 + seed)
             )
-            for polish, sink in ((False, raws), (True, refs)):
-                sol = estimate_plane_poses(data, polish=polish, min_gap=2.0)
-                sink.append(best_pose_errors(sol, scene.pose1, scene.pose2)[0])
+            with monkeypatch.context() as patch:
+                unpolished(patch)
+                sol = estimate_plane_poses(data, min_gap=2.0)
+            raws.append(best_pose_errors(sol, scene.pose1, scene.pose2)[0])
+            sol = estimate_plane_poses(data, min_gap=2.0)
+            refs.append(best_pose_errors(sol, scene.pose1, scene.pose2)[0])
         assert np.mean(refs) < np.mean(raws)
 
     def test_exact_solution_is_fixed_point(self, scene, clean_data):

@@ -31,6 +31,13 @@ from specsurf.types import (
 )
 
 
+def set_sweep_range(monkeypatch, image_size, f_lo, f_hi, samples):
+    """Sweep `samples` focal lengths from f_lo to f_hi pixels."""
+    diagonal = float(np.hypot(*image_size))
+    monkeypatch.setattr(pj, "SWEEP_SPAN", (f_lo / diagonal, f_hi / diagonal))
+    monkeypatch.setattr(pj, "SWEEP_SAMPLES", samples)
+
+
 def rot_err_deg(r, s):
     c = (np.trace(r @ s.T) - 1.0) / 2.0
     return np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
@@ -298,20 +305,21 @@ class TestSolveConstrained:
     def test_exact_recovery_at_true_focals(self, scene, clean_obs):
         intr = scene.intrinsics
         cobs = clean_obs.centered(intr.u0, intr.v0)
-        r, t, info = pj.solve_constrained(intr.fx, intr.fy, cobs)
+        r, t = pj.solve_constrained(intr.fx, intr.fy, cobs)
         assert rot_err_deg(r, scene.camera_pose.rotation) < 1e-6
         t_rel = np.linalg.norm(t - scene.camera_pose.translation) / np.linalg.norm(
             scene.camera_pose.translation
         )
         assert t_rel < 1e-8
-        assert not info["non_rotation_residual"]
-        assert not info["improper_rotation"]
 
-    def test_exact_recovery_without_refinement(self, scene, clean_obs):
+    def test_exact_recovery_without_refinement(self, scene, clean_obs, monkeypatch):
+        # with the refinement returning its start, the result is the decode
+        monkeypatch.setattr(
+            pj, "_refine_metric", lambda fx, fy, obs, start: (fx, start[0], start[1], 0.0)
+        )
         intr = scene.intrinsics
         cobs = clean_obs.centered(intr.u0, intr.v0)
-        r, t, info = pj.solve_constrained(intr.fx, intr.fy, cobs, refine=False)
-        assert not info["refined"]
+        r, t = pj.solve_constrained(intr.fx, intr.fy, cobs)
         assert rot_err_deg(r, scene.camera_pose.rotation) < 1e-6
         t_rel = np.linalg.norm(t - scene.camera_pose.translation) / np.linalg.norm(
             scene.camera_pose.translation
@@ -323,7 +331,7 @@ class TestSolveConstrained:
         cobs = clean_obs.centered(intr.u0, intr.v0)
         costs = {}
         for mult in (1.0, 2.0):
-            r, t, _ = pj.solve_constrained(mult * intr.fx, mult * intr.fy, cobs)
+            r, t = pj.solve_constrained(mult * intr.fx, mult * intr.fy, cobs)
             lm = pj.camera_line_matrix(
                 Intrinsics(mult * intr.fx, mult * intr.fy, 0.0, 0.0), r, t
             )
@@ -334,7 +342,7 @@ class TestSolveConstrained:
         intr = scene.intrinsics
         cobs = clean_obs.centered(intr.u0, intr.v0)
         cam = scene.camera_pose
-        r, t, _ = pj.solve_constrained(
+        r, t = pj.solve_constrained(
             intr.fx, intr.fy, cobs, init=(cam.rotation, cam.translation)
         )
         assert rot_err_deg(r, cam.rotation) < 1e-6
@@ -349,7 +357,7 @@ class TestSolveConstrained:
             )
             cobs = pj.build_observations(data, poses).centered(intr.u0, intr.v0)
             try:
-                r, t, _ = pj.solve_constrained(intr.fx, intr.fy, cobs)
+                r, t = pj.solve_constrained(intr.fx, intr.fy, cobs)
             except CheiralityUnresolvableError:
                 continue
             assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-9
@@ -364,7 +372,7 @@ class TestSolveConstrained:
                 scene, grid_step=8, noise=NoiseSpec(sigma_mm=2.0, seed=seed)
             )
             cobs = pj.build_observations(data, poses).centered(intr.u0, intr.v0)
-            r, t, _ = pj.solve_constrained(
+            r, t = pj.solve_constrained(
                 intr.fx, intr.fy, cobs, init=(cam.rotation, cam.translation)
             )
             assert rot_err_deg(r, cam.rotation) < 2.0
@@ -424,13 +432,18 @@ class TestFocalSweep:
         )
         assert dist.max() < 1e-6
 
-    def test_explicit_range(self, clean_obs, scene):
-        est = pj.focal_sweep(clean_obs, scene.image_size, range_cfg=(200.0, 14000.0, 60))
+    def test_explicit_range(self, clean_obs, scene, monkeypatch):
+        set_sweep_range(monkeypatch, scene.image_size, 200.0, 14000.0, 60)
+        est = pj.focal_sweep(clean_obs, scene.image_size)
+        assert est.diagnostics["f_grid"][0] == pytest.approx(200.0, rel=1e-12)
+        assert est.diagnostics["f_grid"][-1] == pytest.approx(14000.0, rel=1e-12)
+        assert len(est.diagnostics["cost_curve"]) == 60
         assert abs(est.intrinsics.fx - 1400.0) / 1400.0 < 0.005
 
-    def test_no_interior_minimum_raises(self, clean_obs, scene):
+    def test_no_interior_minimum_raises(self, clean_obs, scene, monkeypatch):
+        set_sweep_range(monkeypatch, scene.image_size, 5000.0, 16000.0, 12)
         with pytest.raises(SweepNoMinimumError):
-            pj.focal_sweep(clean_obs, scene.image_size, range_cfg=(5000.0, 16000.0, 12))
+            pj.focal_sweep(clean_obs, scene.image_size)
 
     def test_deterministic(self, clean_sweep, clean_obs, scene):
         again = pj.focal_sweep(clean_obs, scene.image_size)
@@ -452,6 +465,21 @@ class TestFocalSweep:
         pj.focal_sweep(clean_obs, scene.image_size)
         assert len(calls) == pj.SWEEP_SAMPLES + 1
 
+    def test_only_cold_starts_take_the_svd(self, clean_obs, scene, monkeypatch):
+        # every clean sample solves, so only the first decodes a cold start;
+        # the rest are warm-started and take no incidence-matrix SVD
+        svd = np.linalg.svd
+        incidence_svds = []
+
+        def counted(a, *args, **kwargs):
+            if a.shape[-1] == 18:
+                incidence_svds.append(1)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        pj.focal_sweep(clean_obs, scene.image_size)
+        assert len(incidence_svds) == 1
+
     @pytest.mark.parametrize(
         "seed, focal",
         [(0, 1460.6423731701473), (1, 1441.6992285177505), (2, 1410.812975808804)],
@@ -471,18 +499,16 @@ class TestFocalSweep:
         assert est.translation[2] > 0
         assert np.max(np.abs(est.rotation.T @ est.rotation - np.eye(3))) < 1e-9
 
-    def test_mirror_twin_rejected(self, scene, clean_data):
+    def test_mirror_twin_rejected(self, scene, clean_data, monkeypatch):
         sol = estimate_plane_poses(clean_data)
         assert len(sol.candidates) >= 2
-        cfg = (400.0, 5000.0, 30)
+        set_sweep_range(monkeypatch, scene.image_size, 400.0, 5000.0, 30)
         good = pj.focal_sweep(
-            pj.build_observations(clean_data, sol.candidates[0]), scene.image_size, cfg
+            pj.build_observations(clean_data, sol.candidates[0]), scene.image_size
         )
         try:
             twin = pj.focal_sweep(
-                pj.build_observations(clean_data, sol.candidates[1]),
-                scene.image_size,
-                cfg,
+                pj.build_observations(clean_data, sol.candidates[1]), scene.image_size
             )
         except (SweepNoMinimumError, CheiralityUnresolvableError):
             return

@@ -1,0 +1,98 @@
+"""Every public function, class, method and property of the package is used.
+
+A top-level definition counts as used when its name appears outside its own
+definition in the package, the tests or the benchmark: as a name, an
+attribute, an imported name or a string (the benchmark's tracer wraps
+functions by their names).  A method or property counts as used when it is
+read as an attribute outside its own definition.
+"""
+
+import ast
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "specsurf"
+SEARCHED = (ROOT / "src", ROOT / "tests", ROOT / "specbench")
+
+
+@dataclass(frozen=True)
+class Definition:
+    label: str  # module.name or module.Class.name
+    name: str
+    path: Path
+    first: int
+    last: int
+    member: bool
+
+
+@dataclass(frozen=True)
+class Reference:
+    path: Path
+    line: int
+    attribute: bool
+
+
+def public_definitions() -> list[Definition]:
+    out = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            out.append(Definition(f"{module}.{node.name}", node.name, path, node.lineno, node.end_lineno, False))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    out.append(
+                        Definition(
+                            f"{module}.{node.name}.{item.name}",
+                            item.name,
+                            path,
+                            item.lineno,
+                            item.end_lineno,
+                            True,
+                        )
+                    )
+    return out
+
+
+def references() -> dict[str, list[Reference]]:
+    refs: dict[str, list[Reference]] = {}
+
+    def add(name, path, node, attribute=False):
+        refs.setdefault(name, []).append(Reference(path, node.lineno, attribute))
+
+    for root in SEARCHED:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    add(node.id, path, node)
+                elif isinstance(node, ast.Attribute):
+                    add(node.attr, path, node, attribute=True)
+                elif isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        add(alias.name, path, node)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    add(node.value, path, node)
+    return refs
+
+
+def is_used(definition: Definition, refs: dict[str, list[Reference]]) -> bool:
+    for ref in refs.get(definition.name, []):
+        if definition.member and not ref.attribute:
+            continue
+        inside = ref.path == definition.path and definition.first <= ref.line <= definition.last
+        if not inside:
+            return True
+    return False
+
+
+def test_every_public_definition_is_used():
+    definitions = public_definitions()
+    labels = {d.label for d in definitions}
+    assert "plane_pose.estimate_plane_poses" in labels
+    assert "types.RigidPose.transform" in labels
+    refs = references()
+    assert sorted(d.label for d in definitions if not is_used(d, refs)) == []
