@@ -19,14 +19,15 @@ The plane poses stay fixed throughout; only the camera moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import so3
 from .errors import TooFewCorrespondencesError
-from .plane_pose import lift_triples
+from .plane_pose import MIN_LIFT_SEPARATION_MM, lift_triples
 from .types import (
     CalibrationEstimate,
     CorrespondenceSet,
@@ -35,8 +36,6 @@ from .types import (
     SurfaceEstimate,
 )
 
-# lifted pose-0/pose-2 points closer than this carry no line direction
-MIN_LIFT_SEPARATION_MM = 1.0
 # X1 may sit off the X0-X2 line by this fraction of the segment length
 # before the triple is treated as corrupted rather than merely noisy
 COLLINEARITY_TOL = 0.05
@@ -54,61 +53,54 @@ SENSITIVITY_CAP = 5.0
 SENSITIVITY_STEP_MM = 1e-3
 # report status of each scipy least_squares status refine's fit can end on
 _LM_STATUS = {0: "max_iterations", 1: "gradient", 2: "plateau", 3: "step", 4: "step"}
+# what _gate checks, in order; a triple carries the reason of the first
+# check it fails
+_CHECKS = (
+    "coincident_lift",
+    "noncollinear_lift",
+    "behind_camera",  # a plane point
+    "coincident_pixels",
+    "behind_camera",  # the rebuilt surface point
+    "degenerate_cross_ratio",
+    "noise_sensitive",
+    "degenerate_normal",
+)
 
 
-@dataclass(frozen=True)
-class OptimizationParams:
-    """Packed camera vector (fx, fy, u0, v0, rx, ry, rz, tx, ty, tz).
+def _pack(est: CalibrationEstimate) -> np.ndarray:
+    """Camera vector (fx, fy, u0, v0, rx, ry, rz, tx, ty, tz).
 
-    The rotation block is angle-axis in radians on the canonical chart
-    (angle below pi); translation in mm.
+    The rotation block is angle-axis in radians, translation in mm.
     """
+    intr = est.intrinsics
+    return np.concatenate(
+        [[intr.fx, intr.fy, intr.u0, intr.v0], so3.log(est.rotation), est.translation]
+    )
 
-    theta: np.ndarray
 
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.shape != (10,):
-            raise ValueError(f"theta must have 10 entries, got shape {theta.shape}")
-        if np.linalg.norm(theta[4:7]) >= np.pi:
-            raise ValueError("angle-axis block leaves the canonical chart")
-        object.__setattr__(self, "theta", theta)
-
-    @classmethod
-    def from_estimate(cls, est: CalibrationEstimate) -> "OptimizationParams":
-        intr = est.intrinsics
-        return cls(
-            np.concatenate(
-                [
-                    [intr.fx, intr.fy, intr.u0, intr.v0],
-                    so3.log(est.rotation),
-                    est.translation,
-                ]
-            )
-        )
-
-    @property
-    def intrinsics(self) -> Intrinsics:
-        return Intrinsics(*self.theta[:4])
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return so3.exp(self.theta[4:7])
-
-    @property
-    def translation(self) -> np.ndarray:
-        return self.theta[7:].copy()
+def _unpack(theta: np.ndarray, cost: float) -> tuple[np.ndarray, CalibrationEstimate]:
+    """Camera vector with its angle-axis block folded back onto the canonical
+    chart (angle below pi), and the cross-ratio estimate it describes."""
+    theta = np.concatenate([theta[:4], so3.log(so3.exp(theta[4:7])), theta[7:]])
+    est = CalibrationEstimate(
+        intrinsics=Intrinsics(*theta[:4]),
+        rotation=so3.exp(theta[4:7]),
+        translation=theta[7:].copy(),
+        source="crossratio",
+        cost=cost,
+    )
+    return theta, est
 
 
 @dataclass
 class ConvergenceReport:
+    """How refine's fit ended; mask_reasons counts the start mask's reasons."""
+
     status: str
     iterations: int
     initial_cost: float
     final_cost: float
-    n_valid: int
-    n_masked: int
-    mask_reasons: dict[str, int] = field(default_factory=dict)
+    mask_reasons: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -288,7 +280,7 @@ def _resolve_offsets(theta: np.ndarray, lifts: _Lifts, m_obs) -> _View:
 def _frozen_residuals(view: _View, m_obs, frozen: np.ndarray) -> np.ndarray:
     """Residual vector under a fixed validity mask, continuous in theta.
 
-    Unlike _evaluate this never re-gates validity: every triple in the
+    Unlike _gate this never re-gates validity: every triple in the
     frozen set is evaluated at every theta, so the optimizer sees a smooth
     objective instead of residuals snapping to zero when a triple crosses
     a gating boundary.  A frozen-in triple that becomes infeasible at this
@@ -394,7 +386,7 @@ def noise_sensitivity(
 ) -> np.ndarray:
     """Per-triple response of the residual to correspondence noise, px/mm.
 
-    theta is the packed camera vector of OptimizationParams.  Central
+    theta is the camera vector of _pack.  Central
     differences of the reprojection residual with respect to the six
     in-plane coordinates of the triple, root-sum-squared.  The
     cross-ratio loses its grip on the surface point when the middle
@@ -435,94 +427,64 @@ def noise_sensitivity(
     return np.sqrt(total)
 
 
-def _evaluate(theta: np.ndarray, lifts: _Lifts, m_obs):
-    """Residuals and validity for one camera vector.
+def _gate(theta: np.ndarray, lifts: _Lifts, m_obs, noisy):
+    """Surface at one camera and the validity of every triple, decided once.
 
-    Returns (residuals (n, 2), valid (n,), reasons, s (n,), points (n, 3)).
-    Invalid rows carry zero residuals.  Euclidean segment lengths only
-    mean something for points actually on the image plane, so triples
-    whose plane correspondences project with non-positive depth are
-    disabled, as are those whose rebuilt surface point falls behind the
-    camera or whose cross-ratio has no usable root.
-    """
-    n = len(lifts.p0)
-    valid = np.ones(n, dtype=bool)
-    reasons: dict[int, str] = {}
-
-    def disable(mask, reason):
-        fresh = mask & valid
-        for i in np.flatnonzero(fresh):
-            reasons[int(i)] = reason
-        valid[fresh] = False
-
-    disable(lifts.seg_len < MIN_LIFT_SEPARATION_MM, "coincident_lift")
-    disable(_collinearity(lifts.p0, lifts.p1, lifts.p2) > COLLINEARITY_TOL, "noncollinear_lift")
-
-    view = _resolve_offsets(theta, lifts, m_obs)
-    depths, (x0, x1, x2) = view.depths, view.pixels
-    with np.errstate(all="ignore"):
-        disable(~((depths[0] > 0) & (depths[1] > 0) & (depths[2] > 0)), "behind_camera")
-
-        def close(a, b):
-            return np.linalg.norm(a - b, axis=1) < MIN_PIXEL_SEPARATION
-
-        disable(
-            close(x0, x1) | close(x0, x2) | close(x1, x2), "coincident_pixels"
-        )
-
-    disable(~np.isfinite(view.depth) | (view.depth <= 0), "behind_camera")
-    disable(~view.feasible, "degenerate_cross_ratio")
-    s = np.where(valid, view.s, 0.0)
-
-    with np.errstate(invalid="ignore"):
-        residuals = np.where(valid[:, None], m_obs - view.m_proj, 0.0)
-    residuals = np.nan_to_num(residuals, nan=0.0)
-    points = np.where(valid[:, None], _on_line(lifts, s), np.nan)
-    return residuals, valid, reasons, s, points
-
-
-def _surface_from_theta(
-    theta: np.ndarray, lifts: _Lifts, m_obs, pre_invalid: dict[int, str] | None = None
-) -> SurfaceEstimate:
-    """Surface points and normals at one camera.
+    Each row of the table masks the triples that fail one check of
+    _CHECKS; a triple is valid when it fails none and otherwise carries the
+    reason of the first check it fails.  Euclidean segment lengths only
+    mean something for points actually on the image plane, so the plane
+    points must project with positive depth; the rebuilt surface point
+    must too, and the cross-ratio must have a usable root.  noisy maps the
+    triples that pass every earlier check to those masked as
+    noise_sensitive.
 
     The normal at M bisects the ray toward the camera center and the ray
     toward the pose-0 correspondence; both rays leave the surface, so the
     bisector points toward the camera side.  A point whose rays have zero
-    length or cancel is dropped as degenerate_normal.
+    length or cancel has a degenerate normal.  Invalid rows read NaN
+    points and normals and a zero offset.
+
+    Returns the view at theta, the surface and the reason of every triple
+    ("" when valid).
     """
-    residuals, valid, reasons, s, points = _evaluate(theta, lifts, m_obs)
-    for i, reason in (pre_invalid or {}).items():
-        if valid[i]:
-            valid[i] = False
-            reasons[i] = reason
-            points[i] = np.nan
-            s[i] = 0.0
-    normals = np.full_like(points, np.nan)
-    rotation = so3.exp(theta[4:7])
-    center = -rotation.T @ theta[7:]
-    rows = np.flatnonzero(valid)
-    view = center - points[rows]
-    incident = lifts.p0[rows] - points[rows]
-    nv = np.linalg.norm(view, axis=1)
-    ni = np.linalg.norm(incident, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bisector = view / nv[:, None] + incident / ni[:, None]
+    view = _resolve_offsets(theta, lifts, m_obs)
+    depths, (x0, x1, x2) = view.depths, view.pixels
+    with np.errstate(all="ignore"):
+
+        def close(a, b):
+            return np.linalg.norm(a - b, axis=1) < MIN_PIXEL_SEPARATION
+
+        points = _on_line(lifts, view.s)
+        to_center = -so3.exp(theta[4:7]).T @ theta[7:] - points
+        incident = lifts.p0 - points
+        nv = np.linalg.norm(to_center, axis=1)
+        ni = np.linalg.norm(incident, axis=1)
+        bisector = to_center / nv[:, None] + incident / ni[:, None]
         nb = np.linalg.norm(bisector, axis=1)
-        normals[rows] = bisector / nb[:, None]
-        degenerate = rows[(nv <= 0) | (ni <= 0) | (nb < 1e-9)]
-    valid[degenerate] = False
-    points[degenerate] = np.nan
-    normals[degenerate] = np.nan
-    for i in degenerate:
-        reasons[int(i)] = "degenerate_normal"
-    return SurfaceEstimate(
-        points=points,
-        normals=normals,
-        s_values=s,
+        normals = bisector / nb[:, None]
+        failed = [
+            lifts.seg_len < MIN_LIFT_SEPARATION_MM,
+            _collinearity(lifts.p0, lifts.p1, lifts.p2) > COLLINEARITY_TOL,
+            ~((depths[0] > 0) & (depths[1] > 0) & (depths[2] > 0)),
+            close(x0, x1) | close(x0, x2) | close(x1, x2),
+            ~np.isfinite(view.depth) | (view.depth <= 0),
+            ~view.feasible,
+        ]
+    failed.append(noisy(~np.any(failed, axis=0)))
+    failed.append((nv <= 0) | (ni <= 0) | (nb < 1e-9))
+    failed = np.array(failed)
+    valid = ~failed.any(axis=0)
+    reason = np.where(valid, "", np.array(_CHECKS, dtype=object)[failed.argmax(axis=0)])
+    rows = np.flatnonzero(~valid)
+    surface = SurfaceEstimate(
+        points=np.where(valid[:, None], points, np.nan),
+        normals=np.where(valid[:, None], normals, np.nan),
+        s_values=np.where(valid, view.s, 0.0),
         valid=valid,
-        invalid_reason=reasons,
+        invalid_reason=dict(zip(rows.tolist(), reason[rows].tolist())),
     )
+    return view, surface, reason
 
 
 def refine(
@@ -535,6 +497,9 @@ def refine(
     from it, and a convergence report.  The validity mask is frozen at the
     starting camera so the objective stays fixed during the optimization;
     the returned surface is rebuilt (mask and all) at the optimized camera.
+    Both masks come from _gate; the noise-sensitive triples are measured at
+    the start and stay masked at the end, and the report counts the start
+    mask's reasons.
 
     The solver is MINPACK's Levenberg-Marquardt (scipy least_squares, as in
     projection._refine_metric) on the analytic Jacobian of _frozen_jacobian:
@@ -555,57 +520,31 @@ def refine(
         raise TooFewCorrespondencesError(
             f"need at least {MIN_TRIPLES} triples, got {len(corrs)}"
         )
-    theta = OptimizationParams.from_estimate(theta0).theta.copy()
+    theta = _pack(theta0)
     lifts = _Lifts.of(*lift_triples(poses, corrs.x0, corrs.x1, corrs.x2))
     m_obs = np.asarray(corrs.pixels, dtype=float)
 
-    _, valid0, reasons0, _, _ = _evaluate(theta, lifts, m_obs)
-    if valid0.any():
+    def measure_noise(usable):
+        if not usable.any():
+            return usable
         sens = noise_sensitivity(theta, corrs, poses)
-        cap = SENSITIVITY_CAP * float(np.median(sens[valid0]))
-        flagged = (sens > cap) & valid0
-        for i in np.flatnonzero(flagged):
-            reasons0[int(i)] = "noise_sensitive"
-        valid0 = valid0 & ~flagged
-    reason_counts: dict[str, int] = {}
-    for r in reasons0.values():
-        reason_counts[r] = reason_counts.get(r, 0) + 1
-    carry_invalid = {i: r for i, r in reasons0.items() if r == "noise_sensitive"}
+        return usable & (sens > SENSITIVITY_CAP * float(np.median(sens[usable])))
+
+    start, _, reason = _gate(theta, lifts, m_obs, measure_noise)
+    frozen = reason == ""
+    noisy = reason == "noise_sensitive"
+    mask_reasons = dict(Counter(reason[~frozen].tolist()))
 
     def finish(vec, status, iterations, cost0, cost):
-        params = OptimizationParams(_canonical(vec))
-        surface = _surface_from_theta(params.theta, lifts, m_obs, carry_invalid)
-        n_valid = int(valid0.sum())
-        est = CalibrationEstimate(
-            intrinsics=params.intrinsics,
-            rotation=params.rotation,
-            translation=params.translation,
-            source="crossratio",
-            cost=cost,
-            diagnostics={
-                "n_valid": n_valid,
-                "n_masked": len(valid0) - n_valid,
-                "iterations": iterations,
-                "status": status,
-            },
-        )
-        surface.calibration = est
-        report = ConvergenceReport(
-            status=status,
-            iterations=iterations,
-            initial_cost=cost0,
-            final_cost=cost,
-            n_valid=n_valid,
-            n_masked=len(valid0) - n_valid,
-            mask_reasons=reason_counts,
-        )
-        return est, surface, report
+        theta, camera = _unpack(vec, cost)
+        _, surface, _ = _gate(theta, lifts, m_obs, lambda usable: noisy)
+        return camera, surface, ConvergenceReport(status, iterations, cost0, cost, mask_reasons)
 
     # the view at the last camera: the solver asks for the Jacobian at the
     # point whose residuals it has just evaluated.  The last Jacobian is
     # kept apart: scipy asks for it once more at the solution after MINPACK
     # returns, and a rejected last trial has moved the view on from there.
-    last = [_resolve_offsets(theta, lifts, m_obs)]
+    last = [start]
     last_jac = [None, None]
 
     def view_at(vec):
@@ -616,16 +555,16 @@ def refine(
     def jacobian(vec):
         if last_jac[0] is None or not np.array_equal(last_jac[0], vec):
             view = view_at(vec)
-            last_jac[:] = view.theta, _frozen_jacobian(view, lifts, m_obs, valid0)
+            last_jac[:] = view.theta, _frozen_jacobian(view, lifts, m_obs, frozen)
         return last_jac[1]
 
-    r0 = _frozen_residuals(last[0], m_obs, valid0)
+    r0 = _frozen_residuals(start, m_obs, frozen)
     cost0 = float(r0 @ r0)
     if cost0 < 1e-16:
         return finish(theta, "non_decreasing_start", 0, cost0, cost0)
 
     fit = least_squares(
-        lambda vec: _frozen_residuals(view_at(vec), m_obs, valid0),
+        lambda vec: _frozen_residuals(view_at(vec), m_obs, frozen),
         theta,
         jac=jacobian,
         method="lm",
@@ -634,10 +573,3 @@ def refine(
         ftol=1e-12,
     )
     return finish(fit.x, _LM_STATUS[fit.status], int(fit.njev), cost0, 2.0 * float(fit.cost))
-
-
-def _canonical(theta: np.ndarray) -> np.ndarray:
-    """Angle-axis block back onto the canonical chart (angle < pi)."""
-    out = theta.copy()
-    out[4:7] = so3.log(so3.exp(theta[4:7]))
-    return out

@@ -1,8 +1,8 @@
 """Exception hierarchy for the specsurf pipeline.
 
-Numerical/degenerate failures all derive from SpecsurfError so the CLI can
-map them to a single exit code; file/format problems derive from
-SpecsurfIOError.
+Numerical/degenerate failures all derive from SpecsurfError, so a caller
+can catch every failure of the package with one except clause; file/format
+problems derive from SpecsurfIOError.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class EmptyDatasetError(SpecsurfError):
 # plane pose solver
 
 class TooFewCorrespondencesError(SpecsurfError):
-    """Fewer than the minimum 12 triples required by the pose solver."""
+    """Fewer triples than a stage needs: 12 for the pose solver, 5 for the
+    cross-ratio refinement."""
 
 
 class RankAmbiguousError(SpecsurfError):
@@ -55,11 +56,16 @@ class RankAmbiguousError(SpecsurfError):
 
 
 class AllComplexRootsError(SpecsurfError):
-    """The mixing-coefficient cubic has no real root."""
+    """No real root of the mixing-coefficient cubic gives a direction.
+
+    A real cubic always has a real root; this is raised when every real
+    root of the pencil d1 + beta*d2 gives the zero vector and the leading
+    coefficient does not vanish (which would add d2).
+    """
 
 
 class BranchM31ZeroError(SpecsurfError):
-    """Pivot slot 22 (entry (3,1) of the first motion matrix) is ~ zero."""
+    """The third-row blocks of a null vector (slots 18-23) vanish."""
 
 
 class NoRealAlphaError(SpecsurfError):

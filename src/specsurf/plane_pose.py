@@ -177,7 +177,7 @@ def candidate_null_vectors(d1: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
 
     Solves the cubic along the pencil d1 + beta*d2; a vanishing leading
     coefficient adds the pure-d2 direction (beta at infinity).  Raises
-    AllComplexRootsError when no real direction exists.
+    AllComplexRootsError when every real root gives the zero vector.
     """
     coeffs = _cubic_coefficients(d1, d2)  # ascending
     desc = coeffs[::-1]
@@ -196,7 +196,7 @@ def candidate_null_vectors(d1: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
     if lead_small:
         out.append(d2.copy())
     if not out:
-        raise AllComplexRootsError("no real root of the motion-form cubic")
+        raise AllComplexRootsError("no real root of the motion-form cubic gives a direction")
     return out
 
 
@@ -371,6 +371,10 @@ def _rows_to_pair(m: np.ndarray, n: np.ndarray) -> PlanePosePair | None:
         frame = np.column_stack([c1, c2, np.cross(c1, c2)])
         poses.append(RigidPose(so3.closest_rotation(frame), mat[:, 2]))
     return PlanePosePair(poses[0], poses[1])
+
+
+# lifted pose-0/pose-2 points closer than this carry no line direction
+MIN_LIFT_SEPARATION_MM = 1.0
 
 
 def lift_triples(pair: PlanePosePair, x0, x1, x2):

@@ -60,7 +60,7 @@ from .errors import (
     TooFewObservationsError,
 )
 from . import so3
-from .plane_pose import lift_triples
+from .plane_pose import MIN_LIFT_SEPARATION_MM, lift_triples
 from .plucker import (
     direction_of,
     dual,
@@ -108,13 +108,13 @@ class LineObservationSet:
 def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineObservationSet:
     """One (pixel, reflected-line) item per triple.
 
-    Triples whose pose-0 and pose-2 lifts are closer than 1 mm are skipped
-    (the line direction would be noise); the skip count is kept on the
-    result.
+    Triples whose pose-0 and pose-2 lifts are closer than
+    MIN_LIFT_SEPARATION_MM are skipped (the line direction would be noise);
+    the skip count is kept on the result.
     """
     n = len(corrs)
     p0, _, p2 = lift_triples(poses, corrs.x0, corrs.x1, corrs.x2)
-    keep = np.linalg.norm(p2 - p0, axis=1) >= 1.0
+    keep = np.linalg.norm(p2 - p0, axis=1) >= MIN_LIFT_SEPARATION_MM
     lines = lines_from_points(p0[keep], p2[keep])
     lines /= np.linalg.norm(lines, axis=1, keepdims=True)
     pixels = np.hstack([np.asarray(corrs.pixels, dtype=float)[keep], np.ones((int(keep.sum()), 1))])

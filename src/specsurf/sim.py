@@ -120,15 +120,18 @@ def rotation_about_axis(axis, angle_deg: float) -> np.ndarray:
     return so3.exp(np.deg2rad(angle_deg) * ax / np.linalg.norm(ax))
 
 
-def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> RigidPose:
-    """World-to-camera pose with the optical axis through the target."""
+def look_at_pose(eye, target) -> RigidPose:
+    """World-to-camera pose with the optical axis through the target.
+
+    World +z appears up in the image.
+    """
     eye = np.asarray(eye, dtype=float).reshape(3)
     fwd = np.asarray(target, dtype=float).reshape(3) - eye
     fwd = fwd / np.linalg.norm(fwd)
-    right = np.cross(fwd, np.asarray(up, dtype=float))
+    right = np.cross(fwd, (0.0, 0.0, 1.0))
     nr = np.linalg.norm(right)
     if nr < 1e-12:
-        raise ValueError("look_at_pose: view direction parallel to up vector")
+        raise ValueError("look_at_pose: view direction parallel to world up")
     right /= nr
     down = np.cross(fwd, right)
     r = np.vstack([right, down, fwd])
@@ -528,7 +531,7 @@ def default_two_sphere_scene() -> MirrorScene:
     )
 
 
-def pure_translation_scene(dz1: float = 170.0, dz2: float = 345.0) -> MirrorScene:
+def pure_translation_scene() -> MirrorScene:
     """Degenerate variant: the plane only translates between poses."""
     base = default_two_sphere_scene()
     return MirrorScene(
@@ -536,8 +539,8 @@ def pure_translation_scene(dz1: float = 170.0, dz2: float = 345.0) -> MirrorScen
         camera_pose=base.camera_pose,
         image_size=base.image_size,
         plane_half_extent=base.plane_half_extent,
-        pose1=RigidPose(np.eye(3), (25.0, -30.0, dz1)),
-        pose2=RigidPose(np.eye(3), (-40.0, 45.0, dz2)),
+        pose1=RigidPose(np.eye(3), (25.0, -30.0, 170.0)),
+        pose2=RigidPose(np.eye(3), (-40.0, 45.0, 345.0)),
         mirrors=base.mirrors,
     )
 

@@ -171,8 +171,9 @@ class SurfaceEstimate:
 
     points: np.ndarray  # (n, 3) mm; rows for invalid entries are NaN
     normals: np.ndarray  # (n, 3) unit vectors; NaN rows when invalid
-    s_values: np.ndarray  # (n,) signed distance along the incident line, mm
+    # (n,) signed offset, mm, from the lifted pose-2 point toward the pose-0
+    # point; 0 where the row is invalid
+    s_values: np.ndarray
     valid: np.ndarray  # (n,) bool
     invalid_reason: dict[int, str] = field(default_factory=dict)
-    calibration: CalibrationEstimate | None = None
 

@@ -5,6 +5,10 @@ must be exact, and the closed-form Jacobian of the refinement objective
 must agree with central differences of that objective.
 """
 
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,9 @@ from specsurf.errors import TooFewCorrespondencesError
 from specsurf.plane_pose import lift_triples
 from specsurf.sim import default_two_sphere_scene, generate_dataset
 from specsurf.types import CalibrationEstimate, CorrespondenceSet, NoiseSpec, PlanePosePair
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from specbench.tracing import MASK_REASONS  # noqa: E402
 
 
 def angles_deg(a, b):
@@ -45,6 +52,28 @@ def noisy_data(scene):
     return generate_dataset(scene, 8, NoiseSpec(sigma_mm=0.5, gamma_px=0.5, seed=0))
 
 
+@pytest.fixture(scope="module")
+def clean_data(scene):
+    return generate_dataset(scene, 8, NoiseSpec(seed=3))
+
+
+@pytest.fixture(scope="module")
+def noisy_fit(rig, noisy_data, poses):
+    return cr.refine(rig, noisy_data, poses)
+
+
+def lifts_of(data, poses):
+    return cr._Lifts.of(*lift_triples(poses, data.x0, data.x1, data.x2))
+
+
+def assert_masked_rows_blank(surface):
+    invalid = ~surface.valid
+    assert sorted(surface.invalid_reason) == np.flatnonzero(invalid).tolist()
+    assert not surface.s_values[invalid].any()
+    assert np.isnan(surface.points[invalid]).all()
+    assert np.isnan(surface.normals[invalid]).all()
+
+
 class TestFrozenJacobian:
     # (fx, fy, u0, v0) then axis-angle (rad) and translation (mm) offsets
     INTRINSIC_STEP = np.array([30.0, -20.0, 5.0, -5.0])
@@ -52,13 +81,13 @@ class TestFrozenJacobian:
 
     @pytest.mark.parametrize("free_intrinsics", [False, True])
     def test_matches_central_differences(self, rig, noisy_data, poses, free_intrinsics):
-        theta = cr.OptimizationParams.from_estimate(rig).theta.copy()
+        theta = cr._pack(rig)
         theta[4:] += self.EXTRINSIC_STEP
         if free_intrinsics:
             theta[:4] += self.INTRINSIC_STEP
-        lifts = cr._Lifts.of(*lift_triples(poses, noisy_data.x0, noisy_data.x1, noisy_data.x2))
+        lifts = lifts_of(noisy_data, poses)
         m_obs = np.asarray(noisy_data.pixels, dtype=float)
-        _, frozen, _, _, _ = cr._evaluate(theta, lifts, m_obs)
+        frozen = cr._gate(theta, lifts, m_obs, np.zeros_like)[1].valid
         assert frozen.sum() > 0.8 * len(frozen)
 
         def residuals(vec):
@@ -76,8 +105,8 @@ class TestFrozenJacobian:
         assert np.all(np.max(np.abs(jac - numeric), axis=0) <= 1e-5 * col_max)
 
     def test_rows_outside_frozen_set_are_zero(self, rig, noisy_data, poses):
-        theta = cr.OptimizationParams.from_estimate(rig).theta
-        lifts = cr._Lifts.of(*lift_triples(poses, noisy_data.x0, noisy_data.x1, noisy_data.x2))
+        theta = cr._pack(rig)
+        lifts = lifts_of(noisy_data, poses)
         m_obs = np.asarray(noisy_data.pixels, dtype=float)
         frozen = np.arange(len(m_obs)) % 3 != 0
         view = cr._resolve_offsets(theta, lifts, m_obs)
@@ -87,26 +116,25 @@ class TestFrozenJacobian:
 
 
 class TestRefine:
-    def test_exact_at_true_camera_on_clean_data(self, scene, rig, poses):
-        data = generate_dataset(scene, 8, NoiseSpec(seed=3))
-        camera, surface, report = cr.refine(rig, data, poses)
+    def test_exact_at_true_camera_on_clean_data(self, scene, rig, clean_data, poses):
+        camera, surface, report = cr.refine(rig, clean_data, poses)
         assert report.status == "non_decreasing_start"
         assert report.iterations == 0
         valid = surface.valid
         assert valid.sum() > 0.8 * len(valid)
-        point_err = np.linalg.norm(surface.points[valid] - data.gt_points[valid], axis=1)
+        point_err = np.linalg.norm(surface.points[valid] - clean_data.gt_points[valid], axis=1)
         assert point_err.max() < 1e-6
-        normal_err = angles_deg(surface.normals[valid], data.gt_normals[valid])
+        normal_err = angles_deg(surface.normals[valid], clean_data.gt_normals[valid])
         assert normal_err.max() < 1e-6
         assert np.isnan(surface.points[~valid]).all()
         assert np.isnan(surface.normals[~valid]).all()
         assert camera.intrinsics.fx == pytest.approx(scene.intrinsics.fx, rel=1e-12)
 
-    def test_noisy_refine_regression_pin(self, rig, noisy_data, poses):
+    def test_noisy_refine_regression_pin(self, noisy_fit):
         # final cost and focal reached with a central-difference Jacobian
         # (25 iterations); the objective is the same bit for bit, so the
         # minimum the analytic Jacobian leads to must be the same too
-        camera, surface, report = cr.refine(rig, noisy_data, poses)
+        camera, surface, report = noisy_fit
         assert report.status in ("step", "plateau", "gradient")
         assert report.final_cost == pytest.approx(1728093.0499106315, rel=1e-6)
         assert camera.intrinsics.fx == pytest.approx(2312.3658154153445, rel=1e-6)
@@ -138,3 +166,46 @@ class TestRefine:
         )
         with pytest.raises(TooFewCorrespondencesError):
             cr.refine(rig, few, poses)
+
+
+class TestGate:
+    # reason counts at the true camera on grid 8, pinned from the three
+    # separate validity passes the gate replaced
+
+    def test_noisy_reasons(self, noisy_fit):
+        _, surface, report = noisy_fit
+        assert report.mask_reasons == {"behind_camera": 82, "noise_sensitive": 301}
+        assert Counter(surface.invalid_reason.values()) == {"noise_sensitive": 301}
+        assert_masked_rows_blank(surface)
+
+    def test_clean_reasons(self, rig, clean_data, poses):
+        _, surface, report = cr.refine(rig, clean_data, poses)
+        expected = {"behind_camera": 82, "noise_sensitive": 313}
+        assert report.mask_reasons == expected
+        assert Counter(surface.invalid_reason.values()) == expected
+        assert_masked_rows_blank(surface)
+
+    def test_first_failed_check_wins(self, rig, noisy_data, poses):
+        theta = cr._pack(rig)
+        m_obs = np.asarray(noisy_data.pixels, dtype=float)
+        _, before, _ = cr._gate(theta, lifts_of(noisy_data, poses), m_obs, np.zeros_like)
+        # move the three lifts of a valid triple onto one point behind the
+        # camera: it fails coincident_lift, noncollinear_lift and behind_camera
+        i = int(np.flatnonzero(before.valid)[0])
+        p0, p1, p2 = lift_triples(poses, noisy_data.x0, noisy_data.x1, noisy_data.x2)
+        p0[i] = p1[i] = p2[i] = rig.camera_center() - 100.0 * rig.rotation[2]
+        lifts = cr._Lifts.of(p0, p1, p2)
+        # and flag every triple noise-sensitive, which comes after all of those
+        view, surface, reason = cr._gate(theta, lifts, m_obs, np.ones_like)
+        assert view.depths[0][i] < 0
+        assert not surface.valid.any()
+        expected = {j: "noise_sensitive" for j in range(len(m_obs))}
+        expected.update(before.invalid_reason)
+        expected[i] = "coincident_lift"
+        assert surface.invalid_reason == expected
+        assert reason.tolist() == [expected[j] for j in range(len(m_obs))]
+
+    def test_reasons_match_benchmark_counters(self):
+        # the benchmark counts masked triples under the reasons it lists; a
+        # reason missing there would silently read 0
+        assert set(cr._CHECKS) == set(MASK_REASONS)

@@ -82,7 +82,7 @@ class TestRotationHelpers:
 
     def test_look_at_degenerate_up(self):
         with pytest.raises(ValueError):
-            look_at_pose((0, 0, 0), (0, 0, 1), up=(0, 0, 1))
+            look_at_pose((0, 0, 0), (0, 0, 1))
 
 
 class TestDistortion:
