@@ -514,12 +514,9 @@ def refine(
     step (relative step below 1e-12) or max_iterations, and its iterations
     count the Jacobian evaluations.
 
-    Raises TooFewCorrespondencesError below MIN_TRIPLES triples.
+    Raises TooFewCorrespondencesError when fewer than MIN_TRIPLES triples
+    pass the gate at the start camera.
     """
-    if len(corrs) < MIN_TRIPLES:
-        raise TooFewCorrespondencesError(
-            f"need at least {MIN_TRIPLES} triples, got {len(corrs)}"
-        )
     theta = _pack(theta0)
     lifts = _Lifts.of(*lift_triples(poses, corrs.x0, corrs.x1, corrs.x2))
     m_obs = np.asarray(corrs.pixels, dtype=float)
@@ -532,6 +529,10 @@ def refine(
 
     start, _, reason = _gate(theta, lifts, m_obs, measure_noise)
     frozen = reason == ""
+    if frozen.sum() < MIN_TRIPLES:
+        raise TooFewCorrespondencesError(
+            f"{frozen.sum()} of {len(corrs)} triples pass the start gate; need {MIN_TRIPLES}"
+        )
     noisy = reason == "noise_sensitive"
     mask_reasons = dict(Counter(reason[~frozen].tolist()))
 

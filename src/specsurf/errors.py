@@ -81,7 +81,7 @@ class NoValidCandidateError(SpecsurfError):
 # projection estimation
 
 class TooFewObservationsError(SpecsurfError):
-    """Fewer pixel/line observations than unknowns in the linear solve."""
+    """Fewer pixel/line observations than the 17 the camera solve needs."""
 
 
 class RankDeficientZError(SpecsurfError):

@@ -115,6 +115,18 @@ def moment_of(line: np.ndarray) -> np.ndarray:
     )
 
 
+def rescale_lines(lines: np.ndarray, rho: float) -> np.ndarray:
+    """Unit line coordinates of the lines with every point divided by rho.
+
+    The moment a x b (slots 0, 1, 3) is divided by rho^2 and the direction
+    a - b (slots 2, 4, 5) by rho; works on stacks of shape (n, 6).
+    """
+    out = np.array(lines, dtype=float)
+    out[:, [0, 1, 3]] /= rho * rho
+    out[:, [2, 4, 5]] /= rho
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
 def dual(line: np.ndarray) -> np.ndarray:
     """Reorder (l1..l6) -> (l5, l6, l4, l3, l1, l2); an involution."""
     return np.asarray(line, dtype=float)[..., _DUAL_IDX]
@@ -210,7 +222,7 @@ def line_to_point_matrix(line_matrix: np.ndarray, tol: float = 1e-6) -> np.ndarr
     Row i of the result is the homogeneous plane spanned by the lines in
     rows j, k:  sign * [w_j x w_k ; v_j . w_k].  tol bounds the accepted
     intersection residual; pass inf for a best-effort conversion of an
-    almost-valid matrix (e.g. an unconstrained least-squares solution).
+    almost-valid matrix (e.g. a least-squares solution).
 
     Raises
     ------

@@ -6,18 +6,18 @@ camera must project that line through the pixel that observed it.  Stacking
 the incidences gives a linear system in the 18 entries of the camera's line
 projection matrix.
 
-Three estimation routes, in increasing order of built-in structure:
+The camera comes from one route with two entry points:
 
-- solve_linear: plain least-squares over all 18 parameters; exact on clean
-  data, algebraic-only (no rigidity), and fragile under noise.
-- solve_constrained: intrinsics factored out by a diagonal column scaling,
-  so the linear unknown is the line matrix of a metric camera [R T]; the
-  decoded pose is then polished by Levenberg-Marquardt over (R, T)
-  directly on the geometric point-to-line cost, with an analytic
-  Jacobian: a line with direction w and moment v has the camera-frame
-  moment m = R v - T x R w (the cross product of its two points after
-  the camera moves them), whose image line is K^-T m.  Given a warm start
-  the solve skips the SVD and the decode and runs the polish alone.
+- solve_constrained: the paper's analytic line projection matrix, solved
+  with the intrinsics factored out by a diagonal column scaling so that
+  the linear unknown is the line matrix of a metric camera [R T].  It is
+  converted to point form and decoded to a pose, which Levenberg-Marquardt
+  then polishes over (R, T) directly on the geometric point-to-line cost,
+  with an analytic Jacobian: a line with direction w and moment v has the
+  camera-frame moment m = R v - T x R w (the cross product of its two
+  points after the camera moves them), whose image line is K^-T m.  Given
+  a warm start the solve skips the SVD and the decode and runs the polish
+  alone.
 - focal_sweep: a coarse logarithmic grid over a shared focal length with
   the principal point pinned to the image center, using the constrained
   solve as the inner solver and the point-to-line cost as the objective,
@@ -34,11 +34,12 @@ near-null direction to the incidence matrix on top of the true solution;
 with two spheres the trailing spectrum is triple and collapses under mm
 noise.  Two measures keep the solvers usable:
 
-- observations are rescaled internally (affine pixel normalization, global
-  world scale applied to the line coordinates) before assembly, and
-- the constrained route never trusts the least-squares vector alone: the
-  geometric refinement over the rigid-motion manifold excludes the
-  spurious directions by construction.
+- observations are rescaled internally (pixels scaled about the principal
+  point, a global world scale applied to the line coordinates) before
+  assembly, and
+- the least-squares vector is only a start: the geometric refinement over
+  the rigid-motion manifold excludes the spurious directions by
+  construction.
 
 Lines are unit-normalized when observations are built.
 """
@@ -48,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import least_squares
 
 from .errors import (
@@ -68,17 +68,13 @@ from .plucker import (
     lines_from_points,
     moment_of,
     point_to_line_matrix,
+    rescale_lines,
 )
 from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, PlanePosePair
 
 MIN_OBSERVATIONS = 17
 SWEEP_SPAN = (0.15, 10.0)  # focal range as multiples of the image diagonal
 SWEEP_SAMPLES = 20
-
-# line-coordinate slots that are quadratic (resp. linear) in the endpoints;
-# a world rescale X -> X/rho divides them by rho^2 (resp. rho)
-_QUAD_SLOTS = (0, 1, 3)
-_LIN_SLOTS = (2, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -131,14 +127,6 @@ def _incidence_rows(obs: LineObservationSet) -> np.ndarray:
     return (obs.pixels[:, :, None] * duals[:, None, :]).reshape(len(obs), 18)
 
 
-def _scale_line_coords(lines: np.ndarray, rho: float) -> np.ndarray:
-    """Line coordinates as if every endpoint were divided by rho, re-unit."""
-    out = lines.copy()
-    out[:, _QUAD_SLOTS] /= rho * rho
-    out[:, _LIN_SLOTS] /= rho
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
-
-
 def _world_scale(lines: np.ndarray) -> float:
     """Typical distance of the lines from the world origin."""
     dists = np.linalg.norm(moment_of(lines), axis=1) / np.linalg.norm(direction_of(lines), axis=1)
@@ -146,54 +134,27 @@ def _world_scale(lines: np.ndarray) -> float:
     return rho if np.isfinite(rho) and rho > 1e-9 else 1.0
 
 
-def _normalized_copy(obs: LineObservationSet, center_pixels: bool):
-    """Rescaled observations plus the transforms that undo the rescale.
+def _normalized_copy(obs: LineObservationSet):
+    """Rescaled observations plus the scales that undo the rescale.
 
-    Returns (obs_n, A, s_pix, rho) with A the 3x3 pixel map applied (pure
-    scale when center_pixels is false, so a principal-point-centered origin
-    stays put).
+    Pixels are scaled about the origin, so a principal-point-centered
+    origin stays put, and every line as if its points were divided by the
+    world scale.  Returns (obs_n, s_pix, rho).
     """
     px = obs.pixels[:, :2]
-    c = px.mean(axis=0) if center_pixels else np.zeros(2)
-    spread = np.mean(np.linalg.norm(px - c, axis=1))
+    spread = np.mean(np.linalg.norm(px, axis=1))
     s_pix = np.sqrt(2.0) / spread if spread > 1e-12 else 1.0
-    a = np.array([[s_pix, 0.0, -s_pix * c[0]], [0.0, s_pix, -s_pix * c[1]], [0.0, 0.0, 1.0]])
     rho = _world_scale(obs.lines)
     obs_n = LineObservationSet(
-        pixels=np.hstack([(px - c) * s_pix, np.ones((len(px), 1))]),
-        lines=_scale_line_coords(obs.lines, rho),
+        pixels=np.hstack([px * s_pix, np.ones((len(px), 1))]),
+        lines=rescale_lines(obs.lines, rho),
         indices=obs.indices,
         n_skipped=obs.n_skipped,
     )
-    return obs_n, a, s_pix, rho
+    return obs_n, s_pix, rho
 
 
-def solve_linear(obs: LineObservationSet) -> np.ndarray:
-    """Unconstrained 3x6 line projection matrix by least squares.
-
-    The result satisfies the incidences algebraically but is not forced to
-    be the line matrix of any actual pinhole camera; downstream consumers
-    either decompose it best-effort or use the constrained route.  The
-    observations are used exactly as given (no internal rescaling), so the
-    returned flattened matrix is the least right singular vector of the
-    incidence matrix built from them.
-    """
-    if len(obs) < MIN_OBSERVATIONS:
-        raise TooFewObservationsError(
-            f"need at least {MIN_OBSERVATIONS} observations, got {len(obs)}"
-        )
-    z = _incidence_rows(obs)
-    _, s, vt = np.linalg.svd(z, full_matrices=False)
-    if s[16] < 1e-10 * s[0]:
-        raise RankDeficientZError(
-            "incidence matrix leaves more than a scale ambiguity"
-        )
-    return vt[17].reshape(3, 6)
-
-
-def point_line_cost(
-    line_matrix: np.ndarray, obs: LineObservationSet, return_excluded: bool = False
-):
+def point_line_cost(line_matrix: np.ndarray, obs: LineObservationSet) -> float:
     """Sum of squared point-to-line distances in pixels squared.
 
     Each reflected line is projected to the image; the squared distance of
@@ -209,10 +170,7 @@ def point_line_cost(
             "every projected line degenerates to a point"
         )
     num = np.einsum("ij,ij->i", obs.pixels[good], img[good]) ** 2
-    cost = float(np.sum(num / ab2[good]))
-    if return_excluded:
-        return cost, int(len(obs) - good.sum())
-    return cost
+    return float(np.sum(num / ab2[good]))
 
 
 def camera_line_matrix(
@@ -422,7 +380,7 @@ def solve_constrained(
         raise TooFewObservationsError(
             f"need at least {MIN_OBSERVATIONS} observations, got {len(obs_centered)}"
         )
-    obs_n, _, s_pix, rho = _normalized_copy(obs_centered, center_pixels=False)
+    obs_n, s_pix, rho = _normalized_copy(obs_centered)
     z_n = _incidence_rows(obs_n)
     init_n = None if init is None else (init[0], np.asarray(init[1], dtype=float) / rho)
     rotation, t_n, _ = _solve_constrained_scaled(fx * s_pix, fy * s_pix, obs_n, z_n, init=init_n)
@@ -454,7 +412,7 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
             f"need at least {MIN_OBSERVATIONS} observations, got {len(obs)}"
         )
     centered = obs.centered(u0, v0)
-    obs_n, _, s_pix, rho = _normalized_copy(centered, center_pixels=False)
+    obs_n, s_pix, rho = _normalized_copy(centered)
     z_n = _incidence_rows(obs_n)
 
     grid = np.geomspace(f_lo, f_hi, SWEEP_SAMPLES)
@@ -510,59 +468,5 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
             "cost_curve": costs / (s_pix * s_pix),  # back to raw pixel units
             "n_observations": len(obs),
             "n_skipped": obs.n_skipped,
-        },
-    )
-
-
-def decompose_point_matrix(p: np.ndarray) -> tuple[Intrinsics, np.ndarray, np.ndarray]:
-    """Split a 3x4 point projection matrix into K, R, T.
-
-    RQ factorization with the diagonal of K made positive; the residual
-    sign is pushed into the scale so the rotation is proper.  The overall
-    sign of p does not affect the result.
-    """
-    p = np.asarray(p, dtype=float)
-    k_hat, r_hat = scipy.linalg.rq(p[:, :3])
-    signs = np.sign(np.diag(k_hat))
-    signs[signs == 0] = 1.0
-    k = k_hat * signs
-    r = signs[:, None] * r_hat
-    lam = k[2, 2]
-    if np.linalg.det(r) < 0:
-        r = -r
-        lam = -lam
-    k = k / k[2, 2]
-    t = np.linalg.solve(k, p[:, 3]) / lam
-    intr = Intrinsics(fx=float(k[0, 0]), fy=float(k[1, 1]), u0=float(k[0, 2]), v0=float(k[1, 2]))
-    return intr, r, t
-
-
-def linear_estimate(obs: LineObservationSet) -> CalibrationEstimate:
-    """Camera from the unconstrained solve, decomposed best-effort.
-
-    The plain solve runs on internally rescaled observations; the result is
-    mapped back and converted to point form without a validity gate
-    (least-squares solutions violate the quadratic consistency conditions
-    in proportion to noise), then RQ-decomposed.
-    """
-    obs_n, a, _, rho = _normalized_copy(obs, center_pixels=True)
-    lm_n = solve_linear(obs_n)
-    sdiag = np.ones(6)
-    sdiag[list(_QUAD_SLOTS)] = 1.0 / (rho * rho)
-    sdiag[list(_LIN_SLOTS)] = 1.0 / rho
-    lm = a.T @ dual(dual(lm_n) * sdiag)
-    p = line_to_point_matrix(lm, tol=np.inf)
-    intr, rotation, translation = decompose_point_matrix(p)
-    cost, excluded = point_line_cost(lm, obs, return_excluded=True)
-    return CalibrationEstimate(
-        intrinsics=intr,
-        rotation=rotation,
-        translation=translation,
-        source="linear",
-        cost=cost,
-        diagnostics={
-            "n_observations": len(obs),
-            "n_skipped": obs.n_skipped,
-            "n_excluded": excluded,
         },
     )

@@ -157,7 +157,7 @@ class CalibrationEstimate:
     intrinsics: Intrinsics
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,) mm
-    source: str  # "linear" | "constrained" | "crossratio"
+    source: str  # "constrained" (focal_sweep) | "crossratio" (refine)
     cost: float = float("nan")  # point-to-line cost, px^2 (sum)
     diagnostics: dict[str, Any] = field(default_factory=dict)
 

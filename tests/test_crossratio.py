@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from specsurf import crossratio as cr
+from specsurf import so3
 from specsurf.errors import TooFewCorrespondencesError
 from specsurf.plane_pose import lift_triples
 from specsurf.sim import default_two_sphere_scene, generate_dataset
@@ -166,6 +167,22 @@ class TestRefine:
         )
         with pytest.raises(TooFewCorrespondencesError):
             cr.refine(rig, few, poses)
+
+    def test_camera_facing_away_rejected(self, rig, clean_data, poses):
+        # a half turn about the camera x axis negates every depth, so no
+        # triple passes the start gate however many rows come in
+        flip = so3.exp(np.array([np.pi, 0.0, 0.0]))
+        away = CalibrationEstimate(
+            intrinsics=rig.intrinsics,
+            rotation=flip @ rig.rotation,
+            translation=flip @ rig.translation,
+            source="rig",
+        )
+        m_obs = np.asarray(clean_data.pixels, dtype=float)
+        _, _, reason = cr._gate(cr._pack(away), lifts_of(clean_data, poses), m_obs, np.zeros_like)
+        assert set(reason) == {"behind_camera"}
+        with pytest.raises(TooFewCorrespondencesError):
+            cr.refine(away, clean_data, poses)
 
 
 class TestGate:

@@ -59,6 +59,22 @@ class TestLineFromPoints:
             assert np.array_equal(batch[i], plucker.line_from_points(a[i], b[i]))
 
 
+class TestRescaleLines:
+    def test_line_rescale_matches_endpoint_rescale(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(40, 3)) * 300.0
+        b = a + rng.normal(size=(40, 3)) * 150.0
+        rho = 7.3
+        direct = plucker.lines_from_points(a / rho, b / rho)
+        direct /= np.linalg.norm(direct, axis=1, keepdims=True)
+        lines = plucker.lines_from_points(a, b)
+        lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+        scaled = plucker.rescale_lines(lines, rho)
+        # rows agree up to a per-line sign
+        dots = np.abs(np.einsum("ij,ij->i", direct, scaled))
+        assert np.min(dots) > 1.0 - 1e-12
+
+
 class TestDual:
     def test_reordering(self):
         out = plucker.dual(np.array([1.0, 2, 3, 4, 5, 6]))
