@@ -30,10 +30,6 @@ class RankDeficientError(SpecsurfError):
     """A projection matrix does not have full rank."""
 
 
-class InvalidLineMatrixError(SpecsurfError):
-    """A 3x6 line projection matrix violates the self/mutual-intersection test."""
-
-
 # simulator
 
 class EmptyDatasetError(SpecsurfError):
@@ -48,34 +44,21 @@ class TooFewCorrespondencesError(SpecsurfError):
 
 
 class RankAmbiguousError(SpecsurfError):
-    """The design matrix nullity is not clearly 2: degenerate configuration."""
+    """The data do not determine the two plane motions.
+
+    Raised when the design matrix has more than two vanishing singular
+    values, or when no direction of its two-dimensional nullspace factors
+    into a rigid motion pair (e.g. pure translation).  gap_ratio is the
+    nullspace rank gap sigma_22/sigma_23 of the design matrix.
+    """
 
     def __init__(self, message: str, gap_ratio: float = float("nan")):
         super().__init__(message)
         self.gap_ratio = gap_ratio
 
 
-class AllComplexRootsError(SpecsurfError):
-    """No real root of the mixing-coefficient cubic gives a direction.
-
-    A real cubic always has a real root; this is raised when every real
-    root of the pencil d1 + beta*d2 gives the zero vector and the leading
-    coefficient does not vanish (which would add d2).
-    """
-
-
-class BranchM31ZeroError(SpecsurfError):
-    """The third-row blocks of a null vector (slots 18-23) vanish."""
-
-
-class NoRealAlphaError(SpecsurfError):
-    """The scale elimination yields no real, positive-squared solution."""
-
-
 class NoValidCandidateError(SpecsurfError):
-    """No pose candidate: plane coordinates all zero or not finite, or no
-    factorization survived the rotation validity filters.
-    """
+    """No pose candidate: the plane coordinates are all zero or not finite."""
 
 
 # projection estimation

@@ -12,10 +12,11 @@ both motions (a mirror twin) satisfies the same constraints with identical
 residual, so candidates are returned ranked and the caller disambiguates
 with camera-side evidence.
 
-The nullspace is accepted only when its rank gap clears RANK_GAP_MIN.  The
-gap ratio shrinks with measurement noise on healthy data, and the
-reconstruction chain does not lower the threshold: data noisy enough to
-close the gap raises RankAmbiguousError.
+Degeneracy is decided by the factoring, not by a threshold on the rank gap
+(which shrinks with measurement noise on healthy data): a motion the data
+cannot pin down, such as pure translation, leaves no nullspace direction
+that factors into a rigid pair, and estimate_plane_poses raises
+RankAmbiguousError.
 """
 
 from __future__ import annotations
@@ -26,21 +27,10 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import so3
-from .errors import (
-    AllComplexRootsError,
-    BranchM31ZeroError,
-    NoRealAlphaError,
-    NoValidCandidateError,
-    RankAmbiguousError,
-    TooFewCorrespondencesError,
-)
+from .errors import NoValidCandidateError, RankAmbiguousError, TooFewCorrespondencesError
 from .types import CorrespondenceSet, PlanePosePair, RigidPose
 
 MIN_TRIPLES = 12
-
-# rank gap below which the nullspace is wider than the generic two
-# directions and the motion cannot be recovered (e.g. pure translation)
-RANK_GAP_MIN = 10.0
 
 # a factored candidate is kept when its rotation columns are unit and
 # orthogonal to within this
@@ -102,17 +92,16 @@ def build_design_matrix(x0, x1, x2) -> np.ndarray:
     return e
 
 
-def nullspace_basis(e: np.ndarray, min_gap: float = RANK_GAP_MIN):
+def nullspace_basis(e: np.ndarray):
     """Two least singular directions of the design matrix and the rank gap.
 
     The generic system has rank 22; the gap ratio sigma_22/sigma_23
-    (1-based, descending) measures how clearly the data pins down exactly
-    two null directions.  Two failure shapes raise RankAmbiguousError: the
-    gap ratio below min_gap (noise brackets the weakest data direction), and
-    sigma_22 itself collapsing relative to sigma_1 (a nullity above two,
-    e.g. exact pure translation, where the ratio of two near-zero values is
-    meaningless).  min_gap is configurable because the ratio shrinks with
-    measurement noise on healthy data.
+    (1-based, descending) measures how clearly the data separates exactly
+    two null directions.  It shrinks with measurement noise on healthy data,
+    so it is returned for the record and not tested.  Raises
+    RankAmbiguousError when sigma_22 itself vanishes relative to sigma_1:
+    the nullity is above two and the ratio of two near-zero values is
+    meaningless.
     """
     if e.shape[0] < 2 * MIN_TRIPLES:
         raise TooFewCorrespondencesError(
@@ -122,14 +111,8 @@ def nullspace_basis(e: np.ndarray, min_gap: float = RANK_GAP_MIN):
     gap = float(s[21] / s[22]) if s[22] > 0 else np.inf
     if s[21] < 1e-9 * s[0]:
         raise RankAmbiguousError(
-            "more than two vanishing singular values; relative plane motion "
-            "is degenerate (e.g. pure translation)",
-            gap_ratio=gap,
-        )
-    if gap < min_gap:
-        raise RankAmbiguousError(
-            f"rank gap {gap:.3g} below {min_gap}; the two-dimensional "
-            "nullspace is not separated from the data directions",
+            "more than two vanishing singular values; the data do not "
+            "determine the plane motions",
             gap_ratio=gap,
         )
     return vt[22], vt[23], gap
@@ -176,8 +159,8 @@ def candidate_null_vectors(d1: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
     """Unit null directions satisfying the cubic motion-form identity.
 
     Solves the cubic along the pencil d1 + beta*d2; a vanishing leading
-    coefficient adds the pure-d2 direction (beta at infinity).  Raises
-    AllComplexRootsError when every real root gives the zero vector.
+    coefficient adds the pure-d2 direction (beta at infinity).  Real roots
+    that give the zero vector are dropped, so the list may be empty.
     """
     coeffs = _cubic_coefficients(d1, d2)  # ascending
     desc = coeffs[::-1]
@@ -195,8 +178,6 @@ def candidate_null_vectors(d1: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
             out.append(v / nv)
     if lead_small:
         out.append(d2.copy())
-    if not out:
-        raise AllComplexRootsError("no real root of the motion-form cubic gives a direction")
     return out
 
 
@@ -319,24 +300,17 @@ def _factor_null_vector(d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
     Returns a list of (m, n) 3x3 matrices whose columns are the first two
     rotation columns and the translation of motions 1 and 2; the list holds
-    the two mirror twins (sign of the third rows).  Empty when the scale
-    constraint has no positive solution.
+    the two mirror twins (sign of the third rows).  Empty when the vector
+    does not pin the motions down or the scale constraint has no positive
+    solution.
     """
     d = d / np.linalg.norm(d)
-    if np.linalg.norm(d[18:24]) < 1e-8:
-        raise BranchM31ZeroError("third-row blocks of the null vector vanish")
     # x/y slots of both third rows vanishing means both motions keep the
-    # plane parallel to the reference pose; the scale constraints then
-    # cannot pin the family down.  A vector with no outer-product content
-    # either is the structural null direction the system always has and
-    # self-rejects here.
+    # plane parallel to the reference pose (pure translation), the third
+    # rows vanish altogether, or d is the structural null direction; the
+    # scale constraints cannot pin the family down in any of these
     if np.max(np.abs(d[[18, 19, 21, 22]])) < 1e-6:
-        if np.linalg.norm(d[:18]) < 0.1:
-            return []
-        raise RankAmbiguousError(
-            "both plane motions keep the plane parallel to the reference "
-            "pose; the motion family is not identifiable"
-        )
+        return []
     res = _eliminate_family(d)
     if res is None:
         return []
@@ -484,16 +458,9 @@ class PoseSolution:
     candidates: tuple[PlanePosePair, ...]
     residuals: np.ndarray  # RMS line-offset per candidate, mm
     gap_ratio: float
-    ambiguous: bool
 
 
-def _family_key(pair: PlanePosePair) -> tuple:
-    t1 = pair.pose1.translation
-    t2 = pair.pose2.translation
-    return tuple(np.round([t1[0], t1[1], abs(t1[2]), t2[0], t2[1], abs(t2[2])], 3))
-
-
-def estimate_plane_poses(data: CorrespondenceSet, min_gap: float = RANK_GAP_MIN) -> PoseSolution:
+def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     """Recover the two plane motions from a correspondence set.
 
     Each candidate direction of the nullspace pencil is factored once.  The
@@ -501,21 +468,12 @@ def estimate_plane_poses(data: CorrespondenceSet, min_gap: float = RANK_GAP_MIN)
     times the best residual, at most the first four, are polished by
     refine_plane_poses.  Mirror twins (identical residual, plane normal
     flipped) are both returned because only camera-side reasoning can tell
-    them apart.  The ambiguous flag is set when two candidates from
-    different twin families fit equally well (within 1 percent).
+    them apart.
 
-    min_gap is the degeneracy threshold on the nullspace rank gap (see
-    nullspace_basis).  The reconstruction chain keeps the strict default,
-    so noise that shrinks the gap below it raises RankAmbiguousError.
-
-    Raises BranchM31ZeroError when the third-row blocks vanish for every
-    candidate direction, and NoRealAlphaError when no direction admits a
-    positive scale otherwise.
+    Raises RankAmbiguousError, carrying the rank gap, when no nullspace
+    direction factors into a rigid pair: the data do not determine the
+    motions (e.g. pure translation).
     """
-    if len(data) < MIN_TRIPLES:
-        raise TooFewCorrespondencesError(
-            f"need at least {MIN_TRIPLES} triples, got {len(data)}"
-        )
     coords = np.concatenate([data.x0.ravel(), data.x1.ravel(), data.x2.ravel()])
     scale = float(np.sqrt(np.mean(coords**2)))
     if not 0.0 < scale < np.inf:
@@ -525,32 +483,18 @@ def estimate_plane_poses(data: CorrespondenceSet, min_gap: float = RANK_GAP_MIN)
     x2 = data.x2 / scale
 
     e = build_design_matrix(x0, x1, x2)
-    d1, d2, gap = nullspace_basis(e, min_gap=min_gap)
-    directions = candidate_null_vectors(d1, d2)
-
-    row_sets: list[tuple[np.ndarray, np.ndarray]] = []
-    branch_zero = 0
-    for d in directions:
-        try:
-            row_sets.extend(_factor_null_vector(d))
-        except BranchM31ZeroError:
-            branch_zero += 1
-    if not row_sets:
-        if branch_zero == len(directions):
-            raise BranchM31ZeroError(
-                "third-row blocks vanish for every candidate direction"
-            )
-        raise NoRealAlphaError("no candidate direction admits a positive scale")
-
+    d1, d2, gap = nullspace_basis(e)
     scored: list[tuple[float, PlanePosePair]] = []
-    for m, n in row_sets:
-        pair = _rows_to_pair(m, n)
-        if pair is None:
-            continue
-        scored.append((line_offset_residual(pair, x0, x1, x2), pair))
+    for d in candidate_null_vectors(d1, d2):
+        for m, n in _factor_null_vector(d):
+            pair = _rows_to_pair(m, n)
+            if pair is not None:
+                scored.append((line_offset_residual(pair, x0, x1, x2), pair))
     if not scored:
-        raise NoValidCandidateError(
-            "no candidate factorization is close enough to a rigid motion"
+        raise RankAmbiguousError(
+            "no nullspace direction factors into a rigid motion pair; the "
+            "plane motions are degenerate",
+            gap_ratio=gap,
         )
     scored.sort(key=lambda item: item[0])
     scored = scored[:MAX_CANDIDATES]
@@ -567,15 +511,6 @@ def estimate_plane_poses(data: CorrespondenceSet, min_gap: float = RANK_GAP_MIN)
             polished.append((res, pair))
     scored = sorted(polished, key=lambda item: item[0])
 
-    # ambiguity check on twin-deduplicated families
-    families: dict[tuple, float] = {}
-    for res, pair in scored:
-        key = _family_key(pair)
-        if key not in families:
-            families[key] = res
-    fam_res = sorted(families.values())
-    ambiguous = len(fam_res) > 1 and fam_res[1] <= 1.01 * max(fam_res[0], 1e-300)
-
     candidates = tuple(
         PlanePosePair(
             RigidPose(p.pose1.rotation, scale * p.pose1.translation),
@@ -584,9 +519,4 @@ def estimate_plane_poses(data: CorrespondenceSet, min_gap: float = RANK_GAP_MIN)
         for _, p in scored
     )
     residuals = scale * np.array([r for r, _ in scored])
-    return PoseSolution(
-        candidates=candidates,
-        residuals=residuals,
-        gap_ratio=gap,
-        ambiguous=ambiguous,
-    )
+    return PoseSolution(candidates=candidates, residuals=residuals, gap_ratio=gap)

@@ -31,12 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    CoincidentPointsError,
-    DegenerateProjectionError,
-    InvalidLineMatrixError,
-    RankDeficientError,
-)
+from .errors import CoincidentPointsError, DegenerateProjectionError, RankDeficientError
 
 # dual(): element reordering (l5, l6, l4, l3, l1, l2), as an index array
 _DUAL_IDX = np.array([4, 5, 3, 2, 0, 1])
@@ -216,27 +211,17 @@ def point_to_line_matrix(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def line_to_point_matrix(line_matrix: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Convert a valid 3x6 line projection matrix back to 3x4 point form.
+def line_to_point_matrix(line_matrix: np.ndarray) -> np.ndarray:
+    """Convert a 3x6 line projection matrix back to 3x4 point form.
 
     Row i of the result is the homogeneous plane spanned by the lines in
-    rows j, k:  sign * [w_j x w_k ; v_j . w_k].  tol bounds the accepted
-    intersection residual; pass inf for a best-effort conversion of an
-    almost-valid matrix (e.g. a least-squares solution).
-
-    Raises
-    ------
-    InvalidLineMatrixError
-        If the mutual/self intersection residual exceeds tol (relative).
+    rows j, k:  sign * [w_j x w_k ; v_j . w_k].  The matrix is not checked
+    for validity (see line_matrix_validity), so an almost-valid one, such as
+    a least-squares solution, converts on a best-effort basis.
     """
     lm = np.asarray(line_matrix, dtype=float)
     if lm.shape != (3, 6):
         raise ValueError("expected a 3x6 matrix")
-    res = line_matrix_validity(lm)
-    if res > tol:
-        raise InvalidLineMatrixError(
-            f"line_to_point_matrix: intersection residual {res:.3e} > {tol:g}"
-        )
     out = np.empty((3, 4))
     for i, (j, k, sign) in enumerate(_ROW_PAIRS):
         rj, rk = lm[j], lm[k]

@@ -189,7 +189,7 @@ def _metric_decode(metric_lm: np.ndarray):
     Scale from the mean rotation-row norm, sign from the cheirality rule
     (world origin in front of the camera).
     """
-    g = line_to_point_matrix(metric_lm, tol=np.inf)
+    g = line_to_point_matrix(metric_lm)
     row_norms = np.linalg.norm(g[:, :3], axis=1)
     lam = float(np.mean(row_norms))
     if lam <= 0 or not np.isfinite(lam):

@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsurf.errors import (
-    AllComplexRootsError,
-    BranchM31ZeroError,
-    NoRealAlphaError,
     NoValidCandidateError,
     RankAmbiguousError,
+    SpecsurfError,
     TooFewCorrespondencesError,
 )
-from specsurf import plane_pose
+from specsurf import plane_pose, projection
 from specsurf.plane_pose import (
     _factor_null_vector,
     _polish_objective,
@@ -241,16 +241,13 @@ class TestNullspace:
         with pytest.raises(TooFewCorrespondencesError):
             nullspace_basis(np.zeros((22, 24)))
 
-    def test_noisy_data_shrinks_gap_below_strict_threshold(self, scene):
+    def test_noisy_data_shrinks_gap(self, scene):
+        # the gap is a noise readout, not a degeneracy test: healthy data
+        # at 3 mm brings it near 1 and the basis is still returned
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(3.0, 0.0, 0.0, 5))
         s = rms_scale(data.x0, data.x1, data.x2)
-        e = build_design_matrix(data.x0 / s, data.x1 / s, data.x2 / s)
-        with pytest.raises(RankAmbiguousError) as exc:
-            nullspace_basis(e)
-        assert 1.0 < exc.value.gap_ratio < 10.0
-        # the relaxed threshold accepts the same matrix
-        _, _, gap = nullspace_basis(e, min_gap=2.0)
-        assert gap == pytest.approx(exc.value.gap_ratio)
+        _, _, gap = nullspace_basis(build_design_matrix(data.x0 / s, data.x1 / s, data.x2 / s))
+        assert 1.0 < gap < 10.0
 
 
 class TestBetaSolver:
@@ -279,7 +276,7 @@ class TestBetaSolver:
         roots = real_cubic_roots(np.array([1.0, 0.0, -1.0, 0.0]))
         assert np.allclose(sorted(roots), [-1.0, 0.0, 1.0], atol=1e-12)
 
-    def test_all_complex_roots_raise(self):
+    def test_roots_without_direction_dropped(self):
         # slots chosen so the identity reduces to 1 + beta^2: no finite beta
         # is real, so the only direction left is d2 (beta at infinity)
         d1 = np.zeros(24)
@@ -293,8 +290,7 @@ class TestBetaSolver:
         assert np.array_equal(v, d2)
         # along 0 + beta*d1 the identity is beta^3: its one real root gives
         # the zero vector, which is no direction at all
-        with pytest.raises(AllComplexRootsError):
-            candidate_null_vectors(np.zeros(24), d1)
+        assert candidate_null_vectors(np.zeros(24), d1) == []
 
     def test_candidate_directions_are_unit(self, synthetic):
         x0, x1, x2, *_ = synthetic
@@ -359,8 +355,7 @@ class TestAlphaSolver:
         v, _ = self.pencil_truth(synthetic)
         v = v.copy()
         v[18:24] = 0.0
-        with pytest.raises(BranchM31ZeroError):
-            _factor_null_vector(v)
+        assert _factor_null_vector(v) == []
 
 
 class TestMotionForm:
@@ -392,7 +387,6 @@ class TestEstimate:
         rot, tr = best_pose_errors(sol, scene.pose1, scene.pose2)
         assert rot < 1e-5
         assert tr < 1e-6
-        assert not sol.ambiguous
         assert sol.residuals[0] < 1e-6
 
     def test_exact_recovery_from_synthetic_lines(self, synthetic):
@@ -445,18 +439,55 @@ class TestEstimate:
 
     def test_noisy_recovery_within_tolerance(self, scene):
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(1.0, 0.0, 0.0, 11))
-        sol = estimate_plane_poses(data, min_gap=2.0)
+        sol = estimate_plane_poses(data)
         rot, tr = best_pose_errors(sol, scene.pose1, scene.pose2)
         assert rot < 0.5
         assert tr < 0.05
 
-    def test_heavy_noise_needs_relaxed_gap(self, scene):
+    def test_heavy_noise_recovery(self, scene):
+        # 3 mm brings the rank gap near 1 (see TestNullspace); the motions
+        # are still recovered
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(3.0, 0.0, 0.0, 13))
-        with pytest.raises(RankAmbiguousError):
-            estimate_plane_poses(data)
-        sol = estimate_plane_poses(data, min_gap=2.0)
+        sol = estimate_plane_poses(data)
         rot, _ = best_pose_errors(sol, scene.pose1, scene.pose2)
         assert rot < 2.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_noise_ladder(self, scene, sigma, seed):
+        data = generate_dataset(scene, grid_step=8, noise=NoiseSpec(sigma, 0.5, 0.0, seed))
+        sol = estimate_plane_poses(data)
+        best = min(
+            (
+                max(
+                    rotation_angle_deg(cand.pose1.rotation, scene.pose1.rotation),
+                    rotation_angle_deg(cand.pose2.rotation, scene.pose2.rotation),
+                ),
+                max(
+                    np.linalg.norm(cand.pose1.translation - scene.pose1.translation),
+                    np.linalg.norm(cand.pose2.translation - scene.pose2.translation),
+                ),
+            )
+            for cand in sol.candidates
+        )
+        assert best[0] < 0.25 * sigma  # degrees
+        assert best[1] < 5.0 * sigma  # mm
+
+    def test_noisy_chain_recovers_camera(self, scene):
+        # the benchmark chain with no ground truth: every candidate is
+        # swept, and the camera with the lowest point-to-line cost is kept
+        data = generate_dataset(scene, grid_step=8, noise=NoiseSpec(1.0, 0.5, 0.0, 0))
+        cameras = []
+        for cand in estimate_plane_poses(data).candidates:
+            obs = projection.build_observations(data, cand)
+            try:
+                cameras.append(projection.focal_sweep(obs, scene.image_size))
+            except SpecsurfError:
+                continue
+        camera = min(cameras, key=lambda cam: cam.cost)
+        f_true = scene.intrinsics.fx
+        assert abs(camera.intrinsics.fx - f_true) / f_true < 0.02
+        assert rotation_angle_deg(camera.rotation, scene.camera_pose.rotation) < 0.5
 
     def test_pure_translation_rejected_clean(self):
         data = generate_dataset(
@@ -467,11 +498,12 @@ class TestEstimate:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_pure_translation_rejected_noisy(self, seed):
-        data = generate_dataset(
-            pure_translation_scene(), grid_step=12, noise=NoiseSpec(0.5, 0.0, 0.0, seed)
-        )
-        with pytest.raises(RankAmbiguousError):
-            estimate_plane_poses(data, min_gap=2.0)
+        for sigma in (0.5, 2.0, 5.0):
+            data = generate_dataset(
+                pure_translation_scene(), grid_step=12, noise=NoiseSpec(sigma, 0.0, 0.0, seed)
+            )
+            with pytest.raises(RankAmbiguousError):
+                estimate_plane_poses(data)
 
     def test_diagnostics_present(self, clean_data):
         sol = estimate_plane_poses(clean_data)
@@ -498,20 +530,67 @@ class TestEstimate:
             assert min(errors) < 1e-9
 
     @pytest.mark.parametrize(
-        "directions, error",
+        "directions",
         [
             # third-row blocks vanish for both directions
-            ([np.eye(24)[0], np.eye(24)[9]], BranchM31ZeroError),
-            # one direction vanishes, the other is the structural vector,
-            # which factors into nothing without raising
-            ([np.eye(24)[0], spurious_null_vector()], NoRealAlphaError),
+            [np.eye(24)[0], np.eye(24)[9]],
+            # one direction vanishes, the other is the structural vector
+            [np.eye(24)[0], spurious_null_vector()],
         ],
         ids=["all-vanish", "one-vanishes"],
     )
-    def test_unfactorable_directions_raise(self, clean_data, monkeypatch, directions, error):
+    def test_unfactorable_directions_raise(self, clean_data, monkeypatch, directions):
+        gap = estimate_plane_poses(clean_data).gap_ratio
         monkeypatch.setattr(plane_pose, "candidate_null_vectors", lambda d1, d2: directions)
-        with pytest.raises(error):
+        with pytest.raises(RankAmbiguousError) as exc:
             estimate_plane_poses(clean_data)
+        assert exc.value.gap_ratio == gap
+
+
+class TestProperties:
+    """estimate_plane_poses on noisy grid-20 scans, at its default settings."""
+
+    sigmas = st.floats(0.0, 2.0)
+    seeds = st.integers(0, 2**32 - 1)
+
+    @settings(max_examples=25)
+    @given(sigma=sigmas, seed=seeds, k=st.floats(0.01, 1000.0))
+    def test_scale_invariance(self, scene, sigma, seed, k):
+        data = generate_dataset(scene, grid_step=20, noise=NoiseSpec(sigma, 0.0, 0.0, seed))
+        scaled = CorrespondenceSet(
+            pixels=data.pixels, x0=k * data.x0, x1=k * data.x1, x2=k * data.x2
+        )
+        sol = estimate_plane_poses(data)
+        sol_scaled = estimate_plane_poses(scaled)
+        assert len(sol_scaled.candidates) == len(sol.candidates)
+        # the twins tie exactly, so their order is not invariant: match
+        # candidates as a set
+        for cand in sol_scaled.candidates:
+            errors = [
+                max(
+                    np.abs(cand.pose1.rotation - other.pose1.rotation).max(),
+                    np.abs(cand.pose2.rotation - other.pose2.rotation).max(),
+                    np.abs(cand.pose1.translation - k * other.pose1.translation).max()
+                    / np.linalg.norm(k * other.pose1.translation),
+                    np.abs(cand.pose2.translation - k * other.pose2.translation).max()
+                    / np.linalg.norm(k * other.pose2.translation),
+                )
+                for other in sol.candidates
+            ]
+            assert min(errors) < 1e-10
+
+    @settings(max_examples=25)
+    @given(sigma=sigmas, seed=seeds)
+    def test_twin_symmetry(self, scene, sigma, seed):
+        data = generate_dataset(scene, grid_step=20, noise=NoiseSpec(sigma, 0.0, 0.0, seed))
+        sol = estimate_plane_poses(data)
+        first, second = sol.candidates[:2]
+        assert sol.residuals[0] == sol.residuals[1]
+        # the twin is the first candidate reflected in the reference plane
+        mirror = np.diag([1.0, 1.0, -1.0])
+        for a, b in ((first.pose1, second.pose1), (first.pose2, second.pose2)):
+            assert np.allclose(mirror @ a.rotation @ mirror, b.rotation, rtol=0, atol=1e-12)
+            assert np.allclose(mirror @ a.translation, b.translation, rtol=0, atol=1e-9)
 
 
 class TestRefine:
@@ -519,7 +598,7 @@ class TestRefine:
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(1.0, 0.0, 0.0, 17))
         with monkeypatch.context() as patch:
             unpolished(patch)
-            raw = estimate_plane_poses(data, min_gap=2.0).candidates[0]
+            raw = estimate_plane_poses(data).candidates[0]
         s = rms_scale(data.x0, data.x1, data.x2)
         x0, x1, x2 = data.x0 / s, data.x1 / s, data.x2 / s
         pair = PlanePosePair(
@@ -540,9 +619,9 @@ class TestRefine:
             )
             with monkeypatch.context() as patch:
                 unpolished(patch)
-                sol = estimate_plane_poses(data, min_gap=2.0)
+                sol = estimate_plane_poses(data)
             raws.append(best_pose_errors(sol, scene.pose1, scene.pose2)[0])
-            sol = estimate_plane_poses(data, min_gap=2.0)
+            sol = estimate_plane_poses(data)
             refs.append(best_pose_errors(sol, scene.pose1, scene.pose2)[0])
         assert np.mean(refs) < np.mean(raws)
 
@@ -583,7 +662,7 @@ class TestRefine:
 
     def test_rotations_stay_orthonormal(self, scene):
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(2.0, 0.0, 0.0, 19))
-        sol = estimate_plane_poses(data, min_gap=2.0)
+        sol = estimate_plane_poses(data)
         for cand in sol.candidates:
             assert cand.pose1.orthonormality_error() < 1e-12
             assert cand.pose2.orthonormality_error() < 1e-12

@@ -1,10 +1,12 @@
-"""Every public function, class, method and property of the package is used.
+"""Every public function, class, method, property and dataclass field of the
+package is used.
 
 A top-level definition counts as used when its name appears outside its own
 definition in the package, the tests or the benchmark: as a name, an
 attribute, an imported name or a string (the benchmark's tracer wraps
 functions by their names).  A method or property counts as used when it is
-read as an attribute outside its own definition.
+read as an attribute outside its own definition, and a dataclass field when
+it is read as an attribute outside its class.
 """
 
 import ast
@@ -23,14 +25,22 @@ class Definition:
     path: Path
     first: int
     last: int
-    member: bool
+    member: bool  # used only by attribute reads
 
 
 @dataclass(frozen=True)
 class Reference:
     path: Path
     line: int
-    attribute: bool
+    attribute: bool  # an attribute read
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
 
 
 def public_definitions() -> list[Definition]:
@@ -43,7 +53,18 @@ def public_definitions() -> list[Definition]:
             out.append(Definition(f"{module}.{node.name}", node.name, path, node.lineno, node.end_lineno, False))
             if not isinstance(node, ast.ClassDef):
                 continue
+            fields = is_dataclass(node)
             for item in node.body:
+                if (
+                    fields
+                    and isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and not item.target.id.startswith("_")
+                ):
+                    name = item.target.id
+                    out.append(
+                        Definition(f"{module}.{node.name}.{name}", name, path, node.lineno, node.end_lineno, True)
+                    )
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     out.append(
                         Definition(
@@ -70,7 +91,7 @@ def references() -> dict[str, list[Reference]]:
                 if isinstance(node, ast.Name):
                     add(node.id, path, node)
                 elif isinstance(node, ast.Attribute):
-                    add(node.attr, path, node, attribute=True)
+                    add(node.attr, path, node, attribute=isinstance(node.ctx, ast.Load))
                 elif isinstance(node, ast.ImportFrom):
                     for alias in node.names:
                         add(alias.name, path, node)
@@ -94,5 +115,6 @@ def test_every_public_definition_is_used():
     labels = {d.label for d in definitions}
     assert "plane_pose.estimate_plane_poses" in labels
     assert "types.RigidPose.transform" in labels
+    assert "types.ReflectionTriple.pixel" in labels
     refs = references()
     assert sorted(d.label for d in definitions if not is_used(d, refs)) == []

@@ -171,6 +171,7 @@ class TestTracer:
         for row in rows:
             triple = trace_reflection(scene, pixels[row])
             assert triple is not None
+            assert np.array_equal(triple.pixel, pixels[row])
             assert np.array_equal(triple.x0, x0[row])
             assert np.array_equal(triple.x1, x1[row])
             assert np.array_equal(triple.x2, x2[row])
