@@ -28,6 +28,7 @@ from scipy.optimize import least_squares
 
 from . import so3
 from .errors import NoValidCandidateError, RankAmbiguousError, TooFewCorrespondencesError
+from .linalg import right_singular
 from .types import CorrespondenceSet, PlanePosePair, RigidPose
 
 MIN_TRIPLES = 12
@@ -102,12 +103,17 @@ def nullspace_basis(e: np.ndarray):
     RankAmbiguousError when sigma_22 itself vanishes relative to sigma_1:
     the nullity is above two and the ratio of two near-zero values is
     meaningless.
+
+    The 2n x 24 matrix is factored by right_singular, which triangularises
+    it in NumPy and runs LAPACK's SVD on the 24 x 24 R factor alone: a
+    LAPACK factorization of the tall matrix would wake OpenBLAS's thread
+    pool, whose idle thread then spins for about 130 ms.
     """
     if e.shape[0] < 2 * MIN_TRIPLES:
         raise TooFewCorrespondencesError(
             f"need at least {MIN_TRIPLES} triples, got {e.shape[0] // 2}"
         )
-    _, s, vt = np.linalg.svd(e, full_matrices=False)
+    s, vt = right_singular(e)
     gap = float(s[21] / s[22]) if s[22] > 0 else np.inf
     if s[21] < 1e-9 * s[0]:
         raise RankAmbiguousError(

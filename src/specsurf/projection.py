@@ -41,6 +41,12 @@ noise.  Two measures keep the solvers usable:
   the rigid-motion manifold excludes the spurious directions by
   construction.
 
+The incidence matrix is n x 18 for n observations.  Its least singular
+vector comes from linalg.right_singular, which triangularises it in NumPy
+and hands LAPACK only the 18 x 18 R factor: a LAPACK factorization of the
+tall matrix would wake OpenBLAS's thread pool, whose idle thread then
+spins for about 130 ms after every cold start.
+
 Lines are unit-normalized when observations are built.
 """
 
@@ -60,6 +66,7 @@ from .errors import (
     TooFewObservationsError,
 )
 from . import so3
+from .linalg import right_singular
 from .plane_pose import MIN_LIFT_SEPARATION_MM, lift_triples
 from .plucker import (
     direction_of,
@@ -328,12 +335,15 @@ def _solve_constrained_scaled(fx_n, fy_n, obs_n, z_n, init=None):
 
     The refinement starts from init when given, else from the decode of the
     column-scaled incidence matrix's least singular vector; only that cold
-    start takes the SVD and its rank test.  Returns (R, T, cost) with the
-    point-to-line cost in rescaled pixel units.
+    start takes the SVD and its rank test.  The SVD is right_singular's, so
+    LAPACK sees only the 18 x 18 R factor and OpenBLAS's threads stay
+    asleep; its padded R keeps the 18th right vector when the fewest
+    observations give 17 rows.  Returns (R, T, cost) with the point-to-line
+    cost in rescaled pixel units.
     """
     if init is None:
         d = np.concatenate([np.full(6, fy_n), np.full(6, fx_n), np.full(6, fx_n * fy_n)])
-        _, s, vt = np.linalg.svd(z_n * d, full_matrices=False)
+        s, vt = right_singular(z_n * d)
         if s[16] < 1e-12 * s[0]:
             raise RankDeficientZError(
                 "incidence matrix leaves more than a scale ambiguity"

@@ -64,6 +64,14 @@ def clean_obs(clean_data, poses):
 
 
 @pytest.fixture(scope="module")
+def fewest_obs(clean_obs):
+    """MIN_OBSERVATIONS incidences spread over the image: a wide 17 x 18
+    incidence matrix whose one null vector is the camera."""
+    idx = np.linspace(0, len(clean_obs) - 1, pj.MIN_OBSERVATIONS).astype(int)
+    return pj.LineObservationSet(clean_obs.pixels[idx], clean_obs.lines[idx], idx)
+
+
+@pytest.fixture(scope="module")
 def gt_lm(scene):
     return pj.camera_line_matrix(
         scene.intrinsics, scene.camera_pose.rotation, scene.camera_pose.translation
@@ -341,6 +349,12 @@ class TestSolveConstrained:
             t_rel = np.linalg.norm(t - cam.translation) / np.linalg.norm(cam.translation)
             assert t_rel < 0.02
 
+    def test_exact_recovery_from_fewest_observations(self, scene, fewest_obs):
+        intr = scene.intrinsics
+        r, t = pj.solve_constrained(intr.fx, intr.fy, fewest_obs.centered(intr.u0, intr.v0))
+        assert rot_err_deg(r, scene.camera_pose.rotation) < 1e-6
+        assert np.linalg.norm(t - scene.camera_pose.translation) < 1e-6
+
     def test_too_few_observations(self, clean_obs):
         small = pj.LineObservationSet(
             pixels=clean_obs.pixels[:10],
@@ -442,17 +456,20 @@ class TestFocalSweep:
     def test_only_cold_starts_take_the_svd(self, clean_obs, scene, monkeypatch):
         # every clean sample solves, so only the first decodes a cold start;
         # the rest are warm-started and take no incidence-matrix SVD
-        svd = np.linalg.svd
+        right_singular = pj.right_singular
         incidence_svds = []
 
-        def counted(a, *args, **kwargs):
-            if a.shape[-1] == 18:
-                incidence_svds.append(1)
-            return svd(a, *args, **kwargs)
+        def counted(a):
+            incidence_svds.append(a.shape)
+            return right_singular(a)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(pj, "right_singular", counted)
         pj.focal_sweep(clean_obs, scene.image_size)
-        assert len(incidence_svds) == 1
+        assert incidence_svds == [(len(clean_obs), 18)]
+
+    def test_fewest_observations(self, scene, fewest_obs):
+        est = pj.focal_sweep(fewest_obs, scene.image_size)
+        assert est.intrinsics.fx == pytest.approx(scene.intrinsics.fx, rel=1e-9)
 
     @pytest.mark.parametrize(
         "seed, focal",
