@@ -14,7 +14,9 @@ on the closed-form Jacobian of that error, carried forward from the
 projections through the cross-ratio and the chosen root to the rebuilt
 point (see _frozen_jacobian).
 
-The plane poses stay fixed throughout; only the camera moves.
+The plane poses stay fixed throughout; only the camera moves.  So does
+the correspondence line: plane_pose.Lifts decides it once per lift, from
+the pose-0 and pose-2 lifts, and this module only reads it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from scipy.optimize import least_squares
 
 from . import so3
 from .errors import TooFewCorrespondencesError
-from .plane_pose import MIN_LIFT_SEPARATION_MM, lift_triples
+from .plane_pose import MIN_LIFT_SEPARATION_MM, Lifts, lift_triples
 from .types import (
     CalibrationEstimate,
     CorrespondenceSet,
@@ -103,53 +105,21 @@ class ConvergenceReport:
     mask_reasons: dict[str, int]
 
 
-@dataclass(frozen=True)
-class _Lifts:
-    """Lifted triples and the part of their geometry no camera changes.
-
-    seg_len is the X2-X0 distance B (safe_len the same with zeros replaced
-    by 1), direction the unit vector from X2 toward X0 and xi1 the signed
-    coordinate of X1 along it.
-    """
-
-    p0: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    seg_len: np.ndarray
-    safe_len: np.ndarray
-    direction: np.ndarray
-    xi1: np.ndarray
-
-    @classmethod
-    def of(cls, p0, p1, p2) -> "_Lifts":
-        axis = p0 - p2
-        seg_len = np.linalg.norm(axis, axis=1)
-        safe_len = np.where(seg_len > 0, seg_len, 1.0)
-        return cls(
-            p0=p0,
-            p1=p1,
-            p2=p2,
-            seg_len=seg_len,
-            safe_len=safe_len,
-            direction=axis / safe_len[:, None],
-            xi1=np.einsum("ij,ij->i", p1 - p2, axis) / safe_len,
-        )
-
-
 def _dehom(h: np.ndarray) -> np.ndarray:
     """First two coordinates of (n, 3) rows over the third, kept finite at 0."""
     w = np.where(np.abs(h[:, 2]) < 1e-300, 1e-300, h[:, 2])
     return h[:, :2] / w[:, None]
 
 
-def _cross_ratio_roots(lifts: _Lifts, x0, x1, x2, m):
+def _cross_ratio_roots(lifts: Lifts, x0, x1, x2, m):
     """Candidate cross-ratio offsets for each triple.
 
-    x*/m are dehomogenized image points.  With B the X2-X0 distance and
-    xi1 the signed axis coordinate of X1, equating the 3D length ratio
-    |xi1 - s| / |s| with its image counterpart k (built from the four
-    Euclidean segment lengths) gives the quadratic (xi1 - s)^2 = k^2 s^2,
-    whose roots are
+    x*/m are dehomogenized image points.  The line, its length B and the
+    signed coordinate xi1 = lifts.along of X1 from X2 toward X0 come from
+    Lifts, once per lift; only the image side changes with the camera.
+    Equating the 3D length ratio |xi1 - s| / |s| with its image
+    counterpart k (built from the four Euclidean segment lengths) gives
+    the quadratic (xi1 - s)^2 = k^2 s^2, whose roots are
 
         s = xi1 / (1 - k)   and   s = xi1 / (1 + k).
 
@@ -166,19 +136,10 @@ def _cross_ratio_roots(lifts: _Lifts, x0, x1, x2, m):
     d2m = np.linalg.norm(x2 - m, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cr_img = (d10 * d20) / (d1x * d2m)
-        k = cr_img * np.abs(lifts.safe_len - lifts.xi1) / lifts.safe_len
-        roots_minus = lifts.xi1 / (1.0 - k)
-        roots_plus = lifts.xi1 / (1.0 + k)
+        k = cr_img * np.abs(lifts.length - lifts.along) / lifts.length
+        roots_minus = lifts.along / (1.0 - k)
+        roots_plus = lifts.along / (1.0 + k)
     return roots_minus, roots_plus, k
-
-
-def _collinearity(p0, p1, p2):
-    """Distance of X1 from the X0-X2 line over the segment length."""
-    seg = p2 - p0
-    seg_len = np.linalg.norm(seg, axis=-1)
-    off = np.linalg.norm(np.cross(p1 - p0, seg), axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(seg_len > 0, off / (seg_len * seg_len), np.inf)
 
 
 # stand-in for a singular evaluation in the noise-sensitivity probe;
@@ -219,12 +180,12 @@ def _homogeneous(p: np.ndarray, points: np.ndarray) -> np.ndarray:
     return points @ p[:, :3].T + p[:, 3]
 
 
-def _on_line(lifts: _Lifts, s: np.ndarray) -> np.ndarray:
+def _on_line(lifts: Lifts, s: np.ndarray) -> np.ndarray:
     """Points at signed offset s from X2 toward X0."""
-    return lifts.p2 + s[:, None] * lifts.direction
+    return lifts.p2 - s[:, None] * lifts.unit
 
 
-def _resolve_offsets(theta: np.ndarray, lifts: _Lifts, m_obs) -> _View:
+def _resolve_offsets(theta: np.ndarray, lifts: Lifts, m_obs) -> _View:
     """Solve the cross-ratio for every triple and pick the physical root.
 
     Projects the lifted plane points with the camera described by theta,
@@ -332,7 +293,7 @@ def _pixel_jacobian(theta: np.ndarray, x: np.ndarray, z: np.ndarray):
     return du, dv
 
 
-def _frozen_jacobian(view: _View, lifts: _Lifts, m_obs, frozen: np.ndarray) -> np.ndarray:
+def _frozen_jacobian(view: _View, lifts: Lifts, m_obs, frozen: np.ndarray) -> np.ndarray:
     """Jacobian of _frozen_residuals over theta, in closed form.
 
     Forward mode through the residual.  The image length ratio
@@ -342,10 +303,10 @@ def _frozen_jacobian(view: _View, lifts: _Lifts, m_obs, frozen: np.ndarray) -> n
     three plane points' pixel derivatives.  The chosen root moves by
     ds = s dk / (1 - k) for xi1 / (1 - k) and by -s dk / (1 + k) for
     xi1 / (1 + k).  The rebuilt point's pixel moves as a fixed world point
-    would, plus ds along the camera-frame line direction R d.  The residual
-    is the observed pixel minus that one, hence the sign.  Rows outside the
-    frozen set, infeasible at this theta or without a finite derivative
-    are zero.
+    would, plus ds along the camera-frame line direction R d, with
+    d = -lifts.unit pointing from X2 toward X0.  The residual is the
+    observed pixel minus that one, hence the sign.  Rows outside the frozen
+    set, infeasible at this theta or without a finite derivative are zero.
     """
     theta = view.theta
     x0, x1, x2 = view.pixels
@@ -365,7 +326,7 @@ def _frozen_jacobian(view: _View, lifts: _Lifts, m_obs, frozen: np.ndarray) -> n
         ds_dlogk = np.where(view.minus, s * k / (1.0 - k), -s * k / (1.0 + k))
         x = view.m_proj
         du, dv = _pixel_jacobian(theta, x, view.depth)
-        ray = lifts.direction @ so3.exp(theta[4:7]).T
+        ray = -lifts.unit @ so3.exp(theta[4:7]).T
         along = ds_dlogk / view.depth
         q0 = (x[:, 0] - theta[2]) / theta[0]
         q1 = (x[:, 1] - theta[3]) / theta[1]
@@ -404,7 +365,7 @@ def noise_sensitivity(
     keep_all = np.ones(len(m_obs), dtype=bool)
 
     def residuals_at(arrays):
-        lifts = _Lifts.of(*lift_triples(poses, *arrays))
+        lifts = lift_triples(poses, *arrays)
         view = _resolve_offsets(theta, lifts, m_obs)
         return _frozen_residuals(view, m_obs, keep_all).reshape(-1, 2)
 
@@ -427,12 +388,14 @@ def noise_sensitivity(
     return np.sqrt(total)
 
 
-def _gate(theta: np.ndarray, lifts: _Lifts, m_obs, noisy):
+def _gate(theta: np.ndarray, lifts: Lifts, m_obs, noisy):
     """Surface at one camera and the validity of every triple, decided once.
 
     Each row of the table masks the triples that fail one check of
     _CHECKS; a triple is valid when it fails none and otherwise carries the
-    reason of the first check it fails.  Euclidean segment lengths only
+    reason of the first check it fails.  The two lift checks read the line
+    that Lifts decided: its length, and the offset of X1 from it against
+    COLLINEARITY_TOL times that length.  Euclidean segment lengths only
     mean something for points actually on the image plane, so the plane
     points must project with positive depth; the rebuilt surface point
     must too, and the cross-ratio must have a usable root.  noisy maps the
@@ -464,8 +427,9 @@ def _gate(theta: np.ndarray, lifts: _Lifts, m_obs, noisy):
         nb = np.linalg.norm(bisector, axis=1)
         normals = bisector / nb[:, None]
         failed = [
-            lifts.seg_len < MIN_LIFT_SEPARATION_MM,
-            _collinearity(lifts.p0, lifts.p1, lifts.p2) > COLLINEARITY_TOL,
+            lifts.length < MIN_LIFT_SEPARATION_MM,
+            # a zero-length line fails here too: 0 < 0 is false
+            ~(np.linalg.norm(lifts.offset(), axis=1) < COLLINEARITY_TOL * lifts.length),
             ~((depths[0] > 0) & (depths[1] > 0) & (depths[2] > 0)),
             close(x0, x1) | close(x0, x2) | close(x1, x2),
             ~np.isfinite(view.depth) | (view.depth <= 0),
@@ -518,7 +482,7 @@ def refine(
     pass the gate at the start camera.
     """
     theta = _pack(theta0)
-    lifts = _Lifts.of(*lift_triples(poses, corrs.x0, corrs.x1, corrs.x2))
+    lifts = lift_triples(poses, corrs.x0, corrs.x1, corrs.x2)
     m_obs = np.asarray(corrs.pixels, dtype=float)
 
     def measure_noise(usable):

@@ -3,6 +3,8 @@
 Each reflection triple gives the in-plane coordinates of one surface point's
 image on the reference plane at poses 0, 1 and 2.  Lifted to 3D, the three
 points lie on one line (the reflected ray), and pose 0 is the world frame.
+lift_triples returns them as Lifts, which fixes that line for every stage;
+the pose-1 lift's offset from it is the residual the motions are fitted by.
 Eliminating the ray turns every triple into two linear constraints on a
 24-vector packing products of the two unknown motions; the vector is found
 in the nullspace of the stacked system and factored back into rigid motions.
@@ -357,14 +359,44 @@ def _rows_to_pair(m: np.ndarray, n: np.ndarray) -> PlanePosePair | None:
 MIN_LIFT_SEPARATION_MM = 1.0
 
 
-def lift_triples(pair: PlanePosePair, x0, x1, x2):
-    """3D points of each triple under the candidate motions (pose-0 frame)."""
+@dataclass(frozen=True)
+class Lifts:
+    """Lifted points of every triple and the line every stage reads.
+
+    The line runs through the pose-0 and pose-2 lifts, the widest
+    separation; this is the one place that choice is made.  length is
+    |p2 - p0|, unit the direction from p0 toward p2 and along the signed
+    coordinate of p1 from p2 toward p0; a zero length divides by 1.
+    """
+
+    p0: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    length: np.ndarray
+    unit: np.ndarray
+    along: np.ndarray
+
+    @classmethod
+    def of(cls, p0, p1, p2) -> "Lifts":
+        base = p2 - p0
+        length = np.linalg.norm(base, axis=1)
+        safe = np.where(length > 0, length, 1.0)
+        along = np.einsum("ij,ij->i", p1 - p2, -base) / safe
+        return cls(p0, p1, p2, length, base / safe[:, None], along)
+
+    def offset(self) -> np.ndarray:
+        """Offset of each p1 from its line, (p1 - p0) x unit."""
+        return np.cross(self.p1 - self.p0, self.unit)
+
+
+def lift_triples(pair: PlanePosePair, x0, x1, x2) -> Lifts:
+    """Lifts of each triple under the candidate motions (pose-0 frame)."""
     n = len(x0)
     z = np.zeros((n, 1))
     p0 = np.hstack([np.asarray(x0, dtype=float), z])
     p1 = np.hstack([np.asarray(x1, dtype=float), z]) @ pair.pose1.rotation.T + pair.pose1.translation
     p2 = np.hstack([np.asarray(x2, dtype=float), z]) @ pair.pose2.rotation.T + pair.pose2.translation
-    return p0, p1, p2
+    return Lifts.of(p0, p1, p2)
 
 
 def line_offset_residual(pair: PlanePosePair, x0, x1, x2) -> float:
@@ -373,14 +405,11 @@ def line_offset_residual(pair: PlanePosePair, x0, x1, x2) -> float:
     Same units as the plane coordinates.  This is the quantity the
     geometric polish minimizes, so candidate ranking uses it as well.
     """
-    p0, p1, p2 = lift_triples(pair, x0, x1, x2)
-    base = p2 - p0
-    length = np.linalg.norm(base, axis=1)
-    good = length > 1e-12
+    lifts = lift_triples(pair, x0, x1, x2)
+    good = lifts.length > 1e-12
     if not np.any(good):
         return np.inf
-    off = np.cross(p1[good] - p0[good], base[good] / length[good][:, None])
-    return float(np.sqrt(np.mean(np.sum(off**2, axis=1))))
+    return float(np.sqrt(np.mean(np.sum(lifts.offset()[good] ** 2, axis=1))))
 
 
 def _polish_objective(pair: PlanePosePair, x0, x1, x2):
@@ -404,14 +433,12 @@ def _polish_objective(pair: PlanePosePair, x0, x1, x2):
             RigidPose(so3.exp(x[0:3]) @ pair.pose1.rotation, t1),
             RigidPose(so3.exp(x[6:9]) @ pair.pose2.rotation, t2),
         )
-        p0, p1, p2 = lift_triples(cur, x0, x1, x2)
-        v = p1 - p0
-        base = p2 - p0
-        length = np.linalg.norm(base, axis=1)
-        good = length > 1e-12
-        length = np.where(good, length, 1.0)
-        u = base / length[:, None]
-        res = np.cross(v, u)
+        lifts = lift_triples(cur, x0, x1, x2)
+        p1, p2, u = lifts.p1, lifts.p2, lifts.unit
+        v = p1 - lifts.p0
+        good = lifts.length > 1e-12
+        length = np.where(good, lifts.length, 1.0)
+        res = lifts.offset()
         res[~good] = 0.0
         # d res / d p1 = -[u]x ; d res / d p2 = [v]x (I - u u^T) / L
         du = -so3.skew(u)

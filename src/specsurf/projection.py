@@ -2,7 +2,8 @@
 
 Each correspondence triple pins a 3D line: the lifted plane points of pose
 0 and pose 2 (the widest separation) both lie on the reflected ray, and the
-camera must project that line through the pixel that observed it.  Stacking
+camera must project that line through the pixel that observed it.  The line
+is the one plane_pose.Lifts decides; this module only reads it.  Stacking
 the incidences gives a linear system in the 18 entries of the camera's line
 projection matrix.
 
@@ -111,16 +112,18 @@ class LineObservationSet:
 def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineObservationSet:
     """One (pixel, reflected-line) item per triple.
 
-    Triples whose pose-0 and pose-2 lifts are closer than
-    MIN_LIFT_SEPARATION_MM are skipped (the line direction would be noise);
-    the skip count is kept on the result.
+    The line is the one plane_pose.Lifts decides for the triple.  Triples
+    whose pose-0 and pose-2 lifts are closer than MIN_LIFT_SEPARATION_MM
+    (the line direction would be noise) or whose pixel is not finite are
+    skipped; the skip count is kept on the result.
     """
     n = len(corrs)
-    p0, _, p2 = lift_triples(poses, corrs.x0, corrs.x1, corrs.x2)
-    keep = np.linalg.norm(p2 - p0, axis=1) >= MIN_LIFT_SEPARATION_MM
-    lines = lines_from_points(p0[keep], p2[keep])
+    lifts = lift_triples(poses, corrs.x0, corrs.x1, corrs.x2)
+    pixels = np.asarray(corrs.pixels, dtype=float)
+    keep = (lifts.length >= MIN_LIFT_SEPARATION_MM) & np.isfinite(pixels).all(axis=1)
+    lines = lines_from_points(lifts.p0[keep], lifts.p2[keep])
     lines /= np.linalg.norm(lines, axis=1, keepdims=True)
-    pixels = np.hstack([np.asarray(corrs.pixels, dtype=float)[keep], np.ones((int(keep.sum()), 1))])
+    pixels = np.hstack([pixels[keep], np.ones((int(keep.sum()), 1))])
     return LineObservationSet(
         pixels=pixels,
         lines=lines,

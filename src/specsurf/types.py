@@ -128,11 +128,12 @@ class CorrespondenceSet:
 
     def __post_init__(self):
         n = len(self.pixels)
-        for name in ("x0", "x1", "x2"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length mismatch")
         if n < 1:
             raise ValueError("correspondence set may not be empty")
+        for name in ("pixels", "x0", "x1", "x2"):
+            shape = np.shape(getattr(self, name))
+            if shape != (n, 2):
+                raise ValueError(f"{name} has shape {shape}, expected ({n}, 2)")
 
     def __len__(self) -> int:
         return len(self.pixels)

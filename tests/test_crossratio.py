@@ -15,7 +15,7 @@ import pytest
 from specsurf import crossratio as cr
 from specsurf import so3
 from specsurf.errors import TooFewCorrespondencesError
-from specsurf.plane_pose import lift_triples
+from specsurf.plane_pose import Lifts, lift_triples
 from specsurf.sim import default_two_sphere_scene, generate_dataset
 from specsurf.types import CalibrationEstimate, CorrespondenceSet, NoiseSpec, PlanePosePair
 
@@ -64,7 +64,7 @@ def noisy_fit(rig, noisy_data, poses):
 
 
 def lifts_of(data, poses):
-    return cr._Lifts.of(*lift_triples(poses, data.x0, data.x1, data.x2))
+    return lift_triples(poses, data.x0, data.x1, data.x2)
 
 
 def assert_masked_rows_blank(surface):
@@ -209,9 +209,10 @@ class TestGate:
         # move the three lifts of a valid triple onto one point behind the
         # camera: it fails coincident_lift, noncollinear_lift and behind_camera
         i = int(np.flatnonzero(before.valid)[0])
-        p0, p1, p2 = lift_triples(poses, noisy_data.x0, noisy_data.x1, noisy_data.x2)
+        lifted = lifts_of(noisy_data, poses)
+        p0, p1, p2 = lifted.p0, lifted.p1, lifted.p2
         p0[i] = p1[i] = p2[i] = rig.camera_center() - 100.0 * rig.rotation[2]
-        lifts = cr._Lifts.of(p0, p1, p2)
+        lifts = Lifts.of(p0, p1, p2)
         # and flag every triple noise-sensitive, which comes after all of those
         view, surface, reason = cr._gate(theta, lifts, m_obs, np.ones_like)
         assert view.depths[0][i] < 0
@@ -221,6 +222,18 @@ class TestGate:
         expected[i] = "coincident_lift"
         assert surface.invalid_reason == expected
         assert reason.tolist() == [expected[j] for j in range(len(m_obs))]
+
+    def test_zero_length_line_fails_collinearity(self, rig, noisy_data, poses, monkeypatch):
+        # with the separation check switched off, a line of zero length
+        # still fails the check after it
+        monkeypatch.setattr(cr, "MIN_LIFT_SEPARATION_MM", 0.0)
+        lifted = lifts_of(noisy_data, poses)
+        p2 = lifted.p2.copy()
+        p2[0] = lifted.p0[0]
+        lifts = Lifts.of(lifted.p0, lifted.p1, p2)
+        m_obs = np.asarray(noisy_data.pixels, dtype=float)
+        _, _, reason = cr._gate(cr._pack(rig), lifts, m_obs, np.zeros_like)
+        assert reason[0] == "noncollinear_lift"
 
     def test_reasons_match_benchmark_counters(self):
         # the benchmark counts masked triples under the reasons it lists; a

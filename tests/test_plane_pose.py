@@ -19,6 +19,7 @@ from specsurf.errors import (
     TooFewCorrespondencesError,
 )
 from specsurf import plane_pose, projection
+from specsurf.plucker import direction_of
 from specsurf.plane_pose import (
     _factor_null_vector,
     _polish_objective,
@@ -591,6 +592,46 @@ class TestProperties:
         for a, b in ((first.pose1, second.pose1), (first.pose2, second.pose2)):
             assert np.allclose(mirror @ a.rotation @ mirror, b.rotation, rtol=0, atol=1e-12)
             assert np.allclose(mirror @ a.translation, b.translation, rtol=0, atol=1e-9)
+
+
+class TestLifts:
+    """The line every stage reads, on random motions and triples."""
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_line_geometry(self, seed, n):
+        rng = np.random.default_rng(seed)
+        pair = PlanePosePair(
+            RigidPose(random_rotation(rng), rng.uniform(-300.0, 300.0, 3)),
+            RigidPose(random_rotation(rng), rng.uniform(-300.0, 300.0, 3)),
+        )
+        x0, x1, x2 = (rng.uniform(-200.0, 200.0, (n, 2)) for _ in range(3))
+        lifts = plane_pose.lift_triples(pair, x0, x1, x2)
+        offset = lifts.offset()
+
+        # Pythagoras about the foot point of p1, reached from p2 toward p0
+        foot = lifts.p2 - lifts.along[:, None] * lifts.unit
+        hyp = np.sum((lifts.p1 - lifts.p2) ** 2, axis=1)
+        assert np.allclose(hyp, lifts.along**2 + np.sum(offset**2, axis=1), rtol=1e-10, atol=1e-9)
+        assert np.allclose(
+            np.linalg.norm(lifts.p1 - foot, axis=1), np.linalg.norm(offset, axis=1), rtol=1e-9, atol=1e-9
+        )
+
+        # the observation line of each kept triple runs along unit
+        data = CorrespondenceSet(pixels=np.zeros((n, 2)), x0=x0, x1=x1, x2=x2)
+        obs = projection.build_observations(data, pair)
+        direction = direction_of(obs.lines)
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        unit = lifts.unit[obs.indices]
+        assert np.allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(np.cross(unit, direction), 0.0, rtol=0, atol=1e-12)
+
+        # a zero-length line divides by 1: unit and along stay finite
+        p2 = lifts.p2.copy()
+        p2[0] = lifts.p0[0]
+        flat = plane_pose.Lifts.of(lifts.p0, lifts.p1, p2)
+        assert flat.length[0] == 0.0
+        assert np.isfinite(flat.unit[0]).all() and np.isfinite(flat.along[0])
 
 
 class TestRefine:

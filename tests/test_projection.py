@@ -107,17 +107,20 @@ class TestBuildObservations:
         x0 = np.arange(2.0 * n).reshape(n, 2) * 10.0
         x2 = x0 + np.array([5.0, 0.0])
         x2[3] = x0[3]  # identity pose keeps this lift coincident
+        pixels = np.full((n, 2), 100.0)
+        pixels[1, 0] = np.nan
+        pixels[5, 1] = np.inf
         corrs = CorrespondenceSet(
-            pixels=np.full((n, 2), 100.0),
+            pixels=pixels,
             x0=x0,
             x1=np.zeros((n, 2)),
             x2=x2,
         )
         pair = PlanePosePair(identity_pose(), identity_pose())
         obs = pj.build_observations(corrs, pair)
-        assert len(obs) == n - 1
-        assert obs.n_skipped == 1
-        assert 3 not in obs.indices
+        assert len(obs) == n - 3
+        assert obs.n_skipped == 3
+        assert obs.indices.tolist() == [0, 2, 4]
 
 
 class TestPointLineCost:
@@ -504,6 +507,23 @@ class TestFocalSweep:
         except (SweepNoMinimumError, CheiralityUnresolvableError):
             return
         assert twin.cost > 1e3 * max(good.cost, 1e-12)
+
+    def test_non_finite_pixel_skipped(self, scene, poses):
+        # one bad pixel among the 561 of a clean grid-20 scan is skipped:
+        # kept, it would stop the incidence SVD from converging
+        data = generate_dataset(scene, grid_step=20, noise=NoiseSpec())
+        pixels = data.pixels.copy()
+        pixels[100] = np.nan
+        bad = CorrespondenceSet(pixels=pixels, x0=data.x0, x1=data.x1, x2=data.x2)
+        obs = pj.build_observations(bad, poses)
+        assert obs.n_skipped == pj.build_observations(data, poses).n_skipped + 1
+        est = pj.focal_sweep(obs, scene.image_size)
+        assert abs(est.intrinsics.fx - scene.intrinsics.fx) / scene.intrinsics.fx < 1e-8
+        sol = estimate_plane_poses(bad)
+        dist = [rot_err_deg(c.pose1.rotation, poses.pose1.rotation) for c in sol.candidates]
+        twin = sol.candidates[int(np.argmax(dist))]
+        with pytest.raises(SweepNoMinimumError):
+            pj.focal_sweep(pj.build_observations(bad, twin), scene.image_size)
 
     def test_mirror_twin_has_no_minimum_at_default_range(self, scene, poses, clean_data):
         sol = estimate_plane_poses(clean_data)
