@@ -9,10 +9,11 @@ the 10 camera parameters (focals, principal point, angle-axis rotation,
 translation) is a strictly stronger criterion than the point-to-line
 distance used for initialization, because a line can pass near a pixel
 while the point on it reprojects far away.  The minimization is MINPACK's
-Levenberg-Marquardt (scipy least_squares, as for the camera in projection)
-on the closed-form Jacobian of that error, carried forward from the
-projections through the cross-ratio and the chosen root to the rebuilt
-point (see _frozen_jacobian).
+Levenberg-Marquardt (linalg.least_squares, as for the camera in
+projection and the plane poses in plane_pose) on the closed-form Jacobian
+of that error, carried forward from the projections through the
+cross-ratio and the chosen root to the rebuilt point (see
+_frozen_jacobian).
 
 The plane poses stay fixed throughout; only the camera moves.  So does
 the correspondence line: plane_pose.Lifts decides it once per lift, from
@@ -25,10 +26,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import so3
 from .errors import TooFewCorrespondencesError
+from .linalg import least_squares, sum_squares
 from .plane_pose import MIN_LIFT_SEPARATION_MM, Lifts, lift_triples
 from .types import (
     CalibrationEstimate,
@@ -53,8 +54,6 @@ MIN_TRIPLES = 5
 SENSITIVITY_CAP = 5.0
 # central-difference step of the noise-sensitivity probe
 SENSITIVITY_STEP_MM = 1e-3
-# report status of each scipy least_squares status refine's fit can end on
-_LM_STATUS = {0: "max_iterations", 1: "gradient", 2: "plateau", 3: "step", 4: "step"}
 # what _gate checks, in order; a triple carries the reason of the first
 # check it fails
 _CHECKS = (
@@ -465,18 +464,20 @@ def refine(
     the start and stay masked at the end, and the report counts the start
     mask's reasons.
 
-    The solver is MINPACK's Levenberg-Marquardt (scipy least_squares, as in
-    projection._refine_metric) on the analytic Jacobian of _frozen_jacobian:
-    each projected plane point moves with the intrinsics directly and with
-    the pose through the SO(3) left Jacobian, the image length ratio k
-    through its four image distances, the winning root s = xi1 / (1 -+ k)
-    through k, and the rebuilt point through s along the camera-frame line
-    direction.  Residuals and Jacobian at one camera share one
+    The solver is MINPACK's Levenberg-Marquardt (linalg.least_squares, as
+    in projection._refine_metric) on the analytic Jacobian of
+    _frozen_jacobian: each projected plane point moves with the intrinsics
+    directly and with the pose through the SO(3) left Jacobian, the image
+    length ratio k through its four image distances, the winning root
+    s = xi1 / (1 -+ k) through k, and the rebuilt point through s along the
+    camera-frame line direction.  Residuals and Jacobian at one camera share one
     _resolve_offsets.  The report's status is non_decreasing_start (the
     start is already exact), gradient (residuals orthogonal to every
     Jacobian column to 1e-8), plateau (relative cost decrease below 1e-12),
     step (relative step below 1e-12) or max_iterations, and its iterations
-    count the Jacobian evaluations.
+    count the Jacobian evaluations.  Both costs are sums of squared
+    residuals taken with einsum, so a dense scan's 28k residuals do not
+    wake OpenBLAS's thread pool.
 
     Raises TooFewCorrespondencesError when fewer than MIN_TRIPLES triples
     pass the gate at the start camera.
@@ -507,8 +508,8 @@ def refine(
 
     # the view at the last camera: the solver asks for the Jacobian at the
     # point whose residuals it has just evaluated.  The last Jacobian is
-    # kept apart: scipy asks for it once more at the solution after MINPACK
-    # returns, and a rejected last trial has moved the view on from there.
+    # kept apart, keyed by its own camera: leastsq takes one at the start
+    # to check its shape, and MINPACK then asks for it there again.
     last = [start]
     last_jac = [None, None]
 
@@ -524,7 +525,7 @@ def refine(
         return last_jac[1]
 
     r0 = _frozen_residuals(start, m_obs, frozen)
-    cost0 = float(r0 @ r0)
+    cost0 = sum_squares(r0)
     if cost0 < 1e-16:
         return finish(theta, "non_decreasing_start", 0, cost0, cost0)
 
@@ -532,9 +533,5 @@ def refine(
         lambda vec: _frozen_residuals(view_at(vec), m_obs, frozen),
         theta,
         jac=jacobian,
-        method="lm",
-        x_scale="jac",
-        xtol=1e-12,
-        ftol=1e-12,
     )
-    return finish(fit.x, _LM_STATUS[fit.status], int(fit.njev), cost0, 2.0 * float(fit.cost))
+    return finish(fit.x, fit.status, fit.njev, cost0, fit.cost)

@@ -1,19 +1,39 @@
-"""Right singular vectors of tall matrices, factored through their R factor.
+"""Linear algebra on long arrays that keeps OpenBLAS's thread pool asleep.
+
+OpenBLAS runs a LAPACK factorization of a tall matrix (SVD or QR alike) on
+its thread pool, and also dot on vectors of about 11,000 elements or more
+and gemv such as J.T.dot(f) on a 42,147 x 12 Jacobian.  After each such
+call the pool's idle thread busy-waits for about 130 ms, so the process
+burns CPU while it waits.  einsum over the same data stays on the calling
+thread (0.25 ms for a 42,147-element sum of squares), as do dot and gemv
+below those sizes (0.2 ms at 9,000 elements, 0.6 ms for 28,098 x 10).
 
 The plane motions and the camera's line projection matrix are null vectors
-of tall systems: 2n x 24 and n x 18 for n triples.  A LAPACK factorization
-of such a matrix (SVD or QR alike) runs on OpenBLAS's thread pool, whose
-idle thread then busy-waits for about 130 ms after each call, so the
-process burns CPU while it waits.  The R-SVD (Chan, "An improved algorithm
-for computing the singular value decomposition", ACM TOMS 1982) needs the
-tall matrix only to triangularise it: A = Q R has the singular values and
-right singular vectors of R.  Here the triangularisation is Householder's,
-in NumPy, and only the small k x k R goes to LAPACK.
+of tall systems: 2n x 24 and n x 18 for n triples.  The R-SVD (Chan, "An
+improved algorithm for computing the singular value decomposition", ACM
+TOMS 1982) needs the tall matrix only to triangularise it: A = Q R has the
+singular values and right singular vectors of R.  right_singular
+triangularises in NumPy, and only the small k x k R goes to LAPACK.
+
+The plane poses, the camera and the cross-ratio refinement are each fitted
+by MINPACK's Levenberg-Marquardt (More, "The Levenberg-Marquardt
+algorithm: implementation and theory", 1978), whose loop runs no BLAS.
+least_squares is the one entry point to it, and it sums squares with
+einsum.
 """
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.optimize import leastsq
+
+# report status of each MINPACK lmder info code: 1 relative cost decrease
+# below ftol, 2 and 3 relative step below xtol, 4 residuals orthogonal to
+# the Jacobian to gtol, 5 out of evaluations
+_MINPACK_STATUS = {1: "plateau", 2: "step", 3: "step", 4: "gradient", 5: "max_iterations"}
 
 
 def right_singular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -52,3 +72,69 @@ def right_singular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r[j, j + 1 :] = w[j + 1 :, j]
     _, s, vt = np.linalg.svd(r)
     return s, vt
+
+
+def sum_squares(r: np.ndarray) -> float:
+    """Sum of squares of a residual vector, off the BLAS thread pool."""
+    return float(np.einsum("i,i", r, r))
+
+
+@dataclass(frozen=True)
+class LeastSquaresFit:
+    """Result of least_squares.
+
+    cost is the sum of squared residuals at x, status the reason the fit
+    stopped (plateau, step, gradient or max_iterations), nfev and njev
+    MINPACK's residual and Jacobian evaluation counts.
+    """
+
+    x: np.ndarray
+    cost: float
+    nfev: int
+    njev: int
+    status: str
+
+
+def least_squares(fun, x0, jac, max_nfev=None) -> LeastSquaresFit:
+    """Levenberg-Marquardt fit of fun(x) to zero from x0 by MINPACK's lmder.
+
+    jac(x) is the analytic m x n Jacobian.  The tolerances are relative
+    cost decrease 1e-12, relative step 1e-12 and residual-Jacobian cosine
+    1e-8, with the parameters scaled by the Jacobian's column norms and at
+    most max_nfev residual evaluations (100 n by default): the arguments
+    scipy.optimize.least_squares(method="lm", x_scale="jac", xtol=1e-12,
+    ftol=1e-12) hands MINPACK, so the iterates are the same.  That wrapper
+    also takes dot products over the full residual vector and gemv with the
+    Jacobian's transpose before and after MINPACK, which on a dense scan
+    wakes OpenBLAS's thread pool; this one does neither.
+
+    Raises ValueError when fun(x0) is not finite or has fewer residuals
+    than x0 has parameters.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    f0 = fun(x0)
+    if not np.all(np.isfinite(f0)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    if f0.size < x0.size:
+        raise ValueError(
+            "Method 'lm' doesn't work when the number of residuals is less than the number of variables."
+        )
+    with warnings.catch_warnings():
+        # full_output, which gives nfev, njev and fvec, also inverts the R
+        # factor into a covariance nobody reads; a badly scaled Jacobian
+        # overflows it.  The objective's own warnings still pass.
+        warnings.filterwarnings("ignore", category=RuntimeWarning, module="scipy.optimize._minpack_py")
+        x, _, info, _, code = leastsq(
+            fun,
+            x0,
+            Dfun=jac,
+            full_output=True,
+            ftol=1e-12,
+            xtol=1e-12,
+            gtol=1e-8,
+            maxfev=max_nfev or 100 * x0.size,
+            factor=100,
+        )
+    return LeastSquaresFit(
+        x, sum_squares(info["fvec"]), int(info["nfev"]), int(info["njev"]), _MINPACK_STATUS[code]
+    )

@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import so3
 from .errors import NoValidCandidateError, RankAmbiguousError, TooFewCorrespondencesError
-from .linalg import right_singular
+from .linalg import least_squares, right_singular
 from .types import CorrespondenceSet, PlanePosePair, RigidPose
 
 MIN_TRIPLES = 12
@@ -469,14 +468,14 @@ def refine_plane_poses(pair: PlanePosePair, x0, x1, x2) -> PlanePosePair:
     baseline), which the algebraic nullspace solution only minimizes in a
     weighted algebraic sense.  Twelve parameters: a rotation vector w_i
     with R_i = exp(w_i) R_i^0 and the translation of each motion, solved by
-    MINPACK's Levenberg-Marquardt (scipy least_squares) on the analytic
-    Jacobian of _polish_objective.
+    MINPACK's Levenberg-Marquardt (linalg.least_squares) on the analytic
+    Jacobian of _polish_objective.  The three components of each offset
+    make 42k residuals on a dense scan; least_squares keeps their products
+    off OpenBLAS's thread pool.
     """
     residuals, jacobian = _polish_objective(pair, x0, x1, x2)
     start = np.concatenate([np.zeros(3), pair.pose1.translation, np.zeros(3), pair.pose2.translation])
-    fit = least_squares(
-        residuals, start, jac=jacobian, method="lm", x_scale="jac", xtol=1e-12, ftol=1e-12
-    )
+    fit = least_squares(residuals, start, jac=jacobian)
     w1, t1, w2, t2 = np.split(fit.x, 4)
     return PlanePosePair(
         RigidPose(so3.closest_rotation(so3.exp(w1) @ pair.pose1.rotation), t1),

@@ -56,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     CheiralityUnresolvableError,
@@ -67,7 +66,7 @@ from .errors import (
     TooFewObservationsError,
 )
 from . import so3
-from .linalg import right_singular
+from .linalg import least_squares, right_singular
 from .plane_pose import MIN_LIFT_SEPARATION_MM, lift_triples
 from .plucker import (
     direction_of,
@@ -113,22 +112,25 @@ def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineOb
     """One (pixel, reflected-line) item per triple.
 
     The line is the one plane_pose.Lifts decides for the triple.  Triples
-    whose pose-0 and pose-2 lifts are closer than MIN_LIFT_SEPARATION_MM
-    (the line direction would be noise) or whose pixel is not finite are
-    skipped; the skip count is kept on the result.
+    with a pixel or plane coordinate that is not finite, or whose pose-0
+    and pose-2 lifts are closer than MIN_LIFT_SEPARATION_MM (the line
+    direction would be noise), are skipped; the skip count is kept on the
+    result.
     """
-    n = len(corrs)
-    lifts = lift_triples(poses, corrs.x0, corrs.x1, corrs.x2)
-    pixels = np.asarray(corrs.pixels, dtype=float)
-    keep = (lifts.length >= MIN_LIFT_SEPARATION_MM) & np.isfinite(pixels).all(axis=1)
-    lines = lines_from_points(lifts.p0[keep], lifts.p2[keep])
+    pixels, x0, x1, x2 = (np.asarray(a, dtype=float) for a in (corrs.pixels, corrs.x0, corrs.x1, corrs.x2))
+    # only finite triples are lifted: an infinite coordinate has no line
+    finite = np.isfinite(np.hstack([pixels, x0, x1, x2])).all(axis=1)
+    lifts = lift_triples(poses, x0[finite], x1[finite], x2[finite])
+    far = lifts.length >= MIN_LIFT_SEPARATION_MM
+    indices = np.flatnonzero(finite)[far]
+    lines = lines_from_points(lifts.p0[far], lifts.p2[far])
     lines /= np.linalg.norm(lines, axis=1, keepdims=True)
-    pixels = np.hstack([pixels[keep], np.ones((int(keep.sum()), 1))])
+    pixels = np.hstack([pixels[indices], np.ones((len(indices), 1))])
     return LineObservationSet(
         pixels=pixels,
         lines=lines,
-        indices=np.flatnonzero(keep),
-        n_skipped=int(n - keep.sum()),
+        indices=indices,
+        n_skipped=len(corrs) - len(indices),
     )
 
 
@@ -256,8 +258,8 @@ def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
     vw = np.hstack([moment_of(obs.lines).T, direction_of(obs.lines).T])
     # state at the last theta: the solver asks for the Jacobian at the
     # point whose residuals it has just evaluated.  The last Jacobian is
-    # kept apart: scipy asks for it once more at the solution after MINPACK
-    # returns, and a rejected last trial has moved the state on from there.
+    # kept apart, keyed by its own theta: leastsq takes one at the start to
+    # check its shape, and MINPACK then asks for it there again.
     state: dict = {}
     last_jac: dict = {}
 
@@ -310,10 +312,11 @@ def _refine_metric(fx: float, fy: float, obs: LineObservationSet, start, free_fo
     (f, R, T, cost); the fit stops after 300 evaluations, 400 with
     free_focal.
 
-    The solver gets the analytic Jacobian of _point_line_objective, which
-    works on the camera-frame moment m = R v - T x R w of each line
-    (direction w, moment v): the cross product of its two points once the
-    camera has moved them.
+    The solver is MINPACK's Levenberg-Marquardt (linalg.least_squares) on
+    the analytic Jacobian of _point_line_objective, which works on the
+    camera-frame moment m = R v - T x R w of each line (direction w,
+    moment v): the cross product of its two points once the camera has
+    moved them.
     """
     residuals, jacobian = _point_line_objective(fx, fy, obs)
     theta0 = np.concatenate([[np.log(fx)], so3.log(start[0]), start[1]])
@@ -323,14 +326,10 @@ def _refine_metric(fx: float, fy: float, obs: LineObservationSet, start, free_fo
         lambda q: residuals(np.concatenate([held, q])),
         theta0[len(held) :],
         jac=lambda q: jacobian(np.concatenate([held, q]))[:, len(held) :],
-        method="lm",
-        x_scale="jac",
-        xtol=1e-12,
-        ftol=1e-12,
         max_nfev=400 if free_focal else 300,
     )
     theta = np.concatenate([held, fit.x])
-    return float(np.exp(theta[0])), so3.exp(theta[1:4]), theta[4:], 2.0 * float(fit.cost)
+    return float(np.exp(theta[0])), so3.exp(theta[1:4]), theta[4:], fit.cost
 
 
 def _solve_constrained_scaled(fx_n, fy_n, obs_n, z_n, init=None):

@@ -1,16 +1,21 @@
-"""The tall-matrix R-SVD against NumPy's SVD as oracle."""
+"""The tall-matrix R-SVD against NumPy's SVD, and the Levenberg-Marquardt
+entry point against scipy.optimize.least_squares, as oracles."""
+
+import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specsurf import so3
 from specsurf.errors import SpecsurfError
-from specsurf.linalg import right_singular
-from specsurf.plane_pose import estimate_plane_poses
-from specsurf.projection import build_observations, focal_sweep
+from specsurf.linalg import least_squares, right_singular
+from specsurf.plane_pose import _polish_objective, estimate_plane_poses, refine_plane_poses
+from specsurf.projection import _point_line_objective, build_observations, focal_sweep
 from specsurf.sim import default_two_sphere_scene, generate_dataset
-from specsurf.types import NoiseSpec
+from specsurf.types import NoiseSpec, PlanePosePair
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -118,3 +123,159 @@ def test_front_end_factors_no_tall_matrix(monkeypatch):
     # the R factors of the design and incidence matrices were seen
     assert (24, 24) in shapes and (18, 18) in shapes
     assert max(s[0] for s in shapes) <= 24
+
+
+# report status of each scipy.optimize.least_squares status a fit can end on
+SCIPY_STATUS = {0: "max_iterations", 1: "gradient", 2: "plateau", 3: "step", 4: "step"}
+DECAY_T = np.linspace(0.0, 4.0, 50)
+
+
+def decay(y, t=DECAY_T):
+    """Residuals and Jacobian of fitting a e^(-b t) to y, free of BLAS."""
+
+    def fun(x):
+        return x[0] * np.exp(-x[1] * t) - y
+
+    def jac(x):
+        e = np.exp(-x[1] * t)
+        return np.column_stack([e, -x[0] * t * e])
+
+    return fun, jac
+
+
+@pytest.fixture(scope="module")
+def scene():
+    return default_two_sphere_scene()
+
+
+@pytest.fixture(scope="module")
+def noisy8(scene):
+    return generate_dataset(scene, grid_step=8, noise=NoiseSpec(0.5, 0.5, 0.0, 0))
+
+
+def polish_problem(scene, data):
+    """The plane-pose polish from the true motions, which noisy data move
+    off the optimum."""
+    pair = PlanePosePair(scene.pose1, scene.pose2)
+    fun, jac = _polish_objective(pair, data.x0, data.x1, data.x2)
+    start = np.concatenate([np.zeros(3), pair.pose1.translation, np.zeros(3), pair.pose2.translation])
+    return fun, jac, start, {}
+
+
+def point_line_problem(scene):
+    """The free-focal camera fit from a perturbed camera, stopped after five
+    residual evaluations."""
+    data = generate_dataset(scene, grid_step=8, noise=NoiseSpec(seed=3))
+    intr = scene.intrinsics
+    obs = build_observations(data, PlanePosePair(scene.pose1, scene.pose2)).centered(intr.u0, intr.v0)
+    fun, jac = _point_line_objective(1.1 * intr.fx, 1.1 * intr.fy, obs)
+    rotation = so3.exp(np.array([0.02, -0.01, 0.015])) @ scene.camera_pose.rotation
+    translation = scene.camera_pose.translation + np.array([5.0, -5.0, 20.0])
+    start = np.concatenate([[np.log(1.1 * intr.fx)], so3.log(rotation), translation])
+    return fun, jac, start, {"max_nfev": 5}
+
+
+def toy_problem(status):
+    """A two-parameter fit that stops on status."""
+    if status == "gradient":
+        # Rosenbrock's zero-residual valley
+
+        def fun(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        def jac(x):
+            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+        return fun, jac, np.array([-1.2, 1.0]), {}
+    clean = 3.0 * np.exp(-0.7 * DECAY_T)
+    if status == "plateau":
+        noise = 0.05 * np.random.default_rng(0).normal(size=DECAY_T.size)
+        return (*decay(clean + noise), np.array([1.0, 0.1]), {})
+    return (*decay(clean), np.array([1.0, 0.1]), {})
+
+
+@pytest.mark.parametrize(
+    "case, status",
+    [
+        ("polish", "plateau"),
+        ("point_line", "max_iterations"),
+        ("gradient", "gradient"),
+        ("plateau", "plateau"),
+        ("step", "step"),
+    ],
+)
+def test_least_squares_matches_scipy(case, status, scene, noisy8):
+    if case == "polish":
+        fun, jac, start, kwargs = polish_problem(scene, noisy8)
+    elif case == "point_line":
+        fun, jac, start, kwargs = point_line_problem(scene)
+    else:
+        fun, jac, start, kwargs = toy_problem(case)
+    ref = scipy.optimize.least_squares(
+        fun, start, jac=jac, method="lm", x_scale="jac", xtol=1e-12, ftol=1e-12, **kwargs
+    )
+    fit = least_squares(fun, start, jac, **kwargs)
+    np.testing.assert_array_equal(fit.x, ref.x)
+    assert (fit.nfev, fit.njev) == (ref.nfev, ref.njev)
+    assert fit.status == SCIPY_STATUS[ref.status] == status
+    assert fit.cost == pytest.approx(2.0 * ref.cost, rel=1e-14)
+
+
+def test_unused_covariance_does_not_warn():
+    # leastsq inverts the R factor for a covariance; with one Jacobian
+    # column at 1e-170 the inverse's product overflows.  Only the
+    # objective's own warnings reach the caller.
+    t = np.linspace(0.0, 1.0, 10)
+
+    def fun(x):
+        return np.concatenate([x[0] * t - t, 1e-170 * (x[1] * t - 1.0)])
+
+    def jac(x):
+        return np.column_stack([np.r_[t, 0.0 * t], np.r_[0.0 * t, 1e-170 * t]])
+
+    fit = least_squares(fun, np.zeros(2), jac)
+    assert fit.x[0] == pytest.approx(1.0, rel=1e-12)
+
+    def overflowing(x):
+        np.exp(np.float64(1000.0))
+        return fun(x)
+
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        least_squares(overflowing, np.zeros(2), jac)
+
+
+def test_fewer_residuals_than_parameters_rejected():
+    with pytest.raises(ValueError, match="number of residuals is less than"):
+        least_squares(lambda x: x[:1], np.zeros(2), lambda x: np.eye(2)[:1])
+
+
+def test_non_finite_start_residuals_rejected():
+    with pytest.raises(ValueError, match="not finite in the initial point"):
+        least_squares(lambda x: np.array([np.nan, 1.0, 2.0]), np.zeros(2), lambda x: np.ones((3, 2)))
+
+
+def cpu_while_idle(work, seconds=0.3) -> float:
+    """Process CPU time burnt during a sleep right after work().
+
+    An OpenBLAS call on long vectors leaves the pool's idle thread
+    busy-waiting for about 130 ms, which this process pays for while it
+    sleeps; CPU time of other processes does not count.
+    """
+    time.sleep(0.2)  # let any earlier call's spinning thread settle
+    work()
+    start = time.process_time()
+    time.sleep(seconds)
+    return time.process_time() - start
+
+
+def test_long_fit_leaves_blas_threads_asleep():
+    # the objective itself runs no BLAS, so any spin is the solver's
+    t = np.linspace(0.0, 4.0, 40_000)
+    fun, jac = decay(3.0 * np.exp(-0.7 * t), t)
+    assert cpu_while_idle(lambda: least_squares(fun, np.array([1.0, 0.1]), jac)) < 0.02
+
+
+def test_plane_pose_polish_leaves_blas_threads_asleep(scene, noisy8):
+    # three residuals per triple: 10,542, above the size dot threads
+    pair = PlanePosePair(scene.pose1, scene.pose2)
+    assert cpu_while_idle(lambda: refine_plane_poses(pair, noisy8.x0, noisy8.x1, noisy8.x2)) < 0.02

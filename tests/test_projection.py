@@ -239,11 +239,12 @@ class TestPointLineObjective:
             pj._point_line_objective(fx, 0.0, obs)
 
     def test_jacobian_at_solution_not_recomputed(self, scene, clean_obs, monkeypatch):
-        # scipy asks for the Jacobian once more at the solution after
-        # MINPACK returns.  This fit ends on a rejected trial, so the
-        # residual state has moved past the solution, where the solver has
-        # already differentiated: the kept Jacobian answers that call.
-        # so3.left_jacobian runs once per Jacobian the objective computes.
+        # leastsq takes the Jacobian at the start to check its shape, and
+        # MINPACK then asks for it there again: the kept Jacobian answers
+        # that call.  This fit ends on a rejected trial, so the residual
+        # state has moved past the solution, and no Jacobian is asked for
+        # there.  so3.left_jacobian runs once per Jacobian the objective
+        # computes.
         computed = []
         left_jacobian = so3.left_jacobian
         monkeypatch.setattr(
@@ -524,6 +525,21 @@ class TestFocalSweep:
         twin = sol.candidates[int(np.argmax(dist))]
         with pytest.raises(SweepNoMinimumError):
             pj.focal_sweep(pj.build_observations(bad, twin), scene.image_size)
+
+    def test_non_finite_plane_coordinate_skipped(self, scene, poses):
+        # an infinite plane coordinate has no line: kept, its inf / inf
+        # direction would stop the incidence SVD from converging
+        data = generate_dataset(scene, grid_step=20, noise=NoiseSpec())
+        x2 = data.x2.copy()
+        x2[5, 0] = np.inf
+        x1 = data.x1.copy()
+        x1[7, 1] = np.nan
+        bad = CorrespondenceSet(pixels=data.pixels, x0=data.x0, x1=x1, x2=x2)
+        obs = pj.build_observations(bad, poses)
+        assert obs.n_skipped == pj.build_observations(data, poses).n_skipped + 2
+        assert 5 not in obs.indices and 7 not in obs.indices
+        est = pj.focal_sweep(obs, scene.image_size)
+        assert abs(est.intrinsics.fx - scene.intrinsics.fx) / scene.intrinsics.fx < 1e-8
 
     def test_mirror_twin_has_no_minimum_at_default_range(self, scene, poses, clean_data):
         sol = estimate_plane_poses(clean_data)

@@ -1,5 +1,5 @@
 """Every public function, class, method, property and dataclass field of the
-package is used.
+package is used, and every nonlinear fit goes through linalg.least_squares.
 
 A top-level definition counts as used when its name appears outside its own
 definition in the package, the tests or the benchmark: as a name, an
@@ -12,6 +12,8 @@ it is read as an attribute outside its class.
 import ast
 from dataclasses import dataclass
 from pathlib import Path
+
+from specsurf import crossratio, linalg, plane_pose, projection
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "specsurf"
@@ -118,3 +120,20 @@ def test_every_public_definition_is_used():
     assert "types.ReflectionTriple.pixel" in labels
     refs = references()
     assert sorted(d.label for d in definitions if not is_used(d, refs)) == []
+
+
+def test_one_levenberg_marquardt():
+    # the fits share one entry point, which keeps long residual vectors off
+    # OpenBLAS's thread pool; scipy's least_squares would wake it
+    assert projection.least_squares is linalg.least_squares
+    assert plane_pose.least_squares is linalg.least_squares
+    assert crossratio.least_squares is linalg.least_squares
+    uses = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                uses += [(path.name, node.lineno) for a in node.names if a.name == "least_squares"]
+            elif isinstance(node, ast.Attribute) and node.attr == "least_squares":
+                if ast.unparse(node.value).split(".")[0] in ("scipy", "optimize"):
+                    uses.append((path.name, node.lineno))
+    assert uses == []
