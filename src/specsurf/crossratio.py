@@ -431,7 +431,7 @@ def _gate(theta: np.ndarray, lifts: Lifts, m_obs, noisy):
             ~(np.linalg.norm(lifts.offset(), axis=1) < COLLINEARITY_TOL * lifts.length),
             ~((depths[0] > 0) & (depths[1] > 0) & (depths[2] > 0)),
             close(x0, x1) | close(x0, x2) | close(x1, x2),
-            ~np.isfinite(view.depth) | (view.depth <= 0),
+            view.depth <= 0,  # NaN, as from a NaN pixel, fails the cross-ratio check
             ~view.feasible,
         ]
     failed.append(noisy(~np.any(failed, axis=0)))
@@ -470,12 +470,11 @@ def refine(
     directly and with the pose through the SO(3) left Jacobian, the image
     length ratio k through its four image distances, the winning root
     s = xi1 / (1 -+ k) through k, and the rebuilt point through s along the
-    camera-frame line direction.  Residuals and Jacobian at one camera share one
-    _resolve_offsets.  The report's status is non_decreasing_start (the
-    start is already exact), gradient (residuals orthogonal to every
-    Jacobian column to 1e-8), plateau (relative cost decrease below 1e-12),
-    step (relative step below 1e-12) or max_iterations, and its iterations
-    count the Jacobian evaluations.  Both costs are sums of squared
+    camera-frame line direction.  The report's status is
+    non_decreasing_start (the start is already exact), gradient (residuals
+    orthogonal to every Jacobian column to 1e-8), plateau (relative cost
+    decrease below 1e-12), step (relative step below 1e-12) or
+    max_iterations, and its iterations count the Jacobian evaluations.  Both costs are sums of squared
     residuals taken with einsum, so a dense scan's 28k residuals do not
     wake OpenBLAS's thread pool.
 
@@ -506,32 +505,17 @@ def refine(
         _, surface, _ = _gate(theta, lifts, m_obs, lambda usable: noisy)
         return camera, surface, ConvergenceReport(status, iterations, cost0, cost, mask_reasons)
 
-    # the view at the last camera: the solver asks for the Jacobian at the
-    # point whose residuals it has just evaluated.  The last Jacobian is
-    # kept apart, keyed by its own camera: leastsq takes one at the start
-    # to check its shape, and MINPACK then asks for it there again.
-    last = [start]
-    last_jac = [None, None]
-
-    def view_at(vec):
-        if not np.array_equal(last[0].theta, vec):
-            last[0] = _resolve_offsets(vec.copy(), lifts, m_obs)
-        return last[0]
-
-    def jacobian(vec):
-        if last_jac[0] is None or not np.array_equal(last_jac[0], vec):
-            view = view_at(vec)
-            last_jac[:] = view.theta, _frozen_jacobian(view, lifts, m_obs, frozen)
-        return last_jac[1]
-
     r0 = _frozen_residuals(start, m_obs, frozen)
     cost0 = sum_squares(r0)
     if cost0 < 1e-16:
         return finish(theta, "non_decreasing_start", 0, cost0, cost0)
 
-    fit = least_squares(
-        lambda vec: _frozen_residuals(view_at(vec), m_obs, frozen),
-        theta,
-        jac=jacobian,
-    )
+    def model(vec):
+        view = _resolve_offsets(vec, lifts, m_obs)
+        return (
+            _frozen_residuals(view, m_obs, frozen),
+            lambda: _frozen_jacobian(view, lifts, m_obs, frozen),
+        )
+
+    fit = least_squares(model, theta)
     return finish(fit.x, fit.status, fit.njev, cost0, fit.cost)

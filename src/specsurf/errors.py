@@ -58,7 +58,8 @@ class RankAmbiguousError(SpecsurfError):
 
 
 class NoValidCandidateError(SpecsurfError):
-    """No pose candidate: the plane coordinates are all zero or not finite."""
+    """No pose candidate: the plane coordinates are all zero, or one is not
+    finite."""
 
 
 # projection estimation
@@ -76,7 +77,8 @@ class DegenerateLineProjectionError(SpecsurfError):
 
 
 class CheiralityUnresolvableError(SpecsurfError):
-    """t3 is numerically zero; the sign of the camera cannot be fixed."""
+    """t3 is numerically zero, so the sign of the camera cannot be fixed,
+    or the refined camera places the world origin behind itself."""
 
 
 class SweepNoMinimumError(SpecsurfError):

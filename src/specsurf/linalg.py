@@ -19,7 +19,10 @@ The plane poses, the camera and the cross-ratio refinement are each fitted
 by MINPACK's Levenberg-Marquardt (More, "The Levenberg-Marquardt
 algorithm: implementation and theory", 1978), whose loop runs no BLAS.
 least_squares is the one entry point to it, and it sums squares with
-einsum.
+einsum.  A fit hands it a model, which returns the residuals at x and a
+closure that builds the Jacobian there; least_squares keeps the last x (a
+copy, as MINPACK reuses its buffer) and answers both of MINPACK's
+callbacks from that one evaluation.
 """
 
 from __future__ import annotations
@@ -95,24 +98,45 @@ class LeastSquaresFit:
     status: str
 
 
-def least_squares(fun, x0, jac, max_nfev=None) -> LeastSquaresFit:
-    """Levenberg-Marquardt fit of fun(x) to zero from x0 by MINPACK's lmder.
+def least_squares(model, x0, max_nfev=None) -> LeastSquaresFit:
+    """Levenberg-Marquardt fit of model(x) to zero from x0 by MINPACK's lmder.
 
-    jac(x) is the analytic m x n Jacobian.  The tolerances are relative
-    cost decrease 1e-12, relative step 1e-12 and residual-Jacobian cosine
-    1e-8, with the parameters scaled by the Jacobian's column norms and at
-    most max_nfev residual evaluations (100 n by default): the arguments
-    scipy.optimize.least_squares(method="lm", x_scale="jac", xtol=1e-12,
-    ftol=1e-12) hands MINPACK, so the iterates are the same.  That wrapper
-    also takes dot products over the full residual vector and gemv with the
-    Jacobian's transpose before and after MINPACK, which on a dense scan
-    wakes OpenBLAS's thread pool; this one does neither.
+    model(x) returns the residuals at x and a zero-argument closure that
+    builds the analytic m x n Jacobian there.  MINPACK asks for a Jacobian
+    only at the x it has just evaluated, so one memo entry (x, residuals,
+    Jacobian once built) answers both callbacks.  The entry and the model
+    hold a copy of x: MINPACK reuses the buffer it passes, which would
+    change under a Jacobian built later.
 
-    Raises ValueError when fun(x0) is not finite or has fewer residuals
+    The tolerances are relative cost decrease 1e-12, relative step 1e-12
+    and residual-Jacobian cosine 1e-8, with the parameters scaled by the
+    Jacobian's column norms and at most max_nfev residual evaluations
+    (100 n by default): the arguments scipy.optimize.least_squares(
+    method="lm", x_scale="jac", xtol=1e-12, ftol=1e-12) hands MINPACK, so
+    the iterates are the same.  That wrapper also takes dot products over
+    the full residual vector and gemv with the Jacobian's transpose before
+    and after MINPACK, which on a dense scan wakes OpenBLAS's thread pool;
+    this one does neither.
+
+    Raises ValueError when the residuals at x0 are not finite or fewer
     than x0 has parameters.
     """
+    last = []  # x, residuals, Jacobian closure, Jacobian
+
+    def at(x):
+        if not (last and np.array_equal(last[0], x)):
+            x = np.array(x, dtype=float)
+            last[:] = [x, *model(x), None]
+        return last
+
+    def jac(x):
+        entry = at(x)
+        if entry[3] is None:
+            entry[3] = entry[2]()
+        return entry[3]
+
     x0 = np.asarray(x0, dtype=float)
-    f0 = fun(x0)
+    f0 = at(x0)[1]
     if not np.all(np.isfinite(f0)):
         raise ValueError("Residuals are not finite in the initial point.")
     if f0.size < x0.size:
@@ -125,7 +149,7 @@ def least_squares(fun, x0, jac, max_nfev=None) -> LeastSquaresFit:
         # overflows it.  The objective's own warnings still pass.
         warnings.filterwarnings("ignore", category=RuntimeWarning, module="scipy.optimize._minpack_py")
         x, _, info, _, code = leastsq(
-            fun,
+            lambda x: at(x)[1],
             x0,
             Dfun=jac,
             full_output=True,

@@ -414,50 +414,48 @@ def line_offset_residual(pair: PlanePosePair, x0, x1, x2) -> float:
 def _polish_objective(pair: PlanePosePair, x0, x1, x2):
     """Line-offset residuals of the polish and their Jacobian, in closed form.
 
-    Returns (residuals, jacobian), functions of x = (w1, t1, w2, t2) for the
-    motions R_i = exp(w_i) R_i^0 of pair with translations t_i.  Both come
-    from one evaluation per x, as the solver asks for the Jacobian at the
-    point whose residuals it has just evaluated.
+    Returns the least_squares model over x = (w1, t1, w2, t2), the motions
+    R_i = exp(w_i) R_i^0 of pair with translations t_i.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    last: dict = {}
 
-    def evaluate(x):
-        if last and np.array_equal(last["x"], x):
-            return last
+    def model(x):
         t1, t2 = x[3:6], x[9:12]
         cur = PlanePosePair(
             RigidPose(so3.exp(x[0:3]) @ pair.pose1.rotation, t1),
             RigidPose(so3.exp(x[6:9]) @ pair.pose2.rotation, t2),
         )
         lifts = lift_triples(cur, x0, x1, x2)
-        p1, p2, u = lifts.p1, lifts.p2, lifts.unit
-        v = p1 - lifts.p0
         good = lifts.length > 1e-12
-        length = np.where(good, lifts.length, 1.0)
         res = lifts.offset()
         res[~good] = 0.0
-        # d res / d p1 = -[u]x ; d res / d p2 = [v]x (I - u u^T) / L
-        du = -so3.skew(u)
-        proj = (np.eye(3)[None, :, :] - u[:, :, None] * u[:, None, :]) / length[:, None, None]
-        dv = np.einsum("nij,njk->nik", so3.skew(v), proj)
-        dv[~good] = 0.0
-        du[~good] = 0.0
-        # d p / d w = -[p - t]x J(w), with J(w) the SO(3) left Jacobian
-        # carrying w to a left increment of R; d p / d t = I
-        dp1_dw = -so3.skew(p1 - t1) @ so3.left_jacobian(x[0:3])
-        dp2_dw = -so3.skew(p2 - t2) @ so3.left_jacobian(x[6:9])
-        jac = np.zeros((len(x0), 3, 12))
-        jac[:, :, 0:3] = np.einsum("nij,njk->nik", du, dp1_dw)
-        jac[:, :, 3:6] = du
-        jac[:, :, 6:9] = np.einsum("nij,njk->nik", dv, dp2_dw)
-        jac[:, :, 9:12] = dv
-        last.update(x=x.copy(), res=res.reshape(-1), jac=jac.reshape(-1, 12))
-        return last
 
-    return (lambda x: evaluate(x)["res"]), (lambda x: evaluate(x)["jac"])
+        def jacobian():
+            p1, p2, u = lifts.p1, lifts.p2, lifts.unit
+            v = p1 - lifts.p0
+            length = np.where(good, lifts.length, 1.0)
+            # d res / d p1 = -[u]x ; d res / d p2 = [v]x (I - u u^T) / L
+            du = -so3.skew(u)
+            proj = (np.eye(3)[None, :, :] - u[:, :, None] * u[:, None, :]) / length[:, None, None]
+            dv = np.einsum("nij,njk->nik", so3.skew(v), proj)
+            dv[~good] = 0.0
+            du[~good] = 0.0
+            # d p / d w = -[p - t]x J(w), with J(w) the SO(3) left Jacobian
+            # carrying w to a left increment of R; d p / d t = I
+            dp1_dw = -so3.skew(p1 - t1) @ so3.left_jacobian(x[0:3])
+            dp2_dw = -so3.skew(p2 - t2) @ so3.left_jacobian(x[6:9])
+            jac = np.zeros((len(x0), 3, 12))
+            jac[:, :, 0:3] = np.einsum("nij,njk->nik", du, dp1_dw)
+            jac[:, :, 3:6] = du
+            jac[:, :, 6:9] = np.einsum("nij,njk->nik", dv, dp2_dw)
+            jac[:, :, 9:12] = dv
+            return jac.reshape(-1, 12)
+
+        return res.reshape(-1), jacobian
+
+    return model
 
 
 def refine_plane_poses(pair: PlanePosePair, x0, x1, x2) -> PlanePosePair:
@@ -473,9 +471,8 @@ def refine_plane_poses(pair: PlanePosePair, x0, x1, x2) -> PlanePosePair:
     make 42k residuals on a dense scan; least_squares keeps their products
     off OpenBLAS's thread pool.
     """
-    residuals, jacobian = _polish_objective(pair, x0, x1, x2)
     start = np.concatenate([np.zeros(3), pair.pose1.translation, np.zeros(3), pair.pose2.translation])
-    fit = least_squares(residuals, start, jac=jacobian)
+    fit = least_squares(_polish_objective(pair, x0, x1, x2), start)
     w1, t1, w2, t2 = np.split(fit.x, 4)
     return PlanePosePair(
         RigidPose(so3.closest_rotation(so3.exp(w1) @ pair.pose1.rotation), t1),
@@ -509,7 +506,7 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     coords = np.concatenate([data.x0.ravel(), data.x1.ravel(), data.x2.ravel()])
     scale = float(np.sqrt(np.mean(coords**2)))
     if not 0.0 < scale < np.inf:
-        raise NoValidCandidateError("plane coordinates are all zero or not finite")
+        raise NoValidCandidateError("plane coordinates are all zero, or one is not finite")
     x0 = data.x0 / scale
     x1 = data.x1 / scale
     x2 = data.x2 / scale

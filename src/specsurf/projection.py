@@ -231,9 +231,9 @@ def _cross(p, q) -> np.ndarray:
 def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
     """Point-to-line residuals and their Jacobian, both in closed form.
 
-    Returns (residuals, jacobian), functions of theta = (log f, axis-angle
-    of R, T) for the camera diag(f, f aspect, 1)[R T] with aspect = fy / fx
-    held fixed; the jacobian has one column per entry of theta.
+    Returns the least_squares model over theta = (log f, axis-angle of R, T)
+    for the camera diag(f, f aspect, 1)[R T] with aspect = fy / fx held
+    fixed; the Jacobian has one column per entry of theta.
 
     A line through p and q has direction w = p - q and moment v = p x q; the
     camera maps the points to R p + T and R q + T, whose cross product is
@@ -256,16 +256,8 @@ def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
     x1 = obs.pixels[:, 1] / aspect
     # moments v then directions w, as columns, so one product rotates both
     vw = np.hstack([moment_of(obs.lines).T, direction_of(obs.lines).T])
-    # state at the last theta: the solver asks for the Jacobian at the
-    # point whose residuals it has just evaluated.  The last Jacobian is
-    # kept apart, keyed by its own theta: leastsq takes one at the start to
-    # check its shape, and MINPACK then asks for it there again.
-    state: dict = {}
-    last_jac: dict = {}
 
-    def evaluate(theta):
-        if state and np.array_equal(state["theta"], theta):
-            return state
+    def model(theta):
         f = np.exp(theta[0])
         # K R is invertible exactly when f is finite and positive
         if not (np.isfinite(f) and f > 0.0):
@@ -276,30 +268,21 @@ def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
         h1 = m[1] / (aspect * aspect)
         s = np.sqrt(m[0] * m[0] + m[1] * h1 + 1e-30)
         num = x0 * m[0] + x1 * m[1] + f * m[2]
-        state.update(theta=theta.copy(), f=f, b=b, m=m, h1=h1, s=s, num=num)
-        return state
 
-    def residuals(theta):
-        st = evaluate(theta)
-        return st["num"] / st["s"]
+        def jacobian():
+            c = num / (s * s)
+            u = np.array([(x0 - c * m[0]) / s, (x1 - c * h1) / s, f / s])
+            d_t = _cross(u, b)
+            d_phi = _cross(d_t, theta[4:]) - _cross(u, m)
+            jac = np.empty((n, 7))
+            jac[:, 0] = f * m[2] / s
+            jac[:, 1:4] = d_phi.T @ so3.left_jacobian(theta[1:4])
+            jac[:, 4:] = d_t.T
+            return jac
 
-    def jacobian(theta):
-        if last_jac and np.array_equal(last_jac["theta"], theta):
-            return last_jac["jac"]
-        st = evaluate(theta)
-        m, s = st["m"], st["s"]
-        c = st["num"] / (s * s)
-        u = np.array([(x0 - c * m[0]) / s, (x1 - c * st["h1"]) / s, st["f"] / s])
-        d_t = _cross(u, st["b"])
-        d_phi = _cross(d_t, theta[4:]) - _cross(u, m)
-        jac = np.empty((n, 7))
-        jac[:, 0] = st["f"] * m[2] / s
-        jac[:, 1:4] = d_phi.T @ so3.left_jacobian(theta[1:4])
-        jac[:, 4:] = d_t.T
-        last_jac.update(theta=st["theta"], jac=jac)
-        return jac
+        return num / s, jacobian
 
-    return residuals, jacobian
+    return model
 
 
 def _refine_metric(fx: float, fy: float, obs: LineObservationSet, start, free_focal=False):
@@ -318,16 +301,16 @@ def _refine_metric(fx: float, fy: float, obs: LineObservationSet, start, free_fo
     moment v): the cross product of its two points once the camera has
     moved them.
     """
-    residuals, jacobian = _point_line_objective(fx, fy, obs)
+    full = _point_line_objective(fx, fy, obs)
     theta0 = np.concatenate([[np.log(fx)], so3.log(start[0]), start[1]])
     # the log-focal leads theta; a fixed-focal fit holds it out of the solve
     held = theta0[: 0 if free_focal else 1]
-    fit = least_squares(
-        lambda q: residuals(np.concatenate([held, q])),
-        theta0[len(held) :],
-        jac=lambda q: jacobian(np.concatenate([held, q]))[:, len(held) :],
-        max_nfev=400 if free_focal else 300,
-    )
+
+    def model(q):
+        residuals, jacobian = full(np.concatenate([held, q]))
+        return residuals, lambda: jacobian()[:, len(held) :]
+
+    fit = least_squares(model, theta0[len(held) :], max_nfev=400 if free_focal else 300)
     theta = np.concatenate([held, fit.x])
     return float(np.exp(theta[0])), so3.exp(theta[1:4]), theta[4:], fit.cost
 

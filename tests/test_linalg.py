@@ -1,5 +1,6 @@
 """The tall-matrix R-SVD against NumPy's SVD, and the Levenberg-Marquardt
-entry point against scipy.optimize.least_squares, as oracles."""
+entry point against scipy.optimize.least_squares, as oracles; the fits
+evaluate each model once per point."""
 
 import time
 
@@ -9,13 +10,13 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specsurf import so3
+from specsurf import crossratio, linalg, plane_pose, projection, so3
 from specsurf.errors import SpecsurfError
 from specsurf.linalg import least_squares, right_singular
 from specsurf.plane_pose import _polish_objective, estimate_plane_poses, refine_plane_poses
 from specsurf.projection import _point_line_objective, build_observations, focal_sweep
 from specsurf.sim import default_two_sphere_scene, generate_dataset
-from specsurf.types import NoiseSpec, PlanePosePair
+from specsurf.types import CalibrationEstimate, NoiseSpec, PlanePosePair
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -130,17 +131,23 @@ SCIPY_STATUS = {0: "max_iterations", 1: "gradient", 2: "plateau", 3: "step", 4: 
 DECAY_T = np.linspace(0.0, 4.0, 50)
 
 
+def model_of(fun, jac):
+    """The least_squares model of a residual and a Jacobian function."""
+    return lambda x: (fun(x), lambda: jac(x))
+
+
 def decay(y, t=DECAY_T):
-    """Residuals and Jacobian of fitting a e^(-b t) to y, free of BLAS."""
+    """Model of fitting a e^(-b t) to y, free of BLAS.  Its Jacobian reads
+    x only when it is built."""
 
-    def fun(x):
-        return x[0] * np.exp(-x[1] * t) - y
+    def model(x):
+        def jacobian():
+            e = np.exp(-x[1] * t)
+            return np.column_stack([e, -x[0] * t * e])
 
-    def jac(x):
-        e = np.exp(-x[1] * t)
-        return np.column_stack([e, -x[0] * t * e])
+        return x[0] * np.exp(-x[1] * t) - y, jacobian
 
-    return fun, jac
+    return model
 
 
 @pytest.fixture(scope="module")
@@ -157,9 +164,9 @@ def polish_problem(scene, data):
     """The plane-pose polish from the true motions, which noisy data move
     off the optimum."""
     pair = PlanePosePair(scene.pose1, scene.pose2)
-    fun, jac = _polish_objective(pair, data.x0, data.x1, data.x2)
+    model = _polish_objective(pair, data.x0, data.x1, data.x2)
     start = np.concatenate([np.zeros(3), pair.pose1.translation, np.zeros(3), pair.pose2.translation])
-    return fun, jac, start, {}
+    return model, start, {}
 
 
 def point_line_problem(scene):
@@ -168,11 +175,11 @@ def point_line_problem(scene):
     data = generate_dataset(scene, grid_step=8, noise=NoiseSpec(seed=3))
     intr = scene.intrinsics
     obs = build_observations(data, PlanePosePair(scene.pose1, scene.pose2)).centered(intr.u0, intr.v0)
-    fun, jac = _point_line_objective(1.1 * intr.fx, 1.1 * intr.fy, obs)
+    model = _point_line_objective(1.1 * intr.fx, 1.1 * intr.fy, obs)
     rotation = so3.exp(np.array([0.02, -0.01, 0.015])) @ scene.camera_pose.rotation
     translation = scene.camera_pose.translation + np.array([5.0, -5.0, 20.0])
     start = np.concatenate([[np.log(1.1 * intr.fx)], so3.log(rotation), translation])
-    return fun, jac, start, {"max_nfev": 5}
+    return model, start, {"max_nfev": 5}
 
 
 def toy_problem(status):
@@ -186,14 +193,16 @@ def toy_problem(status):
         def jac(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-        return fun, jac, np.array([-1.2, 1.0]), {}
+        return model_of(fun, jac), np.array([-1.2, 1.0]), {}
     clean = 3.0 * np.exp(-0.7 * DECAY_T)
     if status == "plateau":
         noise = 0.05 * np.random.default_rng(0).normal(size=DECAY_T.size)
-        return (*decay(clean + noise), np.array([1.0, 0.1]), {})
-    return (*decay(clean), np.array([1.0, 0.1]), {})
+        return decay(clean + noise), np.array([1.0, 0.1]), {}
+    return decay(clean), np.array([1.0, 0.1]), {}
 
 
+# the decay cases' Jacobians read x only when built, after MINPACK has
+# moved on to its next trial point
 @pytest.mark.parametrize(
     "case, status",
     [
@@ -206,19 +215,77 @@ def toy_problem(status):
 )
 def test_least_squares_matches_scipy(case, status, scene, noisy8):
     if case == "polish":
-        fun, jac, start, kwargs = polish_problem(scene, noisy8)
+        model, start, kwargs = polish_problem(scene, noisy8)
     elif case == "point_line":
-        fun, jac, start, kwargs = point_line_problem(scene)
+        model, start, kwargs = point_line_problem(scene)
     else:
-        fun, jac, start, kwargs = toy_problem(case)
+        model, start, kwargs = toy_problem(case)
+    # scipy builds each Jacobian at once, from the point it is handed
     ref = scipy.optimize.least_squares(
-        fun, start, jac=jac, method="lm", x_scale="jac", xtol=1e-12, ftol=1e-12, **kwargs
+        lambda x: model(x)[0],
+        start,
+        jac=lambda x: model(x)[1](),
+        method="lm",
+        x_scale="jac",
+        xtol=1e-12,
+        ftol=1e-12,
+        **kwargs,
     )
-    fit = least_squares(fun, start, jac, **kwargs)
+    fit = least_squares(model, start, **kwargs)
     np.testing.assert_array_equal(fit.x, ref.x)
     assert (fit.nfev, fit.njev) == (ref.nfev, ref.njev)
     assert fit.status == SCIPY_STATUS[ref.status] == status
     assert fit.cost == pytest.approx(2.0 * ref.cost, rel=1e-14)
+
+
+def polish_fit(scene, data):
+    refine_plane_poses(PlanePosePair(scene.pose1, scene.pose2), data.x0, data.x1, data.x2)
+
+
+def camera_fit(scene, data):
+    # free focal from a perturbed camera
+    intr = scene.intrinsics
+    obs = build_observations(data, PlanePosePair(scene.pose1, scene.pose2)).centered(intr.u0, intr.v0)
+    start = (
+        so3.exp(np.array([0.02, -0.01, 0.015])) @ scene.camera_pose.rotation,
+        scene.camera_pose.translation + np.array([5.0, -5.0, 20.0]),
+    )
+    projection._refine_metric(1.1 * intr.fx, 1.1 * intr.fy, obs, start, free_focal=True)
+
+
+def cross_ratio_fit(scene, data):
+    rig = CalibrationEstimate(
+        scene.intrinsics, scene.camera_pose.rotation, scene.camera_pose.translation, "rig"
+    )
+    crossratio.refine(rig, data, PlanePosePair(scene.pose1, scene.pose2))
+
+
+@pytest.mark.parametrize(
+    "module, run",
+    [(plane_pose, polish_fit), (projection, camera_fit), (crossratio, cross_ratio_fit)],
+    ids=["polish", "camera", "refine"],
+)
+def test_jacobian_at_solution_not_recomputed(module, run, scene, noisy8, monkeypatch):
+    # leastsq takes the Jacobian at the start to check its shape, MINPACK
+    # then asks for it there again, and afterwards only at the point whose
+    # residuals it has just evaluated: the memo answers every repeat, so
+    # each fit evaluates its model once per point and builds njev Jacobians
+    points, built, fits = [], [], []
+
+    def recorded(model, x0, **kwargs):
+        def traced(x):
+            points.append(x.tobytes())
+            residuals, jacobian = model(x)
+            return residuals, lambda: built.append(1) or jacobian()
+
+        fits.append(linalg.least_squares(traced, x0, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(module, "least_squares", recorded)
+    run(scene, noisy8)
+    assert len(fits) == 1
+    assert len(set(points)) == len(points) == fits[0].nfev
+    assert len(built) == fits[0].njev > 0
 
 
 def test_unused_covariance_does_not_warn():
@@ -233,7 +300,7 @@ def test_unused_covariance_does_not_warn():
     def jac(x):
         return np.column_stack([np.r_[t, 0.0 * t], np.r_[0.0 * t, 1e-170 * t]])
 
-    fit = least_squares(fun, np.zeros(2), jac)
+    fit = least_squares(model_of(fun, jac), np.zeros(2))
     assert fit.x[0] == pytest.approx(1.0, rel=1e-12)
 
     def overflowing(x):
@@ -241,17 +308,19 @@ def test_unused_covariance_does_not_warn():
         return fun(x)
 
     with pytest.warns(RuntimeWarning, match="overflow"):
-        least_squares(overflowing, np.zeros(2), jac)
+        least_squares(model_of(overflowing, jac), np.zeros(2))
 
 
 def test_fewer_residuals_than_parameters_rejected():
     with pytest.raises(ValueError, match="number of residuals is less than"):
-        least_squares(lambda x: x[:1], np.zeros(2), lambda x: np.eye(2)[:1])
+        least_squares(model_of(lambda x: x[:1], lambda x: np.eye(2)[:1]), np.zeros(2))
 
 
 def test_non_finite_start_residuals_rejected():
     with pytest.raises(ValueError, match="not finite in the initial point"):
-        least_squares(lambda x: np.array([np.nan, 1.0, 2.0]), np.zeros(2), lambda x: np.ones((3, 2)))
+        least_squares(
+            model_of(lambda x: np.array([np.nan, 1.0, 2.0]), lambda x: np.ones((3, 2))), np.zeros(2)
+        )
 
 
 def cpu_while_idle(work, seconds=0.3) -> float:
@@ -271,8 +340,8 @@ def cpu_while_idle(work, seconds=0.3) -> float:
 def test_long_fit_leaves_blas_threads_asleep():
     # the objective itself runs no BLAS, so any spin is the solver's
     t = np.linspace(0.0, 4.0, 40_000)
-    fun, jac = decay(3.0 * np.exp(-0.7 * t), t)
-    assert cpu_while_idle(lambda: least_squares(fun, np.array([1.0, 0.1]), jac)) < 0.02
+    model = decay(3.0 * np.exp(-0.7 * t), t)
+    assert cpu_while_idle(lambda: least_squares(model, np.array([1.0, 0.1]))) < 0.02
 
 
 def test_plane_pose_polish_leaves_blas_threads_asleep(scene, noisy8):

@@ -687,16 +687,16 @@ class TestRefine:
             RigidPose(scene.pose1.rotation, scene.pose1.translation / s),
             RigidPose(scene.pose2.rotation, scene.pose2.translation / s),
         )
-        residuals, jacobian = _polish_objective(pair, x0, x1, x2)
+        model = _polish_objective(pair, x0, x1, x2)
         x = np.concatenate(
             [[0.2, -0.1, 0.15], pair.pose1.translation, [-0.1, 0.25, 0.05], pair.pose2.translation]
         )
-        jac = jacobian(x)
+        jac = model(x)[1]()
         numeric = np.empty_like(jac)
         for k in range(12):
             h = 1e-6 * max(abs(x[k]), 1.0)
             step = h * np.eye(12)[k]
-            numeric[:, k] = (residuals(x + step) - residuals(x - step)) / (2.0 * h)
+            numeric[:, k] = (model(x + step)[0] - model(x - step)[0]) / (2.0 * h)
         col_max = np.max(np.abs(numeric), axis=0)
         assert np.all(col_max > 0)
         assert np.all(np.max(np.abs(jac - numeric), axis=0) <= 1e-6 * col_max)

@@ -203,13 +203,13 @@ class TestPointLineObjective:
     def test_jacobian_matches_central_differences(self, angle, free_focal):
         for seed in range(3):
             fx, fy, obs, theta = self.random_problem(seed, angle)
-            residuals, jacobian = pj._point_line_objective(fx, fy, obs)
+            model = pj._point_line_objective(fx, fy, obs)
             cols = range(7) if free_focal else range(1, 7)
-            jac = jacobian(theta)[:, list(cols)]
+            jac = model(theta)[1]()[:, list(cols)]
             h = 1e-6
             numeric = np.column_stack(
                 [
-                    (residuals(theta + h * np.eye(7)[k]) - residuals(theta - h * np.eye(7)[k]))
+                    (model(theta + h * np.eye(7)[k])[0] - model(theta - h * np.eye(7)[k])[0])
                     / (2.0 * h)
                     for k in cols
                 ]
@@ -220,7 +220,7 @@ class TestPointLineObjective:
     def test_squared_residuals_match_line_matrix_cost(self, angle):
         for seed in range(3):
             fx, fy, obs, theta = self.random_problem(seed, angle)
-            residuals, _ = pj._point_line_objective(fx, fy, obs)
+            model = pj._point_line_objective(fx, fy, obs)
             f = np.exp(theta[0])
             lm = pj.camera_line_matrix(
                 Intrinsics(f, f * fy / fx, 0.0, 0.0),
@@ -228,51 +228,15 @@ class TestPointLineObjective:
                 theta[4:],
             )
             cost = pj.point_line_cost(lm, obs)
-            assert abs(np.sum(residuals(theta) ** 2) - cost) < 1e-10 * cost
+            assert abs(np.sum(model(theta)[0] ** 2) - cost) < 1e-10 * cost
 
     def test_singular_camera_raises(self):
         fx, fy, obs, theta = self.random_problem(0, 0.9)
-        residuals, _ = pj._point_line_objective(fx, fy, obs)
+        model = pj._point_line_objective(fx, fy, obs)
         with pytest.raises(RankDeficientError):
-            residuals(np.concatenate([[-800.0], theta[1:]]))  # f underflows to 0
+            model(np.concatenate([[-800.0], theta[1:]]))  # f underflows to 0
         with pytest.raises(RankDeficientError):
             pj._point_line_objective(fx, 0.0, obs)
-
-    def test_jacobian_at_solution_not_recomputed(self, scene, clean_obs, monkeypatch):
-        # leastsq takes the Jacobian at the start to check its shape, and
-        # MINPACK then asks for it there again: the kept Jacobian answers
-        # that call.  This fit ends on a rejected trial, so the residual
-        # state has moved past the solution, and no Jacobian is asked for
-        # there.  so3.left_jacobian runs once per Jacobian the objective
-        # computes.
-        computed = []
-        left_jacobian = so3.left_jacobian
-        monkeypatch.setattr(
-            so3, "left_jacobian", lambda v: computed.append(1) or left_jacobian(v)
-        )
-        original = pj.least_squares
-        fits = []
-        last_trial = []
-
-        def recorded(fun, x0, **kwargs):
-            def traced(x):
-                last_trial[:] = [x.copy()]
-                return fun(x)
-
-            fits.append(original(traced, x0, **kwargs))
-            return fits[-1]
-
-        monkeypatch.setattr(pj, "least_squares", recorded)
-        intr = scene.intrinsics
-        cobs = clean_obs.centered(intr.u0, intr.v0)
-        start = (
-            so3.exp(np.array([0.02, -0.01, 0.015])) @ scene.camera_pose.rotation,
-            scene.camera_pose.translation + np.array([5.0, -5.0, 20.0]),
-        )
-        pj._refine_metric(1.1 * intr.fx, 1.1 * intr.fy, cobs, start, free_focal=True)
-        assert len(fits) == 1
-        assert not np.array_equal(last_trial[0], fits[0].x)
-        assert len(computed) == fits[0].njev > 0
 
 
 class TestSolveConstrained:
