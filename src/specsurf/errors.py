@@ -18,14 +18,6 @@ class SpecsurfIOError(SpecsurfError):
 
 # line algebra
 
-class CoincidentPointsError(SpecsurfError):
-    """Two points expected to span a line are (numerically) identical."""
-
-
-class DegenerateProjectionError(SpecsurfError):
-    """A 3D line projects to a point (it passes through the optical center)."""
-
-
 class RankDeficientError(SpecsurfError):
     """A projection matrix does not have full rank."""
 

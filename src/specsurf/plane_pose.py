@@ -37,8 +37,6 @@ MIN_TRIPLES = 12
 # a factored candidate is kept when its rotation columns are unit and
 # orthogonal to within this
 ORTHO_TOL = 0.3
-# candidates kept after ranking by line-offset residual
-MAX_CANDIDATES = 8
 
 # cubic terms of the motion-form identity: slot indices (0-based) and sign
 _CUBIC_TERMS = ((18, 6, 23, 1.0), (18, 8, 21, -1.0), (20, 0, 23, -1.0), (20, 2, 21, 1.0))
@@ -526,7 +524,6 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
             gap_ratio=gap,
         )
     scored.sort(key=lambda item: item[0])
-    scored = scored[:MAX_CANDIDATES]
 
     # geometric polish of every candidate within reach of the best fit
     # (twins included; they converge to distinct, equally scored optima)

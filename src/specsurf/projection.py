@@ -3,9 +3,11 @@
 Each correspondence triple pins a 3D line: the lifted plane points of pose
 0 and pose 2 (the widest separation) both lie on the reflected ray, and the
 camera must project that line through the pixel that observed it.  The line
-is the one plane_pose.Lifts decides; this module only reads it.  Stacking
-the incidences gives a linear system in the 18 entries of the camera's line
-projection matrix.
+is the one plane_pose.Lifts decides; this module only reads it, stored as
+the unit 6-vector L = [v; w] of its moment and direction (see plucker).
+The camera's 3x6 line projection matrix M maps L to its image line M L, so
+a pixel x on that line gives x . (M L) = 0, one row x (x) L of a linear
+system in the 18 entries of M.
 
 The camera comes from one route with two entry points:
 
@@ -47,8 +49,6 @@ vector comes from linalg.right_singular, which triangularises it in NumPy
 and hands LAPACK only the 18 x 18 R factor: a LAPACK factorization of the
 tall matrix would wake OpenBLAS's thread pool, whose idle thread then
 spins for about 130 ms after every cold start.
-
-Lines are unit-normalized when observations are built.
 """
 
 from __future__ import annotations
@@ -68,15 +68,7 @@ from .errors import (
 from . import so3
 from .linalg import least_squares, right_singular
 from .plane_pose import MIN_LIFT_SEPARATION_MM, lift_triples
-from .plucker import (
-    direction_of,
-    dual,
-    line_to_point_matrix,
-    lines_from_points,
-    moment_of,
-    point_to_line_matrix,
-    rescale_lines,
-)
+from .plucker import line_to_point_matrix, lines_from_points, point_to_line_matrix, rescale_lines
 from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, PlanePosePair
 
 MIN_OBSERVATIONS = 17
@@ -89,7 +81,9 @@ class LineObservationSet:
     """Pixel/line incidence pairs feeding the camera solvers.
 
     pixels are homogeneous with third coordinate 1; lines are unit-norm
-    6-vectors; indices map each item back to its source triple.
+    6-vectors [moment; direction] (see plucker), so a line matrix M maps
+    them to image lines as lines @ M.T; indices map each item back to its
+    source triple.
     """
 
     pixels: np.ndarray
@@ -135,13 +129,12 @@ def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineOb
 
 
 def _incidence_rows(obs: LineObservationSet) -> np.ndarray:
-    duals = dual(obs.lines)
-    return (obs.pixels[:, :, None] * duals[:, None, :]).reshape(len(obs), 18)
+    return (obs.pixels[:, :, None] * obs.lines[:, None, :]).reshape(len(obs), 18)
 
 
 def _world_scale(lines: np.ndarray) -> float:
     """Typical distance of the lines from the world origin."""
-    dists = np.linalg.norm(moment_of(lines), axis=1) / np.linalg.norm(direction_of(lines), axis=1)
+    dists = np.linalg.norm(lines[:, :3], axis=1) / np.linalg.norm(lines[:, 3:], axis=1)
     rho = float(np.mean(dists))
     return rho if np.isfinite(rho) and rho > 1e-9 else 1.0
 
@@ -174,7 +167,7 @@ def point_line_cost(line_matrix: np.ndarray, obs: LineObservationSet) -> float:
     projected line has a vanishing direction part are excluded; if every
     item degenerates the cost is undefined and an error is raised.
     """
-    img = obs.lines @ dual(line_matrix).T  # (n, 3) rows: projected lines
+    img = obs.lines @ line_matrix.T  # (n, 3) rows: projected lines
     ab2 = img[:, 0] ** 2 + img[:, 1] ** 2
     good = ab2 > 1e-20
     if not np.any(good):
@@ -228,34 +221,31 @@ def _cross(p, q) -> np.ndarray:
     )
 
 
-def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
+def _point_line_objective(obs: LineObservationSet):
     """Point-to-line residuals and their Jacobian, both in closed form.
 
     Returns the least_squares model over theta = (log f, axis-angle of R, T)
-    for the camera diag(f, f aspect, 1)[R T] with aspect = fy / fx held
-    fixed; the Jacobian has one column per entry of theta.
+    for the camera diag(f, f, 1)[R T]; the Jacobian has one column per
+    entry of theta.
 
-    A line through p and q has direction w = p - q and moment v = p x q; the
-    camera maps the points to R p + T and R q + T, whose cross product is
-    the camera-frame moment m = R v - T x R w.  The image line is K^-T m,
-    proportional to (m0, m1 / aspect, f m2), so a pixel (x0, x1, 1) lies at
-    signed distance r = num / s from it, with num = x0 m0 + x1 m1 / aspect + f m2
-    and s = sqrt(m0^2 + m1^2 / aspect^2).  With u = dr/dm = (g - (num / s^2) h) / s,
-    g = (x0, x1 / aspect, f) and h = (m0, m1 / aspect^2, 0):
+    A line [v; w] through p and q has moment v = p x q and direction
+    w = p - q; the camera maps the points to R p + T and R q + T, whose
+    cross product is the camera-frame moment m = R v - T x R w.  The image
+    line is K^-T m, proportional to (m0, m1, f m2), so a pixel (x0, x1, 1)
+    lies at signed distance r = num / s from it, with
+    num = x0 m0 + x1 m1 + f m2 and s = sqrt(m0^2 + m1^2).  With
+    u = dr/dm = (g - (num / s^2) h) / s, g = (x0, x1, f) and h = (m0, m1, 0):
     dr/dT = u x R w, dr/dlog f = f m2 / s, and a left rotation increment
     dphi moves r by ((u x T) x R w - u x R v) . dphi, which the SO(3) left
     Jacobian carries to the axis-angle.  By the triple-product expansion
     that rotation gradient equals (dr/dT) x T - u x m, one cross product
     fewer.
     """
-    aspect = fy / fx
-    if not (np.isfinite(aspect) and aspect != 0.0):
-        raise RankDeficientError(f"singular intrinsics: fx={fx!r}, fy={fy!r}")
     n = len(obs)
     x0 = obs.pixels[:, 0]
-    x1 = obs.pixels[:, 1] / aspect
+    x1 = obs.pixels[:, 1]
     # moments v then directions w, as columns, so one product rotates both
-    vw = np.hstack([moment_of(obs.lines).T, direction_of(obs.lines).T])
+    vw = np.hstack([obs.lines[:, :3].T, obs.lines[:, 3:].T])
 
     def model(theta):
         f = np.exp(theta[0])
@@ -265,13 +255,12 @@ def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
         ab = so3.exp(theta[1:4]) @ vw
         b = ab[:, n:]
         m = ab[:, :n] - _cross(theta[4:], b)
-        h1 = m[1] / (aspect * aspect)
-        s = np.sqrt(m[0] * m[0] + m[1] * h1 + 1e-30)
+        s = np.sqrt(m[0] * m[0] + m[1] * m[1] + 1e-30)
         num = x0 * m[0] + x1 * m[1] + f * m[2]
 
         def jacobian():
             c = num / (s * s)
-            u = np.array([(x0 - c * m[0]) / s, (x1 - c * h1) / s, f / s])
+            u = np.array([(x0 - c * m[0]) / s, (x1 - c * m[1]) / s, f / s])
             d_t = _cross(u, b)
             d_phi = _cross(d_t, theta[4:]) - _cross(u, m)
             jac = np.empty((n, 7))
@@ -285,13 +274,13 @@ def _point_line_objective(fx: float, fy: float, obs: LineObservationSet):
     return model
 
 
-def _refine_metric(fx: float, fy: float, obs: LineObservationSet, start, free_focal=False):
+def _refine_metric(f: float, obs: LineObservationSet, start, free_focal=False):
     """Levenberg-Marquardt over (R, T) on the point-to-line residuals.
 
     Parameters live on the rigid-motion manifold (axis-angle + translation)
     so directions that are not realizable by any metric camera cannot enter
-    the solution.  With free_focal a shared log-focal joins the parameters
-    (fy scaled in proportion).  Starts from start = (R, T) and returns
+    the solution.  The camera is diag(f, f, 1)[R T]; with free_focal its
+    log-focal joins the parameters.  Starts from start = (R, T) and returns
     (f, R, T, cost); the fit stops after 300 evaluations, 400 with
     free_focal.
 
@@ -301,8 +290,8 @@ def _refine_metric(fx: float, fy: float, obs: LineObservationSet, start, free_fo
     moment v): the cross product of its two points once the camera has
     moved them.
     """
-    full = _point_line_objective(fx, fy, obs)
-    theta0 = np.concatenate([[np.log(fx)], so3.log(start[0]), start[1]])
+    full = _point_line_objective(obs)
+    theta0 = np.concatenate([[np.log(f)], so3.log(start[0]), start[1]])
     # the log-focal leads theta; a fixed-focal fit holds it out of the solve
     held = theta0[: 0 if free_focal else 1]
 
@@ -315,11 +304,14 @@ def _refine_metric(fx: float, fy: float, obs: LineObservationSet, start, free_fo
     return float(np.exp(theta[0])), so3.exp(theta[1:4]), theta[4:], fit.cost
 
 
-def _solve_constrained_scaled(fx_n, fy_n, obs_n, z_n, init=None):
-    """Constrained solve in an already-rescaled frame; T stays in that frame.
+def _solve_constrained_scaled(f_n, obs_n, z_n, init=None):
+    """Constrained solve at focal f_n in an already-rescaled frame; T stays
+    in that frame.
 
     The refinement starts from init when given, else from the decode of the
-    column-scaled incidence matrix's least singular vector; only that cold
+    incidence matrix's least singular vector, its columns scaled by f_n for
+    the first two rows of the line matrix and f_n^2 for the third (see
+    solve_constrained); only that cold
     start takes the SVD and its rank test.  The SVD is right_singular's, so
     LAPACK sees only the 18 x 18 R factor and OpenBLAS's threads stay
     asleep; its padded R keeps the 18th right vector when the fewest
@@ -327,14 +319,14 @@ def _solve_constrained_scaled(fx_n, fy_n, obs_n, z_n, init=None):
     cost in rescaled pixel units.
     """
     if init is None:
-        d = np.concatenate([np.full(6, fy_n), np.full(6, fx_n), np.full(6, fx_n * fy_n)])
+        d = np.concatenate([np.full(12, f_n), np.full(6, f_n * f_n)])
         s, vt = right_singular(z_n * d)
         if s[16] < 1e-12 * s[0]:
             raise RankDeficientZError(
                 "incidence matrix leaves more than a scale ambiguity"
             )
         init = _metric_decode(vt[17].reshape(3, 6))
-    _, rotation, translation, cost = _refine_metric(fx_n, fy_n, obs_n, init)
+    _, rotation, translation, cost = _refine_metric(f_n, obs_n, init)
     if translation[2] < 0:
         raise CheiralityUnresolvableError(
             "refined camera places the world origin behind itself"
@@ -343,17 +335,17 @@ def _solve_constrained_scaled(fx_n, fy_n, obs_n, z_n, init=None):
 
 
 def solve_constrained(
-    fx: float,
-    fy: float,
+    f: float,
     obs_centered: LineObservationSet,
     init: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """Metric camera (R, T) given focal lengths, principal point at origin.
+    """Metric camera (R, T) at focal length f, principal point at origin.
 
-    The line matrix of diag(fx,fy,1)[R T] equals diag(fy*6, fx*6, fxfy*6)
-    applied to the line matrix of [R T] (row-major flattening), so scaling
-    the incidence columns reduces the linear unknown to the metric camera
-    itself.  Rigidity is restored from the row norms (|scale| from their
+    The line matrix of K P with K = diag(f, f, 1) is cof(K) M(P) =
+    diag(f, f, f^2) M(P), since cof(K) carries cross products the way
+    K carries points.  Scaling the incidence columns of the rows of M by
+    f, f and f^2 therefore reduces the linear unknown to the line matrix of
+    the metric camera [R T] itself.  Rigidity is restored from the row norms (|scale| from their
     mean, sign from requiring the world origin in front of the camera) and
     the decoded pose is then refined on the geometric cost by
     Levenberg-Marquardt with an analytic Jacobian.  An optional init (R, T)
@@ -378,7 +370,7 @@ def solve_constrained(
     obs_n, s_pix, rho = _normalized_copy(obs_centered)
     z_n = _incidence_rows(obs_n)
     init_n = None if init is None else (init[0], np.asarray(init[1], dtype=float) / rho)
-    rotation, t_n, _ = _solve_constrained_scaled(fx * s_pix, fy * s_pix, obs_n, z_n, init=init_n)
+    rotation, t_n, _ = _solve_constrained_scaled(f * s_pix, obs_n, z_n, init=init_n)
     return rotation, t_n * rho
 
 
@@ -420,9 +412,7 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
         warm = None
         for i in order:
             try:
-                rotation, t_n, cost = _solve_constrained_scaled(
-                    grid[i] * s_pix, grid[i] * s_pix, obs_n, z_n, init=warm
-                )
+                rotation, t_n, cost = _solve_constrained_scaled(grid[i] * s_pix, obs_n, z_n, init=warm)
             except (CheiralityUnresolvableError, RankDeficientZError):
                 continue
             warm = (rotation, t_n)
@@ -441,9 +431,7 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
         )
 
     # joint polish of (f, R, T): the free-focal solve takes f off the grid
-    f_n, rotation, t_n, _ = _refine_metric(
-        grid[best] * s_pix, grid[best] * s_pix, obs_n, solutions[best], free_focal=True
-    )
+    f_n, rotation, t_n, _ = _refine_metric(grid[best] * s_pix, obs_n, solutions[best], free_focal=True)
     if t_n[2] <= 0:
         raise CheiralityUnresolvableError(
             "refined camera places the world origin behind itself"

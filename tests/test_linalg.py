@@ -175,7 +175,7 @@ def point_line_problem(scene):
     data = generate_dataset(scene, grid_step=8, noise=NoiseSpec(seed=3))
     intr = scene.intrinsics
     obs = build_observations(data, PlanePosePair(scene.pose1, scene.pose2)).centered(intr.u0, intr.v0)
-    model = _point_line_objective(1.1 * intr.fx, 1.1 * intr.fy, obs)
+    model = _point_line_objective(obs)
     rotation = so3.exp(np.array([0.02, -0.01, 0.015])) @ scene.camera_pose.rotation
     translation = scene.camera_pose.translation + np.array([5.0, -5.0, 20.0])
     start = np.concatenate([[np.log(1.1 * intr.fx)], so3.log(rotation), translation])
@@ -250,7 +250,7 @@ def camera_fit(scene, data):
         so3.exp(np.array([0.02, -0.01, 0.015])) @ scene.camera_pose.rotation,
         scene.camera_pose.translation + np.array([5.0, -5.0, 20.0]),
     )
-    projection._refine_metric(1.1 * intr.fx, 1.1 * intr.fy, obs, start, free_focal=True)
+    projection._refine_metric(1.1 * intr.fx, obs, start, free_focal=True)
 
 
 def cross_ratio_fit(scene, data):

@@ -19,7 +19,6 @@ from specsurf.errors import (
     TooFewCorrespondencesError,
 )
 from specsurf import plane_pose, projection
-from specsurf.plucker import direction_of
 from specsurf.plane_pose import (
     _factor_null_vector,
     _polish_objective,
@@ -620,8 +619,7 @@ class TestLifts:
         # the observation line of each kept triple runs along unit
         data = CorrespondenceSet(pixels=np.zeros((n, 2)), x0=x0, x1=x1, x2=x2)
         obs = projection.build_observations(data, pair)
-        direction = direction_of(obs.lines)
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        direction = obs.lines[:, 3:] / np.linalg.norm(obs.lines[:, 3:], axis=1, keepdims=True)
         unit = lifts.unit[obs.indices]
         assert np.allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.allclose(np.cross(unit, direction), 0.0, rtol=0, atol=1e-12)

@@ -1,4 +1,8 @@
-"""Line-coordinate algebra tests, incl. the conversion round trips."""
+"""Line-coordinate algebra tests, incl. the conversion round trips.
+
+Lines are [moment; direction] = [a x b; a - b]; the line matrix of
+P = [Q | t] is [cof(Q) | -[t]x Q].
+"""
 
 from __future__ import annotations
 
@@ -6,44 +10,39 @@ import numpy as np
 import pytest
 
 from specsurf import plucker
-from specsurf.errors import CoincidentPointsError, DegenerateProjectionError, RankDeficientError
+from specsurf.errors import RankDeficientError
 
-from conftest import random_point_camera
+from conftest import random_point_camera, random_rotation
 
 
 IDENTITY_CAMERA = np.hstack([np.eye(3), np.zeros((3, 1))])
 
-# line matrix of [I | 0], by direct minor evaluation
-IDENTITY_LINE_MATRIX = np.array(
-    [
-        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-    ]
-)
+# line matrix of [I | 0]: cof(I) = I, and t = 0 leaves no direction block
+IDENTITY_LINE_MATRIX = np.hstack([np.eye(3), np.zeros((3, 3))])
+
+
+def reciprocal(l1, l2):
+    """w1 . v2 + v1 . w2, zero exactly when the two lines are coplanar."""
+    return l1[..., 3:] @ l2[..., :3] + l1[..., :3] @ l2[..., 3:]
 
 
 class TestLineFromPoints:
     def test_axis_line_through_origin(self):
-        line = plucker.line_from_points([1, 0, 0], [0, 0, 0])
-        assert np.allclose(plucker.direction_of(line), [1, 0, 0])
-        assert np.allclose(plucker.moment_of(line), [0, 0, 0])
+        line = plucker.lines_from_points([1.0, 0, 0], [0.0, 0, 0])
+        assert np.array_equal(line, [0, 0, 0, 1, 0, 0])
 
     def test_hand_evaluated_direction_and_moment(self):
-        line = plucker.line_from_points([0, 1, 0], [1, 0, 0])
-        assert np.allclose(plucker.direction_of(line), [-1, 1, 0])
-        assert np.allclose(plucker.moment_of(line), [0, 0, -1])
-
-    def test_coincident_points_rejected(self):
-        with pytest.raises(CoincidentPointsError):
-            plucker.line_from_points([1, 2, 3], [1, 2, 3])
+        line = plucker.lines_from_points([0.0, 1, 0], [1.0, 0, 0])
+        assert np.array_equal(line[:3], [0, 0, -1])
+        assert np.array_equal(line[3:], [-1, 1, 0])
 
     def test_self_intersection_identity_random(self, rng):
+        # a line meets itself: v . w = 0
         a = rng.uniform(-100, 100, size=(10_000, 3))
         b = rng.uniform(-100, 100, size=(10_000, 3))
         lines = plucker.lines_from_points(a, b)
         scale = np.sum(lines * lines, axis=-1)
-        res = np.abs(plucker.self_intersection(lines))
+        res = np.abs(np.einsum("ij,ij->i", lines[:, :3], lines[:, 3:]))
         assert np.all(res <= 1e-9 * np.maximum(scale, 1.0))
 
     def test_vectorized_matches_scalar(self, rng):
@@ -51,7 +50,7 @@ class TestLineFromPoints:
         b = rng.uniform(-10, 10, size=(50, 3))
         batch = plucker.lines_from_points(a, b)
         for i in range(50):
-            assert np.array_equal(batch[i], plucker.line_from_points(a[i], b[i]))
+            assert np.array_equal(batch[i], plucker.lines_from_points(a[i], b[i]))
 
 
 class TestRescaleLines:
@@ -70,81 +69,64 @@ class TestRescaleLines:
         assert np.min(dots) > 1.0 - 1e-12
 
 
-class TestDual:
-    def test_reordering(self):
-        out = plucker.dual(np.array([1.0, 2, 3, 4, 5, 6]))
-        assert np.array_equal(out, [5, 6, 4, 3, 1, 2])
-
-    def test_involution(self, rng):
-        line = rng.normal(size=6)
-        assert np.array_equal(plucker.dual(plucker.dual(line)), line)
-
-    def test_origin_line_zero_block_moves(self):
-        # moment slots (1,2,4) are zero for a line through the origin and
-        # land in dual slots (3,5,6)
-        line = plucker.line_from_points([2.0, -1.0, 3.0], [0.0, 0.0, 0.0])
-        d = plucker.dual(line)
-        assert np.allclose(d[[2, 4, 5]], 0.0)
-        assert np.allclose([d[0], d[1], d[3]], [line[4], line[5], line[2]])
-
-
 class TestReciprocalProduct:
+    """The blocks are Pluecker coordinates: coplanarity is bilinear in them."""
+
     def test_origin_lines_coplanar(self):
-        l1 = plucker.line_from_points([1, 0, 0], [0, 0, 0])
-        l2 = plucker.line_from_points([0, 3, 5], [0, 0, 0])
-        assert plucker.reciprocal_product(l1, l2) == pytest.approx(0.0, abs=1e-12)
+        l1 = plucker.lines_from_points([1.0, 0, 0], [0.0, 0, 0])
+        l2 = plucker.lines_from_points([0.0, 3, 5], [0.0, 0, 0])
+        assert reciprocal(l1, l2) == pytest.approx(0.0, abs=1e-12)
 
     def test_parallel_lines_coplanar(self):
-        x_axis = plucker.line_from_points([1, 0, 0], [0, 0, 0])
-        shifted = plucker.line_from_points([0, 0, 1], [1, 0, 1])
-        assert plucker.reciprocal_product(x_axis, shifted) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        x_axis = plucker.lines_from_points([1.0, 0, 0], [0.0, 0, 0])
+        shifted = plucker.lines_from_points([0.0, 0, 1], [1.0, 0, 1])
+        assert reciprocal(x_axis, shifted) == pytest.approx(0.0, abs=1e-12)
 
     def test_skew_lines_give_unit(self):
-        x_axis = plucker.line_from_points([1, 0, 0], [0, 0, 0])
-        skew = plucker.line_from_points([0, 0, 1], [0, 1, 1])
-        assert abs(plucker.reciprocal_product(x_axis, skew)) == pytest.approx(1.0)
+        x_axis = plucker.lines_from_points([1.0, 0, 0], [0.0, 0, 0])
+        skew = plucker.lines_from_points([0.0, 0, 1], [0.0, 1, 1])
+        assert abs(reciprocal(x_axis, skew)) == pytest.approx(1.0)
 
     def test_symmetry(self, rng):
         for _ in range(20):
             l1 = plucker.lines_from_points(rng.normal(size=3), rng.normal(size=3))
             l2 = plucker.lines_from_points(rng.normal(size=3), rng.normal(size=3))
-            assert plucker.reciprocal_product(l1, l2) == pytest.approx(
-                plucker.reciprocal_product(l2, l1), rel=1e-12, abs=1e-12
-            )
+            assert reciprocal(l1, l2) == pytest.approx(reciprocal(l2, l1), rel=1e-12, abs=1e-12)
 
     def test_intersecting_lines_coplanar(self, rng):
         # lines sharing the point p are coplanar in pairs
         p = rng.uniform(-5, 5, size=3)
-        l1 = plucker.line_from_points(p, p + rng.normal(size=3))
-        l2 = plucker.line_from_points(p, p + rng.normal(size=3))
+        l1 = plucker.lines_from_points(p, p + rng.normal(size=3))
+        l2 = plucker.lines_from_points(p, p + rng.normal(size=3))
         scale = np.linalg.norm(l1) * np.linalg.norm(l2)
-        assert abs(plucker.reciprocal_product(l1, l2)) <= 1e-9 * scale
+        assert abs(reciprocal(l1, l2)) <= 1e-9 * scale
 
 
 class TestProjectLine:
     def test_identity_camera_oracle(self):
         # line x=1, z=1 projects to the image line joining the projections
         # of two of its points: cross((1,0,1), (1,1,1)) = (-1, 0, 1)
-        line = plucker.line_from_points([1, 0, 1], [1, 1, 1])
-        image_line = plucker.project_line(IDENTITY_LINE_MATRIX, line)
-        expected = np.cross([1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-        assert np.allclose(
-            plucker.normalize_projective(image_line),
-            plucker.normalize_projective(expected),
-        )
+        line = plucker.lines_from_points([1.0, 0, 1], [1.0, 1, 1])
+        image_line = IDENTITY_LINE_MATRIX @ line
+        assert np.array_equal(image_line, np.cross([1.0, 0.0, 1.0], [1.0, 1.0, 1.0]))
 
-    def test_optical_center_line_degenerate(self):
-        line = plucker.line_from_points([1, 1, 1], [0, 0, 0])
-        with pytest.raises(DegenerateProjectionError):
-            plucker.project_line(IDENTITY_LINE_MATRIX, line)
+    def test_optical_center_line_degenerate(self, rng):
+        # a line through the optical center projects to a point: M L = 0
+        p = random_point_camera(rng)
+        center = -np.linalg.solve(p[:, :3], p[:, 3])
+        line = plucker.lines_from_points(center, center + rng.normal(size=3) * 100.0)
+        image_line = plucker.point_to_line_matrix(p) @ line
+        scale = np.linalg.norm(plucker.point_to_line_matrix(p)) * np.linalg.norm(line)
+        assert np.linalg.norm(image_line) < 1e-12 * scale
 
-    def test_linear_in_matrix_scale(self):
-        line = plucker.line_from_points([1, 0, 1], [1, 1, 1])
-        one = plucker.project_line(IDENTITY_LINE_MATRIX, line)
-        five = plucker.project_line(5.0 * IDENTITY_LINE_MATRIX, line)
-        assert np.allclose(five, 5.0 * one)
+    def test_linear_in_matrix_scale(self, rng):
+        # the image line is linear in the line matrix, which is quadratic
+        # in the camera: P and -P give the same line matrix
+        p = random_point_camera(rng)
+        line = plucker.lines_from_points(rng.normal(size=3), rng.normal(size=3))
+        one = plucker.point_to_line_matrix(p) @ line
+        assert np.allclose(plucker.point_to_line_matrix(5.0 * p) @ line, 25.0 * one, rtol=1e-14)
+        assert np.array_equal(plucker.point_to_line_matrix(-p), plucker.point_to_line_matrix(p))
 
 
 class TestMatrixConversions:
@@ -154,28 +136,30 @@ class TestMatrixConversions:
 
     def test_identity_round_trip(self):
         back = plucker.line_to_point_matrix(IDENTITY_LINE_MATRIX)
-        back = plucker.normalize_projective(back)
-        assert np.allclose(back, plucker.normalize_projective(IDENTITY_CAMERA))
+        assert np.array_equal(back, IDENTITY_CAMERA)
 
     def test_rank_deficient_rejected(self):
         p = np.vstack([IDENTITY_CAMERA[:2], IDENTITY_CAMERA[1]])
         with pytest.raises(RankDeficientError):
             plucker.point_to_line_matrix(p)
 
-    def test_invalid_line_matrix_rejected(self, rng):
-        lm = plucker.point_to_line_matrix(random_point_camera(rng))
-        lm = lm / np.linalg.norm(lm)
-        lm[0] += 0.1 * rng.normal(size=6)
-        assert plucker.line_matrix_validity(lm) > 1e-6
-
     def test_round_trip_random_cameras(self, rng):
+        # the line matrix is quadratic in P, so the way back gives det(Q) P
         for _ in range(200):
             p = random_point_camera(rng)
-            lm = plucker.point_to_line_matrix(p)
-            assert plucker.line_matrix_validity(lm) < 1e-10
-            back = plucker.line_to_point_matrix(lm)
-            d = plucker.normalize_projective(back) - plucker.normalize_projective(p)
-            assert np.linalg.norm(d) < 1e-9
+            back = plucker.line_to_point_matrix(plucker.point_to_line_matrix(p))
+            expected = np.linalg.det(p[:, :3]) * p
+            assert np.linalg.norm(back - expected) < 1e-12 * np.linalg.norm(expected)
+
+    def test_focal_scales_rows(self, rng):
+        # M(diag(f, f, 1) [R T]) = diag(f, f, f^2) M([R T]): the column
+        # scaling the constrained camera solve rests on
+        for _ in range(20):
+            f = rng.uniform(0.3, 3000.0)
+            rt = np.hstack([random_rotation(rng), rng.uniform(-500, 500, size=(3, 1))])
+            scaled = plucker.point_to_line_matrix(np.diag([f, f, 1.0]) @ rt)
+            expected = np.diag([f, f, f * f]) @ plucker.point_to_line_matrix(rt)
+            assert np.allclose(scaled, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
 
     def test_incidence_transport_random(self, rng):
         for _ in range(200):
@@ -187,17 +171,6 @@ class TestMatrixConversions:
             y[2] += 1500.0
             img_pt = p @ np.append(x, 1.0)
             img_pt /= img_pt[2]
-            img_line = plucker.project_line(lm, plucker.line_from_points(x, y))
+            img_line = lm @ plucker.lines_from_points(x, y)
             img_line /= np.linalg.norm(img_line[:2])
             assert abs(img_pt @ img_line) < 1e-9 * max(1.0, np.abs(img_pt).max())
-
-
-class TestNormalizeProjective:
-    def test_unit_norm_and_sign(self):
-        out = plucker.normalize_projective(np.array([-3.0, 4.0]))
-        assert np.allclose(out, [0.6, -0.8])
-        assert np.linalg.norm(out) == pytest.approx(1.0)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            plucker.normalize_projective(np.zeros(4))

@@ -19,7 +19,7 @@ from specsurf.errors import (
     TooFewObservationsError,
 )
 from specsurf.plane_pose import estimate_plane_poses
-from specsurf.plucker import dual, lines_from_points, normalize_projective
+from specsurf.plucker import lines_from_points
 from specsurf.sim import default_two_sphere_scene, generate_dataset
 from specsurf.types import (
     CorrespondenceSet,
@@ -92,13 +92,13 @@ class TestBuildObservations:
         assert np.allclose(np.linalg.norm(clean_obs.lines, axis=1), 1.0, atol=1e-12)
 
     def test_lines_satisfy_self_intersection(self, clean_obs):
-        # a valid line has zero reciprocal product with itself
-        prod = np.einsum("ij,ij->i", clean_obs.lines, dual(clean_obs.lines))
+        # a valid line meets itself: its moment is orthogonal to its direction
+        prod = np.einsum("ij,ij->i", clean_obs.lines[:, :3], clean_obs.lines[:, 3:])
         assert np.max(np.abs(prod)) < 1e-12
 
     def test_incidence_with_ground_truth_camera(self, clean_obs, gt_lm):
-        lm = normalize_projective(gt_lm)
-        img = clean_obs.lines @ dual(lm).T
+        lm = gt_lm / np.linalg.norm(gt_lm)
+        img = clean_obs.lines @ lm.T
         resid = np.abs(np.einsum("ij,ij->i", clean_obs.pixels, img))
         assert resid.max() < 1e-9
 
@@ -177,11 +177,11 @@ class TestPointLineObjective:
 
     @staticmethod
     def random_problem(seed, angle):
-        # camera diag(f, f aspect, 1)[R T] with R at the given rotation angle;
+        # camera diag(f, f, 1)[R T] with R at the given rotation angle;
         # pixels are the projections of random lines, perturbed so that
         # every residual is nonzero
         rng = np.random.default_rng(seed)
-        f, aspect = rng.uniform(0.5, 5.0), rng.uniform(0.8, 1.25)
+        f = rng.uniform(0.5, 5.0)
         axis = rng.normal(size=3)
         rvec = angle * axis / np.linalg.norm(axis)
         t = np.array([*rng.uniform(-1.0, 1.0, size=2), rng.uniform(4.0, 8.0)])
@@ -192,18 +192,18 @@ class TestPointLineObjective:
         ends = pts + rng.normal(size=(n, 3))
         lines = lines_from_points(pts, ends)
         lines /= np.linalg.norm(lines, axis=1, keepdims=True)
-        img = (cam_pts[:, :2] / cam_pts[:, 2:]) * [f, f * aspect]
+        img = (cam_pts[:, :2] / cam_pts[:, 2:]) * f
         pixels = np.hstack([img + 0.05 * rng.normal(size=(n, 2)), np.ones((n, 1))])
         obs = pj.LineObservationSet(pixels, lines, np.arange(n))
         theta = np.concatenate([[np.log(f)], rvec, t])
-        return f, f * aspect, obs, theta
+        return obs, theta
 
     @pytest.mark.parametrize("free_focal", [False, True])
     @pytest.mark.parametrize("angle", [1e-8, 5e-4, 0.9, np.pi - 1e-4])
     def test_jacobian_matches_central_differences(self, angle, free_focal):
         for seed in range(3):
-            fx, fy, obs, theta = self.random_problem(seed, angle)
-            model = pj._point_line_objective(fx, fy, obs)
+            obs, theta = self.random_problem(seed, angle)
+            model = pj._point_line_objective(obs)
             cols = range(7) if free_focal else range(1, 7)
             jac = model(theta)[1]()[:, list(cols)]
             h = 1e-6
@@ -219,11 +219,11 @@ class TestPointLineObjective:
     @pytest.mark.parametrize("angle", [1e-8, 0.9, np.pi - 1e-4])
     def test_squared_residuals_match_line_matrix_cost(self, angle):
         for seed in range(3):
-            fx, fy, obs, theta = self.random_problem(seed, angle)
-            model = pj._point_line_objective(fx, fy, obs)
+            obs, theta = self.random_problem(seed, angle)
+            model = pj._point_line_objective(obs)
             f = np.exp(theta[0])
             lm = pj.camera_line_matrix(
-                Intrinsics(f, f * fy / fx, 0.0, 0.0),
+                Intrinsics(f, f, 0.0, 0.0),
                 so3.exp(theta[1:4]),
                 theta[4:],
             )
@@ -231,19 +231,19 @@ class TestPointLineObjective:
             assert abs(np.sum(model(theta)[0] ** 2) - cost) < 1e-10 * cost
 
     def test_singular_camera_raises(self):
-        fx, fy, obs, theta = self.random_problem(0, 0.9)
-        model = pj._point_line_objective(fx, fy, obs)
+        obs, theta = self.random_problem(0, 0.9)
+        model = pj._point_line_objective(obs)
         with pytest.raises(RankDeficientError):
             model(np.concatenate([[-800.0], theta[1:]]))  # f underflows to 0
         with pytest.raises(RankDeficientError):
-            pj._point_line_objective(fx, 0.0, obs)
+            model(np.concatenate([[np.inf], theta[1:]]))
 
 
 class TestSolveConstrained:
     def test_exact_recovery_at_true_focals(self, scene, clean_obs):
         intr = scene.intrinsics
         cobs = clean_obs.centered(intr.u0, intr.v0)
-        r, t = pj.solve_constrained(intr.fx, intr.fy, cobs)
+        r, t = pj.solve_constrained(intr.fx, cobs)
         assert rot_err_deg(r, scene.camera_pose.rotation) < 1e-6
         t_rel = np.linalg.norm(t - scene.camera_pose.translation) / np.linalg.norm(
             scene.camera_pose.translation
@@ -253,11 +253,11 @@ class TestSolveConstrained:
     def test_exact_recovery_without_refinement(self, scene, clean_obs, monkeypatch):
         # with the refinement returning its start, the result is the decode
         monkeypatch.setattr(
-            pj, "_refine_metric", lambda fx, fy, obs, start: (fx, start[0], start[1], 0.0)
+            pj, "_refine_metric", lambda f, obs, start: (f, start[0], start[1], 0.0)
         )
         intr = scene.intrinsics
         cobs = clean_obs.centered(intr.u0, intr.v0)
-        r, t = pj.solve_constrained(intr.fx, intr.fy, cobs)
+        r, t = pj.solve_constrained(intr.fx, cobs)
         assert rot_err_deg(r, scene.camera_pose.rotation) < 1e-6
         t_rel = np.linalg.norm(t - scene.camera_pose.translation) / np.linalg.norm(
             scene.camera_pose.translation
@@ -269,10 +269,8 @@ class TestSolveConstrained:
         cobs = clean_obs.centered(intr.u0, intr.v0)
         costs = {}
         for mult in (1.0, 2.0):
-            r, t = pj.solve_constrained(mult * intr.fx, mult * intr.fy, cobs)
-            lm = pj.camera_line_matrix(
-                Intrinsics(mult * intr.fx, mult * intr.fy, 0.0, 0.0), r, t
-            )
+            r, t = pj.solve_constrained(mult * intr.fx, cobs)
+            lm = pj.camera_line_matrix(Intrinsics(mult * intr.fx, mult * intr.fx, 0.0, 0.0), r, t)
             costs[mult] = pj.point_line_cost(lm, cobs)
         assert costs[2.0] > costs[1.0]
 
@@ -281,7 +279,7 @@ class TestSolveConstrained:
         cobs = clean_obs.centered(intr.u0, intr.v0)
         cam = scene.camera_pose
         r, t = pj.solve_constrained(
-            intr.fx, intr.fy, cobs, init=(cam.rotation, cam.translation)
+            intr.fx, cobs, init=(cam.rotation, cam.translation)
         )
         assert rot_err_deg(r, cam.rotation) < 1e-6
 
@@ -295,7 +293,7 @@ class TestSolveConstrained:
             )
             cobs = pj.build_observations(data, poses).centered(intr.u0, intr.v0)
             try:
-                r, t = pj.solve_constrained(intr.fx, intr.fy, cobs)
+                r, t = pj.solve_constrained(intr.fx, cobs)
             except CheiralityUnresolvableError:
                 continue
             assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-9
@@ -311,7 +309,7 @@ class TestSolveConstrained:
             )
             cobs = pj.build_observations(data, poses).centered(intr.u0, intr.v0)
             r, t = pj.solve_constrained(
-                intr.fx, intr.fy, cobs, init=(cam.rotation, cam.translation)
+                intr.fx, cobs, init=(cam.rotation, cam.translation)
             )
             assert rot_err_deg(r, cam.rotation) < 2.0
             t_rel = np.linalg.norm(t - cam.translation) / np.linalg.norm(cam.translation)
@@ -319,7 +317,7 @@ class TestSolveConstrained:
 
     def test_exact_recovery_from_fewest_observations(self, scene, fewest_obs):
         intr = scene.intrinsics
-        r, t = pj.solve_constrained(intr.fx, intr.fy, fewest_obs.centered(intr.u0, intr.v0))
+        r, t = pj.solve_constrained(intr.fx, fewest_obs.centered(intr.u0, intr.v0))
         assert rot_err_deg(r, scene.camera_pose.rotation) < 1e-6
         assert np.linalg.norm(t - scene.camera_pose.translation) < 1e-6
 
@@ -330,7 +328,7 @@ class TestSolveConstrained:
             indices=clean_obs.indices[:10],
         )
         with pytest.raises(TooFewObservationsError):
-            pj.solve_constrained(1400.0, 1400.0, small)
+            pj.solve_constrained(1400.0, small)
 
     def test_rank_deficient_raises(self, scene, clean_obs):
         # one observation repeated leaves a rank-1 incidence matrix, which
@@ -342,7 +340,7 @@ class TestSolveConstrained:
             indices=np.arange(20),
         ).centered(intr.u0, intr.v0)
         with pytest.raises(RankDeficientZError):
-            pj.solve_constrained(intr.fx, intr.fy, rep)
+            pj.solve_constrained(intr.fx, rep)
 
 
 class TestFocalSweep:
@@ -382,7 +380,7 @@ class TestFocalSweep:
         lm = pj.camera_line_matrix(
             clean_sweep.intrinsics, clean_sweep.rotation, clean_sweep.translation
         )
-        img = clean_obs.lines @ dual(lm).T
+        img = clean_obs.lines @ lm.T
         dist = np.abs(np.einsum("ij,ij->i", clean_obs.pixels, img)) / np.hypot(
             img[:, 0], img[:, 1]
         )
