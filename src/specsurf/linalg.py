@@ -23,20 +23,63 @@ einsum.  A fit hands it a model, which returns the residuals at x and a
 closure that builds the Jacobian there; least_squares keeps the last x (a
 copy, as MINPACK reuses its buffer) and answers both of MINPACK's
 callbacks from that one evaluation.
+
+least_squares calls lmder in scipy's MINPACK extension directly, and this
+module loads that extension on its own: importing scipy.optimize would
+cost about 0.6 s per process (scipy 1.17.1 on a 2-vCPU x86_64 VM), as its
+__init__ also imports scipy.linalg and scipy's array API layer, none of
+which the package uses.  The loader is the one place in the package's
+code that names scipy.
 """
 
 from __future__ import annotations
 
-import warnings
+import importlib.util
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.optimize import leastsq
 
 # report status of each MINPACK lmder info code: 1 relative cost decrease
 # below ftol, 2 and 3 relative step below xtol, 4 residuals orthogonal to
 # the Jacobian to gtol, 5 out of evaluations
 _MINPACK_STATUS = {1: "plateau", 2: "step", 3: "step", 4: "gradient", 5: "max_iterations"}
+
+
+def _load_lmder():
+    """MINPACK's lmder, from scipy.optimize's _minpack extension alone.
+
+    find_spec("scipy.optimize") imports only the top-level scipy (about
+    15 ms) and names the directory that holds the extension, which then
+    loads without scipy.optimize's __init__.  The extension enters itself
+    in sys.modules as it loads; unless scipy.optimize put it there first,
+    that entry is dropped again, so a later import of scipy.optimize loads
+    its own and binds it to the package.  Raises ImportError, naming the
+    installed scipy, when the extension or its lmder is missing.
+    """
+    import scipy
+
+    name = "scipy.optimize._minpack"
+    registered = name in sys.modules
+    package = importlib.util.find_spec("scipy.optimize")
+    spec = None
+    if package is not None:
+        finder = FileFinder(package.submodule_search_locations[0], (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+    lmder = None
+    if spec is not None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        if not registered:
+            sys.modules.pop(name, None)
+        lmder = getattr(module, "_lmder", None)
+    if lmder is None:
+        raise ImportError(f"specsurf needs MINPACK's lmder from {name}, which scipy {scipy.__version__} lacks")
+    return lmder
+
+
+_lmder = _load_lmder()
 
 
 def right_singular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,18 +151,24 @@ def least_squares(model, x0, max_nfev=None) -> LeastSquaresFit:
     hold a copy of x: MINPACK reuses the buffer it passes, which would
     change under a Jacobian built later.
 
-    The tolerances are relative cost decrease 1e-12, relative step 1e-12
-    and residual-Jacobian cosine 1e-8, with the parameters scaled by the
-    Jacobian's column norms and at most max_nfev residual evaluations
-    (100 n by default): the arguments scipy.optimize.least_squares(
-    method="lm", x_scale="jac", xtol=1e-12, ftol=1e-12) hands MINPACK, so
-    the iterates are the same.  That wrapper also takes dot products over
-    the full residual vector and gemv with the Jacobian's transpose before
-    and after MINPACK, which on a dense scan wakes OpenBLAS's thread pool;
-    this one does neither.
+    lmder is called directly, with the Jacobian by rows (col_deriv 0),
+    relative cost decrease 1e-12, relative step 1e-12, residual-Jacobian
+    cosine 1e-8, at most max_nfev residual evaluations (100 n by default),
+    step bound factor 100 and the parameters scaled by the Jacobian's
+    column norms (diag None).  scipy.optimize.leastsq passed it the same,
+    as does scipy.optimize.least_squares(method="lm", x_scale="jac",
+    xtol=1e-12, ftol=1e-12), so the iterates are the same.  scipy's
+    least_squares also takes dot products over the full residual vector and
+    gemv with the Jacobian's transpose before and after MINPACK, which on a
+    dense scan wakes OpenBLAS's thread pool.  leastsq probed the residual
+    and Jacobian functions once each for their shapes, inverted the R
+    factor into a covariance that nothing read (a badly scaled Jacobian
+    overflowed it) and built status messages.  Here the Jacobian's shape is
+    checked once, at x0 and from the memo, and the rest is not done.  lmder
+    writes its iterates into the x0 it is handed, a copy here.
 
     Raises ValueError when the residuals at x0 are not finite or fewer
-    than x0 has parameters.
+    than x0 has parameters, or when the Jacobian at x0 is not m x n.
     """
     last = []  # x, residuals, Jacobian closure, Jacobian
 
@@ -135,7 +184,7 @@ def least_squares(model, x0, max_nfev=None) -> LeastSquaresFit:
             entry[3] = entry[2]()
         return entry[3]
 
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.array(x0, dtype=float)
     f0 = at(x0)[1]
     if not np.all(np.isfinite(f0)):
         raise ValueError("Residuals are not finite in the initial point.")
@@ -143,22 +192,12 @@ def least_squares(model, x0, max_nfev=None) -> LeastSquaresFit:
         raise ValueError(
             "Method 'lm' doesn't work when the number of residuals is less than the number of variables."
         )
-    with warnings.catch_warnings():
-        # full_output, which gives nfev, njev and fvec, also inverts the R
-        # factor into a covariance nobody reads; a badly scaled Jacobian
-        # overflows it.  The objective's own warnings still pass.
-        warnings.filterwarnings("ignore", category=RuntimeWarning, module="scipy.optimize._minpack_py")
-        x, _, info, _, code = leastsq(
-            lambda x: at(x)[1],
-            x0,
-            Dfun=jac,
-            full_output=True,
-            ftol=1e-12,
-            xtol=1e-12,
-            gtol=1e-8,
-            maxfev=max_nfev or 100 * x0.size,
-            factor=100,
-        )
+    shape = np.shape(jac(x0))
+    if shape != (f0.size, x0.size):
+        raise ValueError(f"The Jacobian at the initial point is {shape}, not ({f0.size}, {x0.size}).")
+    x, info, code = _lmder(
+        lambda x: at(x)[1], jac, x0, (), 1, 0, 1e-12, 1e-12, 1e-8, max_nfev or 100 * x0.size, 100, None
+    )
     return LeastSquaresFit(
         x, sum_squares(info["fvec"]), int(info["nfev"]), int(info["njev"]), _MINPACK_STATUS[code]
     )

@@ -2,7 +2,12 @@
 entry point against scipy.optimize.least_squares, as oracles; the fits
 evaluate each model once per point."""
 
+import importlib.machinery
+import importlib.util
+import re
+import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -266,10 +271,11 @@ def cross_ratio_fit(scene, data):
     ids=["polish", "camera", "refine"],
 )
 def test_jacobian_at_solution_not_recomputed(module, run, scene, noisy8, monkeypatch):
-    # leastsq takes the Jacobian at the start to check its shape, MINPACK
-    # then asks for it there again, and afterwards only at the point whose
-    # residuals it has just evaluated: the memo answers every repeat, so
-    # each fit evaluates its model once per point and builds njev Jacobians
+    # least_squares builds the Jacobian at the start to check its shape,
+    # MINPACK then asks for it there again, and afterwards only at the
+    # point whose residuals it has just evaluated: the memo answers every
+    # repeat, so each fit evaluates its model once per point and builds
+    # njev Jacobians
     points, built, fits = [], [], []
 
     def recorded(model, x0, **kwargs):
@@ -289,9 +295,9 @@ def test_jacobian_at_solution_not_recomputed(module, run, scene, noisy8, monkeyp
 
 
 def test_unused_covariance_does_not_warn():
-    # leastsq inverts the R factor for a covariance; with one Jacobian
-    # column at 1e-170 the inverse's product overflows.  Only the
-    # objective's own warnings reach the caller.
+    # scipy.optimize.leastsq inverted the R factor for a covariance; with
+    # one Jacobian column at 1e-170 the inverse's product overflowed.  lmder
+    # alone computes none, and the objective's own warnings reach the caller.
     t = np.linspace(0.0, 1.0, 10)
 
     def fun(x):
@@ -309,6 +315,44 @@ def test_unused_covariance_does_not_warn():
 
     with pytest.warns(RuntimeWarning, match="overflow"):
         least_squares(model_of(overflowing, jac), np.zeros(2))
+
+
+def test_tiny_rate_fits_without_warning():
+    # the decay fit with its rate scaled by 1e-160: leastsq's covariance
+    # overflowed in matmul here, which pytest turns into an error
+    scale = 1e-160
+    model = decay(3.0 * np.exp(-0.7 * DECAY_T), scale * DECAY_T)
+    fit = least_squares(model, np.array([1.0, 0.1 / scale]))
+    np.testing.assert_allclose(fit.x, [3.0, 0.7 / scale], rtol=1e-10)
+
+
+def test_jacobian_shape_checked_before_minpack():
+    # lmder's C wrapper would only notice mid-fit that the array "changed
+    # size between calls"
+    y = 3.0 * np.exp(-0.7 * DECAY_T)
+    model = model_of(lambda x: x[0] * np.exp(-x[1] * DECAY_T) - y, lambda x: np.ones((DECAY_T.size, 3)))
+    with pytest.raises(ValueError, match=re.escape("is (50, 3), not (50, 2)")):
+        least_squares(model, np.array([1.0, 0.1]))
+
+
+def import_fresh_linalg(monkeypatch):
+    """Execute linalg.py afresh under another name, as its import would."""
+    spec = importlib.util.spec_from_file_location("fresh_linalg", linalg.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+
+
+@pytest.mark.parametrize("missing", ["extension", "lmder"])
+def test_missing_minpack_fails_at_import(missing, monkeypatch):
+    if missing == "extension":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    else:
+        monkeypatch.setattr(
+            importlib.machinery.ExtensionFileLoader, "create_module", lambda self, spec: types.ModuleType(spec.name)
+        )
+    with pytest.raises(ImportError, match=re.escape(f"scipy {scipy.__version__} lacks")):
+        import_fresh_linalg(monkeypatch)
 
 
 def test_fewer_residuals_than_parameters_rejected():

@@ -122,19 +122,57 @@ def test_every_public_definition_is_used():
     assert sorted(d.label for d in definitions if not is_used(d, refs)) == []
 
 
+def docstrings(tree: ast.AST) -> set[ast.AST]:
+    return {
+        node.body[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None
+    }
+
+
+def imported(node: ast.AST) -> list[str]:
+    """The modules, or module.name, that an import statement names."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
+def names_scipy(node: ast.AST, docs: set[ast.AST]) -> bool:
+    """Whether node imports scipy, reads the name or spells it in a string
+    other than a docstring."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any(module.split(".")[0] == "scipy" for module in imported(node))
+    if isinstance(node, ast.Name):
+        return node.id == "scipy"
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return "scipy" in node.value and node not in docs
+    return False
+
+
 def test_one_levenberg_marquardt():
     # the fits share one entry point, which keeps long residual vectors off
     # OpenBLAS's thread pool; scipy's least_squares would wake it.  Each
     # fit hands it a model, and its memo is the only one: no fit passes a
-    # separate Jacobian or compares points itself.
+    # separate Jacobian or compares points itself.  Nothing imports from
+    # scipy.optimize, whose import is slow (see linalg): linalg's loader of the
+    # MINPACK extension is the one place that names scipy at all.
     assert projection.least_squares is linalg.least_squares
     assert plane_pose.least_squares is linalg.least_squares
     assert crossratio.least_squares is linalg.least_squares
-    uses = []
+    loader = next(
+        node
+        for node in ast.parse((PACKAGE / "linalg.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_load_lmder"
+    )
+    uses, named = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
-                uses += [(path.name, node.lineno) for a in node.names if a.name == "least_squares"]
+        tree = ast.parse(path.read_text())
+        docs = docstrings(tree)
+        for node in ast.walk(tree):
+            if any(module.startswith("scipy.optimize") for module in imported(node)):
+                uses.append((path.name, node.lineno))
             elif isinstance(node, ast.Attribute) and node.attr == "least_squares":
                 if ast.unparse(node.value).split(".")[0] in ("scipy", "optimize"):
                     uses.append((path.name, node.lineno))
@@ -144,4 +182,9 @@ def test_one_levenberg_marquardt():
             elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("least_squares"):
                 if any(k.arg == "jac" for k in node.keywords):
                     uses.append((path.name, node.lineno))
+            if names_scipy(node, docs):
+                named.append((path.name, node.lineno))
     assert uses == []
+    assert named and all(
+        name == "linalg.py" and loader.lineno <= line <= loader.end_lineno for name, line in named
+    ), named
