@@ -6,8 +6,12 @@ points lie on one line (the reflected ray), and pose 0 is the world frame.
 lift_triples returns them as Lifts, which fixes that line for every stage;
 the pose-1 lift's offset from it is the residual the motions are fitted by.
 Eliminating the ray turns every triple into two linear constraints on a
-24-vector packing products of the two unknown motions; the vector is found
-in the nullspace of the stacked system and factored back into rigid motions.
+24-vector packing products of the two unknown motions (the collinearity
+constraints of Sturm & Bonfort, ACCV 2006).  The stacked system has two null
+directions, and one of them is known in advance: spurious_null_vector.
+Along lines parallel to it the motion-form identity is a quadratic, and
+each of its real roots is factored back into rigid motions by two linear
+solves.
 
 The factorization is sign-ambiguous: flipping the plane normal direction of
 both motions (a mirror twin) satisfies the same constraints with identical
@@ -37,10 +41,6 @@ MIN_TRIPLES = 12
 # a factored candidate is kept when its rotation columns are unit and
 # orthogonal to within this
 ORTHO_TOL = 0.3
-
-# cubic terms of the motion-form identity: slot indices (0-based) and sign
-_CUBIC_TERMS = ((18, 6, 23, 1.0), (18, 8, 21, -1.0), (20, 0, 23, -1.0), (20, 2, 21, 1.0))
-
 
 def pack_motion(pose1: RigidPose, pose2: RigidPose) -> np.ndarray:
     """24-vector of motion products annihilated by the design matrix.
@@ -95,13 +95,14 @@ def build_design_matrix(x0, x1, x2) -> np.ndarray:
 def nullspace_basis(e: np.ndarray):
     """Two least singular directions of the design matrix and the rank gap.
 
-    The generic system has rank 22; the gap ratio sigma_22/sigma_23
-    (1-based, descending) measures how clearly the data separates exactly
-    two null directions.  It shrinks with measurement noise on healthy data,
-    so it is returned for the record and not tested.  Raises
-    RankAmbiguousError when sigma_22 itself vanishes relative to sigma_1:
-    the nullity is above two and the ratio of two near-zero values is
-    meaningless.
+    The two directions span the structural direction spurious_null_vector
+    and the motion pack, in some mix.  The generic system has rank 22; the
+    gap ratio sigma_22/sigma_23 (1-based, descending) measures how clearly
+    the data separates exactly two null directions.  It shrinks with
+    measurement noise on healthy data, so it is returned for the record and
+    not tested.  Raises RankAmbiguousError when sigma_22 itself vanishes
+    relative to sigma_1: the nullity is above two and the ratio of two
+    near-zero values is meaningless.
 
     The 2n x 24 matrix is factored by right_singular, which triangularises
     it in NumPy and runs LAPACK's SVD on the 24 x 24 R factor alone: a
@@ -123,181 +124,28 @@ def nullspace_basis(e: np.ndarray):
     return vt[22], vt[23], gap
 
 
-def _cubic_coefficients(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of the motion-form cubic along d1 + beta*d2."""
-    coeffs = np.zeros(4)
-    for i, j, k, sign in _CUBIC_TERMS:
-        poly = np.convolve(np.convolve([d1[i], d2[i]], [d1[j], d2[j]]), [d1[k], d2[k]])
-        coeffs += sign * poly
-    return coeffs
-
-
-def real_cubic_roots(coeffs: np.ndarray) -> list[float]:
-    """Real roots of a polynomial given descending coefficients.
-
-    Near-zero leading coefficients (relative to the largest) are trimmed so
-    a degenerate cubic falls back to the lower-degree polynomial it actually
-    is.  Roots come from the companion matrix (np.roots); a root counts as
-    real when its imaginary part is below 1e-8*(1+|real part|).
-    """
-    desc = np.asarray(coeffs, dtype=float)
-    scale = np.max(np.abs(desc)) if desc.size else 0.0
-    if scale < 1e-14:
-        return []
-    trimmed = desc
-    while len(trimmed) > 1 and abs(trimmed[0]) < 1e-10 * scale:
-        trimmed = trimmed[1:]
-    if len(trimmed) <= 1:
-        return []
-    out: list[float] = []
-    for r in np.roots(trimmed):
-        if abs(r.imag) < 1e-8 * (1.0 + abs(r.real)):
-            out.append(float(r.real))
-    unique: list[float] = []
-    for b in sorted(out):
-        if not unique or abs(b - unique[-1]) > 1e-9 * (1.0 + abs(b)):
-            unique.append(b)
-    return unique
-
-
 def candidate_null_vectors(d1: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
-    """Unit null directions satisfying the cubic motion-form identity.
+    """Unit null directions satisfying the motion-form identity.
 
-    Solves the cubic along the pencil d1 + beta*d2; a vanishing leading
-    coefficient adds the pure-d2 direction (beta at infinity).  Real roots
-    that give the zero vector are dropped, so the list may be empty.
+    The span of d1 and d2 holds the structural direction s
+    (spurious_null_vector), so the pencil is taken through d, the basis
+    vector least aligned with s with its s component removed.  Along
+    d + beta*(e20 + e23) the cubic identity
+    d18*d6*d23 - d18*d8*d21 - d20*d0*d23 + d20*d2*d21 = 0 drops to a
+    quadratic in beta: s is its root at infinity, and never a candidate.
+    Returns one direction per real root, so the list may be empty.
     """
-    coeffs = _cubic_coefficients(d1, d2)  # ascending
-    desc = coeffs[::-1]
-    scale = np.max(np.abs(desc))
-    if scale < 1e-14:
-        # identity degenerates along the whole pencil; pass both basis
-        # directions through and let residual scoring decide
-        return [d1.copy(), d2.copy()]
-    lead_small = abs(desc[0]) < 1e-10 * scale
+    s = spurious_null_vector()
+    d = min((d1, d2), key=lambda v: abs(v @ s))
+    d = d - (d @ s) * s
+    identity = d[18] * d[6] * d[23] - d[18] * d[8] * d[21] - d[20] * d[0] * d[23] + d[20] * d[2] * d[21]
+    quadratic = [-d[0], d[18] * d[6] - d[0] * (d[20] + d[23]) + d[2] * d[21], identity]
     out: list[np.ndarray] = []
-    for b in real_cubic_roots(desc):
-        v = d1 + b * d2
-        nv = np.linalg.norm(v)
-        if nv > 1e-12:
-            out.append(v / nv)
-    if lead_small:
-        out.append(d2.copy())
+    for beta in np.roots(quadratic):
+        if abs(beta.imag) < 1e-8 * (1.0 + abs(beta.real)):
+            v = d + beta.real * np.sqrt(2.0) * s
+            out.append(v / np.linalg.norm(v))
     return out
-
-
-def _eliminate_family(d: np.ndarray):
-    """Shared elimination behind factoring: family params and squared scale.
-
-    d must be unit length.  Returns (m1, m2, n1, n2, lam1, lam2, t) where the
-    finished first/second rows are m1 + lam1*m3 etc. and t is the squared
-    scale of the third rows, or None when the constraint system is too
-    degenerate to pin the family down or t is not positive.
-    """
-    n3 = d[18:21]
-    m3 = d[21:24]
-
-    # block relations are linear in the unknown first/second rows; the
-    # min-norm least-squares solution fixes the one-parameter null family
-    # (adding (m3, n3)) at zero, reintroduced below as lam1/lam2
-    sys = np.zeros((9, 6))
-    rhs_a = np.zeros(9)
-    rhs_b = np.zeros(9)
-    for i in range(3):
-        for j in range(3):
-            r = 3 * i + j
-            sys[r, j] = n3[i]
-            sys[r, 3 + i] = -m3[j]
-            rhs_a[r] = d[r]
-            rhs_b[r] = d[9 + r]
-    sol_a, *_ = np.linalg.lstsq(sys, rhs_a, rcond=None)
-    sol_b, *_ = np.linalg.lstsq(sys, rhs_b, rcond=None)
-    m1, n1 = sol_a[:3], sol_a[3:]
-    m2, n2 = sol_b[:3], sol_b[3:]
-
-    # unit/orthogonality of the four rotation columns constrains the family
-    # parameters (lam1, lam2) and the squared scale t; eliminating t between
-    # pairs of constraints leaves equations linear in (lam1, lam2)
-    a = np.array([m1[0], m1[1], n1[0], n1[1]])
-    b = np.array([m2[0], m2[1], n2[0], n2[1]])
-    c = np.array([m3[0], m3[1], n3[0], n3[1]])
-
-    rows = []
-    rhs = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            rows.append(
-                [
-                    2.0 * c[i] * c[j] * (c[j] * a[i] - c[i] * a[j]),
-                    2.0 * c[i] * c[j] * (c[j] * b[i] - c[i] * b[j]),
-                ]
-            )
-            rhs.append(
-                -(
-                    c[j] ** 2 * (a[i] ** 2 + b[i] ** 2)
-                    - c[i] ** 2 * (a[j] ** 2 + b[j] ** 2)
-                    - c[j] ** 2
-                    + c[i] ** 2
-                )
-            )
-    for p, q in ((0, 1), (2, 3)):
-        cpq = c[p] * c[q]
-        for i in range(4):
-            rows.append(
-                [
-                    2.0 * a[i] * c[i] * cpq - c[i] ** 2 * (a[p] * c[q] + a[q] * c[p]),
-                    2.0 * b[i] * c[i] * cpq - c[i] ** 2 * (b[p] * c[q] + b[q] * c[p]),
-                ]
-            )
-            rhs.append(
-                -(
-                    cpq * (a[i] ** 2 + b[i] ** 2 - 1.0)
-                    - c[i] ** 2 * (a[p] * a[q] + b[p] * b[q])
-                )
-            )
-    c01 = c[0] * c[1]
-    c23 = c[2] * c[3]
-    rows.append(
-        [
-            c23 * (a[0] * c[1] + a[1] * c[0]) - c01 * (a[2] * c[3] + a[3] * c[2]),
-            c23 * (b[0] * c[1] + b[1] * c[0]) - c01 * (b[2] * c[3] + b[3] * c[2]),
-        ]
-    )
-    rhs.append(-(c23 * (a[0] * a[1] + b[0] * b[1]) - c01 * (a[2] * a[3] + b[2] * b[3])))
-
-    g = np.asarray(rows)
-    gr = np.asarray(rhs)
-    norms = np.linalg.norm(g, axis=1)
-    keep = norms > 1e-14 * max(norms.max(), 1e-300)
-    if keep.sum() < 2:
-        return None
-    scale_rows = norms[keep][:, None]
-    g = g[keep] / scale_rows
-    gr = gr[keep] / scale_rows[:, 0]
-    lam, *_ = np.linalg.lstsq(g, gr, rcond=None)
-    lam1, lam2 = float(lam[0]), float(lam[1])
-
-    # squared scale from all six constraints jointly (each is t*tau + kappa = 0)
-    ai = a + lam1 * c
-    bi = b + lam2 * c
-    taus = [c[0] ** 2, c[1] ** 2, c[2] ** 2, c[3] ** 2, c01, c23]
-    kappas = [
-        ai[0] ** 2 + bi[0] ** 2 - 1.0,
-        ai[1] ** 2 + bi[1] ** 2 - 1.0,
-        ai[2] ** 2 + bi[2] ** 2 - 1.0,
-        ai[3] ** 2 + bi[3] ** 2 - 1.0,
-        ai[0] * ai[1] + bi[0] * bi[1],
-        ai[2] * ai[3] + bi[2] * bi[3],
-    ]
-    taus = np.asarray(taus)
-    kappas = np.asarray(kappas)
-    denom = float(taus @ taus)
-    if denom <= 0:
-        return None
-    t = float(-(taus @ kappas) / denom)
-    if t <= 0:
-        return None
-    return m1, m2, n1, n2, lam1, lam2, t
 
 
 def _factor_null_vector(d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -308,6 +156,13 @@ def _factor_null_vector(d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     the two mirror twins (sign of the third rows).  Empty when the vector
     does not pin the motions down or the scale constraint has no positive
     solution.
+
+    With m3 = d[21:24] and n3 = d[18:21] the third rows up to a scale
+    alpha, the blocks d[0:9] and d[9:18] are linear in the first and second
+    rows: n3 m1^T - n1 m3^T and n3 m2^T - n2 m3^T.  Their min-norm solution
+    leaves out a family (m1, n1) + lam1 (m3, n3), (m2, n2) + lam2 (m3, n3).
+    Unit and orthogonal rotation columns are then linear in
+    (u, lam1, lam2), u = lam1^2 + lam2^2 + alpha^2.
     """
     d = d / np.linalg.norm(d)
     # x/y slots of both third rows vanishing means both motions keep the
@@ -316,13 +171,30 @@ def _factor_null_vector(d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     # scale constraints cannot pin the family down in any of these
     if np.max(np.abs(d[[18, 19, 21, 22]])) < 1e-6:
         return []
-    res = _eliminate_family(d)
-    if res is None:
-        return []
-    m1, m2, n1, n2, lam1, lam2, t = res
-    alpha = np.sqrt(t)
     n3 = d[18:21]
     m3 = d[21:24]
+    blocks = np.hstack([np.kron(n3[:, None], np.eye(3)), -np.kron(np.eye(3), m3[:, None])])
+    sol, *_ = np.linalg.lstsq(blocks, np.column_stack([d[0:9], d[9:18]]), rcond=None)
+    (m1, m2), (n1, n2) = sol[:3].T, sol[3:].T
+
+    # entries of the four rotation columns (motion 1 then motion 2): first
+    # row a, second row b, third row c before the scale; column p . column q
+    # is 1 for the four unit columns and 0 for each motion's pair
+    a = np.concatenate([m1[:2], n1[:2]])
+    b = np.concatenate([m2[:2], n2[:2]])
+    c = np.concatenate([m3[:2], n3[:2]])
+    p, q = np.array([0, 1, 2, 3, 0, 2]), np.array([0, 1, 2, 3, 1, 3])
+    rows = np.column_stack([c[p] * c[q], a[p] * c[q] + a[q] * c[p], b[p] * c[q] + b[q] * c[p]])
+    rhs = (p == q) - a[p] * a[q] - b[p] * b[q]
+    # unit-norm rows weigh the six constraints alike
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms > 1e-14 * norms.max()
+    w = norms[keep]
+    (u, lam1, lam2), *_ = np.linalg.lstsq(rows[keep] / w[:, None], rhs[keep] / w, rcond=None)
+    alpha2 = u - lam1**2 - lam2**2
+    if not alpha2 > 0:
+        return []
+    alpha = np.sqrt(alpha2)
 
     m1f = m1 + lam1 * m3
     m2f = m2 + lam2 * m3
@@ -492,10 +364,10 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
 
     Each candidate direction of the nullspace pencil is factored once.  The
     factored pairs are ranked by line-offset residual, and those within 100
-    times the best residual, at most the first four, are polished by
-    refine_plane_poses.  Mirror twins (identical residual, plane normal
-    flipped) are both returned because only camera-side reasoning can tell
-    them apart.
+    times the best residual are polished by refine_plane_poses.  Two roots
+    with two twins each make at most four candidates.  Mirror twins
+    (identical residual, plane normal flipped) are both returned because
+    only camera-side reasoning can tell them apart.
 
     Raises RankAmbiguousError, carrying the rank gap, when no nullspace
     direction factors into a rigid pair: the data do not determine the
@@ -530,7 +402,7 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     cutoff = 100.0 * max(scored[0][0], 1e-12)
     polished: list[tuple[float, PlanePosePair]] = []
     for res, pair in scored:
-        if res <= cutoff and len(polished) < 4:
+        if res <= cutoff:
             better = refine_plane_poses(pair, x0, x1, x2)
             polished.append((line_offset_residual(better, x0, x1, x2), better))
         else:

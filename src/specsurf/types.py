@@ -159,7 +159,9 @@ class CalibrationEstimate:
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,) mm
     source: str  # "constrained" (focal_sweep) | "crossratio" (refine)
-    cost: float = float("nan")  # point-to-line cost, px^2 (sum)
+    # px^2 (sum): the point-to-line cost for "constrained", the cross-ratio
+    # reprojection cost for "crossratio"
+    cost: float = float("nan")
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
     def camera_center(self) -> np.ndarray:

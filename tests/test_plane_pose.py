@@ -28,7 +28,6 @@ from specsurf.plane_pose import (
     line_offset_residual,
     nullspace_basis,
     pack_motion,
-    real_cubic_roots,
     refine_plane_poses,
     spurious_null_vector,
 )
@@ -102,6 +101,11 @@ def rows_pack(m, n):
         )
 
     return pack_motion(pose(m), pose(n))
+
+
+def motion_form(v):
+    """The cubic identity every motion pack satisfies (see TestMotionForm)."""
+    return v[18] * v[6] * v[23] - v[18] * v[8] * v[21] - v[20] * v[0] * v[23] + v[20] * v[2] * v[21]
 
 
 def unpolished(monkeypatch):
@@ -251,7 +255,7 @@ class TestNullspace:
 
 
 class TestBetaSolver:
-    """The pencil cubic of candidate_null_vectors."""
+    """The pencil quadratic of candidate_null_vectors."""
 
     def test_truth_direction_among_pencil_roots(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
@@ -272,25 +276,31 @@ class TestBetaSolver:
         vectors = candidate_null_vectors(w, spurious_null_vector())
         assert min(np.linalg.norm(v - w) for v in vectors) < 1e-10
 
-    def test_plain_cubic_roots(self):
-        roots = real_cubic_roots(np.array([1.0, 0.0, -1.0, 0.0]))
-        assert np.allclose(sorted(roots), [-1.0, 0.0, 1.0], atol=1e-12)
-
     def test_roots_without_direction_dropped(self):
-        # slots chosen so the identity reduces to 1 + beta^2: no finite beta
-        # is real, so the only direction left is d2 (beta at infinity)
-        d1 = np.zeros(24)
-        d2 = np.zeros(24)
-        d1[18] = 1.0
-        d1[6] = 1.0
-        d1[23] = 1.0
-        d2[20] = 1.0
-        d2[0] = -1.0
-        (v,) = candidate_null_vectors(d1, d2)
-        assert np.array_equal(v, d2)
-        # along 0 + beta*d1 the identity is beta^3: its one real root gives
-        # the zero vector, which is no direction at all
-        assert candidate_null_vectors(np.zeros(24), d1) == []
+        # d is orthogonal to the structural direction and its quadratic is
+        # beta^2 + 1: no real root, so no direction at all
+        d = np.zeros(24)
+        d[[0, 8]] = -1.0
+        d[[18, 21]] = 1.0
+        assert d @ spurious_null_vector() == 0.0
+        assert candidate_null_vectors(d, spurious_null_vector()) == []
+
+    @pytest.mark.parametrize(
+        "grid, sigma, gamma", [(20, 0.0, 0.0), (8, 1.0, 0.5)], ids=["clean", "noisy"]
+    )
+    def test_two_directions_and_never_structural(self, scene, grid, sigma, gamma):
+        # the structural direction is the cubic's root at infinity: the
+        # quadratic along it leaves exactly the two finite roots
+        data = generate_dataset(scene, grid_step=grid, noise=NoiseSpec(sigma, gamma, 0.0, 0))
+        s = rms_scale(data.x0, data.x1, data.x2)
+        d1, d2, _ = nullspace_basis(build_design_matrix(data.x0 / s, data.x1 / s, data.x2 / s))
+        vectors = candidate_null_vectors(d1, d2)
+        assert len(vectors) == 2
+        structural = spurious_null_vector()
+        for v in vectors:
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            assert abs(motion_form(v)) < 1e-12
+            assert min(np.linalg.norm(v - structural), np.linalg.norm(v + structural)) > 0.5
 
     def test_candidate_directions_are_unit(self, synthetic):
         x0, x1, x2, *_ = synthetic
@@ -364,6 +374,7 @@ class TestMotionForm:
             pose1 = RigidPose(random_rotation(rng), rng.uniform(-2, 2, size=3))
             pose2 = RigidPose(random_rotation(rng), rng.uniform(-2, 2, size=3))
             w = pack_motion(pose1, pose2)
+            assert abs(motion_form(w)) < 1e-12 * np.linalg.norm(w) ** 3
             for block in (w[:9].reshape(3, 3), w[9:18].reshape(3, 3)):
                 sv = np.linalg.svd(block, compute_uv=False)
                 assert sv[2] < 1e-6 * sv[0]
@@ -663,6 +674,18 @@ class TestRefine:
             sol = estimate_plane_poses(data)
             refs.append(best_pose_errors(sol, scene.pose1, scene.pose2)[0])
         assert np.mean(refs) < np.mean(raws)
+
+    def test_unpolished_rotation_error_per_sigma(self, scene, monkeypatch):
+        # the factored candidates before any polish: the unit-norm rows of
+        # the scale solve weigh the six constraints alike (0.41 unscaled)
+        unpolished(monkeypatch)
+        ratios = []
+        for sigma in (0.5, 1.0, 2.0):
+            for seed in range(6):
+                data = generate_dataset(scene, grid_step=8, noise=NoiseSpec(sigma, 0.5, 0.0, seed))
+                sol = estimate_plane_poses(data)
+                ratios.append(best_pose_errors(sol, scene.pose1, scene.pose2)[0] / sigma)
+        assert np.mean(ratios) < 0.36
 
     def test_exact_solution_is_fixed_point(self, scene, clean_data):
         s = rms_scale(clean_data.x0, clean_data.x1, clean_data.x2)
