@@ -141,7 +141,7 @@ class LeastSquaresFit:
     status: str
 
 
-def least_squares(model, x0, max_nfev=None) -> LeastSquaresFit:
+def least_squares(model, x0, max_nfev=None, ftol=1e-12) -> LeastSquaresFit:
     """Levenberg-Marquardt fit of model(x) to zero from x0 by MINPACK's lmder.
 
     model(x) returns the residuals at x and a zero-argument closure that
@@ -152,12 +152,16 @@ def least_squares(model, x0, max_nfev=None) -> LeastSquaresFit:
     change under a Jacobian built later.
 
     lmder is called directly, with the Jacobian by rows (col_deriv 0),
-    relative cost decrease 1e-12, relative step 1e-12, residual-Jacobian
-    cosine 1e-8, at most max_nfev residual evaluations (100 n by default),
+    relative cost decrease ftol (the fit stops once both the actual and the
+    predicted relative decrease of the cost over a step are at most ftol),
+    relative step 1e-12, residual-Jacobian cosine 1e-8, at most max_nfev
+    residual evaluations (100 n by default),
     step bound factor 100 and the parameters scaled by the Jacobian's
     column norms (diag None).  scipy.optimize.leastsq passed it the same,
     as does scipy.optimize.least_squares(method="lm", x_scale="jac",
-    xtol=1e-12, ftol=1e-12), so the iterates are the same.  scipy's
+    xtol=1e-12, ftol=ftol), so the iterates are the same.  The default
+    ftol 1e-12 runs a fit to convergence; a caller that only ranks or
+    warm-starts from the result may stop it earlier.  scipy's
     least_squares also takes dot products over the full residual vector and
     gemv with the Jacobian's transpose before and after MINPACK, which on a
     dense scan wakes OpenBLAS's thread pool.  leastsq probed the residual
@@ -196,7 +200,7 @@ def least_squares(model, x0, max_nfev=None) -> LeastSquaresFit:
     if shape != (f0.size, x0.size):
         raise ValueError(f"The Jacobian at the initial point is {shape}, not ({f0.size}, {x0.size}).")
     x, info, code = _lmder(
-        lambda x: at(x)[1], jac, x0, (), 1, 0, 1e-12, 1e-12, 1e-8, max_nfev or 100 * x0.size, 100, None
+        lambda x: at(x)[1], jac, x0, (), 1, 0, ftol, 1e-12, 1e-8, max_nfev or 100 * x0.size, 100, None
     )
     return LeastSquaresFit(
         x, sum_squares(info["fvec"]), int(info["nfev"]), int(info["njev"]), _MINPACK_STATUS[code]

@@ -243,6 +243,26 @@ def test_least_squares_matches_scipy(case, status, scene, noisy8):
     assert fit.cost == pytest.approx(2.0 * ref.cost, rel=1e-14)
 
 
+def test_ftol_matches_scipy(scene, noisy8):
+    # a looser relative cost decrease stops the polish a step earlier, at
+    # scipy's iterate for the same ftol
+    model, start, _ = polish_problem(scene, noisy8)
+    ref = scipy.optimize.least_squares(
+        lambda x: model(x)[0],
+        start,
+        jac=lambda x: model(x)[1](),
+        method="lm",
+        x_scale="jac",
+        xtol=1e-12,
+        ftol=1e-6,
+    )
+    fit = least_squares(model, start, ftol=1e-6)
+    np.testing.assert_array_equal(fit.x, ref.x)
+    assert (fit.nfev, fit.njev) == (ref.nfev, ref.njev)
+    assert fit.status == SCIPY_STATUS[ref.status] == "plateau"
+    assert fit.nfev < least_squares(model, start).nfev
+
+
 def polish_fit(scene, data):
     refine_plane_poses(PlanePosePair(scene.pose1, scene.pose2), data.x0, data.x1, data.x2)
 
@@ -392,3 +412,10 @@ def test_plane_pose_polish_leaves_blas_threads_asleep(scene, noisy8):
     # three residuals per triple: 10,542, above the size dot threads
     pair = PlanePosePair(scene.pose1, scene.pose2)
     assert cpu_while_idle(lambda: refine_plane_poses(pair, noisy8.x0, noisy8.x1, noisy8.x2)) < 0.02
+
+
+def test_camera_fit_leaves_blas_threads_asleep(scene):
+    # grid 2: a 3 x 3 by 3 x 2n matmul of the rotated lines threads here
+    data = generate_dataset(scene, grid_step=2, noise=NoiseSpec(seed=0))
+    assert len(data) >= 50_000
+    assert cpu_while_idle(lambda: camera_fit(scene, data)) < 0.02

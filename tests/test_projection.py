@@ -15,6 +15,7 @@ from specsurf.errors import (
     DegenerateLineProjectionError,
     RankDeficientError,
     RankDeficientZError,
+    SpecsurfError,
     SweepNoMinimumError,
     TooFewObservationsError,
 )
@@ -22,6 +23,7 @@ from specsurf.plane_pose import estimate_plane_poses
 from specsurf.plucker import lines_from_points
 from specsurf.sim import default_two_sphere_scene, generate_dataset
 from specsurf.types import (
+    CalibrationEstimate,
     CorrespondenceSet,
     Intrinsics,
     NoiseSpec,
@@ -41,6 +43,18 @@ def set_sweep_range(monkeypatch, image_size, f_lo, f_hi, samples):
 def rot_err_deg(r, s):
     c = (np.trace(r @ s.T) - 1.0) / 2.0
     return np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def sweep_every_candidate(scene, data):
+    """focal_sweep on each plane-pose candidate: its estimate, or the
+    SpecsurfError it raised."""
+    outcomes = []
+    for pair in estimate_plane_poses(data).candidates:
+        try:
+            outcomes.append(pj.focal_sweep(pj.build_observations(data, pair), scene.image_size))
+        except SpecsurfError as error:
+            outcomes.append(error)
+    return outcomes
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +432,56 @@ class TestFocalSweep:
         monkeypatch.setattr(pj, "least_squares", counted)
         pj.focal_sweep(clean_obs, scene.image_size)
         assert len(calls) == pj.SWEEP_SAMPLES + 1
+
+    def test_evaluation_budget(self, scene, monkeypatch):
+        # every fit's evaluations, counted the way test_least_squares_calls
+        # counts calls: the two clean grid-20 twins took 1,613 with every
+        # sample run to a relative cost decrease of 1e-12, and take 897
+        # with samples stopped at SWEEP_FTOL
+        data = generate_dataset(scene, grid_step=20, noise=NoiseSpec())
+        original = pj.least_squares
+        nfev = []
+
+        def counted(*args, **kwargs):
+            fit = original(*args, **kwargs)
+            nfev.append(fit.nfev)
+            return fit
+
+        monkeypatch.setattr(pj, "least_squares", counted)
+        total = 0
+        for pair in estimate_plane_poses(data).candidates:
+            nfev.clear()
+            try:
+                est = pj.focal_sweep(pj.build_observations(data, pair), scene.image_size)
+            except SpecsurfError:
+                pass
+            else:
+                assert est.diagnostics["nfev"] == sum(nfev)
+            total += sum(nfev)
+        assert 0 < total < 1000
+
+    @pytest.mark.parametrize(
+        "grid_step, noise",
+        [(20, NoiseSpec()), (8, NoiseSpec(sigma_mm=1.0, seed=0))],
+        ids=["clean-g20", "noisy-g8"],
+    )
+    def test_ranking_tolerance_keeps_the_outcome(self, scene, grid_step, noise, monkeypatch):
+        # samples stopped at SWEEP_FTOL rank the focal lengths as samples
+        # run to 1e-12 do: every twin fails or is accepted alike, from the
+        # same best sample, and the polish reaches the same camera
+        data = generate_dataset(scene, grid_step=grid_step, noise=noise)
+        ranked = sweep_every_candidate(scene, data)
+        monkeypatch.setattr(pj, "SWEEP_FTOL", 1e-12)
+        converged = sweep_every_candidate(scene, data)
+        assert [type(a) for a in ranked] == [type(b) for b in converged]
+        accepted = [(a, b) for a, b in zip(ranked, converged) if isinstance(b, CalibrationEstimate)]
+        assert accepted
+        for a, b in accepted:
+            assert np.argmin(a.diagnostics["cost_curve"]) == np.argmin(b.diagnostics["cost_curve"])
+            assert a.intrinsics.fx == pytest.approx(b.intrinsics.fx, rel=1e-9)
+            assert np.max(np.abs(a.rotation - b.rotation)) < 1e-9
+            assert np.linalg.norm(a.translation - b.translation) < 1e-9 * np.linalg.norm(b.translation)
+            assert a.diagnostics["nfev"] < b.diagnostics["nfev"]
 
     def test_only_cold_starts_take_the_svd(self, clean_obs, scene, monkeypatch):
         # every clean sample solves, so only the first decodes a cold start;

@@ -41,8 +41,8 @@ def test_counts_every_sweep_fit(monkeypatch):
     monkeypatch.setattr(projection, "least_squares", recorded)
     tracer = Tracer()
     with tracer.installed():
-        projection.focal_sweep(obs, scene.image_size)
+        est = projection.focal_sweep(obs, scene.image_size)
     (sweep,) = [s for s in tracer.spans if s.name == "projection.sweep"]
     # one fit per grid sample (every clean sample solves) and the polish
     assert sweep.lsq_calls == len(fits) == projection.SWEEP_SAMPLES + 1
-    assert sweep.nfev == sum(fit.nfev for fit in fits) > 0
+    assert sweep.nfev == sum(fit.nfev for fit in fits) == est.diagnostics["nfev"] > 0
