@@ -306,6 +306,11 @@ def _frozen_jacobian(view: _View, lifts: Lifts, m_obs, frozen: np.ndarray) -> np
     d = -lifts.unit pointing from X2 toward X0.  The residual is the
     observed pixel minus that one, hence the sign.  Rows outside the frozen
     set, infeasible at this theta or without a finite derivative are zero.
+
+    The Jacobian is filled as its 10 x 2n transpose straight from the
+    (10, n) pixel derivatives and handed over as that array's .T,
+    column-major, which least_squares passes to MINPACK without a
+    transposing copy.
     """
     theta = view.theta
     x0, x1, x2 = view.pixels
@@ -331,14 +336,15 @@ def _frozen_jacobian(view: _View, lifts: Lifts, m_obs, frozen: np.ndarray) -> np
         q1 = (x[:, 1] - theta[3]) / theta[1]
         du += theta[0] * (ray[:, 0] - q0 * ray[:, 2]) * along * dlogk
         dv += theta[1] * (ray[:, 1] - q1 * ray[:, 2]) * along * dlogk
-    jac = np.empty((n, 2, 10))
-    np.negative(du.T, out=jac[:, 0])
-    np.negative(dv.T, out=jac[:, 1])
-    keep = frozen & view.feasible & np.isfinite(jac).all(axis=(1, 2))
-    jac[~keep] = 0.0
-    jac = jac.reshape(2 * n, 10)
-    jac[:, 4:7] = jac[:, 4:7] @ so3.left_jacobian(theta[4:7])
-    return jac
+    # one row per parameter, the two pixel coordinates of a triple adjacent
+    jt = np.empty((10, n, 2))
+    np.negative(du, out=jt[:, :, 0])
+    np.negative(dv, out=jt[:, :, 1])
+    keep = frozen & view.feasible & np.isfinite(du).all(axis=0) & np.isfinite(dv).all(axis=0)
+    jt[:, ~keep] = 0.0
+    jt = jt.reshape(10, 2 * n)
+    jt[4:7] = np.einsum("ak,an->kn", so3.left_jacobian(theta[4:7]), jt[4:7])
+    return jt.T
 
 
 def noise_sensitivity(

@@ -20,9 +20,13 @@ by MINPACK's Levenberg-Marquardt (More, "The Levenberg-Marquardt
 algorithm: implementation and theory", 1978), whose loop runs no BLAS.
 least_squares is the one entry point to it, and it sums squares with
 einsum.  A fit hands it a model, which returns the residuals at x and a
-closure that builds the Jacobian there; least_squares keeps the last x (a
-copy, as MINPACK reuses its buffer) and answers both of MINPACK's
-callbacks from that one evaluation.
+closure that builds the Jacobian there; least_squares keeps the last x's
+bytes, hands the model a copy of x (MINPACK reuses its buffer) and
+answers both of MINPACK's callbacks from that one evaluation.  MINPACK
+stores the Jacobian column-major, so least_squares hands lmder its
+transpose: a Jacobian filled column-major, as the package's objectives
+fill theirs, reaches MINPACK as one memcpy, and any other is copied into
+that layout once.
 
 least_squares calls lmder in scipy's MINPACK extension directly, and this
 module loads that extension on its own: importing scipy.optimize would
@@ -146,22 +150,26 @@ def least_squares(model, x0, max_nfev=None, ftol=1e-12) -> LeastSquaresFit:
 
     model(x) returns the residuals at x and a zero-argument closure that
     builds the analytic m x n Jacobian there.  MINPACK asks for a Jacobian
-    only at the x it has just evaluated, so one memo entry (x, residuals,
-    Jacobian once built) answers both callbacks.  The entry and the model
-    hold a copy of x: MINPACK reuses the buffer it passes, which would
-    change under a Jacobian built later.
+    only at the x it has just evaluated, so one memo entry (x's bytes,
+    residuals, Jacobian once built) answers both callbacks; comparing the
+    bytes is exact, and cheaper than comparing arrays.  The model gets a
+    copy of x: MINPACK reuses the buffer it passes, which would change
+    under a Jacobian built later.
 
-    lmder is called directly, with the Jacobian by rows (col_deriv 0),
-    relative cost decrease ftol (the fit stops once both the actual and the
-    predicted relative decrease of the cost over a step are at most ftol),
-    relative step 1e-12, residual-Jacobian cosine 1e-8, at most max_nfev
-    residual evaluations (100 n by default),
-    step bound factor 100 and the parameters scaled by the Jacobian's
-    column norms (diag None).  scipy.optimize.leastsq passed it the same,
-    as does scipy.optimize.least_squares(method="lm", x_scale="jac",
-    xtol=1e-12, ftol=ftol), so the iterates are the same.  The default
-    ftol 1e-12 runs a fit to convergence; a caller that only ranks or
-    warm-starts from the result may stop it earlier.  scipy's
+    lmder is called directly, with the Jacobian's transpose column by
+    column (col_deriv 1): a column-major m x n Jacobian, whose transpose is
+    C-contiguous, is copied into MINPACK's buffer as it is, and a row-major
+    one is transposed into it once, so MINPACK sees the same numbers from
+    either.  The other arguments are relative cost decrease ftol (the fit
+    stops once both the actual and the predicted relative decrease of the
+    cost over a step are at most ftol), relative step 1e-12,
+    residual-Jacobian cosine 1e-8, at most max_nfev residual evaluations
+    (100 n by default), step bound factor 100 and the parameters scaled by
+    the Jacobian's column norms (diag None).  scipy.optimize.leastsq passed
+    it the same, as does scipy.optimize.least_squares(method="lm",
+    x_scale="jac", xtol=1e-12, ftol=ftol), so the iterates are the same.
+    The default ftol 1e-12 runs a fit to convergence; a caller that only
+    ranks or warm-starts from the result may stop it earlier.  scipy's
     least_squares also takes dot products over the full residual vector and
     gemv with the Jacobian's transpose before and after MINPACK, which on a
     dense scan wakes OpenBLAS's thread pool.  leastsq probed the residual
@@ -174,12 +182,12 @@ def least_squares(model, x0, max_nfev=None, ftol=1e-12) -> LeastSquaresFit:
     Raises ValueError when the residuals at x0 are not finite or fewer
     than x0 has parameters, or when the Jacobian at x0 is not m x n.
     """
-    last = []  # x, residuals, Jacobian closure, Jacobian
+    last = [None]  # x's bytes, residuals, Jacobian closure, Jacobian
 
     def at(x):
-        if not (last and np.array_equal(last[0], x)):
+        if x.tobytes() != last[0]:
             x = np.array(x, dtype=float)
-            last[:] = [x, *model(x), None]
+            last[:] = [x.tobytes(), *model(x), None]
         return last
 
     def jac(x):
@@ -200,7 +208,7 @@ def least_squares(model, x0, max_nfev=None, ftol=1e-12) -> LeastSquaresFit:
     if shape != (f0.size, x0.size):
         raise ValueError(f"The Jacobian at the initial point is {shape}, not ({f0.size}, {x0.size}).")
     x, info, code = _lmder(
-        lambda x: at(x)[1], jac, x0, (), 1, 0, ftol, 1e-12, 1e-8, max_nfev or 100 * x0.size, 100, None
+        lambda x: at(x)[1], lambda x: jac(x).T, x0, (), 1, 1, ftol, 1e-12, 1e-8, max_nfev or 100 * x0.size, 100, None
     )
     return LeastSquaresFit(
         x, sum_squares(info["fvec"]), int(info["nfev"]), int(info["njev"]), _MINPACK_STATUS[code]

@@ -153,9 +153,10 @@ def _factor_null_vector(d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
     Returns a list of (m, n) 3x3 matrices whose columns are the first two
     rotation columns and the translation of motions 1 and 2; the list holds
-    the two mirror twins (sign of the third rows).  Empty when the vector
-    does not pin the motions down or the scale constraint has no positive
-    solution.
+    the two mirror twins as a +-alpha pair: the third rows scaled by +alpha,
+    then by -alpha, which reflects both motions in the reference plane.
+    Empty when the vector does not pin the motions down or the scale
+    constraint has no positive solution.
 
     With m3 = d[21:24] and n3 = d[18:21] the third rows up to a scale
     alpha, the blocks d[0:9] and d[9:18] are linear in the first and second
@@ -224,6 +225,24 @@ def _rows_to_pair(m: np.ndarray, n: np.ndarray) -> PlanePosePair | None:
     return PlanePosePair(poses[0], poses[1])
 
 
+# the diagonal of S = diag(1, 1, -1), the reflection in the reference plane
+_MIRROR = np.array([1.0, 1.0, -1.0])
+
+
+def _mirror_twin(pair: PlanePosePair) -> PlanePosePair:
+    """The pair reflected in the reference plane: (S R S, S t) per motion.
+
+    The lifts of every triple reflect with it (the pose-0 lifts lie in the
+    plane), so each offset only changes sign in its components and the
+    line-offset residual stays the same to the bit.
+    """
+
+    def mirror(pose: RigidPose) -> RigidPose:
+        return RigidPose(_MIRROR[:, None] * pose.rotation * _MIRROR, _MIRROR * pose.translation)
+
+    return PlanePosePair(mirror(pair.pose1), mirror(pair.pose2))
+
+
 # lifted pose-0/pose-2 points closer than this carry no line direction
 MIN_LIFT_SEPARATION_MM = 1.0
 
@@ -286,6 +305,22 @@ def _polish_objective(pair: PlanePosePair, x0, x1, x2):
 
     Returns the least_squares model over x = (w1, t1, w2, t2), the motions
     R_i = exp(w_i) R_i^0 of pair with translations t_i.
+
+    The residual is r = v x u with v = p1 - p0 and u = (p2 - p0) / L the
+    line's unit direction.  A move dp1 changes it by dp1 x u and a move dp2
+    by (v x dp2 - (u . dp2) r) / L, as du = (I - u u^T) dp2 / L.  The
+    translations move p_i by themselves, and a left increment J(w_i) dw of
+    R_i moves p_i by (J(w_i) dw) x q_i, q_i = p_i - t_i.  With
+    (a x q) x u = q (a . u) - a (q . u) and v x (a x q) = a (v . q) - q (v . a)
+    for a column a of J(w_i), each rotation column is a sum of stacks
+    scaled by per-triple dot products, and no 3 x 3 matrix per triple is
+    multiplied.
+
+    The Jacobian is filled as its 12 x 3n transpose, one row per parameter,
+    and handed over as that array's .T, column-major, which least_squares
+    passes to MINPACK without a transposing copy.  The products over the
+    triples are einsums and elementwise: a matmul on a long stack wakes
+    OpenBLAS's threads.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
@@ -303,25 +338,25 @@ def _polish_objective(pair: PlanePosePair, x0, x1, x2):
         res[~good] = 0.0
 
         def jacobian():
-            p1, p2, u = lifts.p1, lifts.p2, lifts.unit
-            v = p1 - lifts.p0
-            length = np.where(good, lifts.length, 1.0)
-            # d res / d p1 = -[u]x ; d res / d p2 = [v]x (I - u u^T) / L
-            du = -so3.skew(u)
-            proj = (np.eye(3)[None, :, :] - u[:, :, None] * u[:, None, :]) / length[:, None, None]
-            dv = np.einsum("nij,njk->nik", so3.skew(v), proj)
-            dv[~good] = 0.0
-            du[~good] = 0.0
-            # d p / d w = -[p - t]x J(w), with J(w) the SO(3) left Jacobian
-            # carrying w to a left increment of R; d p / d t = I
-            dp1_dw = -so3.skew(p1 - t1) @ so3.left_jacobian(x[0:3])
-            dp2_dw = -so3.skew(p2 - t2) @ so3.left_jacobian(x[6:9])
-            jac = np.zeros((len(x0), 3, 12))
-            jac[:, :, 0:3] = np.einsum("nij,njk->nik", du, dp1_dw)
-            jac[:, :, 3:6] = du
-            jac[:, :, 6:9] = np.einsum("nij,njk->nik", dv, dp2_dw)
-            jac[:, :, 9:12] = dv
-            return jac.reshape(-1, 12)
+            u = lifts.unit
+            v = lifts.p1 - lifts.p0
+            q1 = lifts.p1 - t1
+            q2 = lifts.p2 - t2
+            inv = 1.0 / np.where(good, lifts.length, 1.0)
+            j1 = so3.left_jacobian(x[0:3])
+            j2 = so3.left_jacobian(x[6:9])
+            # jt[k, i, c]: derivative of component c of triple i's offset
+            jt = np.empty((12, len(u), 3))
+            jt[0:3] = q1 * np.einsum("ia,ak->ki", u, j1)[:, :, None]
+            jt[0:3] -= np.einsum("i,ck->kic", np.einsum("ia,ia->i", q1, u), j1)
+            jt[3:6] = -so3.skew(u).transpose(2, 0, 1)
+            jt[6:9] = np.einsum("i,ck->kic", np.einsum("ia,ia->i", v, q2), j2)
+            jt[6:9] -= q2 * np.einsum("ia,ak->ki", v, j2)[:, :, None]
+            jt[6:9] -= res * np.einsum("ia,ak->ki", np.cross(q2, u), j2)[:, :, None]
+            jt[9:12] = so3.skew(v).transpose(2, 0, 1) - u.T[:, :, None] * res
+            jt[6:12] *= inv[:, None]
+            jt[:, ~good] = 0.0
+            return jt.reshape(12, -1).T
 
         return res.reshape(-1), jacobian
 
@@ -362,12 +397,16 @@ class PoseSolution:
 def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     """Recover the two plane motions from a correspondence set.
 
-    Each candidate direction of the nullspace pencil is factored once.  The
-    factored pairs are ranked by line-offset residual, and those within 100
-    times the best residual are polished by refine_plane_poses.  Two roots
-    with two twins each make at most four candidates.  Mirror twins
-    (identical residual, plane normal flipped) are both returned because
-    only camera-side reasoning can tell them apart.
+    Each candidate direction of the nullspace pencil is factored once into
+    a pair of mirror twins (plane normal flipped), which fit the data
+    identically: the second is the first reflected in the reference plane,
+    (S R S, S t) with S = diag(1, 1, -1), and so is every step of a polish
+    started from it.  The first twins are ranked by line-offset residual,
+    and those within 100 times the best residual are polished by
+    refine_plane_poses; each second twin is the reflection of its first,
+    polished or not.  Two roots with two twins each make at most four
+    candidates.  Both twins are returned because only camera-side
+    reasoning can tell them apart.
 
     Raises RankAmbiguousError, carrying the rank gap, when no nullspace
     direction factors into a rigid pair: the data do not determine the
@@ -385,10 +424,10 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     d1, d2, gap = nullspace_basis(e)
     scored: list[tuple[float, PlanePosePair]] = []
     for d in candidate_null_vectors(d1, d2):
-        for m, n in _factor_null_vector(d):
-            pair = _rows_to_pair(m, n)
-            if pair is not None:
-                scored.append((line_offset_residual(pair, x0, x1, x2), pair))
+        twins = _factor_null_vector(d)
+        pair = _rows_to_pair(*twins[0]) if twins else None
+        if pair is not None:
+            scored.append((line_offset_residual(pair, x0, x1, x2), pair))
     if not scored:
         raise RankAmbiguousError(
             "no nullspace direction factors into a rigid motion pair; the "
@@ -397,16 +436,15 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
         )
     scored.sort(key=lambda item: item[0])
 
-    # geometric polish of every candidate within reach of the best fit
-    # (twins included; they converge to distinct, equally scored optima)
+    # geometric polish of every first twin within reach of the best fit;
+    # the reflection carries the residual and the polish to the second
     cutoff = 100.0 * max(scored[0][0], 1e-12)
     polished: list[tuple[float, PlanePosePair]] = []
     for res, pair in scored:
         if res <= cutoff:
-            better = refine_plane_poses(pair, x0, x1, x2)
-            polished.append((line_offset_residual(better, x0, x1, x2), better))
-        else:
-            polished.append((res, pair))
+            pair = refine_plane_poses(pair, x0, x1, x2)
+            res = line_offset_residual(pair, x0, x1, x2)
+        polished += [(res, pair), (res, _mirror_twin(pair))]
     scored = sorted(polished, key=lambda item: item[0])
 
     candidates = tuple(

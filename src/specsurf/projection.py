@@ -179,7 +179,9 @@ def point_line_cost(line_matrix: np.ndarray, obs: LineObservationSet) -> float:
     projected line has a vanishing direction part are excluded; if every
     item degenerates the cost is undefined and an error is raised.
     """
-    img = obs.lines @ line_matrix.T  # (n, 3) rows: projected lines
+    # (n, 3) rows, the projected lines; an n x 6 by 6 x 3 matmul would wake
+    # OpenBLAS's threads on a dense scan
+    img = np.einsum("nj,ij->ni", obs.lines, line_matrix)
     ab2 = img[:, 0] ** 2 + img[:, 1] ** 2
     good = ab2 > 1e-20
     if not np.any(good):
@@ -223,7 +225,8 @@ def _metric_decode(metric_lm: np.ndarray):
 
 
 def _cross(p, q) -> np.ndarray:
-    """p x q by components; p and q are 3-vectors or (3, n) column stacks.
+    """p x q by components; p and q are 3-vectors or (3, n) column stacks,
+    or one of each.
 
     Spelled out because np.cross costs more than the arithmetic on the
     short stacks the camera refinement works with.
@@ -242,46 +245,52 @@ def _point_line_objective(obs: LineObservationSet):
 
     A line [v; w] through p and q has moment v = p x q and direction
     w = p - q; the camera maps the points to R p + T and R q + T, whose
-    cross product is the camera-frame moment m = R v - T x R w.  The image
-    line is K^-T m, proportional to (m0, m1, f m2), so a pixel (x0, x1, 1)
-    lies at signed distance r = num / s from it, with
-    num = x0 m0 + x1 m1 + f m2 and s = sqrt(m0^2 + m1^2).  With
-    u = dr/dm = (g - (num / s^2) h) / s, g = (x0, x1, f) and h = (m0, m1, 0):
-    dr/dT = u x R w, dr/dlog f = f m2 / s, and a left rotation increment
-    dphi moves r by ((u x T) x R w - u x R v) . dphi, which the SO(3) left
-    Jacobian carries to the axis-angle.  By the triple-product expansion
-    that rotation gradient equals (dr/dT) x T - u x m, one cross product
-    fewer.
+    cross product is the camera-frame moment m = R v - T x R w, one product
+    of the 3 x 6 matrix [R | -[T]x R] with the line.  The image line is
+    K^-T m, proportional to (m0, m1, f m2), so a pixel (x0, x1, 1) lies at
+    signed distance r = num / s from it, with num = x0 m0 + x1 m1 + f m2
+    and s = sqrt(m0^2 + m1^2).  With u = dr/dm = (g - (num / s^2) h) / s,
+    g = (x0, x1, f) and h = (m0, m1, 0): dr/dT = u x R w,
+    dr/dlog f = f m2 / s, and a left rotation increment dphi moves r by
+    ((u x T) x R w - u x R v) . dphi, which the SO(3) left Jacobian carries
+    to the axis-angle.  By the triple-product expansion that rotation
+    gradient equals (dr/dT) x T - u x m, one cross product fewer.
+
+    The Jacobian is filled as its 7 x n transpose and handed over as that
+    array's .T, column-major, which least_squares passes to MINPACK without
+    a transposing copy.  Every product over the n lines is an einsum: a
+    matmul against a 3 x n or 6 x n stack wakes OpenBLAS's threads on a
+    dense scan.
     """
-    n = len(obs)
     x0 = obs.pixels[:, 0]
     x1 = obs.pixels[:, 1]
-    # moments v then directions w, as columns, so one product rotates both
-    vw = np.hstack([obs.lines[:, :3].T, obs.lines[:, 3:].T])
+    # moments then directions as rows, so one product gives every moment
+    lines = np.ascontiguousarray(obs.lines.T)
+    directions = lines[3:]
 
     def model(theta):
         f = np.exp(theta[0])
         # K R is invertible exactly when f is finite and positive
         if not (np.isfinite(f) and f > 0.0):
             raise RankDeficientError(f"singular camera: focal {f!r}")
-        # einsum, not matmul: a 3 x 2n gemm wakes OpenBLAS's threads on a
-        # dense scan
-        ab = np.einsum("ij,jk->ik", so3.exp(theta[1:4]), vw)
-        b = ab[:, n:]
-        m = ab[:, :n] - _cross(theta[4:], b)
+        rotation = so3.exp(theta[1:4])
+        t = theta[4:]
+        # R's columns crossed with T make -[T]x R
+        motion = np.hstack([rotation, _cross(rotation, t)])
+        m = np.einsum("ij,jn->in", motion, lines)
         s = np.sqrt(m[0] * m[0] + m[1] * m[1] + 1e-30)
         num = x0 * m[0] + x1 * m[1] + f * m[2]
 
         def jacobian():
             c = num / (s * s)
-            u = np.array([(x0 - c * m[0]) / s, (x1 - c * m[1]) / s, f / s])
-            d_t = _cross(u, b)
-            d_phi = _cross(d_t, theta[4:]) - _cross(u, m)
-            jac = np.empty((n, 7))
-            jac[:, 0] = f * m[2] / s
-            jac[:, 1:4] = d_phi.T @ so3.left_jacobian(theta[1:4])
-            jac[:, 4:] = d_t.T
-            return jac
+            u = ((x0 - c * m[0]) / s, (x1 - c * m[1]) / s, f / s)
+            jt = np.empty((7, len(s)))
+            jt[0] = f * m[2] / s
+            d_t = _cross(u, np.einsum("ij,jn->in", rotation, directions))
+            jt[4:] = d_t
+            d_phi = _cross(d_t, t) - _cross(u, m)
+            np.einsum("ik,in->kn", so3.left_jacobian(theta[1:4]), d_phi, out=jt[1:4])
+            return jt.T
 
         return num / s, jacobian
 
@@ -312,6 +321,8 @@ def _refine_metric(f: float, obs: LineObservationSet, start, free_focal=False):
 
     def model(q):
         residuals, jacobian = full(np.concatenate([held, q]))
+        # a column slice of the column-major Jacobian: rows of its buffer,
+        # so it stays column-major
         return residuals, lambda: jacobian()[:, len(held) :]
 
     fit = least_squares(

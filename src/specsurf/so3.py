@@ -9,39 +9,62 @@ the solvers' analytic Jacobians reach their axis-angle parameters.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
-# row k is the flattened cross-product matrix of the k-th unit vector
-_SKEW_BASIS = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    ]
-)
+# flat positions in a 3x3 cross-product matrix of +v[k] and of -v[k]
+_SKEW_PLUS = [7, 2, 3]
+_SKEW_MINUS = [5, 6, 1]
 
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix [v]x, so that skew(v) @ p = v x p.
 
-    v is one 3-vector or an (n, 3) stack, giving (3, 3) or (n, 3, 3).  One
-    product with the basis builds every entry; the products are by 0 and
-    +-1, so the entries are exact.
+    v is one 3-vector or an (n, 3) stack, giving (3, 3) or (n, 3, 3).  The
+    entries are placed, not multiplied: a product with a basis would be a
+    gemm that wakes OpenBLAS's thread pool on a long stack.
     """
     v = np.asarray(v, dtype=float)
-    return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
+    out = np.zeros(v.shape[:-1] + (9,))
+    out[..., _SKEW_PLUS] = v
+    out[..., _SKEW_MINUS] = -v
+    return out.reshape(v.shape + (3,))
+
+
+def _rodrigues(v, a: float, b: float) -> np.ndarray:
+    """I + a [v]x + b [v]x^2 for one 3-vector, entry by entry.
+
+    [v]x^2 = v v^T - |v|^2 I, so each entry is a few scalar products; the
+    nine come from floats and math, not from 3 x 3 array arithmetic, whose
+    per-call overhead dwarfs the flops.
+    """
+    x, y, z = v
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    ax, ay, az = a * x, a * y, a * z
+    return np.array(
+        [
+            [1.0 - b * (y * y + z * z), bxy - az, bxz + ay],
+            [bxy + az, 1.0 - b * (x * x + z * z), byz - ax],
+            [bxz - ay, byz + ax, 1.0 - b * (x * x + y * y)],
+        ]
+    )
 
 
 def exp(v: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a rotation vector (Rodrigues' formula)."""
-    v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v)
+    """Rotation matrix of a rotation vector (Rodrigues' formula).
+
+    exp(v) = I + (sin t / t) [v]x + ((1 - cos t) / t^2) [v]x^2 with t = |v|,
+    and 1 - cos t = 2 sin^2(t / 2), which does not cancel at small t.
+    """
+    v = np.asarray(v, dtype=float).tolist()
+    theta = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
     if theta < 1e-12:
         # the second-order term is below roundoff
-        return np.eye(3) + skew(v)
-    k = skew(v / theta)
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+        return _rodrigues(v, 1.0, 0.0)
+    half = math.sin(0.5 * theta) / theta
+    return _rodrigues(v, math.sin(theta) / theta, 2.0 * half * half)
 
 
 def log(r: np.ndarray) -> np.ndarray:
@@ -67,17 +90,19 @@ def log(r: np.ndarray) -> np.ndarray:
 
 
 def left_jacobian(v: np.ndarray) -> np.ndarray:
-    """J with exp(v + dv) = exp(J dv) exp(v) to first order."""
-    theta = float(np.linalg.norm(v))
+    """J with exp(v + dv) = exp(J dv) exp(v) to first order.
+
+    J = I + ((1 - cos t) / t^2) [v]x + ((t - sin t) / t^3) [v]x^2 with
+    t = |v|, the first coefficient taken as 2 (sin(t / 2) / t)^2 as in exp.
+    """
+    v = np.asarray(v, dtype=float).tolist()
+    t2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    theta = math.sqrt(t2)
     if theta < 1e-3:
-        # series: both closed-form coefficients cancel catastrophically here
-        a = 0.5 - theta * theta / 24.0
-        b = 1.0 / 6.0 - theta * theta / 120.0
-    else:
-        a = (1.0 - np.cos(theta)) / theta**2
-        b = (theta - np.sin(theta)) / theta**3
-    vx = skew(v)
-    return np.eye(3) + a * vx + b * (vx @ vx)
+        # series: the second coefficient cancels catastrophically here
+        return _rodrigues(v, 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0)
+    half = math.sin(0.5 * theta) / theta
+    return _rodrigues(v, 2.0 * half * half, (theta - math.sin(theta)) / (t2 * theta))
 
 
 def closest_rotation(g: np.ndarray) -> np.ndarray:

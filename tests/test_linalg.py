@@ -295,14 +295,16 @@ def test_jacobian_at_solution_not_recomputed(module, run, scene, noisy8, monkeyp
     # MINPACK then asks for it there again, and afterwards only at the
     # point whose residuals it has just evaluated: the memo answers every
     # repeat, so each fit evaluates its model once per point and builds
-    # njev Jacobians
+    # njev Jacobians.  Each objective fills its Jacobian's transpose, so the
+    # n x m transpose lmder takes is C-contiguous and reaches MINPACK
+    # without a copy.
     points, built, fits = [], [], []
 
     def recorded(model, x0, **kwargs):
         def traced(x):
             points.append(x.tobytes())
             residuals, jacobian = model(x)
-            return residuals, lambda: built.append(1) or jacobian()
+            return residuals, lambda: built.append(jacobian()) or built[-1]
 
         fits.append(linalg.least_squares(traced, x0, **kwargs))
         return fits[-1]
@@ -312,6 +314,26 @@ def test_jacobian_at_solution_not_recomputed(module, run, scene, noisy8, monkeyp
     assert len(fits) == 1
     assert len(set(points)) == len(points) == fits[0].nfev
     assert len(built) == fits[0].njev > 0
+    assert all(jac.flags.f_contiguous and jac.T.flags.c_contiguous for jac in built)
+
+
+def test_jacobian_layout_does_not_change_the_fit():
+    # lmder takes the Jacobian column-major; a row-major one is copied
+    # into that layout, a column-major one handed over as it is, and
+    # MINPACK sees the same bytes either way
+    model = decay(3.0 * np.exp(-0.7 * DECAY_T) + 0.05 * np.random.default_rng(0).normal(size=DECAY_T.size))
+
+    def laid_out(order):
+        def ordered(x):
+            residuals, jacobian = model(x)
+            return residuals, lambda: np.asarray(jacobian(), order=order)
+
+        return least_squares(ordered, np.array([1.0, 0.1]))
+
+    by_rows, by_columns = laid_out("C"), laid_out("F")
+    np.testing.assert_array_equal(by_rows.x, by_columns.x)
+    assert (by_rows.nfev, by_rows.njev) == (by_columns.nfev, by_columns.njev)
+    assert by_rows.cost == by_columns.cost
 
 
 def test_unused_covariance_does_not_warn():
@@ -412,6 +434,31 @@ def test_plane_pose_polish_leaves_blas_threads_asleep(scene, noisy8):
     # three residuals per triple: 10,542, above the size dot threads
     pair = PlanePosePair(scene.pose1, scene.pose2)
     assert cpu_while_idle(lambda: refine_plane_poses(pair, noisy8.x0, noisy8.x1, noisy8.x2)) < 0.02
+
+
+@pytest.fixture(scope="module")
+def grid2(scene):
+    # 56,232 triples: an n x 3 by 3 x 9 or n x 6 by 6 x 3 matmul threads here
+    data = generate_dataset(scene, grid_step=2, noise=NoiseSpec(0.5, 0.5, 0.0, 0))
+    assert len(data) >= 50_000
+    return data
+
+
+def test_dense_polish_leaves_blas_threads_asleep(scene, grid2):
+    pair = PlanePosePair(scene.pose1, scene.pose2)
+    assert cpu_while_idle(lambda: refine_plane_poses(pair, grid2.x0, grid2.x1, grid2.x2)) < 0.02
+
+
+def test_skew_stack_leaves_blas_threads_asleep(grid2):
+    assert cpu_while_idle(lambda: so3.skew(grid2.pixels[:, [0, 1, 0]])) < 0.02
+
+
+def test_point_line_cost_leaves_blas_threads_asleep(scene, grid2):
+    obs = build_observations(grid2, PlanePosePair(scene.pose1, scene.pose2))
+    assert len(obs) >= 50_000
+    intr, pose = scene.intrinsics, scene.camera_pose
+    line_matrix = projection.camera_line_matrix(intr, pose.rotation, pose.translation)
+    assert cpu_while_idle(lambda: projection.point_line_cost(line_matrix, obs)) < 0.02
 
 
 def test_camera_fit_leaves_blas_threads_asleep(scene):

@@ -604,6 +604,64 @@ class TestProperties:
             assert np.allclose(mirror @ a.translation, b.translation, rtol=0, atol=1e-9)
 
 
+class TestTwinReflection:
+    """estimate_plane_poses polishes the first twin of each direction and
+    reflects it; polishing the raw second twin on its own lands on the
+    same motions."""
+
+    @staticmethod
+    def traced_estimate(data, monkeypatch):
+        """The solution, every factored twin pair and every polish
+        (start, result, scaled coordinates)."""
+        factor, refine = plane_pose._factor_null_vector, plane_pose.refine_plane_poses
+        factored, polished = [], []
+
+        def factor_traced(d):
+            factored.append(factor(d))
+            return factored[-1]
+
+        def refine_traced(pair, *coords):
+            polished.append((pair, refine(pair, *coords), coords))
+            return polished[-1][1]
+
+        monkeypatch.setattr(plane_pose, "_factor_null_vector", factor_traced)
+        monkeypatch.setattr(plane_pose, "refine_plane_poses", refine_traced)
+        return estimate_plane_poses(data), [twins for twins in factored if twins], polished
+
+    @pytest.mark.parametrize(
+        "grid, sigma, seed",
+        [(20, 0.0, 0)] + [(8, sigma, seed) for sigma in (0.5, 2.0) for seed in range(3)],
+    )
+    def test_reflection_matches_an_own_polish(self, scene, grid, sigma, seed, monkeypatch):
+        data = generate_dataset(scene, grid_step=grid, noise=NoiseSpec(sigma, 0.0, 0.0, seed))
+        sol, factored, polished = self.traced_estimate(data, monkeypatch)
+        scale = rms_scale(data.x0, data.x1, data.x2)
+        mirror = np.diag([1.0, 1.0, -1.0])
+        assert polished
+        for start, result, coords in polished:
+            (_, second_rows), = [
+                twins
+                for twins in factored
+                if np.array_equal(plane_pose._rows_to_pair(*twins[0]).pose1.rotation, start.pose1.rotation)
+            ]
+            own = refine_plane_poses(plane_pose._rows_to_pair(*second_rows), *coords)
+            for a, b in ((result.pose1, own.pose1), (result.pose2, own.pose2)):
+                assert np.allclose(mirror @ a.rotation @ mirror, b.rotation, rtol=0, atol=1e-12)
+                assert np.allclose(scale * mirror @ a.translation, scale * b.translation, rtol=0, atol=1e-9)
+            # the returned second twin is the exact reflection
+            assert any(
+                np.array_equal(c.pose1.rotation, mirror @ result.pose1.rotation @ mirror)
+                and np.array_equal(c.pose2.translation, scale * (mirror @ result.pose2.translation))
+                for c in sol.candidates
+            )
+
+    def test_one_polish_per_factored_direction(self, scene, monkeypatch):
+        data = generate_dataset(scene, grid_step=20, noise=NoiseSpec())
+        sol, factored, polished = self.traced_estimate(data, monkeypatch)
+        assert len(polished) == len(factored) == 1
+        assert len(sol.candidates) == 2
+
+
 class TestLifts:
     """The line every stage reads, on random motions and triples."""
 

@@ -60,6 +60,36 @@ class TestLeftJacobian:
             np.testing.assert_allclose(so3.left_jacobian(v), numeric, atol=1e-8)
 
 
+def matrix_rodrigues(v, a, b):
+    """I + a [v]x + b [v]x^2 by 3 x 3 matrix arithmetic."""
+    vx = so3.skew(v)
+    return np.eye(3) + a * vx + b * (vx @ vx)
+
+
+class TestScalarForms:
+    """exp and left_jacobian build their entries from floats; the matrix
+    forms of the same formulas are the oracle."""
+
+    def test_match_matrix_forms(self, rng):
+        for _ in range(200):
+            v = rng.uniform(1e-2, np.pi) * unit(rng.normal(size=3))
+            t = np.linalg.norm(v)
+            half = 2.0 * (np.sin(t / 2.0) / t) ** 2
+            exp = matrix_rodrigues(v, np.sin(t) / t, half)
+            jac = matrix_rodrigues(v, half, (t - np.sin(t)) / t**3)
+            np.testing.assert_allclose(so3.exp(v), exp, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(so3.left_jacobian(v), jac, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "switch, fn", [(1e-3, so3.left_jacobian), (1e-12, so3.exp)], ids=["left_jacobian", "exp"]
+    )
+    def test_continuous_across_the_series_switch(self, switch, fn):
+        for axis in AXES:
+            below = fn(switch * (1.0 - 1e-12) * unit(axis))
+            above = fn(switch * (1.0 + 1e-12) * unit(axis))
+            np.testing.assert_allclose(below, above, rtol=0, atol=2e-15)
+
+
 class TestClosestRotation:
     def test_returns_proper_rotation(self, rng):
         for _ in range(5):
