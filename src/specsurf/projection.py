@@ -129,7 +129,7 @@ def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineOb
     lifts = lift_triples(poses, x0[finite], x1[finite], x2[finite])
     far = lifts.length >= MIN_LIFT_SEPARATION_MM
     indices = np.flatnonzero(finite)[far]
-    lines = lines_from_points(lifts.p0[far], lifts.p2[far])
+    lines = lines_from_points(lifts.p0[:, far].T, lifts.p2[:, far].T)
     lines /= np.linalg.norm(lines, axis=1, keepdims=True)
     pixels = np.hstack([pixels[indices], np.ones((len(indices), 1))])
     return LineObservationSet(

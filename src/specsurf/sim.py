@@ -142,11 +142,16 @@ def look_at_pose(eye, target) -> RigidPose:
 # intersection helpers (all batched over n rays; origin may be (3,) or (n,3))
 
 
+def _dot(a, b):
+    """np.sum(a * b, axis=-1) over 3-vectors as a0 b0 + a1 b1 + a2 b2, without a slow length-3 reduction."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def _sphere_hit(origin, dirs, sphere: SphereMirror):
     """Nearest positive hit parameter per ray, inf where missed."""
     oc = sphere.center - origin  # (n,3) via broadcast
-    b = np.sum(oc * dirs, axis=-1)
-    c = np.sum(oc * oc, axis=-1) - sphere.radius * sphere.radius
+    b = _dot(oc, dirs)
+    c = _dot(oc, oc) - sphere.radius * sphere.radius
     disc = b * b - c
     t = np.full(dirs.shape[:-1], np.inf)
     ok = disc >= 0.0
@@ -163,13 +168,13 @@ def _sphere_hit(origin, dirs, sphere: SphereMirror):
 
 def _paraboloid_hit(origin, dirs, par: ParaboloidMirror):
     w = origin - par.vertex
-    wa = np.sum(w * par.axis, axis=-1)
-    da = np.sum(dirs * par.axis, axis=-1)
+    wa = _dot(w, par.axis)
+    da = _dot(dirs, par.axis)
     w_perp = w - wa[..., None] * par.axis
     d_perp = dirs - da[..., None] * par.axis
-    a = np.sum(d_perp * d_perp, axis=-1)
-    b = 2.0 * (np.sum(w_perp * d_perp, axis=-1) - 2.0 * par.focal * da)
-    c = np.sum(w_perp * w_perp, axis=-1) - 4.0 * par.focal * wa
+    a = _dot(d_perp, d_perp)
+    b = 2.0 * (_dot(w_perp, d_perp) - 2.0 * par.focal * da)
+    c = _dot(w_perp, w_perp) - 4.0 * par.focal * wa
     t = np.full(dirs.shape[:-1], np.inf)
     quad = np.abs(a) > 1e-14
     # linear case (ray parallel to axis)
@@ -203,10 +208,10 @@ def _mirror_normal(points, mirror):
         n = (points - mirror.center) / mirror.radius
     else:
         w = points - mirror.vertex
-        wa = np.sum(w * mirror.axis, axis=-1)
+        wa = _dot(w, mirror.axis)
         w_perp = w - wa[..., None] * mirror.axis
         n = 2.0 * w_perp - 4.0 * mirror.focal * mirror.axis
-        norm = np.sqrt(np.sum(n * n, axis=-1))
+        norm = np.sqrt(_dot(n, n))
         n = n / norm[..., None]
     return n
 
@@ -258,7 +263,7 @@ def _trace_chunk(scene: MirrorScene, pixels: np.ndarray):
         axis=-1,
     )
     d_world = d_cam @ cam_r  # == R^T @ d per row
-    norm = np.sqrt(np.sum(d_world * d_world, axis=-1))
+    norm = np.sqrt(_dot(d_world, d_world))
     d_world = d_world / norm[:, None]
 
     # nearest mirror hit along each primary ray
@@ -279,7 +284,7 @@ def _trace_chunk(scene: MirrorScene, pixels: np.ndarray):
             normals[sel] = _mirror_normal(points[sel], mirror)
 
     # law of reflection (normals face the incoming ray for our convex mirrors)
-    dn = np.sum(d_world * normals, axis=-1)
+    dn = _dot(d_world, normals)
     valid &= dn < 0.0
     reflected = d_world - 2.0 * dn[:, None] * normals
 
@@ -294,10 +299,10 @@ def _trace_chunk(scene: MirrorScene, pixels: np.ndarray):
     coords = []
     for pose in _plane_pose_list(scene):
         pn = pose.rotation[:, 2]  # plane normal in world coords
-        denom = np.sum(reflected * pn, axis=-1)
+        denom = _dot(reflected, pn)
         offset = pose.translation - points
         t_plane = np.where(
-            np.abs(denom) > 1e-12, np.sum(offset * pn, axis=-1) / np.where(np.abs(denom) > 1e-12, denom, 1.0), np.inf
+            np.abs(denom) > 1e-12, _dot(offset, pn) / np.where(np.abs(denom) > 1e-12, denom, 1.0), np.inf
         )
         hit_ok = np.isfinite(t_plane) & (t_plane > _MIN_TRAVEL) & (t_plane < t_rehit)
         world = points + t_plane[:, None] * reflected

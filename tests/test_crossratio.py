@@ -7,6 +7,7 @@ must agree with central differences of that objective.
 
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,14 @@ def lifts_of(data, poses):
     return lift_triples(poses, data.x0, data.x1, data.x2)
 
 
+def pixel_rows(data):
+    return np.asarray(data.pixels, dtype=float).T.copy()
+
+
+def frozen_subset(lifts, m_obs, frozen):
+    return Lifts(*(getattr(lifts, f.name)[..., frozen] for f in fields(Lifts))), m_obs[:, frozen]
+
+
 def assert_masked_rows_blank(surface):
     invalid = ~surface.valid
     assert sorted(surface.invalid_reason) == np.flatnonzero(invalid).tolist()
@@ -87,14 +96,15 @@ class TestFrozenJacobian:
         if free_intrinsics:
             theta[:4] += self.INTRINSIC_STEP
         lifts = lifts_of(noisy_data, poses)
-        m_obs = np.asarray(noisy_data.pixels, dtype=float)
+        m_obs = pixel_rows(noisy_data)
         frozen = cr._gate(theta, lifts, m_obs, np.zeros_like)[1].valid
         assert frozen.sum() > 0.8 * len(frozen)
+        lifts, m_obs = frozen_subset(lifts, m_obs, frozen)
 
         def residuals(vec):
-            return cr._frozen_residuals(cr._resolve_offsets(vec, lifts, m_obs), m_obs, frozen)
+            return cr._frozen_residuals(cr._resolve_offsets(vec, lifts, m_obs), m_obs)
 
-        jac = cr._frozen_jacobian(cr._resolve_offsets(theta, lifts, m_obs), lifts, m_obs, frozen)
+        jac = cr._frozen_jacobian(cr._resolve_offsets(theta, lifts, m_obs), lifts, m_obs)
         numeric = np.empty_like(jac)
         for k in range(10):
             h = 1e-6 * max(abs(theta[k]), 1.0)
@@ -105,15 +115,70 @@ class TestFrozenJacobian:
         assert np.all(col_max > 0)
         assert np.all(np.max(np.abs(jac - numeric), axis=0) <= 1e-5 * col_max)
 
-    def test_rows_outside_frozen_set_are_zero(self, rig, noisy_data, poses):
+    def test_fit_sees_the_frozen_subset_alone(self, rig, noisy_data, poses, monkeypatch):
+        # refine's start cost and its fit's rows against every triple's
+        # rows with those outside the frozen set zeroed
         theta = cr._pack(rig)
         lifts = lifts_of(noisy_data, poses)
-        m_obs = np.asarray(noisy_data.pixels, dtype=float)
-        frozen = np.arange(len(m_obs)) % 3 != 0
-        view = cr._resolve_offsets(theta, lifts, m_obs)
-        jac = cr._frozen_jacobian(view, lifts, m_obs, frozen).reshape(-1, 2, 10)
-        assert not jac[~frozen].any()
-        assert np.abs(jac[frozen & view.feasible]).sum(axis=(1, 2)).min() > 0
+        m_obs = pixel_rows(noisy_data)
+        sens = cr.noise_sensitivity(theta, noisy_data, poses)
+
+        def noisy(usable):
+            return usable & (sens > cr.SENSITIVITY_CAP * np.median(sens[usable]))
+
+        view, _, reason = cr._gate(theta, lifts, m_obs, noisy)
+        frozen = reason == ""
+        padded = np.where(frozen, cr._frozen_residuals(view, m_obs).reshape(2, -1), 0.0)
+        rows = []
+        original = cr.least_squares
+
+        def recorded(model, x0, **kwargs):
+            rows.append(model(x0)[0].reshape(2, -1))
+            return original(model, x0, **kwargs)
+
+        monkeypatch.setattr(cr, "least_squares", recorded)
+        _, _, report = cr.refine(rig, noisy_data, poses)
+        assert report.mask_reasons == dict(Counter(reason[~frozen].tolist()))
+        assert report.initial_cost == pytest.approx(np.sum(padded**2), rel=1e-12)
+        assert np.array_equal(rows[0], padded[:, frozen])
+
+
+class TestResolveOffsets:
+    def test_matches_per_triple_reference(self, rig, noisy_data, poses, noisy_fit):
+        # the rows-first stacks against K [R | T] applied to one triple at
+        # a time, for 20 triples the fit keeps
+        theta = cr._pack(rig)
+        view = cr._resolve_offsets(theta, lifts_of(noisy_data, poses), pixel_rows(noisy_data))
+        p = rig.intrinsics.matrix() @ np.column_stack([rig.rotation, rig.translation])
+
+        def project(point):
+            h = p @ np.append(point, 1.0)
+            return h[:2] / h[2], h[2]
+
+        for i in np.flatnonzero(noisy_fit[1].valid)[::150][:20]:
+            lifted = [np.append(noisy_data.x0[i], 0.0)] + [
+                pose.rotation @ np.append(x[i], 0.0) + pose.translation
+                for pose, x in ((poses.pose1, noisy_data.x1), (poses.pose2, noisy_data.x2))
+            ]
+            pixels, depths = zip(*(project(q) for q in lifted))
+            for k in range(3):
+                assert view.pixels[k][:, i] == pytest.approx(pixels[k], rel=1e-12)
+                assert view.depths[k][i] == pytest.approx(depths[k], rel=1e-12)
+            m = noisy_data.pixels[i]
+            base = lifted[2] - lifted[0]
+            length = np.linalg.norm(base)
+            along = (lifted[2] - lifted[1]) @ base / length
+            x0, x1, x2 = pixels
+            d10, d20, d1x, d2m = (np.linalg.norm(a - b) for a, b in ((x1, m), (x2, x0), (x1, x0), (x2, m)))
+            k = (d10 * d20) / (d1x * d2m) * abs(length - along) / length
+            candidates = []
+            for s in (along / (1.0 - k), along / (1.0 + k)):
+                proj, depth = project(lifted[2] - s * base / length)
+                candidates.append((np.sum((m - proj) ** 2) if depth > 0 else np.inf, s, proj, depth))
+            _, s, proj, depth = min(candidates, key=lambda c: c[0])
+            assert view.s[i] == pytest.approx(s, rel=1e-12)
+            assert view.m_proj[:, i] == pytest.approx(proj, rel=1e-12)
+            assert view.depth[i] == pytest.approx(depth, rel=1e-12)
 
 
 class TestRefine:
@@ -178,7 +243,7 @@ class TestRefine:
             translation=flip @ rig.translation,
             source="rig",
         )
-        m_obs = np.asarray(clean_data.pixels, dtype=float)
+        m_obs = pixel_rows(clean_data)
         _, _, reason = cr._gate(cr._pack(away), lifts_of(clean_data, poses), m_obs, np.zeros_like)
         assert set(reason) == {"behind_camera"}
         with pytest.raises(TooFewCorrespondencesError):
@@ -204,24 +269,24 @@ class TestGate:
 
     def test_first_failed_check_wins(self, rig, noisy_data, poses):
         theta = cr._pack(rig)
-        m_obs = np.asarray(noisy_data.pixels, dtype=float)
+        m_obs = pixel_rows(noisy_data)
         _, before, _ = cr._gate(theta, lifts_of(noisy_data, poses), m_obs, np.zeros_like)
         # move the three lifts of a valid triple onto one point behind the
         # camera: it fails coincident_lift, noncollinear_lift and behind_camera
         i = int(np.flatnonzero(before.valid)[0])
         lifted = lifts_of(noisy_data, poses)
         p0, p1, p2 = lifted.p0, lifted.p1, lifted.p2
-        p0[i] = p1[i] = p2[i] = rig.camera_center() - 100.0 * rig.rotation[2]
+        p0[:, i] = p1[:, i] = p2[:, i] = rig.camera_center() - 100.0 * rig.rotation[2]
         lifts = Lifts.of(p0, p1, p2)
         # and flag every triple noise-sensitive, which comes after all of those
         view, surface, reason = cr._gate(theta, lifts, m_obs, np.ones_like)
         assert view.depths[0][i] < 0
         assert not surface.valid.any()
-        expected = {j: "noise_sensitive" for j in range(len(m_obs))}
+        expected = {j: "noise_sensitive" for j in range(len(noisy_data))}
         expected.update(before.invalid_reason)
         expected[i] = "coincident_lift"
         assert surface.invalid_reason == expected
-        assert reason.tolist() == [expected[j] for j in range(len(m_obs))]
+        assert reason.tolist() == [expected[j] for j in range(len(noisy_data))]
 
     def test_zero_length_line_fails_collinearity(self, rig, noisy_data, poses, monkeypatch):
         # with the separation check switched off, a line of zero length
@@ -229,9 +294,9 @@ class TestGate:
         monkeypatch.setattr(cr, "MIN_LIFT_SEPARATION_MM", 0.0)
         lifted = lifts_of(noisy_data, poses)
         p2 = lifted.p2.copy()
-        p2[0] = lifted.p0[0]
+        p2[:, 0] = lifted.p0[:, 0]
         lifts = Lifts.of(lifted.p0, lifted.p1, p2)
-        m_obs = np.asarray(noisy_data.pixels, dtype=float)
+        m_obs = pixel_rows(noisy_data)
         _, _, reason = cr._gate(cr._pack(rig), lifts, m_obs, np.zeros_like)
         assert reason[0] == "noncollinear_lift"
 

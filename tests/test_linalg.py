@@ -466,3 +466,11 @@ def test_camera_fit_leaves_blas_threads_asleep(scene):
     data = generate_dataset(scene, grid_step=2, noise=NoiseSpec(seed=0))
     assert len(data) >= 50_000
     assert cpu_while_idle(lambda: camera_fit(scene, data)) < 0.02
+
+
+def test_cross_ratio_refine_leaves_blas_threads_asleep(scene):
+    # grid 4: 14,049 triples, 28,098 residuals; a dot over a stack this
+    # long in any evaluation, or in the closing gate, threads here
+    data = generate_dataset(scene, grid_step=4, noise=NoiseSpec(0.5, 0.5, 0.0, 0))
+    assert len(data) >= 14_000
+    assert cpu_while_idle(lambda: cross_ratio_fit(scene, data)) < 0.02

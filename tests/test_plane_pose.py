@@ -678,27 +678,44 @@ class TestLifts:
         offset = lifts.offset()
 
         # Pythagoras about the foot point of p1, reached from p2 toward p0
-        foot = lifts.p2 - lifts.along[:, None] * lifts.unit
-        hyp = np.sum((lifts.p1 - lifts.p2) ** 2, axis=1)
-        assert np.allclose(hyp, lifts.along**2 + np.sum(offset**2, axis=1), rtol=1e-10, atol=1e-9)
+        foot = lifts.p2 - lifts.along * lifts.unit
+        hyp = np.sum((lifts.p1 - lifts.p2) ** 2, axis=0)
+        assert np.allclose(hyp, lifts.along**2 + np.sum(offset**2, axis=0), rtol=1e-10, atol=1e-9)
         assert np.allclose(
-            np.linalg.norm(lifts.p1 - foot, axis=1), np.linalg.norm(offset, axis=1), rtol=1e-9, atol=1e-9
+            np.linalg.norm(lifts.p1 - foot, axis=0), np.linalg.norm(offset, axis=0), rtol=1e-9, atol=1e-9
         )
 
         # the observation line of each kept triple runs along unit
         data = CorrespondenceSet(pixels=np.zeros((n, 2)), x0=x0, x1=x1, x2=x2)
         obs = projection.build_observations(data, pair)
         direction = obs.lines[:, 3:] / np.linalg.norm(obs.lines[:, 3:], axis=1, keepdims=True)
-        unit = lifts.unit[obs.indices]
+        unit = lifts.unit[:, obs.indices].T
         assert np.allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.allclose(np.cross(unit, direction), 0.0, rtol=0, atol=1e-12)
 
         # a zero-length line divides by 1: unit and along stay finite
         p2 = lifts.p2.copy()
-        p2[0] = lifts.p0[0]
+        p2[:, 0] = lifts.p0[:, 0]
         flat = plane_pose.Lifts.of(lifts.p0, lifts.p1, p2)
         assert flat.length[0] == 0.0
-        assert np.isfinite(flat.unit[0]).all() and np.isfinite(flat.along[0])
+        assert np.isfinite(flat.unit[:, 0]).all() and np.isfinite(flat.along[0])
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_rows_are_the_rigid_motion_of_each_point(self, seed, n):
+        rng = np.random.default_rng(seed)
+        pair = PlanePosePair(
+            RigidPose(random_rotation(rng), rng.uniform(-300.0, 300.0, 3)),
+            RigidPose(random_rotation(rng), rng.uniform(-300.0, 300.0, 3)),
+        )
+        x0, x1, x2 = (rng.uniform(-200.0, 200.0, (n, 2)) for _ in range(3))
+        lifts = plane_pose.lift_triples(pair, x0, x1, x2)
+        pose0 = RigidPose(np.eye(3), np.zeros(3))
+        for rows, pose, x in ((lifts.p0, pose0, x0), (lifts.p1, pair.pose1, x1), (lifts.p2, pair.pose2, x2)):
+            assert rows.shape == (3, n) and rows.flags.c_contiguous
+            for i in range(n):
+                expected = pose.rotation @ np.array([x[i, 0], x[i, 1], 0.0]) + pose.translation
+                assert np.allclose(rows[:, i], expected, rtol=1e-14, atol=1e-12)
 
 
 class TestRefine:

@@ -242,6 +242,17 @@ class TestChunkedTrace:
             assert np.array_equal(full, np.concatenate([head, tail]), equal_nan=True)
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), scale=st.floats(1e-3, 1e6))
+def test_dot_matches_sum_reduction(seed, n, scale):
+    # the tracer's dot products are component sums; np.sum over the last
+    # axis must give the same numbers, also against one (3,) operand
+    rng = np.random.default_rng(seed)
+    a, b = scale * rng.normal(size=(2, n, 3))
+    axis = rng.normal(size=3)
+    for x, y in ((a, b), (a, a), (a, axis), (axis, b)):
+        assert np.array_equal(sim._dot(x, y), np.sum(x * y, axis=-1))
+
+
 def reference_dataset(scene, grid_step, noise):
     """The simulator's noise model with one default_rng per triple.
 
