@@ -279,7 +279,7 @@ class Lifts:
 
     def offset(self) -> np.ndarray:
         """Offset of each p1 from its line, (p1 - p0) x unit, (3, n)."""
-        return np.cross(self.p1 - self.p0, self.unit, axis=0)
+        return so3.cross(self.p1 - self.p0, self.unit)
 
 
 def lift_triples(pair: PlanePosePair, x0, x1, x2) -> Lifts:
@@ -359,11 +359,12 @@ def _polish_objective(pair: PlanePosePair, x0, x1, x2):
             jt = np.empty((12, 3, u.shape[1]))
             jt[0:3] = q1 * np.einsum("ai,ak->ki", u, j1)[:, None]
             jt[0:3] -= np.einsum("i,ck->kci", np.einsum("ai,ai->i", q1, u), j1)
-            jt[3:6] = -so3.skew(u.T).transpose(2, 1, 0)
+            # transposed blocks, [a]x^T = -[a]x: dp1 x u gives [u]x, v x dp2 -[v]x
+            jt[3:6] = so3.skew(u)
             jt[6:9] = np.einsum("i,ck->kci", np.einsum("ai,ai->i", v, q2), j2)
             jt[6:9] -= q2 * np.einsum("ai,ak->ki", v, j2)[:, None]
-            jt[6:9] -= res * np.einsum("ai,ak->ki", np.cross(q2, u, axis=0), j2)[:, None]
-            jt[9:12] = so3.skew(v.T).transpose(2, 1, 0) - u[:, None] * res
+            jt[6:9] -= res * np.einsum("ai,ak->ki", so3.cross(q2, u), j2)[:, None]
+            jt[9:12] = -so3.skew(v) - u[:, None] * res
             jt[6:12] *= inv
             jt[..., ~good] = 0.0
             return jt.reshape(12, -1).T

@@ -24,12 +24,16 @@ line matrix carries no sign, and scaling P by s scales M by s^2.  For
 M = [A | B] = M(P), cof(A) = det(Q) Q and the rows a_i, b_i of A and B give
 (b1 . a2, -b0 . a2, b0 . a1) = det(Q) t, which converts M back to the point
 camera det(Q) P.
+
+A stack of n lines is (6, n), one line per column, built from (3, n)
+point stacks; M maps it to its (3, n) image lines in one product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import so3
 from .errors import RankDeficientError
 
 
@@ -39,25 +43,25 @@ def _cofactor(q: np.ndarray) -> np.ndarray:
 
 
 def lines_from_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lines [a x b, a - b] through Cartesian points a and b, shape (n, 6).
-
-    No coincidence check; callers batching noisy data filter separately.
+    """Lines [a x b; a - b] through Cartesian points a and b, 3-vectors or
+    (3, n) column stacks, as one 6-vector or a (6, n) stack.  No
+    coincidence check; callers batching noisy data filter separately.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.concatenate([np.cross(a, b), a - b], axis=-1)
+    return np.concatenate([so3.cross(a, b), a - b])
 
 
 def rescale_lines(lines: np.ndarray, rho: float) -> np.ndarray:
     """Unit line coordinates of the lines with every point divided by rho.
 
     The moment a x b is divided by rho^2 and the direction a - b by rho;
-    works on stacks of shape (n, 6).
+    works on (6, n) stacks, one line per column.
     """
     out = np.array(lines, dtype=float)
-    out[:, :3] /= rho * rho
-    out[:, 3:] /= rho
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    out[:3] /= rho * rho
+    out[3:] /= rho
+    return out / np.linalg.norm(out, axis=0)
 
 
 def point_to_line_matrix(p: np.ndarray) -> np.ndarray:
@@ -75,7 +79,8 @@ def point_to_line_matrix(p: np.ndarray) -> np.ndarray:
     if sv[2] < 1e-10 * sv[0]:
         raise RankDeficientError("point_to_line_matrix: input rank < 3")
     q, t = p[:, :3], p[:, 3]
-    return np.hstack([_cofactor(q), -np.cross(t, q.T).T])
+    # Q's columns crossed with t make -[t]x Q
+    return np.hstack([_cofactor(q), so3.cross(q, t)])
 
 
 def line_to_point_matrix(line_matrix: np.ndarray) -> np.ndarray:

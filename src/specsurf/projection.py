@@ -62,7 +62,7 @@ spins for about 130 ms after every cold start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,9 +92,10 @@ SWEEP_FTOL = 1e-6
 class LineObservationSet:
     """Pixel/line incidence pairs feeding the camera solvers.
 
-    pixels are homogeneous with third coordinate 1; lines are unit-norm
+    Rows first, one item per column: pixels is the (2, n) stack of (u, v),
+    the homogeneous 1 left implicit, and lines the (6, n) stack of unit
     6-vectors [moment; direction] (see plucker), so a line matrix M maps
-    them to image lines as lines @ M.T; indices map each item back to its
+    them to the (3, n) image lines M L; indices map each item back to its
     source triple.
     """
 
@@ -104,14 +105,11 @@ class LineObservationSet:
     n_skipped: int = 0
 
     def __len__(self) -> int:
-        return len(self.pixels)
+        return self.pixels.shape[1]
 
     def centered(self, u0: float, v0: float) -> "LineObservationSet":
         """Same observations with the image origin moved to (u0, v0)."""
-        px = self.pixels.copy()
-        px[:, 0] -= u0
-        px[:, 1] -= v0
-        return LineObservationSet(px, self.lines, self.indices, self.n_skipped)
+        return replace(self, pixels=self.pixels - [[u0], [v0]])
 
 
 def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineObservationSet:
@@ -129,24 +127,21 @@ def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineOb
     lifts = lift_triples(poses, x0[finite], x1[finite], x2[finite])
     far = lifts.length >= MIN_LIFT_SEPARATION_MM
     indices = np.flatnonzero(finite)[far]
-    lines = lines_from_points(lifts.p0[:, far].T, lifts.p2[:, far].T)
-    lines /= np.linalg.norm(lines, axis=1, keepdims=True)
-    pixels = np.hstack([pixels[indices], np.ones((len(indices), 1))])
-    return LineObservationSet(
-        pixels=pixels,
-        lines=lines,
-        indices=indices,
-        n_skipped=len(corrs) - len(indices),
-    )
+    lines = lines_from_points(lifts.p0[:, far], lifts.p2[:, far])
+    lines /= np.linalg.norm(lines, axis=0)
+    return LineObservationSet(pixels[indices].T.copy(), lines, indices, len(corrs) - len(indices))
 
 
 def _incidence_rows(obs: LineObservationSet) -> np.ndarray:
-    return (obs.pixels[:, :, None] * obs.lines[:, None, :]).reshape(len(obs), 18)
+    """n x 18 incidence matrix, row i pixel (u, v, 1) (x) line i: the rows
+    [u L; v L; L] handed over transposed, which right_singular reads as is."""
+    u, v = obs.pixels
+    return np.concatenate([u * obs.lines, v * obs.lines, obs.lines]).T
 
 
 def _world_scale(lines: np.ndarray) -> float:
     """Typical distance of the lines from the world origin."""
-    dists = np.linalg.norm(lines[:, :3], axis=1) / np.linalg.norm(lines[:, 3:], axis=1)
+    dists = np.linalg.norm(lines[:3], axis=0) / np.linalg.norm(lines[3:], axis=0)
     rho = float(np.mean(dists))
     return rho if np.isfinite(rho) and rho > 1e-9 else 1.0
 
@@ -158,16 +153,10 @@ def _normalized_copy(obs: LineObservationSet):
     origin stays put, and every line as if its points were divided by the
     world scale.  Returns (obs_n, s_pix, rho).
     """
-    px = obs.pixels[:, :2]
-    spread = np.mean(np.linalg.norm(px, axis=1))
+    spread = np.mean(np.linalg.norm(obs.pixels, axis=0))
     s_pix = np.sqrt(2.0) / spread if spread > 1e-12 else 1.0
     rho = _world_scale(obs.lines)
-    obs_n = LineObservationSet(
-        pixels=np.hstack([px * s_pix, np.ones((len(px), 1))]),
-        lines=rescale_lines(obs.lines, rho),
-        indices=obs.indices,
-        n_skipped=obs.n_skipped,
-    )
+    obs_n = replace(obs, pixels=obs.pixels * s_pix, lines=rescale_lines(obs.lines, rho))
     return obs_n, s_pix, rho
 
 
@@ -179,17 +168,18 @@ def point_line_cost(line_matrix: np.ndarray, obs: LineObservationSet) -> float:
     projected line has a vanishing direction part are excluded; if every
     item degenerates the cost is undefined and an error is raised.
     """
-    # (n, 3) rows, the projected lines; an n x 6 by 6 x 3 matmul would wake
+    # (3, n) rows, the projected lines; a 3 x 6 by 6 x n matmul would wake
     # OpenBLAS's threads on a dense scan
-    img = np.einsum("nj,ij->ni", obs.lines, line_matrix)
-    ab2 = img[:, 0] ** 2 + img[:, 1] ** 2
+    img = np.einsum("ij,jn->in", line_matrix, obs.lines)
+    ab2 = img[0] ** 2 + img[1] ** 2
     good = ab2 > 1e-20
     if not np.any(good):
         raise DegenerateLineProjectionError(
             "every projected line degenerates to a point"
         )
-    num = np.einsum("ij,ij->i", obs.pixels[good], img[good]) ** 2
-    return float(np.sum(num / ab2[good]))
+    u, v = obs.pixels
+    num = (u * img[0] + v * img[1] + img[2]) ** 2
+    return float(np.sum(num[good] / ab2[good]))
 
 
 def camera_line_matrix(
@@ -224,18 +214,6 @@ def _metric_decode(metric_lm: np.ndarray):
     return so3.closest_rotation(g[:, :3]), g[:, 3].copy()
 
 
-def _cross(p, q) -> np.ndarray:
-    """p x q by components; p and q are 3-vectors or (3, n) column stacks,
-    or one of each.
-
-    Spelled out because np.cross costs more than the arithmetic on the
-    short stacks the camera refinement works with.
-    """
-    return np.array(
-        [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]
-    )
-
-
 def _point_line_objective(obs: LineObservationSet):
     """Point-to-line residuals and their Jacobian, both in closed form.
 
@@ -262,11 +240,8 @@ def _point_line_objective(obs: LineObservationSet):
     matmul against a 3 x n or 6 x n stack wakes OpenBLAS's threads on a
     dense scan.
     """
-    x0 = obs.pixels[:, 0]
-    x1 = obs.pixels[:, 1]
-    # moments then directions as rows, so one product gives every moment
-    lines = np.ascontiguousarray(obs.lines.T)
-    directions = lines[3:]
+    x0, x1 = obs.pixels
+    directions = obs.lines[3:]
 
     def model(theta):
         f = np.exp(theta[0])
@@ -276,8 +251,8 @@ def _point_line_objective(obs: LineObservationSet):
         rotation = so3.exp(theta[1:4])
         t = theta[4:]
         # R's columns crossed with T make -[T]x R
-        motion = np.hstack([rotation, _cross(rotation, t)])
-        m = np.einsum("ij,jn->in", motion, lines)
+        motion = np.hstack([rotation, so3.cross(rotation, t)])
+        m = np.einsum("ij,jn->in", motion, obs.lines)
         s = np.sqrt(m[0] * m[0] + m[1] * m[1] + 1e-30)
         num = x0 * m[0] + x1 * m[1] + f * m[2]
 
@@ -286,9 +261,9 @@ def _point_line_objective(obs: LineObservationSet):
             u = ((x0 - c * m[0]) / s, (x1 - c * m[1]) / s, f / s)
             jt = np.empty((7, len(s)))
             jt[0] = f * m[2] / s
-            d_t = _cross(u, np.einsum("ij,jn->in", rotation, directions))
+            d_t = so3.cross(u, np.einsum("ij,jn->in", rotation, directions))
             jt[4:] = d_t
-            d_phi = _cross(d_t, t) - _cross(u, m)
+            d_phi = so3.cross(d_t, t) - so3.cross(u, m)
             np.einsum("ik,in->kn", so3.left_jacobian(theta[1:4]), d_phi, out=jt[1:4])
             return jt.T
 

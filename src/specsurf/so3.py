@@ -4,7 +4,9 @@ A rotation vector is the axis-angle v = angle * axis in radians, with the
 rotation right-handed about the axis; log returns angles in [0, pi].  The
 left Jacobian J(v) carries an increment of v to the left increment of the
 rotation, exp(v + dv) = exp(J(v) dv) exp(v) to first order, which is how
-the solvers' analytic Jacobians reach their axis-angle parameters.
+the solvers' analytic Jacobians reach their axis-angle parameters.  The
+cross-product helpers skew and cross take 3-vectors or (3, n) column
+stacks, the layout of the package's per-triple stacks.
 """
 
 from __future__ import annotations
@@ -22,15 +24,25 @@ _SKEW_MINUS = [5, 6, 1]
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix [v]x, so that skew(v) @ p = v x p.
 
-    v is one 3-vector or an (n, 3) stack, giving (3, 3) or (n, 3, 3).  The
-    entries are placed, not multiplied: a product with a basis would be a
-    gemm that wakes OpenBLAS's thread pool on a long stack.
+    v is one 3-vector or a (3, n) column stack, giving (3, 3) or
+    (3, 3, n), the matrix of column i in [:, :, i].  The entries are
+    placed, not multiplied: a product with a basis would be a gemm that
+    wakes OpenBLAS's thread pool on a long stack.
     """
     v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (9,))
-    out[..., _SKEW_PLUS] = v
-    out[..., _SKEW_MINUS] = -v
-    return out.reshape(v.shape + (3,))
+    out = np.zeros((9,) + v.shape[1:])
+    out[_SKEW_PLUS] = v
+    out[_SKEW_MINUS] = -v
+    return out.reshape((3, 3) + v.shape[1:])
+
+
+def cross(p, q) -> np.ndarray:
+    """p x q by components, for 3-vectors, (3, n) column stacks or one of
+    each: np.cross(p, q, axis=0) bit for bit, without the axis moves that
+    cost np.cross more than the arithmetic on short stacks."""
+    return np.array(
+        [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]
+    )
 
 
 def _rodrigues(v, a: float, b: float) -> np.ndarray:

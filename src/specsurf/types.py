@@ -82,6 +82,7 @@ class NoiseSpec:
                  draws from ``np.random.default_rng([seed, i])``; the
                  simulator seeds these streams in batch, and the tests pin
                  the equality.
+    sigma_mm, gamma_px and k1 must be finite.
     """
 
     sigma_mm: float = 0.0
@@ -90,8 +91,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_mm < 0 or self.gamma_px < 0:
-            raise ValueError("noise magnitudes must be non-negative")
+        finite = np.isfinite([self.sigma_mm, self.gamma_px, self.k1]).all()
+        if not finite or self.sigma_mm < 0 or self.gamma_px < 0:
+            raise ValueError("noise terms must be finite and the magnitudes non-negative")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"noise seed must be a non-negative integer, got {seed!r}")

@@ -688,10 +688,10 @@ class TestLifts:
         # the observation line of each kept triple runs along unit
         data = CorrespondenceSet(pixels=np.zeros((n, 2)), x0=x0, x1=x1, x2=x2)
         obs = projection.build_observations(data, pair)
-        direction = obs.lines[:, 3:] / np.linalg.norm(obs.lines[:, 3:], axis=1, keepdims=True)
-        unit = lifts.unit[:, obs.indices].T
-        assert np.allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=0, atol=1e-12)
-        assert np.allclose(np.cross(unit, direction), 0.0, rtol=0, atol=1e-12)
+        direction = obs.lines[3:] / np.linalg.norm(obs.lines[3:], axis=0)
+        unit = lifts.unit[:, obs.indices]
+        assert np.allclose(np.linalg.norm(unit, axis=0), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(np.cross(unit, direction, axis=0), 0.0, rtol=0, atol=1e-12)
 
         # a zero-length line divides by 1: unit and along stay finite
         p2 = lifts.p2.copy()

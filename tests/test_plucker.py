@@ -38,34 +38,35 @@ class TestLineFromPoints:
 
     def test_self_intersection_identity_random(self, rng):
         # a line meets itself: v . w = 0
-        a = rng.uniform(-100, 100, size=(10_000, 3))
-        b = rng.uniform(-100, 100, size=(10_000, 3))
+        a = rng.uniform(-100, 100, size=(3, 10_000))
+        b = rng.uniform(-100, 100, size=(3, 10_000))
         lines = plucker.lines_from_points(a, b)
-        scale = np.sum(lines * lines, axis=-1)
-        res = np.abs(np.einsum("ij,ij->i", lines[:, :3], lines[:, 3:]))
+        scale = np.sum(lines * lines, axis=0)
+        res = np.abs(np.einsum("in,in->n", lines[:3], lines[3:]))
         assert np.all(res <= 1e-9 * np.maximum(scale, 1.0))
 
     def test_vectorized_matches_scalar(self, rng):
-        a = rng.uniform(-10, 10, size=(50, 3))
-        b = rng.uniform(-10, 10, size=(50, 3))
+        a = rng.uniform(-10, 10, size=(3, 50))
+        b = rng.uniform(-10, 10, size=(3, 50))
         batch = plucker.lines_from_points(a, b)
+        assert batch.shape == (6, 50)
         for i in range(50):
-            assert np.array_equal(batch[i], plucker.lines_from_points(a[i], b[i]))
+            assert np.array_equal(batch[:, i], plucker.lines_from_points(a[:, i], b[:, i]))
 
 
 class TestRescaleLines:
     def test_line_rescale_matches_endpoint_rescale(self):
         rng = np.random.default_rng(3)
-        a = rng.normal(size=(40, 3)) * 300.0
-        b = a + rng.normal(size=(40, 3)) * 150.0
+        a = rng.normal(size=(3, 40)) * 300.0
+        b = a + rng.normal(size=(3, 40)) * 150.0
         rho = 7.3
         direct = plucker.lines_from_points(a / rho, b / rho)
-        direct /= np.linalg.norm(direct, axis=1, keepdims=True)
+        direct /= np.linalg.norm(direct, axis=0)
         lines = plucker.lines_from_points(a, b)
-        lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+        lines /= np.linalg.norm(lines, axis=0)
         scaled = plucker.rescale_lines(lines, rho)
-        # rows agree up to a per-line sign
-        dots = np.abs(np.einsum("ij,ij->i", direct, scaled))
+        # columns agree up to a per-line sign
+        dots = np.abs(np.einsum("in,in->n", direct, scaled))
         assert np.min(dots) > 1.0 - 1e-12
 
 

@@ -40,6 +40,11 @@ def set_sweep_range(monkeypatch, image_size, f_lo, f_hi, samples):
     monkeypatch.setattr(pj, "SWEEP_SAMPLES", samples)
 
 
+def homogeneous(pixels):
+    """(3, n) homogeneous pixels of a (2, n) stack."""
+    return np.vstack([pixels, np.ones(pixels.shape[1])])
+
+
 def rot_err_deg(r, s):
     c = (np.trace(r @ s.T) - 1.0) / 2.0
     return np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
@@ -82,7 +87,7 @@ def fewest_obs(clean_obs):
     """MIN_OBSERVATIONS incidences spread over the image: a wide 17 x 18
     incidence matrix whose one null vector is the camera."""
     idx = np.linspace(0, len(clean_obs) - 1, pj.MIN_OBSERVATIONS).astype(int)
-    return pj.LineObservationSet(clean_obs.pixels[idx], clean_obs.lines[idx], idx)
+    return pj.LineObservationSet(clean_obs.pixels[:, idx], clean_obs.lines[:, idx], idx)
 
 
 @pytest.fixture(scope="module")
@@ -102,18 +107,20 @@ class TestBuildObservations:
         assert len(clean_obs) == len(clean_data)
         assert clean_obs.n_skipped == 0
         assert np.array_equal(clean_obs.indices, np.arange(len(clean_data)))
-        assert np.allclose(clean_obs.pixels[:, 2], 1.0)
-        assert np.allclose(np.linalg.norm(clean_obs.lines, axis=1), 1.0, atol=1e-12)
+        assert clean_obs.pixels.shape == (2, len(clean_data))
+        assert np.array_equal(clean_obs.pixels, clean_data.pixels.T)
+        assert clean_obs.lines.shape == (6, len(clean_data))
+        assert np.allclose(np.linalg.norm(clean_obs.lines, axis=0), 1.0, atol=1e-12)
 
     def test_lines_satisfy_self_intersection(self, clean_obs):
         # a valid line meets itself: its moment is orthogonal to its direction
-        prod = np.einsum("ij,ij->i", clean_obs.lines[:, :3], clean_obs.lines[:, 3:])
+        prod = np.einsum("in,in->n", clean_obs.lines[:3], clean_obs.lines[3:])
         assert np.max(np.abs(prod)) < 1e-12
 
     def test_incidence_with_ground_truth_camera(self, clean_obs, gt_lm):
         lm = gt_lm / np.linalg.norm(gt_lm)
-        img = clean_obs.lines @ lm.T
-        resid = np.abs(np.einsum("ij,ij->i", clean_obs.pixels, img))
+        img = lm @ clean_obs.lines
+        resid = np.abs(np.einsum("in,in->n", homogeneous(clean_obs.pixels), img))
         assert resid.max() < 1e-9
 
     def test_coincident_triples_skipped(self):
@@ -137,7 +144,27 @@ class TestBuildObservations:
         assert obs.indices.tolist() == [0, 2, 4]
 
 
+class TestIncidenceRows:
+    def test_row_is_kronecker_product_of_pixel_and_line(self, clean_obs):
+        z = pj._incidence_rows(clean_obs)
+        assert z.shape == (len(clean_obs), 18)
+        for i in range(len(clean_obs)):
+            u, v = clean_obs.pixels[:, i]
+            assert np.array_equal(z[i], np.kron([u, v, 1.0], clean_obs.lines[:, i]))
+
+
 class TestPointLineCost:
+    def test_matches_per_item_scalar_loop(self, clean_obs, gt_lm):
+        rng = np.random.default_rng(7)
+        lm = gt_lm + 1e-3 * np.linalg.norm(gt_lm) * rng.normal(size=(3, 6))
+        want = 0.0
+        for i in range(len(clean_obs)):
+            a, b, c = lm @ clean_obs.lines[:, i]
+            u, v = clean_obs.pixels[:, i]
+            want += (u * a + v * b + c) ** 2 / (a * a + b * b)
+        assert want > 1.0
+        assert pj.point_line_cost(lm, clean_obs) == pytest.approx(want, rel=1e-12)
+
     def test_zero_at_ground_truth(self, clean_obs, gt_lm):
         assert pj.point_line_cost(gt_lm, clean_obs) < 1e-14
 
@@ -167,18 +194,18 @@ class TestPointLineCost:
         cam = scene.camera_pose
         center = -cam.rotation.T @ cam.translation
         through = lines_from_points(
-            center[None, :], center[None, :] + np.array([[120.0, -40.0, 310.0]])
+            center[:, None], center[:, None] + np.array([[120.0], [-40.0], [310.0]])
         )
         through /= np.linalg.norm(through)
-        # pixels moved off their lines so the good rows cost something
+        # pixels moved off their lines so the good items cost something
         good = pj.LineObservationSet(
-            pixels=clean_obs.pixels[:40] + [0.5, -0.3, 0.0],
-            lines=clean_obs.lines[:40],
+            pixels=clean_obs.pixels[:, :40] + [[0.5], [-0.3]],
+            lines=clean_obs.lines[:, :40],
             indices=np.arange(40),
         )
         mixed = pj.LineObservationSet(
-            pixels=np.vstack([good.pixels, [[5.0, 5.0, 1.0]]]),
-            lines=np.vstack([good.lines, through]),
+            pixels=np.hstack([good.pixels, [[5.0], [5.0]]]),
+            lines=np.hstack([good.lines, through]),
             indices=np.arange(41),
         )
         cost = pj.point_line_cost(gt_lm, good)
@@ -204,11 +231,11 @@ class TestPointLineObjective:
         cam_pts = np.column_stack([rng.uniform(-2, 2, (n, 2)), rng.uniform(3, 9, n)])
         pts = (cam_pts - t) @ r  # world points in front of the camera
         ends = pts + rng.normal(size=(n, 3))
-        lines = lines_from_points(pts, ends)
-        lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+        lines = lines_from_points(pts.T, ends.T)
+        lines /= np.linalg.norm(lines, axis=0)
         img = (cam_pts[:, :2] / cam_pts[:, 2:]) * f
-        pixels = np.hstack([img + 0.05 * rng.normal(size=(n, 2)), np.ones((n, 1))])
-        obs = pj.LineObservationSet(pixels, lines, np.arange(n))
+        pixels = img + 0.05 * rng.normal(size=(n, 2))
+        obs = pj.LineObservationSet(pixels.T, lines, np.arange(n))
         theta = np.concatenate([[np.log(f)], rvec, t])
         return obs, theta
 
@@ -337,8 +364,8 @@ class TestSolveConstrained:
 
     def test_too_few_observations(self, clean_obs):
         small = pj.LineObservationSet(
-            pixels=clean_obs.pixels[:10],
-            lines=clean_obs.lines[:10],
+            pixels=clean_obs.pixels[:, :10],
+            lines=clean_obs.lines[:, :10],
             indices=clean_obs.indices[:10],
         )
         with pytest.raises(TooFewObservationsError):
@@ -349,8 +376,8 @@ class TestSolveConstrained:
         # the cold start's SVD rejects
         intr = scene.intrinsics
         rep = pj.LineObservationSet(
-            pixels=np.tile(clean_obs.pixels[:1], (20, 1)),
-            lines=np.tile(clean_obs.lines[:1], (20, 1)),
+            pixels=np.tile(clean_obs.pixels[:, :1], (1, 20)),
+            lines=np.tile(clean_obs.lines[:, :1], (1, 20)),
             indices=np.arange(20),
         ).centered(intr.u0, intr.v0)
         with pytest.raises(RankDeficientZError):
@@ -394,9 +421,9 @@ class TestFocalSweep:
         lm = pj.camera_line_matrix(
             clean_sweep.intrinsics, clean_sweep.rotation, clean_sweep.translation
         )
-        img = clean_obs.lines @ lm.T
-        dist = np.abs(np.einsum("ij,ij->i", clean_obs.pixels, img)) / np.hypot(
-            img[:, 0], img[:, 1]
+        img = lm @ clean_obs.lines
+        dist = np.abs(np.einsum("in,in->n", homogeneous(clean_obs.pixels), img)) / np.hypot(
+            img[0], img[1]
         )
         assert dist.max() < 1e-6
 
@@ -584,7 +611,7 @@ class TestNormalizationInternals:
         dirs = np.cross(anchors, rng.normal(size=(60, 3)))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         a = anchors * dists[:, None]
-        lines = lines_from_points(a, a + dirs * 400.0)
-        lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+        lines = lines_from_points(a.T, (a + dirs * 400.0).T)
+        lines /= np.linalg.norm(lines, axis=0)
         rho = pj._world_scale(lines)
         assert abs(rho - dists.mean()) < 0.02 * dists.mean()

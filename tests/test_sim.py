@@ -324,6 +324,18 @@ class TestNoiseStreams:
         with pytest.raises(ValueError):
             NoiseSpec(seed=seed)
 
+    @pytest.mark.parametrize(
+        "terms",
+        [{"sigma_mm": -0.1}, {"gamma_px": -0.1}]
+        + [{name: value} for name in ("sigma_mm", "gamma_px", "k1") for value in (np.nan, np.inf, -np.inf)],
+    )
+    def test_negative_or_non_finite_noise_rejected(self, terms):
+        with pytest.raises(ValueError, match="finite and the magnitudes non-negative"):
+            NoiseSpec(**terms)
+
+    def test_negative_k1_accepted(self):
+        assert NoiseSpec(k1=-0.02).k1 == -0.02
+
     def test_numpy_integer_seed_becomes_int(self):
         spec = NoiseSpec(seed=np.uint64(2**63))
         assert spec.seed == 2**63 and type(spec.seed) is int

@@ -37,11 +37,30 @@ class TestExpLog:
             np.testing.assert_allclose(r @ unit(axis), unit(axis), atol=1e-15)
 
     def test_skew_is_cross_product(self, rng):
-        a, b = rng.normal(size=(2, 5, 3))
-        np.testing.assert_allclose(so3.skew(a) @ b[0], np.cross(a, b[0]), atol=1e-15)
+        a, b = rng.normal(size=(2, 3, 5))
+        np.testing.assert_allclose(so3.skew(a[:, 0]) @ b[:, 0], np.cross(a[:, 0], b[:, 0]), atol=1e-15)
         np.testing.assert_allclose(
-            np.einsum("nij,nj->ni", so3.skew(a), b), np.cross(a, b), atol=1e-15
+            np.einsum("ijn,jn->in", so3.skew(a), b), np.cross(a, b, axis=0), atol=1e-15
         )
+
+
+class TestCrossProducts:
+    """skew and cross work on 3-vectors and on (3, n) column stacks."""
+
+    def test_skew_stack_is_per_column_matrix(self, rng):
+        a = rng.normal(size=(3, 7))
+        stack = so3.skew(a)
+        assert stack.shape == (3, 3, 7)
+        for i, (x, y, z) in enumerate(a.T):
+            assert np.array_equal(stack[:, :, i], [[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+    def test_cross_equals_np_cross(self, rng):
+        p, q = rng.normal(size=(2, 3, 561))
+        v, w = rng.normal(size=(2, 3))
+        assert np.array_equal(so3.cross(p, q), np.cross(p, q, axis=0))
+        assert np.array_equal(so3.cross(v, q), np.cross(v, q, axis=0))
+        assert np.array_equal(so3.cross(p, v), np.cross(p, v, axis=0))
+        assert np.array_equal(so3.cross(v, w), np.cross(v, w))
 
 
 class TestLeftJacobian:
