@@ -69,16 +69,16 @@ class DegenerateLineProjectionError(SpecsurfError):
 
 
 class CheiralityUnresolvableError(SpecsurfError):
-    """t3 is numerically zero, so the sign of the camera cannot be fixed,
-    or the refined camera places the world origin behind itself."""
+    """No solved camera sees enough reflected lines in front of itself:
+    each meets under projection.MIN_FRONT_FRACTION of them in front."""
 
 
 class SweepNoMinimumError(SpecsurfError):
     """Focal sweep cost has no interior minimum over its grid.
 
     The range misses the focal length, the lines come from the wrong mirror
-    twin (its lowest cost lies at an end of the range), or the constrained
-    solve failed at every sample.
+    twin (its one exact basin lies behind the camera, so no sample ranks),
+    or the constrained solve failed at every sample.
     """
 
 

@@ -33,11 +33,15 @@ The camera comes from one route with two entry points:
 A fixed-focal fit stops once a step lowers the cost by at most SWEEP_FTOL
 relative: a sample's cost only ranks it against the others and its pose
 only warm-starts the next sample, neither of which needs the last digits.
-The free-focal polish, whose result is the camera, runs to 1e-12.  On the
-clean grid-20 scan the two twins' sweeps take 897 evaluations instead of
-1,613, most of them saved on the wrong twin, whose samples stall at costs
-far above zero; the ranking, the polished camera and the twin that fails
-stay the same.
+The free-focal polish, whose result is the camera, runs to 1e-12.
+
+The mirror twins of plane_pose cost alike: the wrong twin at (-R S, -T),
+S = diag(1, 1, -1), has the right twin's point-to-line cost at (R, T) with
+every depth negated.  So only chirality can choose: a camera counts only
+if MIN_FRONT_FRACTION of its pixels meet their lines in front of it.  The
+wrong twin's sweep falls into its exact, mirrored basin and ranks nothing:
+on the clean grid-20 scan both sweeps take 480 evaluations, 316 of them
+on the wrong twin.
 
 Conditioning matters here far more than in ordinary resection.  Reflected
 rays off a rotationally symmetric mirror all meet the axis through the
@@ -86,6 +90,9 @@ SWEEP_SAMPLES = 20
 # relative cost decrease that stops a fixed-focal fit (a sweep sample or a
 # solve_constrained polish); the free-focal polish runs to 1e-12
 SWEEP_FTOL = 1e-6
+# share of pixels that must meet their lines in front of a camera for it to
+# count (see _front_fraction); the right twin reads 1, its mirror 0
+MIN_FRONT_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
@@ -193,10 +200,11 @@ def camera_line_matrix(
 
 
 def _metric_decode(metric_lm: np.ndarray):
-    """Scaled line matrix of lambda [R T] -> (R0, T0).
+    """Scaled line matrix of lambda [R T] -> starts (R0, T0) of both signs.
 
-    Scale from the mean rotation-row norm, sign from the cheirality rule
-    (world origin in front of the camera).
+    Scale from the mean rotation-row norm.  The converted camera g has
+    det(g[:, :3]) > 0 (a cofactor block's determinant is a square) and comes
+    first; -g, its block taken to the nearest rotation, is a second start.
     """
     g = line_to_point_matrix(metric_lm)
     row_norms = np.linalg.norm(g[:, :3], axis=1)
@@ -204,14 +212,30 @@ def _metric_decode(metric_lm: np.ndarray):
     if lam <= 0 or not np.isfinite(lam):
         raise RankDeficientZError("metric camera rows collapsed to zero")
     g = g / lam
-    if g[2, 3] < 0:
-        g = -g
-    if abs(g[2, 3]) < 1e-9 * max(1.0, float(np.linalg.norm(g[:, 3]))):
-        raise CheiralityUnresolvableError(
-            "world origin sits in the camera's principal plane; sign of the "
-            "camera cannot be fixed"
-        )
-    return so3.closest_rotation(g[:, :3]), g[:, 3].copy()
+    return [(so3.closest_rotation(s * g[:, :3]), s * g[:, 3]) for s in (1.0, -1.0)]
+
+
+def _camera_moments(rotation: np.ndarray, t: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """(3, n) camera-frame moments m = R v - T x R w of the lines [v; w]."""
+    # R's columns crossed with T make -[T]x R
+    return np.einsum("ij,jn->in", np.hstack([rotation, so3.cross(rotation, t)]), lines)
+
+
+def _front_fraction(f: float, obs: LineObservationSet, rotation: np.ndarray, t: np.ndarray) -> float:
+    """Share of pixels whose viewing ray meets its line in front of the
+    camera diag(f, f, 1)[R T], pixels centered on the principal point.
+
+    The ray through pixel (x0, x1) has direction g = (x0, x1, f), and a
+    line of camera-frame moment m and direction R w passes nearest the
+    optical center at (m x R w) / |w|^2; the ray's point nearest the line,
+    where an incident pair meet, has the depth sign of g . (m x R w).
+    Unlike a world origin in front, this holds in every gauge (Hartley,
+    "Chirality", IJCV 1998).
+    """
+    m = _camera_moments(rotation, t, obs.lines)
+    foot = so3.cross(m, np.einsum("ij,jn->in", rotation, obs.lines[3:]))
+    x0, x1 = obs.pixels
+    return float(np.mean(x0 * foot[0] + x1 * foot[1] + f * foot[2] > 0.0))
 
 
 def _point_line_objective(obs: LineObservationSet):
@@ -250,9 +274,7 @@ def _point_line_objective(obs: LineObservationSet):
             raise RankDeficientError(f"singular camera: focal {f!r}")
         rotation = so3.exp(theta[1:4])
         t = theta[4:]
-        # R's columns crossed with T make -[T]x R
-        motion = np.hstack([rotation, so3.cross(rotation, t)])
-        m = np.einsum("ij,jn->in", motion, obs.lines)
+        m = _camera_moments(rotation, t, obs.lines)
         s = np.sqrt(m[0] * m[0] + m[1] * m[1] + 1e-30)
         num = x0 * m[0] + x1 * m[1] + f * m[2]
 
@@ -314,18 +336,19 @@ def _solve_constrained_scaled(f_n, obs_n, z_n, init=None):
     """Constrained solve at focal f_n in an already-rescaled frame; T stays
     in that frame.
 
-    The refinement starts from init when given, else from the decode of the
-    incidence matrix's least singular vector, its columns scaled by f_n for
-    the first two rows of the line matrix and f_n^2 for the third (see
-    solve_constrained); only that cold
-    start takes the SVD and its rank test.  The SVD is right_singular's, so
-    LAPACK sees only the 18 x 18 R factor and OpenBLAS's threads stay
-    asleep; its padded R keeps the 18th right vector when the fewest
-    observations give 17 rows.  Returns (R, T, fit): the refinement's
+    The refinement starts from init when given.  A cold start instead
+    decodes the incidence matrix's least singular vector, its columns
+    scaled by f_n for the first two rows of the line matrix and f_n^2 for
+    the third (see solve_constrained), and refines both signs of the
+    decode; only that cold start takes the SVD and its rank test.  The SVD
+    is right_singular's, so LAPACK sees only the 18 x 18 R factor and
+    OpenBLAS's threads stay asleep; its padded R keeps the 18th right
+    vector when the fewest observations give 17 rows.  Returns one
+    (R, T, fit) per start, lowest cost first, fit being the refinement's
     linalg.least_squares result, its cost the point-to-line cost in
-    rescaled pixel units.  The caller checks the refined T for cheirality,
-    so a fit that ends behind the camera is still counted.
+    rescaled pixel units.  The caller tests the cameras' chirality.
     """
+    starts = [init]
     if init is None:
         d = np.concatenate([np.full(12, f_n), np.full(6, f_n * f_n)])
         s, vt = right_singular(z_n * d)
@@ -333,9 +356,9 @@ def _solve_constrained_scaled(f_n, obs_n, z_n, init=None):
             raise RankDeficientZError(
                 "incidence matrix leaves more than a scale ambiguity"
             )
-        init = _metric_decode(vt[17].reshape(3, 6))
-    _, rotation, translation, fit = _refine_metric(f_n, obs_n, init)
-    return rotation, translation, fit
+        starts = _metric_decode(vt[17].reshape(3, 6))
+    fits = [_refine_metric(f_n, obs_n, start)[1:] for start in starts]
+    return sorted(fits, key=lambda refined: refined[2].cost)
 
 
 def solve_constrained(
@@ -349,20 +372,22 @@ def solve_constrained(
     diag(f, f, f^2) M(P), since cof(K) carries cross products the way
     K carries points.  Scaling the incidence columns of the rows of M by
     f, f and f^2 therefore reduces the linear unknown to the line matrix of
-    the metric camera [R T] itself.  Rigidity is restored from the row norms (|scale| from their
-    mean, sign from requiring the world origin in front of the camera) and
-    the decoded pose is then refined on the geometric cost by
-    Levenberg-Marquardt with an analytic Jacobian.  An optional init (R, T)
-    replaces the decoded start (the SVD and decode are then skipped), which
-    lets a caller sweeping over focal lengths warm-start each solve from
-    its neighbor's.  The refinement at a fixed focal length stops at a
-    relative cost decrease of SWEEP_FTOL, as a sweep sample does.
+    the metric camera [R T] itself.  Rigidity is restored from the row
+    norms (|scale| from their mean), and the decoded pose of either sign is
+    refined on the geometric cost by Levenberg-Marquardt with an analytic
+    Jacobian; the lower cost in front of the camera is kept.  An optional
+    init (R, T) replaces the decoded start (the SVD and decode are then
+    skipped), which lets a caller sweeping over focal lengths warm-start
+    each solve from its neighbor's.  The refinement at a fixed focal length stops at a
+    relative cost decrease of SWEEP_FTOL, as a sweep sample does.  With no
+    refined camera that has MIN_FRONT_FRACTION of its pixels in front, it
+    raises CheiralityUnresolvableError.
 
     Under heavy noise the solve is only as good as its start: the geometric
     cost at a fixed focal length has spurious attractors (a reflected and a
     reversed camera) and the algebraic decode can fall into them, in which
-    case the result is valid (orthonormal, in front of the origin) but far
-    from the truth.  focal_sweep is the robust entry point; it tracks the
+    case the result is valid (orthonormal, in front) but far from the
+    truth.  focal_sweep is the robust entry point; it tracks the
     solution across focal lengths and the continuation escapes basins that
     a fixed-focal solve cannot.
 
@@ -375,12 +400,10 @@ def solve_constrained(
     obs_n, s_pix, rho = _normalized_copy(obs_centered)
     z_n = _incidence_rows(obs_n)
     init_n = None if init is None else (init[0], np.asarray(init[1], dtype=float) / rho)
-    rotation, t_n, _ = _solve_constrained_scaled(f * s_pix, obs_n, z_n, init=init_n)
-    if t_n[2] < 0:
-        raise CheiralityUnresolvableError(
-            "refined camera places the world origin behind itself"
-        )
-    return rotation, t_n * rho
+    for rotation, t_n, _ in _solve_constrained_scaled(f * s_pix, obs_n, z_n, init=init_n):
+        if _front_fraction(f * s_pix, obs_n, rotation, t_n) >= MIN_FRONT_FRACTION:
+            return rotation, t_n * rho
+    raise CheiralityUnresolvableError("no refined camera sees its lines in front")
 
 
 def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> CalibrationEstimate:
@@ -389,13 +412,16 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
     Logarithmic grid of SWEEP_SAMPLES focal lengths spanning SWEEP_SPAN
     times the image diagonal.  Each constrained solve is started from its
     neighbor's solution; only the first, or one after a failed neighbor,
-    decodes a cold start from the incidence matrix.  A sample's fit stops
+    decodes a cold start from the incidence matrix, whose lower-cost sign
+    the chain follows.  A sample's fit stops
     at a relative cost decrease of SWEEP_FTOL: its cost only ranks it and
-    its pose only warm-starts the next sample.  Levenberg-Marquardt over
-    (f, R, T) then polishes the best sample to a relative cost decrease of
-    1e-12.  The minimum must be interior to the grid; a monotone cost curve
-    means the range does not contain the answer, or the lines come from the
-    wrong mirror twin.
+    its pose only warm-starts the next sample.  A sample ranks only if
+    MIN_FRONT_FRACTION of its pixels are in front, so the wrong mirror
+    twin, whose one exact basin lies behind the camera, ranks none.  The
+    minimum must be interior to the grid; if the forward pass leaves none,
+    the grid is swept again from its top.  Levenberg-Marquardt over (f, R,
+    T) then polishes the best sample to a relative cost decrease of 1e-12,
+    and the polished camera must pass the same gate.
 
     The estimate's diagnostics hold the focal grid (f_grid), the cost of
     each sample in pixels squared (cost_curve, inf where the solve failed),
@@ -418,30 +444,32 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
     grid = np.geomspace(f_lo, f_hi, SWEEP_SAMPLES)
     costs = np.full(len(grid), np.inf)
     solutions: list = [None] * len(grid)
-    fits = []
+    nfev = []
 
     def sweep_pass(order):
-        # the warm start survives failed evaluations: a single bad focal
-        # value must not cut the chain for everything after it
+        # the lowest-cost fit warm-starts the next sample, ranked or not: a
+        # sample behind the camera, or one bad focal value, must not cut
+        # the chain
         warm = None
         for i in order:
+            f_n = grid[i] * s_pix
             try:
-                rotation, t_n, fit = _solve_constrained_scaled(grid[i] * s_pix, obs_n, z_n, init=warm)
-            except (CheiralityUnresolvableError, RankDeficientZError):
+                fits = _solve_constrained_scaled(f_n, obs_n, z_n, init=warm)
+            except RankDeficientZError:
                 continue
-            fits.append(fit)
-            if t_n[2] < 0:  # the world origin behind the camera
-                continue
+            nfev.extend(fit.nfev for *_, fit in fits)
+            rotation, t_n, fit = fits[0]
             warm = (rotation, t_n)
-            if fit.cost < costs[i]:
+            if fit.cost < costs[i] and _front_fraction(f_n, obs_n, rotation, t_n) >= MIN_FRONT_FRACTION:
                 costs[i] = fit.cost
                 solutions[i] = warm
 
+    # argmin reads 0, not interior, when every cost is inf
     sweep_pass(range(len(grid)))
-    if not np.all(np.isfinite(costs)):
+    if not 0 < np.argmin(costs) < len(grid) - 1:
         sweep_pass(range(len(grid) - 1, -1, -1))
     best = int(np.argmin(costs))
-    if not np.isfinite(costs[best]) or best == 0 or best == len(grid) - 1:
+    if not 0 < best < len(grid) - 1:
         raise SweepNoMinimumError(
             "no interior cost minimum in the focal range "
             f"[{f_lo:.1f}, {f_hi:.1f}] px"
@@ -449,10 +477,9 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
 
     # joint polish of (f, R, T): the free-focal solve takes f off the grid
     f_n, rotation, t_n, polish = _refine_metric(grid[best] * s_pix, obs_n, solutions[best], free_focal=True)
-    if t_n[2] <= 0:
-        raise CheiralityUnresolvableError(
-            "refined camera places the world origin behind itself"
-        )
+    front = _front_fraction(f_n, obs_n, rotation, t_n)
+    if front < MIN_FRONT_FRACTION:
+        raise CheiralityUnresolvableError(f"only {front:.1%} of the pixels see their lines in front")
     f_best = f_n / s_pix
     translation = t_n * rho
     intr = Intrinsics(f_best, f_best, u0, v0)
@@ -466,7 +493,7 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
         diagnostics={
             "f_grid": grid,
             "cost_curve": costs / (s_pix * s_pix),  # back to raw pixel units
-            "nfev": polish.nfev + sum(fit.nfev for fit in fits),
+            "nfev": polish.nfev + sum(nfev),
             "n_observations": len(obs),
             "n_skipped": obs.n_skipped,
         },

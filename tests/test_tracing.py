@@ -43,6 +43,7 @@ def test_counts_every_sweep_fit(monkeypatch):
     with tracer.installed():
         est = projection.focal_sweep(obs, scene.image_size)
     (sweep,) = [s for s in tracer.spans if s.name == "projection.sweep"]
-    # one fit per grid sample (every clean sample solves) and the polish
-    assert sweep.lsq_calls == len(fits) == projection.SWEEP_SAMPLES + 1
+    # one fit per grid sample (every clean sample solves), the second sign
+    # of the cold start's decode and the polish
+    assert sweep.lsq_calls == len(fits) == projection.SWEEP_SAMPLES + 2
     assert sweep.nfev == sum(fit.nfev for fit in fits) == est.diagnostics["nfev"] > 0
