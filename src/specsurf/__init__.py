@@ -13,7 +13,6 @@ from .types import (
     Intrinsics,
     NoiseSpec,
     PlanePosePair,
-    ReflectionTriple,
     RigidPose,
     SurfaceEstimate,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "Intrinsics",
     "NoiseSpec",
     "PlanePosePair",
-    "ReflectionTriple",
     "RigidPose",
     "SurfaceEstimate",
     "__version__",

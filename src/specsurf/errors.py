@@ -61,7 +61,11 @@ class TooFewObservationsError(SpecsurfError):
 
 
 class RankDeficientZError(SpecsurfError):
-    """The incidence design matrix has an ambiguous nullspace."""
+    """The incidence design matrix has an ambiguous nullspace.
+
+    Raised by a focal-sweep sample's cold start; projection.focal_sweep
+    skips that sample, so the error never leaves the sweep.
+    """
 
 
 class DegenerateLineProjectionError(SpecsurfError):
@@ -69,8 +73,8 @@ class DegenerateLineProjectionError(SpecsurfError):
 
 
 class CheiralityUnresolvableError(SpecsurfError):
-    """No solved camera sees enough reflected lines in front of itself:
-    each meets under projection.MIN_FRONT_FRACTION of them in front."""
+    """The focal sweep's polished camera sees too few reflected lines in
+    front of itself: under projection.MIN_FRONT_FRACTION of them."""
 
 
 class SweepNoMinimumError(SpecsurfError):

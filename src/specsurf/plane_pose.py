@@ -15,8 +15,8 @@ solves.
 
 The factorization is sign-ambiguous: flipping the plane normal direction of
 both motions (a mirror twin) satisfies the same constraints with identical
-residual, so candidates are returned ranked and the caller disambiguates
-with camera-side evidence.
+residual, so the best-fitting pair is returned with its twin and the
+caller disambiguates with camera-side evidence.
 
 Degeneracy is decided by the factoring, not by a threshold on the rank gap
 (which shrinks with measurement noise on healthy data): a motion the data
@@ -398,10 +398,10 @@ def refine_plane_poses(pair: PlanePosePair, x0, x1, x2) -> PlanePosePair:
 
 @dataclass(frozen=True)
 class PoseSolution:
-    """Plane-motion candidates ranked by line-offset residual."""
+    """The best-fitting plane-motion pair, then its mirror twin."""
 
     candidates: tuple[PlanePosePair, ...]
-    residuals: np.ndarray  # RMS line-offset per candidate, mm
+    residuals: np.ndarray  # RMS line-offset per candidate, mm; the twins tie
     gap_ratio: float
 
 
@@ -412,12 +412,10 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     a pair of mirror twins (plane normal flipped), which fit the data
     identically: the second is the first reflected in the reference plane,
     (S R S, S t) with S = diag(1, 1, -1), and so is every step of a polish
-    started from it.  The first twins are ranked by line-offset residual,
-    and those within 100 times the best residual are polished by
-    refine_plane_poses; each second twin is the reflection of its first,
-    polished or not.  Two roots with two twins each make at most four
-    candidates.  Both twins are returned because only camera-side
-    reasoning can tell them apart.
+    started from it.  The first twin with the lowest line-offset residual
+    is polished by refine_plane_poses, and the candidates are it and its
+    reflection, always two.  Both twins are returned because only
+    camera-side reasoning can tell them apart.
 
     Raises RankAmbiguousError, carrying the rank gap, when no nullspace
     direction factors into a rigid pair: the data do not determine the
@@ -433,37 +431,30 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
 
     e = build_design_matrix(x0, x1, x2)
     d1, d2, gap = nullspace_basis(e)
-    scored: list[tuple[float, PlanePosePair]] = []
+    pairs: list[PlanePosePair] = []
     for d in candidate_null_vectors(d1, d2):
         twins = _factor_null_vector(d)
         pair = _rows_to_pair(*twins[0]) if twins else None
         if pair is not None:
-            scored.append((line_offset_residual(pair, x0, x1, x2), pair))
-    if not scored:
+            pairs.append(pair)
+    if not pairs:
         raise RankAmbiguousError(
             "no nullspace direction factors into a rigid motion pair; the "
             "plane motions are degenerate",
             gap_ratio=gap,
         )
-    scored.sort(key=lambda item: item[0])
 
-    # geometric polish of every first twin within reach of the best fit;
-    # the reflection carries the residual and the polish to the second
-    cutoff = 100.0 * max(scored[0][0], 1e-12)
-    polished: list[tuple[float, PlanePosePair]] = []
-    for res, pair in scored:
-        if res <= cutoff:
-            pair = refine_plane_poses(pair, x0, x1, x2)
-            res = line_offset_residual(pair, x0, x1, x2)
-        polished += [(res, pair), (res, _mirror_twin(pair))]
-    scored = sorted(polished, key=lambda item: item[0])
-
+    # geometric polish of the best first twin; the reflection carries the
+    # residual and the polish to the second
+    best = min(pairs, key=lambda p: line_offset_residual(p, x0, x1, x2))
+    best = refine_plane_poses(best, x0, x1, x2)
+    residual = scale * line_offset_residual(best, x0, x1, x2)
     candidates = tuple(
         PlanePosePair(
             RigidPose(p.pose1.rotation, scale * p.pose1.translation),
             RigidPose(p.pose2.rotation, scale * p.pose2.translation),
         )
-        for _, p in scored
+        for p in (best, _mirror_twin(best))
     )
-    residuals = scale * np.array([r for r, _ in scored])
+    residuals = np.array([residual, residual])
     return PoseSolution(candidates=candidates, residuals=residuals, gap_ratio=gap)

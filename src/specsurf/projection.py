@@ -9,26 +9,22 @@ The camera's 3x6 line projection matrix M maps L to its image line M L, so
 a pixel x on that line gives x . (M L) = 0, one row x (x) L of a linear
 system in the 18 entries of M.
 
-The camera comes from one route with two entry points:
-
-- solve_constrained: the paper's analytic line projection matrix, solved
-  with the intrinsics factored out by a diagonal column scaling so that
-  the linear unknown is the line matrix of a metric camera [R T].  It is
-  converted to point form and decoded to a pose, which Levenberg-Marquardt
-  then polishes over (R, T) directly on the geometric point-to-line cost,
-  with an analytic Jacobian: a line with direction w and moment v has the
-  camera-frame moment m = R v - T x R w (the cross product of its two
-  points after the camera moves them), whose image line is K^-T m.  Given
-  a warm start the solve skips the SVD and the decode and runs the polish
-  alone.
-- focal_sweep: a coarse logarithmic grid over a shared focal length with
-  the principal point pinned to the image center, using the constrained
-  solve as the inner solver and the point-to-line cost as the objective,
-  then Levenberg-Marquardt over (f, R, T) from the best sample.  Each
-  sample is warm-started from its neighbor, so the decode runs only on a
-  cold start: the first sample, or one after a failed neighbor.  The
-  inner solves report no diagnostics; the estimate carries the focal grid,
-  the cost curve and the evaluation count.
+The camera comes from one route, focal_sweep: a coarse logarithmic grid
+over a shared focal length with the principal point pinned to the image
+center.  Each sample solves the paper's analytic line projection matrix
+with the intrinsics factored out by a diagonal column scaling, so that the
+linear unknown is the line matrix of a metric camera [R T]
+(_solve_at_focal).  It is converted to point form and decoded to a pose,
+which Levenberg-Marquardt then polishes over (R, T) directly on the
+geometric point-to-line cost, with an analytic Jacobian: a line with
+direction w and moment v has the camera-frame moment m = R v - T x R w
+(the cross product of its two points after the camera moves them), whose
+image line is K^-T m.  Each sample is warm-started from its neighbor, so
+the SVD and the decode run only on a cold start: the first sample, or one
+after a failed neighbor.  The point-to-line cost ranks the samples, and
+Levenberg-Marquardt over (f, R, T) polishes the best one.  The inner
+solves report no diagnostics; the estimate carries the focal grid, the
+cost curve and the evaluation count.
 
 A fixed-focal fit stops once a step lowers the cost by at most SWEEP_FTOL
 relative: a sample's cost only ranks it against the others and its pose
@@ -87,8 +83,8 @@ from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, PlanePose
 MIN_OBSERVATIONS = 17
 SWEEP_SPAN = (0.15, 10.0)  # focal range as multiples of the image diagonal
 SWEEP_SAMPLES = 20
-# relative cost decrease that stops a fixed-focal fit (a sweep sample or a
-# solve_constrained polish); the free-focal polish runs to 1e-12
+# relative cost decrease that stops a sweep sample's fixed-focal fit; the
+# free-focal polish runs to 1e-12
 SWEEP_FTOL = 1e-6
 # share of pixels that must meet their lines in front of a camera for it to
 # count (see _front_fraction); the right twin reads 1, its mirror 0
@@ -332,21 +328,30 @@ def _refine_metric(f: float, obs: LineObservationSet, start, free_focal=False):
     return float(np.exp(theta[0])), so3.exp(theta[1:4]), theta[4:], fit
 
 
-def _solve_constrained_scaled(f_n, obs_n, z_n, init=None):
-    """Constrained solve at focal f_n in an already-rescaled frame; T stays
-    in that frame.
+def _solve_at_focal(f_n, obs_n, z_n, init=None):
+    """Metric camera fits (R, T) at focal f_n, principal point at origin,
+    in an already-rescaled frame; T stays in that frame.
 
-    The refinement starts from init when given.  A cold start instead
-    decodes the incidence matrix's least singular vector, its columns
-    scaled by f_n for the first two rows of the line matrix and f_n^2 for
-    the third (see solve_constrained), and refines both signs of the
-    decode; only that cold start takes the SVD and its rank test.  The SVD
-    is right_singular's, so LAPACK sees only the 18 x 18 R factor and
-    OpenBLAS's threads stay asleep; its padded R keeps the 18th right
-    vector when the fewest observations give 17 rows.  Returns one
-    (R, T, fit) per start, lowest cost first, fit being the refinement's
-    linalg.least_squares result, its cost the point-to-line cost in
-    rescaled pixel units.  The caller tests the cameras' chirality.
+    The line matrix of K P with K = diag(f, f, 1) is cof(K) M(P) =
+    diag(f, f, f^2) M(P), since cof(K) carries cross products the way K
+    carries points.  Scaling the incidence columns of the rows of M by f,
+    f and f^2 therefore reduces the linear unknown to the line matrix of
+    the metric camera [R T] itself.  A cold start decodes the least
+    singular vector of those scaled columns, restoring rigidity from the
+    row norms (|scale| from their mean), and refines the decoded pose of
+    either sign on the geometric cost; only that cold start takes the SVD
+    and its rank test.  Given init (R, T) the refinement starts there
+    instead, which lets the sweep warm-start each sample from its
+    neighbor's.  The SVD is right_singular's, so LAPACK sees only the
+    18 x 18 R factor and OpenBLAS's threads stay asleep; its padded R keeps
+    the 18th right vector when the fewest observations give 17 rows.
+
+    Returns one (R, T, fit) per start, lowest cost first, fit being the
+    refinement's linalg.least_squares result, its cost the point-to-line
+    cost in rescaled pixel units.  The caller tests the cameras'
+    chirality: under heavy noise the fixed-focal cost has spurious
+    attractors (a reflected and a reversed camera) that a start can fall
+    into, and the sweep's continuation across focal lengths escapes them.
     """
     starts = [init]
     if init is None:
@@ -359,51 +364,6 @@ def _solve_constrained_scaled(f_n, obs_n, z_n, init=None):
         starts = _metric_decode(vt[17].reshape(3, 6))
     fits = [_refine_metric(f_n, obs_n, start)[1:] for start in starts]
     return sorted(fits, key=lambda refined: refined[2].cost)
-
-
-def solve_constrained(
-    f: float,
-    obs_centered: LineObservationSet,
-    init: tuple[np.ndarray, np.ndarray] | None = None,
-):
-    """Metric camera (R, T) at focal length f, principal point at origin.
-
-    The line matrix of K P with K = diag(f, f, 1) is cof(K) M(P) =
-    diag(f, f, f^2) M(P), since cof(K) carries cross products the way
-    K carries points.  Scaling the incidence columns of the rows of M by
-    f, f and f^2 therefore reduces the linear unknown to the line matrix of
-    the metric camera [R T] itself.  Rigidity is restored from the row
-    norms (|scale| from their mean), and the decoded pose of either sign is
-    refined on the geometric cost by Levenberg-Marquardt with an analytic
-    Jacobian; the lower cost in front of the camera is kept.  An optional
-    init (R, T) replaces the decoded start (the SVD and decode are then
-    skipped), which lets a caller sweeping over focal lengths warm-start
-    each solve from its neighbor's.  The refinement at a fixed focal length stops at a
-    relative cost decrease of SWEEP_FTOL, as a sweep sample does.  With no
-    refined camera that has MIN_FRONT_FRACTION of its pixels in front, it
-    raises CheiralityUnresolvableError.
-
-    Under heavy noise the solve is only as good as its start: the geometric
-    cost at a fixed focal length has spurious attractors (a reflected and a
-    reversed camera) and the algebraic decode can fall into them, in which
-    case the result is valid (orthonormal, in front) but far from the
-    truth.  focal_sweep is the robust entry point; it tracks the
-    solution across focal lengths and the continuation escapes basins that
-    a fixed-focal solve cannot.
-
-    Returns (rotation, translation).
-    """
-    if len(obs_centered) < MIN_OBSERVATIONS:
-        raise TooFewObservationsError(
-            f"need at least {MIN_OBSERVATIONS} observations, got {len(obs_centered)}"
-        )
-    obs_n, s_pix, rho = _normalized_copy(obs_centered)
-    z_n = _incidence_rows(obs_n)
-    init_n = None if init is None else (init[0], np.asarray(init[1], dtype=float) / rho)
-    for rotation, t_n, _ in _solve_constrained_scaled(f * s_pix, obs_n, z_n, init=init_n):
-        if _front_fraction(f * s_pix, obs_n, rotation, t_n) >= MIN_FRONT_FRACTION:
-            return rotation, t_n * rho
-    raise CheiralityUnresolvableError("no refined camera sees its lines in front")
 
 
 def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> CalibrationEstimate:
@@ -454,7 +414,7 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
         for i in order:
             f_n = grid[i] * s_pix
             try:
-                fits = _solve_constrained_scaled(f_n, obs_n, z_n, init=warm)
+                fits = _solve_at_focal(f_n, obs_n, z_n, init=warm)
             except RankDeficientZError:
                 continue
             nfev.extend(fit.nfev for *_, fit in fits)

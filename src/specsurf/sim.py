@@ -32,7 +32,7 @@ import numpy as np
 
 from . import so3
 from .errors import EmptyDatasetError, ParseError, SchemaMismatchError
-from .types import CorrespondenceSet, Intrinsics, NoiseSpec, ReflectionTriple, RigidPose
+from .types import CorrespondenceSet, Intrinsics, NoiseSpec, RigidPose
 
 # reflected rays must travel at least this far before counting a hit (mm);
 # suppresses self-intersection at the reflection point
@@ -312,25 +312,6 @@ def _trace_chunk(scene: MirrorScene, pixels: np.ndarray):
         coords.append(local[:, :2])
 
     return (valid, *coords, points, normals)
-
-
-def trace_reflection(scene: MirrorScene, pixel) -> ReflectionTriple | None:
-    """Trace one pixel; None when the pixel yields no valid correspondence."""
-    pixel = np.asarray(pixel, dtype=float).reshape(2)
-    w, h = scene.image_size
-    if not (0 <= pixel[0] < w and 0 <= pixel[1] < h):
-        raise ValueError("pixel outside image bounds")
-    valid, x0, x1, x2, points, normals = trace_pixels(scene, pixel[None, :])
-    if not valid[0]:
-        return None
-    return ReflectionTriple(
-        pixel=pixel,
-        x0=x0[0],
-        x1=x1[0],
-        x2=x2[0],
-        gt_point=points[0],
-        gt_normal=normals[0],
-    )
 
 
 def apply_radial_distortion(p, k1: float) -> np.ndarray:

@@ -100,18 +100,6 @@ class NoiseSpec:
         object.__setattr__(self, "seed", int(seed))
 
 
-@dataclass(frozen=True)
-class ReflectionTriple:
-    """One pixel's reflection correspondence across the three plane poses."""
-
-    pixel: np.ndarray  # (2,) image point (u, v)
-    x0: np.ndarray  # (2,) plane coords at pose 0, mm
-    x1: np.ndarray  # (2,) plane coords at pose 1, mm
-    x2: np.ndarray  # (2,) plane coords at pose 2, mm
-    gt_point: np.ndarray | None = None  # (3,) mirror point, world mm
-    gt_normal: np.ndarray | None = None  # (3,) unit normal
-
-
 @dataclass
 class CorrespondenceSet:
     """Column-array container for reflection correspondences.

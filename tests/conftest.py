@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from specsurf import so3
+from specsurf.sim import default_two_sphere_scene
+from specsurf.types import RigidPose
 
 # the same examples on every run, and no per-example deadline, so timing
 # noise cannot fail a property test
@@ -20,6 +26,17 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 2] = -q[:, 2]
     return q
+
+
+def second_root_scene():
+    """The default scene under plane motions whose clean scans leave a
+    second nullspace root that factors into a rigid pair, about 11.7 mm RMS
+    off its lines against 1e-13 mm for the true motions."""
+    return dataclasses.replace(
+        default_two_sphere_scene(),
+        pose1=RigidPose(so3.exp([-0.1333, -0.1176, 0.1564]), (-25.16, -35.36, 188.54)),
+        pose2=RigidPose(so3.exp([-0.1881, -0.2361, 0.1183]), (51.29, -40.73, 382.55)),
+    )
 
 
 def random_point_camera(rng: np.random.Generator) -> np.ndarray:

@@ -34,7 +34,7 @@ from specsurf.plane_pose import (
 from specsurf.sim import default_two_sphere_scene, generate_dataset, pure_translation_scene
 from specsurf.types import CorrespondenceSet, NoiseSpec, PlanePosePair, RigidPose
 
-from conftest import random_rotation
+from conftest import random_rotation, second_root_scene
 
 
 def line_plane_triples(rng, n, pose1, pose2):
@@ -499,6 +499,35 @@ class TestEstimate:
         f_true = scene.intrinsics.fx
         assert abs(camera.intrinsics.fx - f_true) / f_true < 0.02
         assert rotation_angle_deg(camera.rotation, scene.camera_pose.rotation) < 0.5
+
+    @pytest.mark.parametrize("grid", [8, 12, 20])
+    def test_second_rigid_root_is_dropped(self, grid, monkeypatch):
+        # two nullspace roots factor into rigid pairs; only the better fit
+        # is polished and returned, with its mirror twin
+        data = generate_dataset(second_root_scene(), grid_step=grid, noise=NoiseSpec())
+        rows_to_pair, refine = plane_pose._rows_to_pair, plane_pose.refine_plane_poses
+        rigid, polished = [], []
+
+        def rows_to_pair_traced(m, n):
+            pair = rows_to_pair(m, n)
+            if pair is not None:
+                rigid.append(pair)
+            return pair
+
+        def refine_traced(pair, *coords):
+            polished.append(coords)
+            return refine(pair, *coords)
+
+        monkeypatch.setattr(plane_pose, "_rows_to_pair", rows_to_pair_traced)
+        monkeypatch.setattr(plane_pose, "refine_plane_poses", refine_traced)
+        sol = estimate_plane_poses(data)
+        assert len(rigid) == 2
+        assert len(polished) == 1
+        assert len(sol.candidates) == 2
+        s = rms_scale(data.x0, data.x1, data.x2)
+        offsets = sorted(s * line_offset_residual(pair, *polished[0]) for pair in rigid)
+        assert offsets[0] < 1e-9 and offsets[1] > 10.0
+        assert sol.residuals[0] == sol.residuals[1] < 1e-9
 
     def test_pure_translation_rejected_clean(self):
         data = generate_dataset(

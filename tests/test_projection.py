@@ -1,8 +1,8 @@
 """Tests for the camera recovery stage.
 
 Covers incidence assembly, the point-to-line cost and its closed-form
-Jacobian, the constrained solve and the focal sweep, all against the
-ray-traced simulator as oracle.
+Jacobian, and the focal sweep with its fixed-focal sample step and its
+failure exits, all against the ray-traced simulator as oracle.
 """
 
 import sys
@@ -35,6 +35,8 @@ from specsurf.types import (
     RigidPose,
     identity_pose,
 )
+
+from conftest import second_root_scene
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from specbench.workloads import reconstruct_chain  # noqa: E402
@@ -291,16 +293,19 @@ class TestPointLineObjective:
             model(np.concatenate([[np.inf], theta[1:]]))
 
 
+def solve_at_focal(f, obs_centered, init=None):
+    """The sweep's sample step at focal f on centered observations: the
+    lowest-cost fit's (R, T), T back in the observations' units."""
+    obs_n, s_pix, rho = pj._normalized_copy(obs_centered)
+    init_n = None if init is None else (init[0], np.asarray(init[1], dtype=float) / rho)
+    fits = pj._solve_at_focal(f * s_pix, obs_n, pj._incidence_rows(obs_n), init=init_n)
+    rotation, t_n, _ = fits[0]
+    return rotation, t_n * rho
+
+
 class TestSolveConstrained:
-    def test_exact_recovery_at_true_focals(self, scene, clean_obs):
-        intr = scene.intrinsics
-        cobs = clean_obs.centered(intr.u0, intr.v0)
-        r, t = pj.solve_constrained(intr.fx, cobs)
-        assert rot_err_deg(r, scene.camera_pose.rotation) < 1e-6
-        t_rel = np.linalg.norm(t - scene.camera_pose.translation) / np.linalg.norm(
-            scene.camera_pose.translation
-        )
-        assert t_rel < 1e-8
+    """The constrained solve: the sweep's fixed-focal sample step, and the
+    exits of the sweep that runs it."""
 
     def test_exact_recovery_without_refinement(self, scene, clean_obs, monkeypatch):
         # with the refinement returning its start at no cost, the result is
@@ -311,47 +316,36 @@ class TestSolveConstrained:
         )
         intr = scene.intrinsics
         cobs = clean_obs.centered(intr.u0, intr.v0)
-        r, t = pj.solve_constrained(intr.fx, cobs)
+        r, t = solve_at_focal(intr.fx, cobs)
         assert rot_err_deg(r, scene.camera_pose.rotation) < 1e-6
         t_rel = np.linalg.norm(t - scene.camera_pose.translation) / np.linalg.norm(
             scene.camera_pose.translation
         )
         assert t_rel < 1e-8
 
-    def test_wrong_focal_costs_more(self, scene, clean_obs):
-        intr = scene.intrinsics
-        cobs = clean_obs.centered(intr.u0, intr.v0)
-        costs = {}
-        for mult in (1.0, 2.0):
-            r, t = pj.solve_constrained(mult * intr.fx, cobs)
-            lm = pj.camera_line_matrix(Intrinsics(mult * intr.fx, mult * intr.fx, 0.0, 0.0), r, t)
-            costs[mult] = pj.point_line_cost(lm, cobs)
-        assert costs[2.0] > costs[1.0]
-
     def test_warm_start_accepted(self, scene, clean_obs):
         intr = scene.intrinsics
         cobs = clean_obs.centered(intr.u0, intr.v0)
         cam = scene.camera_pose
-        r, t = pj.solve_constrained(
-            intr.fx, cobs, init=(cam.rotation, cam.translation)
-        )
+        r, t = solve_at_focal(intr.fx, cobs, init=(cam.rotation, cam.translation))
         assert rot_err_deg(r, cam.rotation) < 1e-6
 
     def test_valid_or_raises_under_noise(self, scene, poses):
-        # cold starts under heavy noise may land in a spurious basin, but
-        # whatever comes back must see its lines in front of it
-        intr = scene.intrinsics
+        # whatever the sweep returns under heavy noise must see its lines
+        # in front of it
         for seed in range(3):
             data = generate_dataset(
                 scene, grid_step=8, noise=NoiseSpec(sigma_mm=2.0, seed=seed)
             )
-            cobs = pj.build_observations(data, poses).centered(intr.u0, intr.v0)
+            obs = pj.build_observations(data, poses)
             try:
-                r, t = pj.solve_constrained(intr.fx, cobs)
-            except CheiralityUnresolvableError:
+                est = pj.focal_sweep(obs, scene.image_size)
+            except SpecsurfError:
                 continue
+            r, t, intr = est.rotation, est.translation, est.intrinsics
             assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-9
             assert np.linalg.det(r) > 0
+            cobs = obs.centered(intr.u0, intr.v0)
             assert pj._front_fraction(intr.fx, cobs, r, t) >= pj.MIN_FRONT_FRACTION
 
     def test_warm_start_accurate_under_noise(self, scene, poses):
@@ -362,39 +356,48 @@ class TestSolveConstrained:
                 scene, grid_step=8, noise=NoiseSpec(sigma_mm=2.0, seed=seed)
             )
             cobs = pj.build_observations(data, poses).centered(intr.u0, intr.v0)
-            r, t = pj.solve_constrained(
-                intr.fx, cobs, init=(cam.rotation, cam.translation)
-            )
+            r, t = solve_at_focal(intr.fx, cobs, init=(cam.rotation, cam.translation))
             assert rot_err_deg(r, cam.rotation) < 2.0
             t_rel = np.linalg.norm(t - cam.translation) / np.linalg.norm(cam.translation)
             assert t_rel < 0.02
 
-    def test_exact_recovery_from_fewest_observations(self, scene, fewest_obs):
-        intr = scene.intrinsics
-        r, t = pj.solve_constrained(intr.fx, fewest_obs.centered(intr.u0, intr.v0))
-        assert rot_err_deg(r, scene.camera_pose.rotation) < 1e-6
-        assert np.linalg.norm(t - scene.camera_pose.translation) < 1e-6
-
-    def test_too_few_observations(self, clean_obs):
+    def test_too_few_observations(self, scene, clean_obs):
         small = pj.LineObservationSet(
             pixels=clean_obs.pixels[:, :10],
             lines=clean_obs.lines[:, :10],
             indices=clean_obs.indices[:10],
         )
         with pytest.raises(TooFewObservationsError):
-            pj.solve_constrained(1400.0, small)
+            pj.focal_sweep(small, scene.image_size)
 
-    def test_rank_deficient_raises(self, scene, clean_obs):
+    def test_rank_deficient_raises(self, scene, clean_obs, monkeypatch):
         # one observation repeated leaves a rank-1 incidence matrix, which
-        # the cold start's SVD rejects
+        # every cold start's SVD rejects; the sweep skips each such sample,
+        # so none ranks
         intr = scene.intrinsics
         rep = pj.LineObservationSet(
             pixels=np.tile(clean_obs.pixels[:, :1], (1, 20)),
             lines=np.tile(clean_obs.lines[:, :1], (1, 20)),
             indices=np.arange(20),
-        ).centered(intr.u0, intr.v0)
+        )
         with pytest.raises(RankDeficientZError):
-            pj.solve_constrained(intr.fx, rep)
+            solve_at_focal(intr.fx, rep.centered(intr.u0, intr.v0))
+
+        solve = pj._solve_at_focal
+        rejected = []
+
+        def counted(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except RankDeficientZError:
+                rejected.append(1)
+                raise
+
+        monkeypatch.setattr(pj, "_solve_at_focal", counted)
+        with pytest.raises(SweepNoMinimumError):
+            pj.focal_sweep(rep, scene.image_size)
+        # both passes, every sample a cold start
+        assert len(rejected) == 2 * pj.SWEEP_SAMPLES
 
 
 class TestFocalSweep:
@@ -576,6 +579,22 @@ class TestFocalSweep:
             return
         assert twin.cost > 1e3 * max(good.cost, 1e-12)
 
+    def test_polished_camera_behind_raises(self, clean_obs, scene, monkeypatch):
+        # the polish gate: the same camera turned half a turn about its x
+        # axis sees every line behind it
+        refine = pj._refine_metric
+        flip = np.diag([1.0, -1.0, -1.0])
+
+        def turned(*args, **kwargs):
+            f, rotation, t, fit = refine(*args, **kwargs)
+            if kwargs.get("free_focal"):
+                return f, flip @ rotation, flip @ t, fit
+            return f, rotation, t, fit
+
+        monkeypatch.setattr(pj, "_refine_metric", turned)
+        with pytest.raises(CheiralityUnresolvableError):
+            pj.focal_sweep(clean_obs, scene.image_size)
+
     def test_non_finite_pixel_skipped(self, scene, poses):
         # one bad pixel among the 561 of a clean grid-20 scan is skipped:
         # kept, it would stop the incidence SVD from converging
@@ -684,6 +703,15 @@ class TestMirrorTwins:
         assert rec.outcomes.index("kept") == int(np.argmin(costs))
         assert abs(rec.start.intrinsics.fx - 1400.0) / 1400.0 < 0.03
         assert rot_err_deg(rec.start.rotation, cam.rotation) < 0.3
+
+    def test_chain_exact_when_a_second_root_factors(self):
+        # the dropped root's pair, 11.8 mm off its lines, is never swept
+        scene = second_root_scene()
+        data = generate_dataset(scene, grid_step=8, noise=NoiseSpec())
+        rec = reconstruct_chain(data, scene.image_size)
+        assert sorted(rec.outcomes) == ["SweepNoMinimumError", "kept"]
+        assert abs(rec.start.intrinsics.fx - scene.intrinsics.fx) < 1e-12 * scene.intrinsics.fx
+        assert rot_err_deg(rec.start.rotation, scene.camera_pose.rotation) < 1e-9
 
 
 # (grid step, noise, tolerances on f relative, rotation in degrees,

@@ -117,7 +117,7 @@ def test_every_public_definition_is_used():
     labels = {d.label for d in definitions}
     assert "plane_pose.estimate_plane_poses" in labels
     assert "types.RigidPose.transform" in labels
-    assert "types.ReflectionTriple.pixel" in labels
+    assert "types.SurfaceEstimate.valid" in labels
     refs = references()
     assert sorted(d.label for d in definitions if not is_used(d, refs)) == []
 

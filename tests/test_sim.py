@@ -25,7 +25,6 @@ from specsurf.sim import (
     read_scene,
     rotation_about_axis,
     trace_pixels,
-    trace_reflection,
     write_scene,
 )
 from specsurf.types import Intrinsics, NoiseSpec, RigidPose
@@ -164,28 +163,6 @@ class TestTracer:
         for arr in (x0[valid], x1[valid], x2[valid]):
             assert np.abs(arr[:, 0]).max() <= hw
             assert np.abs(arr[:, 1]).max() <= hh
-
-    def test_single_matches_batch_bitwise(self, scene, traced):
-        pixels, valid, x0, x1, x2, points, normals = traced
-        rows = np.nonzero(valid)[0][[0, 57, 211]]
-        for row in rows:
-            triple = trace_reflection(scene, pixels[row])
-            assert triple is not None
-            assert np.array_equal(triple.pixel, pixels[row])
-            assert np.array_equal(triple.x0, x0[row])
-            assert np.array_equal(triple.x1, x1[row])
-            assert np.array_equal(triple.x2, x2[row])
-            assert np.array_equal(triple.gt_point, points[row])
-            assert np.array_equal(triple.gt_normal, normals[row])
-
-    def test_miss_returns_none(self, scene):
-        assert trace_reflection(scene, (639.0, 0.0)) is None
-
-    def test_out_of_bounds_pixel_raises(self, scene):
-        with pytest.raises(ValueError):
-            trace_reflection(scene, (-1.0, 10.0))
-        with pytest.raises(ValueError):
-            trace_reflection(scene, (10.0, 10_000.0))
 
     def test_paraboloid_reflection_law(self):
         base = default_two_sphere_scene()
