@@ -89,13 +89,7 @@ class SweepNoMinimumError(SpecsurfError):
 # io
 
 class ParseError(SpecsurfIOError):
-    """Malformed input file; carries a line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Malformed input file."""
 
 
 class SchemaMismatchError(SpecsurfIOError):

@@ -148,14 +148,13 @@ def candidate_null_vectors(d1: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _factor_null_vector(d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Factor a motion-form 24-vector into candidate row matrices.
+def _factor_null_vector(d: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Factor a motion-form 24-vector into row matrices.
 
-    Returns a list of (m, n) 3x3 matrices whose columns are the first two
-    rotation columns and the translation of motions 1 and 2; the list holds
-    the two mirror twins as a +-alpha pair: the third rows scaled by +alpha,
-    then by -alpha, which reflects both motions in the reference plane.
-    Empty when the vector does not pin the motions down or the scale
+    Returns (m, n), 3x3 matrices whose columns are the first two rotation
+    columns and the translation of motions 1 and 2, with the third rows
+    scaled by +alpha; -alpha gives the mirror twin (see _mirror_twin).
+    None when the vector does not pin the motions down or the scale
     constraint has no positive solution.
 
     With m3 = d[21:24] and n3 = d[18:21] the third rows up to a scale
@@ -171,7 +170,7 @@ def _factor_null_vector(d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     # rows vanish altogether, or d is the structural null direction; the
     # scale constraints cannot pin the family down in any of these
     if np.max(np.abs(d[[18, 19, 21, 22]])) < 1e-6:
-        return []
+        return None
     n3 = d[18:21]
     m3 = d[21:24]
     blocks = np.hstack([np.kron(n3[:, None], np.eye(3)), -np.kron(np.eye(3), m3[:, None])])
@@ -194,19 +193,11 @@ def _factor_null_vector(d: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     (u, lam1, lam2), *_ = np.linalg.lstsq(rows[keep] / w[:, None], rhs[keep] / w, rcond=None)
     alpha2 = u - lam1**2 - lam2**2
     if not alpha2 > 0:
-        return []
+        return None
     alpha = np.sqrt(alpha2)
-
-    m1f = m1 + lam1 * m3
-    m2f = m2 + lam2 * m3
-    n1f = n1 + lam1 * n3
-    n2f = n2 + lam2 * n3
-    out = []
-    for sgn in (1.0, -1.0):
-        m = np.vstack([m1f, m2f, sgn * alpha * m3])
-        n = np.vstack([n1f, n2f, sgn * alpha * n3])
-        out.append((m, n))
-    return out
+    m = np.vstack([m1 + lam1 * m3, m2 + lam2 * m3, alpha * m3])
+    n = np.vstack([n1 + lam1 * n3, n2 + lam2 * n3, alpha * n3])
+    return m, n
 
 
 def _rows_to_pair(m: np.ndarray, n: np.ndarray) -> PlanePosePair | None:
@@ -409,11 +400,11 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     """Recover the two plane motions from a correspondence set.
 
     Each candidate direction of the nullspace pencil is factored once into
-    a pair of mirror twins (plane normal flipped), which fit the data
-    identically: the second is the first reflected in the reference plane,
+    a motion pair.  Its mirror twin (plane normal flipped) fits the data
+    identically: it is the pair reflected in the reference plane,
     (S R S, S t) with S = diag(1, 1, -1), and so is every step of a polish
-    started from it.  The first twin with the lowest line-offset residual
-    is polished by refine_plane_poses, and the candidates are it and its
+    started from it.  The pair with the lowest line-offset residual is
+    polished by refine_plane_poses, and the candidates are it and its
     reflection, always two.  Both twins are returned because only
     camera-side reasoning can tell them apart.
 
@@ -433,8 +424,8 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     d1, d2, gap = nullspace_basis(e)
     pairs: list[PlanePosePair] = []
     for d in candidate_null_vectors(d1, d2):
-        twins = _factor_null_vector(d)
-        pair = _rows_to_pair(*twins[0]) if twins else None
+        rows = _factor_null_vector(d)
+        pair = _rows_to_pair(*rows) if rows is not None else None
         if pair is not None:
             pairs.append(pair)
     if not pairs:
@@ -444,8 +435,8 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
             gap_ratio=gap,
         )
 
-    # geometric polish of the best first twin; the reflection carries the
-    # residual and the polish to the second
+    # geometric polish of the best pair; the reflection carries the
+    # residual and the polish to its twin
     best = min(pairs, key=lambda p: line_offset_residual(p, x0, x1, x2))
     best = refine_plane_poses(best, x0, x1, x2)
     residual = scale * line_offset_residual(best, x0, x1, x2)

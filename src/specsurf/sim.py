@@ -16,23 +16,24 @@ Noise model (applied by generate_dataset, in this order):
   3. uniform quantization noise gamma_px on pixel coordinates.
 Triple i of the full pixel grid draws six normals, then two uniforms, from
 ``np.random.default_rng([seed, i])``, so dropping pixels or parallelizing
-never changes the noise of the surviving ones.  The streams are seeded in
-batch: ``_stream_words`` hashes every ``SeedSequence([seed, i])`` at once and
-``_pcg64_states`` derives the PCG64 state from its words, both fixed by
-NumPy's stream-compatibility policy (NEP 19); the tests pin the drawn values
-to the per-triple ``default_rng`` loop.
+never changes the noise of the surviving ones.  ``_stream_words`` hashes
+every ``SeedSequence([seed, i])`` at once, a hash fixed by NumPy's
+stream-compatibility policy (NEP 19), and numpy's own PCG64 is seeded from
+each row of words through ``_Words``; the tests pin the drawn values to the
+per-triple ``default_rng`` loop.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import so3
 from .errors import EmptyDatasetError, ParseError, SchemaMismatchError
-from .types import CorrespondenceSet, Intrinsics, NoiseSpec, RigidPose
+from .types import CorrespondenceSet, Intrinsics, NoiseSpec, RigidPose, identity_pose
 
 # reflected rays must travel at least this far before counting a hit (mm);
 # suppresses self-intersection at the reflection point
@@ -54,9 +55,6 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -147,59 +145,43 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _sphere_hit(origin, dirs, sphere: SphereMirror):
-    """Nearest positive hit parameter per ray, inf where missed."""
-    oc = sphere.center - origin  # (n,3) via broadcast
-    b = _dot(oc, dirs)
-    c = _dot(oc, oc) - sphere.radius * sphere.radius
-    disc = b * b - c
-    t = np.full(dirs.shape[:-1], np.inf)
-    ok = disc >= 0.0
-    root = np.sqrt(np.where(ok, disc, 0.0))
-    t_near = b - root
-    t_far = b + root
-    # prefer the near root, fall back to the far one when inside/edge-on
-    near_ok = ok & (t_near > _MIN_TRAVEL)
-    far_ok = ok & ~near_ok & (t_far > _MIN_TRAVEL)
-    t[near_ok] = t_near[near_ok]
-    t[far_ok] = t_far[far_ok]
-    return t
+def _nearest_root(a, b, c):
+    """Nearest root of a t^2 + b t + c above _MIN_TRAVEL per ray, inf if none.
 
-
-def _paraboloid_hit(origin, dirs, par: ParaboloidMirror):
-    w = origin - par.vertex
-    wa = _dot(w, par.axis)
-    da = _dot(dirs, par.axis)
-    w_perp = w - wa[..., None] * par.axis
-    d_perp = dirs - da[..., None] * par.axis
-    a = _dot(d_perp, d_perp)
-    b = 2.0 * (_dot(w_perp, d_perp) - 2.0 * par.focal * da)
-    c = _dot(w_perp, w_perp) - 4.0 * par.focal * wa
-    t = np.full(dirs.shape[:-1], np.inf)
+    a >= 0, so (-b - root) / 2a is the near root; the far one counts when
+    the near one does not, as from inside.  Where a vanishes the equation
+    is linear (a ray parallel to a paraboloid's axis).  Rays without a root
+    divide by zero or take NaN; the caller's errstate silences both.
+    """
     quad = np.abs(a) > 1e-14
-    # linear case (ray parallel to axis)
-    lin = ~quad & (np.abs(b) > 1e-14)
-    t_lin = np.where(lin, -c / np.where(lin, b, 1.0), np.inf)
-    t[lin & (t_lin > _MIN_TRAVEL)] = t_lin[lin & (t_lin > _MIN_TRAVEL)]
     disc = b * b - 4.0 * a * c
-    ok = quad & (disc >= 0.0)
-    root = np.sqrt(np.where(ok, disc, 0.0))
-    denom = np.where(quad, 2.0 * a, 1.0)
-    t1 = np.where(ok, (-b - root) / denom, np.inf)
-    t2 = np.where(ok, (-b + root) / denom, np.inf)
-    t_near = np.minimum(t1, t2)
-    t_far = np.maximum(t1, t2)
-    near_ok = ok & (t_near > _MIN_TRAVEL)
-    far_ok = ok & ~near_ok & (t_far > _MIN_TRAVEL)
-    t[near_ok] = t_near[near_ok]
-    t[far_ok] = t_far[far_ok]
-    return t
+    root = np.sqrt(np.where(quad & (disc >= 0.0), disc, np.nan))
+    t_near = (-b - root) / (2.0 * a)
+    t_far = (-b + root) / (2.0 * a)
+    t_lin = -c / b
+    t = np.where(t_far > _MIN_TRAVEL, t_far, np.inf)
+    t = np.where(t_near > _MIN_TRAVEL, t_near, t)
+    return np.where(~quad & (np.abs(b) > 1e-14) & (t_lin > _MIN_TRAVEL), t_lin, t)
 
 
 def _mirror_hit(origin, dirs, mirror):
+    """Nearest positive hit parameter per ray, inf where missed.
+
+    A sphere passes a = 1 and b = 2 w.d: b and the discriminant are exactly
+    2 and 4 times the half-b form's, so its roots are bit-equal to that form's.
+    """
     if isinstance(mirror, SphereMirror):
-        return _sphere_hit(origin, dirs, mirror)
-    return _paraboloid_hit(origin, dirs, mirror)
+        w = origin - mirror.center
+        return _nearest_root(1.0, 2.0 * _dot(w, dirs), _dot(w, w) - mirror.radius * mirror.radius)
+    w = origin - mirror.vertex
+    wa = _dot(w, mirror.axis)
+    da = _dot(dirs, mirror.axis)
+    w_perp = w - wa[..., None] * mirror.axis
+    d_perp = dirs - da[..., None] * mirror.axis
+    a = _dot(d_perp, d_perp)
+    b = 2.0 * (_dot(w_perp, d_perp) - 2.0 * mirror.focal * da)
+    c = _dot(w_perp, w_perp) - 4.0 * mirror.focal * wa
+    return _nearest_root(a, b, c)
 
 
 def _mirror_normal(points, mirror):
@@ -214,14 +196,6 @@ def _mirror_normal(points, mirror):
         norm = np.sqrt(_dot(n, n))
         n = n / norm[..., None]
     return n
-
-
-def _plane_pose_list(scene: MirrorScene) -> list[RigidPose]:
-    return [
-        RigidPose(np.eye(3), np.zeros(3)),
-        scene.pose1,
-        scene.pose2,
-    ]
 
 
 def trace_pixels(scene: MirrorScene, pixels: np.ndarray):
@@ -297,7 +271,7 @@ def _trace_chunk(scene: MirrorScene, pixels: np.ndarray):
 
     hw, hh = scene.plane_half_extent
     coords = []
-    for pose in _plane_pose_list(scene):
+    for pose in (identity_pose(), scene.pose1, scene.pose2):
         pn = pose.rotation[:, 2]  # plane normal in world coords
         denom = _dot(reflected, pn)
         offset = pose.translation - points
@@ -390,19 +364,15 @@ def _stream_words(seed: int, indices) -> np.ndarray:
     return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
 
 
-def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
-    """PCG64's 128-bit (state, inc) seeded from each row of four words.
+class _Words(ISeedSequence):
+    """A seed sequence whose state is one precomputed row of _stream_words."""
 
-    Row r gives ``PCG64(SeedSequence(...)).state["state"]`` when ``words[r]``
-    is that SeedSequence's ``generate_state(4, np.uint64)``.
-    """
-    w = words.astype(object)  # Python ints: exact 128-bit arithmetic
-    initstate = (w[:, 0] << 64) | w[:, 1]
-    inc = (((w[:, 2] << 64) | w[:, 3]) << 1 | 1) & _MASK128
-    # srandom: the first step from state 0 lands on inc; add the initial
-    # state, then step once more
-    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-    return state.tolist(), inc.tolist()
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for generate_state(4, np.uint64) once, at construction
+        return self.words
 
 
 def _draw_noise(seed: int, indices: np.ndarray):
@@ -411,13 +381,10 @@ def _draw_noise(seed: int, indices: np.ndarray):
     Row r holds the first draws of ``np.random.default_rng([seed,
     indices[r]])``: ``normal(0, 1, 6)`` then ``uniform(-1, 1, 2)``.
     """
-    bitgen = np.random.PCG64()
-    gen = np.random.Generator(bitgen)
     normals = np.empty((len(indices), 6))
     uniforms = np.empty((len(indices), 2))
-    states = zip(*_pcg64_states(_stream_words(seed, indices)))
-    for row, (state, inc) in enumerate(states):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    for row, words in enumerate(_stream_words(seed, indices)):
+        gen = np.random.Generator(np.random.PCG64(_Words(words)))
         gen.standard_normal(out=normals[row])
         gen.random(out=uniforms[row])
     # Generator.uniform(-1, 1) is -1 + 2 * random(); 2 * u is exact
@@ -519,77 +486,61 @@ def default_two_sphere_scene() -> MirrorScene:
 
 def pure_translation_scene() -> MirrorScene:
     """Degenerate variant: the plane only translates between poses."""
-    base = default_two_sphere_scene()
-    return MirrorScene(
-        intrinsics=base.intrinsics,
-        camera_pose=base.camera_pose,
-        image_size=base.image_size,
-        plane_half_extent=base.plane_half_extent,
+    return replace(
+        default_two_sphere_scene(),
         pose1=RigidPose(np.eye(3), (25.0, -30.0, 170.0)),
         pose2=RigidPose(np.eye(3), (-40.0, 45.0, 345.0)),
-        mirrors=base.mirrors,
     )
+
+
+# mirror classes by their sections' "type" key, and the shapes of the
+# non-scalar fields; a dataclass is written as one key per field, holding
+# its numbers, and every field missing from _SHAPES is one number
+_MIRRORS = {"sphere": SphereMirror, "paraboloid": ParaboloidMirror}
+_SHAPES = {"rotation": (3, 3), "translation": (3,), "center": (3,), "vertex": (3,), "axis": (3,)}
 
 
 def _fmt_floats(values) -> str:
     return " ".join(format(float(v), ".17g") for v in np.asarray(values).ravel())
 
 
-def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
+def _parse_floats(text: str, shape: tuple[int, ...], what: str):
+    """A float for shape (), else an array of that shape."""
     parts = text.split()
+    count = int(np.prod(shape))
     if len(parts) != count:
         raise SchemaMismatchError(f"{what}: expected {count} numbers, got {len(parts)}")
-    return np.array([float(p) for p in parts])
+    values = np.array([float(p) for p in parts])
+    return values.reshape(shape) if shape else float(values[0])
 
 
-def _pose_to_section(cfg, name: str, pose: RigidPose):
-    cfg[name] = {
-        "rotation": _fmt_floats(pose.rotation),
-        "translation": _fmt_floats(pose.translation),
-    }
+def _to_section(obj) -> dict[str, str]:
+    return {f.name: _fmt_floats(getattr(obj, f.name)) for f in fields(obj)}
 
 
-def _pose_from_section(section, what: str) -> RigidPose:
-    r = _parse_floats(section["rotation"], 9, f"{what}.rotation").reshape(3, 3)
-    t = _parse_floats(section["translation"], 3, f"{what}.translation")
-    return RigidPose(r, t)
+def _from_section(cls, section, what: str):
+    return cls(
+        **{f.name: _parse_floats(section[f.name], _SHAPES.get(f.name, ()), f"{what}.{f.name}") for f in fields(cls)}
+    )
 
 
 def write_scene(scene: MirrorScene, path):
     """Write the INI-style scene description (schema version 1)."""
     cfg = configparser.ConfigParser()
     cfg["scene"] = {"format_version": str(SCENE_FORMAT_VERSION)}
+    width, height = scene.image_size
     cfg["camera"] = {
-        "fx": _fmt_floats([scene.intrinsics.fx]),
-        "fy": _fmt_floats([scene.intrinsics.fy]),
-        "u0": _fmt_floats([scene.intrinsics.u0]),
-        "v0": _fmt_floats([scene.intrinsics.v0]),
-        "width": str(scene.image_size[0]),
-        "height": str(scene.image_size[1]),
-        "rotation": _fmt_floats(scene.camera_pose.rotation),
-        "translation": _fmt_floats(scene.camera_pose.translation),
+        **_to_section(scene.intrinsics),
+        "width": str(width),
+        "height": str(height),
+        **_to_section(scene.camera_pose),
     }
-    cfg["plane"] = {
-        "half_width": _fmt_floats([scene.plane_half_extent[0]]),
-        "half_height": _fmt_floats([scene.plane_half_extent[1]]),
-    }
-    _pose_to_section(cfg, "pose1", scene.pose1)
-    _pose_to_section(cfg, "pose2", scene.pose2)
+    cfg["plane"] = dict(zip(("half_width", "half_height"), map(_fmt_floats, scene.plane_half_extent)))
+    cfg["pose1"] = _to_section(scene.pose1)
+    cfg["pose2"] = _to_section(scene.pose2)
     for i, mirror in enumerate(scene.mirrors, start=1):
-        name = f"mirror{i}"
-        if isinstance(mirror, SphereMirror):
-            cfg[name] = {
-                "type": "sphere",
-                "center": _fmt_floats(mirror.center),
-                "radius": _fmt_floats([mirror.radius]),
-            }
-        else:
-            cfg[name] = {
-                "type": "paraboloid",
-                "vertex": _fmt_floats(mirror.vertex),
-                "axis": _fmt_floats(mirror.axis),
-                "focal": _fmt_floats([mirror.focal]),
-            }
+        kind = next(name for name, cls in _MIRRORS.items() if isinstance(mirror, cls))
+        cfg[f"mirror{i}"] = {"type": kind, **_to_section(mirror)}
     with open(path, "w", newline="\n") as fh:
         cfg.write(fh)
 
@@ -607,54 +558,26 @@ def read_scene(path) -> MirrorScene:
         if version != SCENE_FORMAT_VERSION:
             raise SchemaMismatchError(f"unsupported scene format_version {version}")
         cam = cfg["camera"]
-        intr = Intrinsics(
-            fx=float(cam["fx"]), fy=float(cam["fy"]),
-            u0=float(cam["u0"]), v0=float(cam["v0"]),
-        )
-        camera_pose = _pose_from_section(cam, "camera")
-        image_size = (int(cam["width"]), int(cam["height"]))
         plane = cfg["plane"]
-        extent = (float(plane["half_width"]), float(plane["half_height"]))
-        pose1 = _pose_from_section(cfg["pose1"], "pose1")
-        pose2 = _pose_from_section(cfg["pose2"], "pose2")
         mirrors = []
-        i = 1
-        while cfg.has_section(f"mirror{i}"):
-            sec = cfg[f"mirror{i}"]
-            kind = sec["type"].strip().lower()
-            if kind == "sphere":
-                mirrors.append(
-                    SphereMirror(
-                        center=_parse_floats(sec["center"], 3, "mirror.center"),
-                        radius=float(sec["radius"]),
-                    )
-                )
-            elif kind == "paraboloid":
-                mirrors.append(
-                    ParaboloidMirror(
-                        vertex=_parse_floats(sec["vertex"], 3, "mirror.vertex"),
-                        axis=_parse_floats(sec["axis"], 3, "mirror.axis"),
-                        focal=float(sec["focal"]),
-                    )
-                )
-            else:
-                raise SchemaMismatchError(f"unknown mirror type {sec['type']!r}")
-            i += 1
+        while cfg.has_section(name := f"mirror{len(mirrors) + 1}"):
+            kind = cfg[name]["type"]
+            cls = _MIRRORS.get(kind.strip().lower())
+            if cls is None:
+                raise SchemaMismatchError(f"unknown mirror type {kind!r}")
+            mirrors.append(_from_section(cls, cfg[name], name))
         if not mirrors:
             raise SchemaMismatchError("scene file defines no mirror sections")
-    except KeyError as exc:
-        raise SchemaMismatchError(f"scene file missing key/section: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"scene file: {exc}") from exc
-    try:
         return MirrorScene(
-            intrinsics=intr,
-            camera_pose=camera_pose,
-            image_size=image_size,
-            plane_half_extent=extent,
-            pose1=pose1,
-            pose2=pose2,
+            intrinsics=_from_section(Intrinsics, cam, "camera"),
+            camera_pose=_from_section(RigidPose, cam, "camera"),
+            image_size=(int(cam["width"]), int(cam["height"])),
+            plane_half_extent=(float(plane["half_width"]), float(plane["half_height"])),
+            pose1=_from_section(RigidPose, cfg["pose1"], "pose1"),
+            pose2=_from_section(RigidPose, cfg["pose2"], "pose2"),
             mirrors=tuple(mirrors),
         )
+    except KeyError as exc:
+        raise SchemaMismatchError(f"scene file missing key/section: {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"scene file: {exc}") from exc

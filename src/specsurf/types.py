@@ -80,8 +80,9 @@ class NoiseSpec:
                  (in [-1,1]-normalized image coordinates) before quantization.
     seed       : non-negative integer.  Triple i of the full pixel grid
                  draws from ``np.random.default_rng([seed, i])``; the
-                 simulator seeds these streams in batch, and the tests pin
-                 the equality.
+                 simulator hashes every stream's seed words in batch and
+                 hands them to numpy's PCG64, and the tests pin the
+                 equality.
     sigma_mm, gamma_px and k1 must be finite.
     """
 

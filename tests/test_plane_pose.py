@@ -326,46 +326,54 @@ class TestAlphaSolver:
         return v, w
 
     def test_scale_recovers_ground_truth_motion(self, synthetic):
-        # the twins' packs are the truth and its negative
+        # the pack is the truth or its negative, and the twin's is its negative
         v, w = self.pencil_truth(synthetic)
-        packs = [rows_pack(m, n) for m, n in _factor_null_vector(v)]
-        assert len(packs) == 2
-        errors = sorted(
-            min(np.linalg.norm(p - w), np.linalg.norm(p + w)) / np.linalg.norm(w) for p in packs
-        )
-        assert errors[1] < 1e-7
-        assert np.linalg.norm(packs[0] + packs[1]) < 1e-12 * np.linalg.norm(w)
+        m, n = _factor_null_vector(v)
+        pack = rows_pack(m, n)
+        assert min(np.linalg.norm(pack - w), np.linalg.norm(pack + w)) < 1e-7 * np.linalg.norm(w)
+        twin = plane_pose._mirror_twin(plane_pose._rows_to_pair(m, n))
+        assert np.linalg.norm(pack_motion(twin.pose1, twin.pose2) + pack) < 1e-12 * np.linalg.norm(w)
 
     def test_both_signs_returned(self, synthetic):
+        # the twin is the -alpha factoring: the same first two rows of
+        # [R[:, 0] R[:, 1] t], the third negated
         v, _ = self.pencil_truth(synthetic)
-        (m_a, n_a), (m_b, n_b) = _factor_null_vector(v)
-        assert np.array_equal(m_a[:2], m_b[:2])
-        assert np.array_equal(n_a[:2], n_b[:2])
-        assert np.array_equal(m_a[2], -m_b[2])
-        assert np.array_equal(n_a[2], -n_b[2])
+        pair = plane_pose._rows_to_pair(*_factor_null_vector(v))
+        twin = plane_pose._mirror_twin(pair)
+        for a, b in ((pair.pose1, twin.pose1), (pair.pose2, twin.pose2)):
+            rows_a = np.column_stack([a.rotation[:, :2], a.translation])
+            rows_b = np.column_stack([b.rotation[:, :2], b.translation])
+            assert np.array_equal(rows_a[:2], rows_b[:2])
+            assert np.array_equal(rows_a[2], -rows_b[2])
 
     def test_negating_input_flips_signs(self, synthetic):
-        # -v factors into the same twins in the opposite order
+        # -v factors into the mirror twin of v's pair
         v, _ = self.pencil_truth(synthetic)
-        rows_pos = _factor_null_vector(v)
-        rows_neg = _factor_null_vector(-v)
-        for (m_p, n_p), (m_n, n_n) in zip(rows_pos, rows_neg[::-1]):
-            assert np.allclose(m_p, m_n, rtol=0, atol=1e-12)
-            assert np.allclose(n_p, n_n, rtol=0, atol=1e-12)
+        twin = plane_pose._mirror_twin(plane_pose._rows_to_pair(*_factor_null_vector(v)))
+        flipped = plane_pose._rows_to_pair(*_factor_null_vector(-v))
+        for a, b in ((twin.pose1, flipped.pose1), (twin.pose2, flipped.pose2)):
+            assert np.allclose(a.rotation, b.rotation, rtol=0, atol=1e-12)
+            assert np.allclose(a.translation, b.translation, rtol=0, atol=1e-12)
 
     def test_scale_halves_when_vector_doubles(self, synthetic):
         # the factored rows do not depend on the input's length, so the
-        # scale applied to 2v is half the one applied to v
+        # scale applied to 2v is half the one applied to v, and so the twins
+        # built from them agree too
         v, _ = self.pencil_truth(synthetic)
-        for (m1, n1), (m2, n2) in zip(_factor_null_vector(v), _factor_null_vector(2.0 * v)):
-            assert np.allclose(m1, m2, rtol=1e-9, atol=0)
-            assert np.allclose(n1, n2, rtol=1e-9, atol=0)
+        (m1, n1), (m2, n2) = _factor_null_vector(v), _factor_null_vector(2.0 * v)
+        assert np.allclose(m1, m2, rtol=1e-9, atol=0)
+        assert np.allclose(n1, n2, rtol=1e-9, atol=0)
+        twin1 = plane_pose._mirror_twin(plane_pose._rows_to_pair(m1, n1))
+        twin2 = plane_pose._mirror_twin(plane_pose._rows_to_pair(m2, n2))
+        for a, b in ((twin1.pose1, twin2.pose1), (twin1.pose2, twin2.pose2)):
+            assert np.allclose(a.rotation, b.rotation, rtol=1e-9, atol=1e-15)
+            assert np.allclose(a.translation, b.translation, rtol=1e-9, atol=0)
 
     def test_zero_pivot_slot_rejected(self, synthetic):
         v, _ = self.pencil_truth(synthetic)
         v = v.copy()
         v[18:24] = 0.0
-        assert _factor_null_vector(v) == []
+        assert _factor_null_vector(v) is None
 
 
 class TestMotionForm:
@@ -634,13 +642,12 @@ class TestProperties:
 
 
 class TestTwinReflection:
-    """estimate_plane_poses polishes the first twin of each direction and
-    reflects it; polishing the raw second twin on its own lands on the
-    same motions."""
+    """estimate_plane_poses polishes the factored pair and reflects it;
+    polishing the reflected start on its own lands on the same motions."""
 
     @staticmethod
     def traced_estimate(data, monkeypatch):
-        """The solution, every factored twin pair and every polish
+        """The solution, every factored row pair and every polish
         (start, result, scaled coordinates)."""
         factor, refine = plane_pose._factor_null_vector, plane_pose.refine_plane_poses
         factored, polished = [], []
@@ -655,7 +662,7 @@ class TestTwinReflection:
 
         monkeypatch.setattr(plane_pose, "_factor_null_vector", factor_traced)
         monkeypatch.setattr(plane_pose, "refine_plane_poses", refine_traced)
-        return estimate_plane_poses(data), [twins for twins in factored if twins], polished
+        return estimate_plane_poses(data), [rows for rows in factored if rows is not None], polished
 
     @pytest.mark.parametrize(
         "grid, sigma, seed",
@@ -668,12 +675,11 @@ class TestTwinReflection:
         mirror = np.diag([1.0, 1.0, -1.0])
         assert polished
         for start, result, coords in polished:
-            (_, second_rows), = [
-                twins
-                for twins in factored
-                if np.array_equal(plane_pose._rows_to_pair(*twins[0]).pose1.rotation, start.pose1.rotation)
-            ]
-            own = refine_plane_poses(plane_pose._rows_to_pair(*second_rows), *coords)
+            assert any(
+                np.array_equal(plane_pose._rows_to_pair(*rows).pose1.rotation, start.pose1.rotation)
+                for rows in factored
+            )
+            own = refine_plane_poses(plane_pose._mirror_twin(start), *coords)
             for a, b in ((result.pose1, own.pose1), (result.pose2, own.pose2)):
                 assert np.allclose(mirror @ a.rotation @ mirror, b.rotation, rtol=0, atol=1e-12)
                 assert np.allclose(scale * mirror @ a.translation, scale * b.translation, rtol=0, atol=1e-9)
