@@ -81,8 +81,10 @@ class SweepNoMinimumError(SpecsurfError):
     """Focal sweep cost has no interior minimum over its grid.
 
     The range misses the focal length, the lines come from the wrong mirror
-    twin (its one exact basin lies behind the camera, so no sample ranks),
-    or the constrained solve failed at every sample.
+    twin (its one exact basin lies behind the camera, so on clean data
+    both passes are dropped after their cold starts), or the constrained
+    solve failed at every sample.  The message says how many passes
+    started behind the camera.
     """
 
 

@@ -34,10 +34,12 @@ The free-focal polish, whose result is the camera, runs to 1e-12.
 The mirror twins of plane_pose cost alike: the wrong twin at (-R S, -T),
 S = diag(1, 1, -1), has the right twin's point-to-line cost at (R, T) with
 every depth negated.  So only chirality can choose: a camera counts only
-if MIN_FRONT_FRACTION of its pixels meet their lines in front of it.  The
-wrong twin's sweep falls into its exact, mirrored basin and ranks nothing:
-on the clean grid-20 scan both sweeps take 480 evaluations, 316 of them
-on the wrong twin.
+if MIN_FRONT_FRACTION of its pixels meet their lines in front of it.  A
+cold start whose lower-cost camera sees its lines behind it has landed in
+the mirror basin, which the warm chain after it does not leave, so the
+sweep ends that pass there.  The wrong twin's sweep is then its two cold
+starts: on the clean grid-20 scan both sweeps take 243 evaluations, 79 of
+them on the wrong twin.
 
 Conditioning matters here far more than in ordinary resection.  Reflected
 rays off a rotationally symmetric mirror all meet the axis through the
@@ -373,20 +375,25 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
     times the image diagonal.  Each constrained solve is started from its
     neighbor's solution; only the first, or one after a failed neighbor,
     decodes a cold start from the incidence matrix, whose lower-cost sign
-    the chain follows.  A sample's fit stops
-    at a relative cost decrease of SWEEP_FTOL: its cost only ranks it and
-    its pose only warm-starts the next sample.  A sample ranks only if
-    MIN_FRONT_FRACTION of its pixels are in front, so the wrong mirror
-    twin, whose one exact basin lies behind the camera, ranks none.  The
-    minimum must be interior to the grid; if the forward pass leaves none,
-    the grid is swept again from its top.  Levenberg-Marquardt over (f, R,
-    T) then polishes the best sample to a relative cost decrease of 1e-12,
-    and the polished camera must pass the same gate.
+    the chain follows.  A sample's fit stops at a relative cost decrease of
+    SWEEP_FTOL: its cost only ranks it and its pose only warm-starts the
+    next sample.  A sample ranks only if MIN_FRONT_FRACTION of its pixels
+    are in front, so the wrong mirror twin, whose one exact basin lies
+    behind the camera, ranks none.  A pass whose cold start has at most
+    1 - MIN_FRONT_FRACTION of its pixels in front has landed in that basin
+    and ends after it.  The minimum must be interior to the grid; if the
+    forward pass leaves none, the grid is swept again from its top.
+    Levenberg-Marquardt over (f, R, T) then polishes the best sample to a
+    relative cost decrease of 1e-12, and the polished camera must pass the
+    same gate.
 
     The estimate's diagnostics hold the focal grid (f_grid), the cost of
     each sample in pixels squared (cost_curve, inf where the solve failed),
-    the residual evaluations of all its fits, the polish included (nfev),
-    n_observations and n_skipped.
+    the residual evaluations of all its fits, the polish and the cold
+    starts of ended passes included (nfev), the number of passes ended
+    after their cold start (dropped_passes, 0 or 1 on an estimate),
+    n_observations and n_skipped.  SweepNoMinimumError's message says how
+    many of the two passes ended after their cold start.
     """
     width, height = image_size
     u0 = (width - 1) / 2.0
@@ -409,7 +416,9 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
     def sweep_pass(order):
         # the lowest-cost fit warm-starts the next sample, ranked or not: a
         # sample behind the camera, or one bad focal value, must not cut
-        # the chain
+        # the chain; a cold start behind the camera lies in the mirror
+        # twin's basin, which the warm chain would not leave, so the pass
+        # ends there and returns True
         warm = None
         for i in order:
             f_n = grid[i] * s_pix
@@ -419,20 +428,25 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
                 continue
             nfev.extend(fit.nfev for *_, fit in fits)
             rotation, t_n, fit = fits[0]
+            front = _front_fraction(f_n, obs_n, rotation, t_n)
+            if warm is None and front <= 1.0 - MIN_FRONT_FRACTION:
+                return True
             warm = (rotation, t_n)
-            if fit.cost < costs[i] and _front_fraction(f_n, obs_n, rotation, t_n) >= MIN_FRONT_FRACTION:
+            if fit.cost < costs[i] and front >= MIN_FRONT_FRACTION:
                 costs[i] = fit.cost
                 solutions[i] = warm
+        return False
 
-    # argmin reads 0, not interior, when every cost is inf
-    sweep_pass(range(len(grid)))
+    # argmin reads 0, not interior, when every cost is inf; dropped counts
+    # the passes that ended at their cold start
+    dropped = int(sweep_pass(range(len(grid))))
     if not 0 < np.argmin(costs) < len(grid) - 1:
-        sweep_pass(range(len(grid) - 1, -1, -1))
+        dropped += sweep_pass(range(len(grid) - 1, -1, -1))
     best = int(np.argmin(costs))
     if not 0 < best < len(grid) - 1:
         raise SweepNoMinimumError(
             "no interior cost minimum in the focal range "
-            f"[{f_lo:.1f}, {f_hi:.1f}] px"
+            f"[{f_lo:.1f}, {f_hi:.1f}] px; {dropped} of its 2 passes started behind the camera"
         )
 
     # joint polish of (f, R, T): the free-focal solve takes f off the grid
@@ -454,6 +468,7 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
             "f_grid": grid,
             "cost_curve": costs / (s_pix * s_pix),  # back to raw pixel units
             "nfev": polish.nfev + sum(nfev),
+            "dropped_passes": dropped,
             "n_observations": len(obs),
             "n_skipped": obs.n_skipped,
         },

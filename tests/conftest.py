@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from specsurf import so3
 from specsurf.sim import default_two_sphere_scene
-from specsurf.types import RigidPose
+from specsurf.types import NoiseSpec, RigidPose
 
 # the same examples on every run, and no per-example deadline, so timing
 # noise cannot fail a property test
@@ -37,6 +37,27 @@ def second_root_scene():
         pose1=RigidPose(so3.exp([-0.1333, -0.1176, 0.1564]), (-25.16, -35.36, 188.54)),
         pose2=RigidPose(so3.exp([-0.1881, -0.2361, 0.1183]), (51.29, -40.73, 382.55)),
     )
+
+
+def random_motion_scene(k: int):
+    """Scene k of the random-motion suite and the noise it is scanned with
+    at grid 12.
+
+    Both plane motions rotate by so3.exp of an N(0, 0.15) 3-vector and
+    translate by (N(0, 50), N(0, 50), z) mm, z uniform on [120, 230] for
+    pose 1 and [300, 450] for pose 2, drawn from default_rng(21) in the
+    order rotation 1, translation 1, rotation 2, translation 2 and scene
+    after scene.  The noise is sigma [0.5, 1.0][k % 2] mm, gamma 0.5 px,
+    seed k.
+    """
+    rng = np.random.default_rng(21)
+    for _ in range(k + 1):
+        poses = [
+            RigidPose(so3.exp(rng.normal(0, 0.15, 3)), (rng.normal(0, 50), rng.normal(0, 50), rng.uniform(*z)))
+            for z in ((120, 230), (300, 450))
+        ]
+    scene = dataclasses.replace(default_two_sphere_scene(), pose1=poses[0], pose2=poses[1])
+    return scene, NoiseSpec(sigma_mm=[0.5, 1.0][k % 2], gamma_px=0.5, seed=k)
 
 
 def random_point_camera(rng: np.random.Generator) -> np.ndarray:

@@ -75,6 +75,15 @@ def sweep_every_candidate(scene, data):
     return outcomes
 
 
+def right_and_wrong_twin(scene, grid_step, noise):
+    """The right and the wrong mirror twin's observations of one scan."""
+    data = generate_dataset(scene, grid_step=grid_step, noise=noise)
+    cam = scene.camera_pose
+    truth = pj.camera_line_matrix(scene.intrinsics, cam.rotation, cam.translation)
+    obs = [pj.build_observations(data, pair) for pair in estimate_plane_poses(data).candidates[:2]]
+    return sorted(obs, key=lambda o: pj.point_line_cost(truth, o))
+
+
 @pytest.fixture(scope="module")
 def scene():
     return default_two_sphere_scene()
@@ -477,11 +486,15 @@ class TestFocalSweep:
         pj.focal_sweep(clean_obs, scene.image_size)
         assert len(calls) == pj.SWEEP_SAMPLES + 2
 
+    def test_right_twin_drops_no_pass(self, clean_sweep):
+        assert clean_sweep.diagnostics["dropped_passes"] == 0
+
     def test_evaluation_budget(self, scene, monkeypatch):
         # every fit's evaluations, counted the way test_least_squares_calls
         # counts calls: the two clean grid-20 twins took 1,613 with every
         # sample run to a relative cost decrease of 1e-12, 895 with samples
-        # stopped at SWEEP_FTOL, and take 480 with the chirality gate
+        # stopped at SWEEP_FTOL, 480 with the chirality gate, and take 243
+        # now that a pass whose cold start lands behind the camera ends there
         data = generate_dataset(scene, grid_step=20, noise=NoiseSpec())
         original = pj.least_squares
         nfev = []
@@ -502,7 +515,7 @@ class TestFocalSweep:
             else:
                 assert est.diagnostics["nfev"] == sum(nfev)
             total += sum(nfev)
-        assert 0 < total <= 500
+        assert 0 < total <= 250
 
     @pytest.mark.parametrize(
         "grid_step, noise",
@@ -656,13 +669,7 @@ class TestNormalizationInternals:
     ids=["clean-g20", "noisy-g8"],
 )
 def twins(request, scene):
-    """The right and the wrong mirror twin's observations of one scan."""
-    grid_step, noise = request.param
-    data = generate_dataset(scene, grid_step=grid_step, noise=noise)
-    cam = scene.camera_pose
-    truth = pj.camera_line_matrix(scene.intrinsics, cam.rotation, cam.translation)
-    obs = [pj.build_observations(data, pair) for pair in estimate_plane_poses(data).candidates[:2]]
-    return sorted(obs, key=lambda o: pj.point_line_cost(truth, o))
+    return right_and_wrong_twin(scene, *request.param)
 
 
 class TestMirrorTwins:
@@ -689,6 +696,40 @@ class TestMirrorTwins:
         r, t = cam.rotation, cam.translation
         assert pj._front_fraction(intr.fx, right.centered(intr.u0, intr.v0), r, t) == 1.0
         assert pj._front_fraction(intr.fx, wrong.centered(intr.u0, intr.v0), -r @ S, -t) == 0.0
+
+    def test_wrong_twin_sweep_ends_at_its_cold_starts(self, scene, monkeypatch):
+        # clean grid 20: both passes' cold starts land in the mirror basin,
+        # so the sweep fits their two decode signs and nothing else
+        _, wrong = right_and_wrong_twin(scene, 20, NoiseSpec())
+        original = pj.least_squares
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pj, "least_squares", counted)
+        with pytest.raises(SweepNoMinimumError, match="2 of its 2 passes started behind the camera"):
+            pj.focal_sweep(wrong, scene.image_size)
+        assert len(calls) == 4
+
+    def test_right_twin_forward_pass_dropped_under_noise(self, scene, monkeypatch):
+        # noisy grid 8, draw 0: the right twin's first cold start keeps the
+        # mirror sign, so the forward pass ends there and the reverse pass
+        # finds the camera, the same f as a forward pass run to its end
+        right, _ = right_and_wrong_twin(scene, 8, NoiseSpec(sigma_mm=0.5, gamma_px=0.5, seed=0))
+        solve = pj._solve_at_focal
+        cold = []
+
+        def counted(*args, init=None):
+            cold.append(init is None)
+            return solve(*args, init=init)
+
+        monkeypatch.setattr(pj, "_solve_at_focal", counted)
+        est = pj.focal_sweep(right, scene.image_size)
+        assert est.diagnostics["dropped_passes"] == 1
+        assert cold == [True, True] + [False] * (pj.SWEEP_SAMPLES - 1)
+        assert est.intrinsics.fx == pytest.approx(1404.631732410813, rel=1e-9)
 
     def test_chain_keeps_the_right_twin_when_the_wrong_one_returns(self, scene):
         # at grid 12, sigma 1 mm, the wrong twin's sweep finds an interior
