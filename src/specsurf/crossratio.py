@@ -12,8 +12,9 @@ while the point on it reprojects far away.  The minimization is MINPACK's
 Levenberg-Marquardt (linalg.least_squares, as for the camera in
 projection and the plane poses in plane_pose) on the closed-form Jacobian
 of that error, carried forward from the projections through the
-cross-ratio and the chosen root to the rebuilt point (see
-_frozen_jacobian).
+cross-ratio and the chosen root to the rebuilt point, and written
+straight into the array MINPACK reads with only the rows of each pixel
+derivative that are neither zero nor one formed (see _frozen_jacobian).
 
 The plane poses stay fixed throughout; only the camera moves.  So does
 the correspondence line: plane_pose.Lifts decides it once per lift, from
@@ -135,18 +136,19 @@ def _cross_ratio_roots(lifts: Lifts, x0, x1, x2, m):
     must land back on the observation).  The observation enters through
     its full 2D position, so the residual built from the winning root
     measures point-to-point error, not merely the distance from m to the
-    projected line.  Returns (roots_minus, roots_plus, k).
+    projected line.  Returns (roots_minus, roots_plus, k, segments,
+    squared): the segments x1 - m, x2 - x0, x1 - x0, x2 - m and their
+    squared lengths, whose square roots are np.linalg.norm's bit for bit.
     """
-    d10 = np.linalg.norm(x1 - m, axis=0)
-    d20 = np.linalg.norm(x2 - x0, axis=0)
-    d1x = np.linalg.norm(x1 - x0, axis=0)
-    d2m = np.linalg.norm(x2 - m, axis=0)
+    segments = (x1 - m, x2 - x0, x1 - x0, x2 - m)
+    squared = tuple(np.einsum("ij,ij->j", a, a) for a in segments)
+    d10, d20, d1x, d2m = (np.sqrt(sq) for sq in squared)
     with np.errstate(divide="ignore", invalid="ignore"):
         cr_img = (d10 * d20) / (d1x * d2m)
         k = cr_img * np.abs(lifts.length - lifts.along) / lifts.length
         roots_minus = lifts.along / (1.0 - k)
         roots_plus = lifts.along / (1.0 + k)
-    return roots_minus, roots_plus, k
+    return roots_minus, roots_plus, k, segments, squared
 
 
 # stand-in for a singular evaluation in the noise-sensitivity probe;
@@ -159,14 +161,17 @@ _SINGULAR_RESIDUAL = 1e100
 class _View:
     """The triples seen by one camera, shared by residuals and Jacobian.
 
-    pixels are the images of X0, X1, X2 and depths their camera-frame
-    depths.  minus marks triples whose offset s is the root xi1 / (1 - k);
-    m_proj and depth are the image and depth of the rebuilt surface point.
+    pixels are the images of X0, X1, X2, depths their camera-frame depths
+    and segments and squared those of _cross_ratio_roots.  minus marks
+    triples whose offset s is the root xi1 / (1 - k); m_proj and depth are
+    the image and depth of the rebuilt surface point.
     """
 
     theta: np.ndarray
     pixels: tuple
     depths: tuple
+    segments: tuple
+    squared: tuple
     k: np.ndarray
     minus: np.ndarray
     s: np.ndarray
@@ -208,12 +213,13 @@ def _resolve_offsets(theta: np.ndarray, lifts: Lifts, m_obs) -> _View:
     with np.errstate(all="ignore"):
         hs = tuple(_homogeneous(p, q) for q in (lifts.p0, lifts.p1, lifts.p2))
         pixels = tuple(_dehom(h) for h in hs)
-        roots_minus, roots_plus, k = _cross_ratio_roots(lifts, *pixels, m_obs)
+        roots_minus, roots_plus, k, segments, squared = _cross_ratio_roots(lifts, *pixels, m_obs)
 
         def rebuild(s):
             h = _homogeneous(p, _on_line(lifts, s))
             proj = _dehom(h)
-            gap = np.einsum("ij,ij->j", m_obs - proj, m_obs - proj)
+            gap = m_obs - proj
+            gap = np.einsum("ij,ij->j", gap, gap)
             gap = np.where(np.isfinite(gap) & (h[2] > 0), gap, np.inf)
             return h[2], proj, gap
 
@@ -237,6 +243,8 @@ def _resolve_offsets(theta: np.ndarray, lifts: Lifts, m_obs) -> _View:
         theta=theta,
         pixels=pixels,
         depths=depths,
+        segments=segments,
+        squared=squared,
         k=k,
         minus=minus,
         s=s,
@@ -272,35 +280,23 @@ def _pixel_jacobian(theta: np.ndarray, x: np.ndarray, z: np.ndarray):
     w x R p and a translation increment by itself; qi then moves by
     (e_i - qi e_z) . dc / z, which for the rotation is
     w . (R p x (e_i - qi e_z)) / z.  The rotation rows are in w; the
-    caller maps them to the angle-axis.  x is (2, n).  Returns the
-    transposed Jacobians of the two pixel coordinates, (10, n) each.
+    caller maps them to the angle-axis.  x is (2, n).  Of u's ten rows,
+    those of fy, v0 and ty are zero and that of u0 is one; v's mirror them.
+    Returns, for u and then v, the other rows, each a new (n,) array:
+    (q, g = f / z, the three rotation rows, the tz row -g q).
     """
-    n = x.shape[1]
     q0 = (x[0] - theta[2]) / theta[0]
     q1 = (x[1] - theta[3]) / theta[1]
     rp0, rp1, rp2 = q0 * z - theta[7], q1 * z - theta[8], z - theta[9]
     gx = theta[0] / z
     gy = theta[1] / z
-    du = np.zeros((10, n))
-    dv = np.zeros((10, n))
-    du[0] = q0
-    du[2] = 1.0
-    du[4] = -gx * q0 * rp1
-    du[5] = gx * (rp2 + q0 * rp0)
-    du[6] = -gx * rp1
-    du[7] = gx
-    du[9] = -gx * q0
-    dv[1] = q1
-    dv[3] = 1.0
-    dv[4] = -gy * (rp2 + q1 * rp1)
-    dv[5] = gy * q1 * rp0
-    dv[6] = gy * rp0
-    dv[8] = gy
-    dv[9] = -gy * q1
-    return du, dv
+    tz_u, tz_v = -gx * q0, -gy * q1
+    u = (q0, gx, (tz_u * rp1, gx * (rp2 + q0 * rp0), -gx * rp1), tz_u)
+    v = (q1, gy, (-gy * (rp2 + q1 * rp1), gy * q1 * rp0, gy * rp0), tz_v)
+    return u, v
 
 
-def _frozen_jacobian(view: _View, lifts: Lifts, m_obs) -> np.ndarray:
+def _frozen_jacobian(view: _View, lifts: Lifts) -> np.ndarray:
     """Jacobian of _frozen_residuals over theta, in closed form.
 
     Forward mode through the residual.  The image length ratio
@@ -317,35 +313,45 @@ def _frozen_jacobian(view: _View, lifts: Lifts, m_obs) -> np.ndarray:
     Like _frozen_residuals it sees only the frozen triples, and nothing is
     zeroed: MINPACK asks for the Jacobian only at a theta whose residuals
     it has accepted, finite, where every one of them is feasible.  The
-    Jacobian is filled as its 10 x 2n transpose straight from the (10, n)
-    pixel derivatives and handed over as that array's .T, column-major,
-    which least_squares passes to MINPACK without a transposing copy.
+    segments a and their squared lengths come with the view, and each
+    pixel derivative is only its varying rows (_pixel_jacobian): dk / k
+    skips the zero terms, takes the weight itself for a row that is one
+    and is summed in place.  The 10 x 2n transpose, u columns then v
+    columns, is written straight into the one array handed over: a row is
+    -ds/dlogk times dk / k less the rebuilt pixel's own row, so the
+    negation rides on the products.  Each element sees the operations of
+    -(du + du/ds ds) over dense (10, n) blocks, up to exact sign flips, so
+    it is the same to the bit.  The array goes out as .T, column-major,
+    which least_squares passes to MINPACK without a copy.
     """
     theta = view.theta
-    x0, x1, x2 = view.pixels
+    n = view.k.shape[0]
     with np.errstate(all="ignore"):
-
-        def over_sq(a):
-            return a / np.einsum("ij,ij->j", a, a)
-
-        e10, e20 = over_sq(x1 - m_obs), over_sq(x2 - x0)
-        e1x, e2m = over_sq(x1 - x0), over_sq(x2 - m_obs)
-        dlogk = np.zeros((10, x0.shape[1]))
-        for x, z, w in zip(view.pixels, view.depths, (e1x - e20, e10 - e1x, e20 - e2m)):
-            du, dv = _pixel_jacobian(theta, x, z)
-            dlogk += w[0] * du + w[1] * dv
+        e10, e20, e1x, e2m = (a / sq for a, sq in zip(view.segments, view.squared))
+        dlogk = None
+        for x, z, (a, b) in zip(view.pixels, view.depths, (e1x - e20, e10 - e1x, e20 - e2m)):
+            (q0, gx, rot_u, tz_u), (q1, gy, rot_v, tz_v) = _pixel_jacobian(theta, x, z)
+            # the pixel rows are scratch: each weighted term overwrites its row
+            for ru, rv in zip((*rot_u, tz_u), (*rot_v, tz_v)):
+                np.multiply(a, ru, out=ru)
+                ru += np.multiply(b, rv, out=rv)
+            for row, w in zip((q0, q1, gx, gy), (a, b, a, b)):
+                row *= w
+            terms = (q0, q1, a, b, *rot_u, gx, gy, tz_u)
+            dlogk = terms if dlogk is None else [np.add(d, t, out=d) for d, t in zip(dlogk, terms)]
         k, s = view.k, view.s
-        ds_dlogk = np.where(view.minus, s * k / (1.0 - k), -s * k / (1.0 + k))
-        x = view.m_proj
-        du, dv = _pixel_jacobian(theta, x, view.depth)
+        # -ds / dlogk over the rebuilt point's depth
+        along = np.where(view.minus, -s * k / (1.0 - k), s * k / (1.0 + k)) / view.depth
         ray = np.einsum("ij,jn->in", -so3.exp(theta[4:7]), lifts.unit)
-        along = ds_dlogk / view.depth
-        q0 = (x[0] - theta[2]) / theta[0]
-        q1 = (x[1] - theta[3]) / theta[1]
-        du += theta[0] * (ray[0] - q0 * ray[2]) * along * dlogk
-        dv += theta[1] * (ray[1] - q1 * ray[2]) * along * dlogk
-    # one row per parameter, in the residuals' order: u rows, then v rows
-    jt = -np.concatenate([du, dv], axis=1)
+        # one row per parameter, in the residuals' order: u rows, then v rows
+        jt = np.empty((10, 2 * n))
+        for c, (q, g, rot, tz) in enumerate(_pixel_jacobian(theta, view.m_proj, view.depth)):
+            half = jt[:, c * n : (c + 1) * n]
+            scale = theta[c] * (ray[c] - q * ray[2]) * along
+            for row, d in zip(half, dlogk):
+                np.multiply(scale, d, out=row)
+            for r, d in zip((c, 2 + c, 4, 5, 6, 7 + c, 9), (q, 1.0, *rot, g, tz)):
+                half[r] -= d
     jt[4:7] = np.einsum("ak,an->kn", so3.left_jacobian(theta[4:7]), jt[4:7])
     return jt.T
 
@@ -383,13 +389,7 @@ def noise_sensitivity(
             plus[which][:, coord] += SENSITIVITY_STEP_MM
             minus[which][:, coord] -= SENSITIVITY_STEP_MM
             dr = (residuals_at(plus) - residuals_at(minus)) / (2.0 * SENSITIVITY_STEP_MM)
-            dr = np.nan_to_num(
-                dr,
-                nan=_SINGULAR_RESIDUAL,
-                posinf=_SINGULAR_RESIDUAL,
-                neginf=-_SINGULAR_RESIDUAL,
-            )
-            dr = np.clip(dr, -_SINGULAR_RESIDUAL, _SINGULAR_RESIDUAL)
+            dr = np.clip(np.nan_to_num(dr, nan=_SINGULAR_RESIDUAL), -_SINGULAR_RESIDUAL, _SINGULAR_RESIDUAL)
             total += np.einsum("ij,ij->j", dr, dr)
     return np.sqrt(total)
 
@@ -523,7 +523,7 @@ def refine(
 
     def model(vec):
         view = _resolve_offsets(vec, fit_lifts, fit_obs)
-        return _frozen_residuals(view, fit_obs), lambda: _frozen_jacobian(view, fit_lifts, fit_obs)
+        return _frozen_residuals(view, fit_obs), lambda: _frozen_jacobian(view, fit_lifts)
 
     fit = least_squares(model, theta)
     return finish(fit.x, fit.status, fit.njev, cost0, fit.cost)
