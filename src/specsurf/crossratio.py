@@ -18,7 +18,8 @@ derivative that are neither zero nor one formed (see _frozen_jacobian).
 
 The plane poses stay fixed throughout; only the camera moves.  So does
 the correspondence line: plane_pose.Lifts decides it once per lift, from
-the pose-0 and pose-2 lifts, and this module only reads it.
+the pose-0 and pose-2 lifts, and this module only reads it.  refine lifts
+the triples once, and the noise probe moves those lifts (noise_sensitivity).
 
 Every per-triple stack is rows first, as in Lifts: 3-vectors are (3, n)
 and pixels (2, n), so each product, division and norm runs over long
@@ -159,12 +160,18 @@ _SINGULAR_RESIDUAL = 1e100
 
 @dataclass(frozen=True)
 class _View:
-    """The triples seen by one camera, shared by residuals and Jacobian.
+    """The triples seen by one camera, shared by the gate, the fit's model
+    and Jacobian, and the noise probe.
 
     pixels are the images of X0, X1, X2, depths their camera-frame depths
     and segments and squared those of _cross_ratio_roots.  minus marks
     triples whose offset s is the root xi1 / (1 - k); m_proj and depth are
-    the image and depth of the rebuilt surface point.
+    the image and depth of the rebuilt surface point.  residuals, (2, n),
+    is m_obs - m_proj where feasible and NaN elsewhere; raveled, u rows
+    before v rows, it is the fit's residual vector.  The fit never re-gates
+    its frozen triples, so its objective stays smooth in theta: one that
+    turns infeasible turns its rows into NaN, which the solver takes as a
+    failed step and answers by shrinking its trust region.
     """
 
     theta: np.ndarray
@@ -178,6 +185,7 @@ class _View:
     m_proj: np.ndarray
     depth: np.ndarray
     feasible: np.ndarray
+    residuals: np.ndarray
 
 
 def _projection_matrix(theta: np.ndarray) -> np.ndarray:
@@ -218,13 +226,13 @@ def _resolve_offsets(theta: np.ndarray, lifts: Lifts, m_obs) -> _View:
         def rebuild(s):
             h = _homogeneous(p, _on_line(lifts, s))
             proj = _dehom(h)
-            gap = m_obs - proj
-            gap = np.einsum("ij,ij->j", gap, gap)
+            residual = m_obs - proj
+            gap = np.einsum("ij,ij->j", residual, residual)
             gap = np.where(np.isfinite(gap) & (h[2] > 0), gap, np.inf)
-            return h[2], proj, gap
+            return h[2], proj, residual, gap
 
-        depth_a, proj_a, gap_a = rebuild(roots_minus)
-        depth_b, proj_b, gap_b = rebuild(roots_plus)
+        depth_a, proj_a, residual_a, gap_a = rebuild(roots_minus)
+        depth_b, proj_b, residual_b, gap_b = rebuild(roots_plus)
         minus = gap_a <= gap_b
         s = np.where(minus, roots_minus, roots_plus)
         depth = np.where(minus, depth_a, depth_b)
@@ -251,24 +259,8 @@ def _resolve_offsets(theta: np.ndarray, lifts: Lifts, m_obs) -> _View:
         m_proj=m_proj,
         depth=depth,
         feasible=feasible,
+        residuals=np.where(feasible, np.where(minus, residual_a, residual_b), np.nan),
     )
-
-
-def _frozen_residuals(view: _View, m_obs) -> np.ndarray:
-    """Residual vector of the frozen triples, continuous in theta.
-
-    The fit sees only the triples frozen valid at its start, and unlike
-    _gate never re-gates them: each is evaluated at every theta, so the
-    optimizer sees a smooth objective instead of residuals snapping to
-    zero when a triple crosses a gating boundary.  A triple that becomes
-    infeasible at this theta (plane projection or rebuilt point behind the
-    camera, offset blown up) turns its rows into NaN, which the solver
-    takes as a failed step and answers by shrinking its trust region.  All
-    u residuals come first, then all v residuals.
-    """
-    with np.errstate(invalid="ignore"):
-        residuals = m_obs - view.m_proj
-    return np.where(view.feasible, residuals, np.nan).ravel()
 
 
 def _pixel_jacobian(theta: np.ndarray, x: np.ndarray, z: np.ndarray):
@@ -297,7 +289,7 @@ def _pixel_jacobian(theta: np.ndarray, x: np.ndarray, z: np.ndarray):
 
 
 def _frozen_jacobian(view: _View, lifts: Lifts) -> np.ndarray:
-    """Jacobian of _frozen_residuals over theta, in closed form.
+    """Jacobian of the view's raveled residuals over theta, in closed form.
 
     Forward mode through the residual.  The image length ratio
     k = c d10 d20 / (d1x d2m), with the 3D factor c fixed, moves by
@@ -310,7 +302,7 @@ def _frozen_jacobian(view: _View, lifts: Lifts) -> np.ndarray:
     d = -lifts.unit pointing from X2 toward X0.  The residual is the
     observed pixel minus that one, hence the sign.
 
-    Like _frozen_residuals it sees only the frozen triples, and nothing is
+    Like the fit's residuals it sees only the frozen triples, and nothing is
     zeroed: MINPACK asks for the Jacobian only at a theta whose residuals
     it has accepted, finite, where every one of them is feasible.  The
     segments a and their squared lengths come with the view, and each
@@ -356,39 +348,33 @@ def _frozen_jacobian(view: _View, lifts: Lifts) -> np.ndarray:
     return jt.T
 
 
-def noise_sensitivity(
-    theta: np.ndarray, corrs: CorrespondenceSet, poses: PlanePosePair
-) -> np.ndarray:
+def noise_sensitivity(theta: np.ndarray, lifts: Lifts, m_obs, poses: PlanePosePair) -> np.ndarray:
     """Per-triple response of the residual to correspondence noise, px/mm.
 
-    theta is the camera vector of _pack.  Central
-    differences of the reprojection residual with respect to the six
-    in-plane coordinates of the triple, root-sum-squared.  The
-    cross-ratio loses its grip on the surface point when the middle
-    correspondence lifts close to either end of the segment (the ratio
-    saturates), and this derivative is how that shows up numerically:
-    such triples answer with hundreds of pixels per millimetre while
-    well-posed ones answer with tens.
+    Central differences of the view's residual rows at the camera vector
+    theta over the six in-plane coordinates of each triple, root-sum-
+    squared.  A coordinate moves its lift along its pose's in-plane axis (a
+    rotation column; the world axes for pose 0), so each probe moves one of
+    refine's lift stacks and rebuilds the line with Lifts.of, against the
+    same (2, n) pixel rows m_obs.  The cross-ratio loses its grip on the
+    surface point when the middle correspondence lifts close to either end
+    of the segment (the ratio saturates), and this derivative is how that
+    shows up numerically: such triples answer with hundreds of pixels per
+    millimetre while well-posed ones answer with tens.
     """
-    m_obs = np.asarray(corrs.pixels, dtype=float).T.copy()
-    base = (
-        np.asarray(corrs.x0, dtype=float),
-        np.asarray(corrs.x1, dtype=float),
-        np.asarray(corrs.x2, dtype=float),
-    )
+    stacks = (lifts.p0, lifts.p1, lifts.p2)
+    axes = (np.eye(3), poses.pose1.rotation, poses.pose2.rotation)
 
-    def residuals_at(arrays):
-        lifts = lift_triples(poses, *arrays)
-        return _frozen_residuals(_resolve_offsets(theta, lifts, m_obs), m_obs).reshape(2, -1)
+    def residuals_at(which, step):
+        moved = list(stacks)
+        moved[which] = moved[which] + step
+        return _resolve_offsets(theta, Lifts.of(*moved), m_obs).residuals
 
     total = np.zeros(m_obs.shape[1])
     for which in range(3):
         for coord in range(2):
-            plus = [a.copy() for a in base]
-            minus = [a.copy() for a in base]
-            plus[which][:, coord] += SENSITIVITY_STEP_MM
-            minus[which][:, coord] -= SENSITIVITY_STEP_MM
-            dr = (residuals_at(plus) - residuals_at(minus)) / (2.0 * SENSITIVITY_STEP_MM)
+            step = SENSITIVITY_STEP_MM * axes[which][:, coord : coord + 1]
+            dr = (residuals_at(which, step) - residuals_at(which, -step)) / (2.0 * SENSITIVITY_STEP_MM)
             dr = np.clip(np.nan_to_num(dr, nan=_SINGULAR_RESIDUAL), -_SINGULAR_RESIDUAL, _SINGULAR_RESIDUAL)
             total += np.einsum("ij,ij->j", dr, dr)
     return np.sqrt(total)
@@ -468,25 +454,21 @@ def refine(
     from it, and a convergence report.  The validity mask is frozen at the
     starting camera so the objective stays fixed during the optimization:
     the fit takes the frozen triples' lifts and pixels once and sees no
-    other triple.  The returned surface is rebuilt (mask and all) at the
-    optimized camera.
-    Both masks come from _gate; the noise-sensitive triples are measured at
-    the start and stay masked at the end, and the report counts the start
-    mask's reasons.
+    other triple.  Both masks come from _gate.  The noise-sensitive triples
+    are measured at the start and stay masked at the end; every other check
+    is made again at the optimized camera.  So the report counts the start
+    camera's mask and the surface the final camera's, and a triple left out
+    of the fit (behind the start camera, say) can come back valid.
 
     The solver is MINPACK's Levenberg-Marquardt (linalg.least_squares, as
     in projection._refine_metric) on the analytic Jacobian of
-    _frozen_jacobian: each projected plane point moves with the intrinsics
-    directly and with the pose through the SO(3) left Jacobian, the image
-    length ratio k through its four image distances, the winning root
-    s = xi1 / (1 -+ k) through k, and the rebuilt point through s along the
-    camera-frame line direction.  The report's status is
+    _frozen_jacobian.  The report's status is
     non_decreasing_start (the start is already exact), gradient (residuals
     orthogonal to every Jacobian column to 1e-8), plateau (relative cost
     decrease below 1e-12), step (relative step below 1e-12) or
-    max_iterations, and its iterations count the Jacobian evaluations.  Both costs are sums of squared
-    residuals taken with einsum, so a dense scan's 28k residuals do not
-    wake OpenBLAS's thread pool.
+    max_iterations, and its iterations count the Jacobian evaluations.
+    Both costs are sums of squared residuals taken with einsum, so a dense
+    scan's 28k residuals do not wake OpenBLAS's thread pool.
 
     Raises TooFewCorrespondencesError when fewer than MIN_TRIPLES triples
     pass the gate at the start camera.
@@ -498,7 +480,7 @@ def refine(
     def measure_noise(usable):
         if not usable.any():
             return usable
-        sens = noise_sensitivity(theta, corrs, poses)
+        sens = noise_sensitivity(theta, lifts, m_obs, poses)
         return usable & (sens > SENSITIVITY_CAP * float(np.median(sens[usable])))
 
     start, _, reason = _gate(theta, lifts, m_obs, measure_noise)
@@ -515,7 +497,7 @@ def refine(
         _, surface, _ = _gate(theta, lifts, m_obs, lambda usable: noisy)
         return camera, surface, ConvergenceReport(status, iterations, cost0, cost, mask_reasons)
 
-    cost0 = sum_squares((m_obs - start.m_proj)[:, frozen].ravel())
+    cost0 = sum_squares(start.residuals[:, frozen].ravel())
     if cost0 < 1e-16:
         return finish(theta, "non_decreasing_start", 0, cost0, cost0)
     fit_lifts = Lifts(*(getattr(lifts, f.name)[..., frozen] for f in fields(Lifts)))
@@ -523,7 +505,7 @@ def refine(
 
     def model(vec):
         view = _resolve_offsets(vec, fit_lifts, fit_obs)
-        return _frozen_residuals(view, fit_obs), lambda: _frozen_jacobian(view, fit_lifts)
+        return view.residuals.ravel(), lambda: _frozen_jacobian(view, fit_lifts)
 
     fit = least_squares(model, theta)
     return finish(fit.x, fit.status, fit.njev, cost0, fit.cost)

@@ -60,6 +60,12 @@ def clean_data(scene):
 
 
 @pytest.fixture(scope="module")
+def dense_data(scene):
+    # the surface-g4 benchmark draw
+    return generate_dataset(scene, 4, NoiseSpec(sigma_mm=0.5, gamma_px=0.5, seed=0))
+
+
+@pytest.fixture(scope="module")
 def noisy_fit(rig, noisy_data, poses):
     return cr.refine(rig, noisy_data, poses)
 
@@ -115,7 +121,7 @@ class TestFrozenJacobian:
         lifts, m_obs = frozen_subset(lifts, m_obs, frozen)
 
         def residuals(vec):
-            return cr._frozen_residuals(cr._resolve_offsets(vec, lifts, m_obs), m_obs)
+            return cr._resolve_offsets(vec, lifts, m_obs).residuals.ravel()
 
         jac = cr._frozen_jacobian(cr._resolve_offsets(theta, lifts, m_obs), lifts)
         numeric = np.empty_like(jac)
@@ -191,14 +197,14 @@ class TestFrozenJacobian:
         theta = cr._pack(rig)
         lifts = lifts_of(noisy_data, poses)
         m_obs = pixel_rows(noisy_data)
-        sens = cr.noise_sensitivity(theta, noisy_data, poses)
+        sens = cr.noise_sensitivity(theta, lifts, m_obs, poses)
 
         def noisy(usable):
             return usable & (sens > cr.SENSITIVITY_CAP * np.median(sens[usable]))
 
         view, _, reason = cr._gate(theta, lifts, m_obs, noisy)
         frozen = reason == ""
-        padded = np.where(frozen, cr._frozen_residuals(view, m_obs).reshape(2, -1), 0.0)
+        padded = np.where(frozen, view.residuals, 0.0)
         rows = []
         original = cr.least_squares
 
@@ -249,6 +255,77 @@ class TestResolveOffsets:
             assert view.s[i] == pytest.approx(s, rel=1e-12)
             assert view.m_proj[:, i] == pytest.approx(proj, rel=1e-12)
             assert view.depth[i] == pytest.approx(depth, rel=1e-12)
+
+    def test_residuals_contract(self, rig, noisy_data, poses):
+        # NaN exactly where infeasible and m_obs - m_proj elsewhere, all u
+        # rows before all v rows once raveled: the order the central
+        # differences of TestFrozenJacobian hold _frozen_jacobian's rows to.
+        # The camera is moved off the rig so that some triples fall infeasible
+        theta = cr._pack(rig)
+        theta[4:] += TestFrozenJacobian.EXTRINSIC_STEP
+        m_obs = pixel_rows(noisy_data)
+        view = cr._resolve_offsets(theta, lifts_of(noisy_data, poses), m_obs)
+        feasible = view.feasible
+        assert 0 < feasible.sum() < len(feasible)
+        assert view.residuals.shape == m_obs.shape
+        assert np.array_equal(np.isnan(view.residuals), np.broadcast_to(~feasible, m_obs.shape))
+        raveled = np.split(view.residuals.ravel(), 2)
+        for row, (obs, proj) in enumerate(zip(m_obs, view.m_proj)):
+            assert np.array_equal(raveled[row][feasible], obs[feasible] - proj[feasible])
+
+
+def reference_sensitivity(theta, data, poses):
+    """noise_sensitivity by re-lifting perturbed correspondences, one probe
+    at a time: each of the six plane coordinates of every triple moved by
+    +-SENSITIVITY_STEP_MM before the lift."""
+    m_obs = pixel_rows(data)
+    base = [np.asarray(a, dtype=float) for a in (data.x0, data.x1, data.x2)]
+    total = np.zeros(m_obs.shape[1])
+    for which in range(3):
+        for coord in range(2):
+            rows = []
+            for sign in (1.0, -1.0):
+                moved = [a.copy() for a in base]
+                moved[which][:, coord] += sign * cr.SENSITIVITY_STEP_MM
+                rows.append(cr._resolve_offsets(theta, lift_triples(poses, *moved), m_obs).residuals)
+            dr = (rows[0] - rows[1]) / (2.0 * cr.SENSITIVITY_STEP_MM)
+            dr = np.clip(np.nan_to_num(dr, nan=cr._SINGULAR_RESIDUAL), -cr._SINGULAR_RESIDUAL, cr._SINGULAR_RESIDUAL)
+            total += np.einsum("ij,ij->j", dr, dr)
+    return np.sqrt(total)
+
+
+class TestNoiseSensitivity:
+    @pytest.mark.parametrize("draw", ["noisy_data", "dense_data"])
+    def test_matches_relifted_reference(self, rig, poses, draw, request):
+        # moving a lift along its pose's in-plane axis differs from
+        # re-lifting the moved coordinate only by roundoff (2.7e-10
+        # relative at most on these draws, where the nearest usable triple
+        # sits 4.8e-4 relative from the mask's threshold); the singular
+        # rows (the triples behind the camera) and the mask must not move
+        data = request.getfixturevalue(draw)
+        theta = cr._pack(rig)
+        lifts, m_obs = lifts_of(data, poses), pixel_rows(data)
+        sens = cr.noise_sensitivity(theta, lifts, m_obs, poses)
+        expected = reference_sensitivity(theta, data, poses)
+        singular = expected >= cr._SINGULAR_RESIDUAL
+        assert singular.any()
+        assert np.array_equal(sens >= cr._SINGULAR_RESIDUAL, singular)
+        assert np.all(np.abs(sens - expected) <= 1e-9 * expected)
+
+        gated = []
+
+        def noisy(usable):
+            gated.append(usable)
+            return np.zeros_like(usable)
+
+        cr._gate(theta, lifts, m_obs, noisy)
+        (usable,) = gated
+
+        def mask(values):
+            return usable & (values > cr.SENSITIVITY_CAP * np.median(values[usable]))
+
+        assert mask(expected).any()
+        assert np.array_equal(mask(sens), mask(expected))
 
 
 class TestRefine:
