@@ -12,7 +12,7 @@ while the point on it reprojects far away.  The minimization is MINPACK's
 Levenberg-Marquardt (linalg.least_squares, as for the camera in
 projection and the plane poses in plane_pose) on the closed-form Jacobian
 of that error, carried forward from the projections through the
-cross-ratio and the chosen root to the rebuilt point, and written
+cross-ratio and its one physical root to the rebuilt point, and written
 straight into the array MINPACK reads with only the rows of each pixel
 derivative that are neither zero nor one formed (see _frozen_jacobian).
 
@@ -20,6 +20,10 @@ The plane poses stay fixed throughout; only the camera moves.  So does
 the correspondence line: plane_pose.Lifts decides it once per lift, from
 the pose-0 and pose-2 lifts, and this module only reads it.  refine lifts
 the triples once, and the noise probe moves those lifts (noise_sensitivity).
+refine works in a world frame centred on the mean pose-0 lift, as the
+eight-point algorithm centres its points (Hartley, "In Defense of the
+Eight-Point Algorithm", PAMI 1997): the fit's path then does not depend on
+where the plane's coordinate origin lies.
 
 Every per-triple stack is rows first, as in Lifts: 3-vectors are (3, n)
 and pixels (2, n), so each product, division and norm runs over long
@@ -33,7 +37,7 @@ division 48 against 230 us, and an image distance 61 against 305 us
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -120,8 +124,8 @@ def _dehom(h: np.ndarray) -> np.ndarray:
     return h[:2] / w
 
 
-def _cross_ratio_roots(lifts: Lifts, x0, x1, x2, m):
-    """Candidate cross-ratio offsets for each triple.
+def _cross_ratio_offset(lifts: Lifts, x0, x1, x2, m):
+    """Cross-ratio offset of each triple's surface point.
 
     x*/m are dehomogenized image points.  The line, its length B and the
     signed coordinate xi1 = lifts.along of X1 from X2 toward X0 come from
@@ -132,14 +136,14 @@ def _cross_ratio_roots(lifts: Lifts, x0, x1, x2, m):
 
         s = xi1 / (1 - k)   and   s = xi1 / (1 + k).
 
-    Both satisfy the unsigned cross-ratio equality; which one is the
-    actual surface point is decided by the caller (the reconstruction
-    must land back on the observation).  The observation enters through
-    its full 2D position, so the residual built from the winning root
-    measures point-to-point error, not merely the distance from m to the
-    projected line.  Returns (roots_minus, roots_plus, k, segments,
-    squared): the segments x1 - m, x2 - x0, x1 - x0, x2 - m and their
-    squared lengths, whose square roots are np.linalg.norm's bit for bit.
+    Only the first is physical.  The second lies between X2 and X1, while
+    the mirror point comes before all three plane hits on its reflected
+    ray, so its offset lies outside the X2-X0 segment: s < 0 or s > B.
+    The observation enters through its full 2D position, so the residual
+    built from s measures point-to-point error, not merely the distance
+    from m to the projected line.  Returns (s, k, segments, squared): the
+    segments x1 - m, x2 - x0, x1 - x0, x2 - m and their squared lengths,
+    whose square roots are np.linalg.norm's bit for bit.
     """
     segments = (x1 - m, x2 - x0, x1 - x0, x2 - m)
     squared = tuple(np.einsum("ij,ij->j", a, a) for a in segments)
@@ -147,9 +151,8 @@ def _cross_ratio_roots(lifts: Lifts, x0, x1, x2, m):
     with np.errstate(divide="ignore", invalid="ignore"):
         cr_img = (d10 * d20) / (d1x * d2m)
         k = cr_img * np.abs(lifts.length - lifts.along) / lifts.length
-        roots_minus = lifts.along / (1.0 - k)
-        roots_plus = lifts.along / (1.0 + k)
-    return roots_minus, roots_plus, k, segments, squared
+        s = lifts.along / (1.0 - k)
+    return s, k, segments, squared
 
 
 # stand-in for a singular evaluation in the noise-sensitivity probe;
@@ -164,14 +167,14 @@ class _View:
     and Jacobian, and the noise probe.
 
     pixels are the images of X0, X1, X2, depths their camera-frame depths
-    and segments and squared those of _cross_ratio_roots.  minus marks
-    triples whose offset s is the root xi1 / (1 - k); m_proj and depth are
-    the image and depth of the rebuilt surface point.  residuals, (2, n),
-    is m_obs - m_proj where feasible and NaN elsewhere; raveled, u rows
-    before v rows, it is the fit's residual vector.  The fit never re-gates
-    its frozen triples, so its objective stays smooth in theta: one that
-    turns infeasible turns its rows into NaN, which the solver takes as a
-    failed step and answers by shrinking its trust region.
+    and s, k, segments and squared those of _cross_ratio_offset; m_proj
+    and depth are the image and depth of the rebuilt surface point.
+    residuals, (2, n), is m_obs - m_proj where feasible and NaN elsewhere;
+    raveled, u rows before v rows, it is the fit's residual vector.  Each
+    triple keeps its one root and the fit never re-gates its frozen
+    triples, so its objective stays smooth in theta: one that turns
+    infeasible turns its rows into NaN, which the solver takes as a failed
+    step and answers by shrinking its trust region.
     """
 
     theta: np.ndarray
@@ -180,7 +183,6 @@ class _View:
     segments: tuple
     squared: tuple
     k: np.ndarray
-    minus: np.ndarray
     s: np.ndarray
     m_proj: np.ndarray
     depth: np.ndarray
@@ -207,46 +209,32 @@ def _on_line(lifts: Lifts, s: np.ndarray) -> np.ndarray:
 
 
 def _resolve_offsets(theta: np.ndarray, lifts: Lifts, m_obs) -> _View:
-    """Solve the cross-ratio for every triple and pick the physical root.
+    """Solve the cross-ratio for every triple and rebuild its surface point.
 
     Projects the lifted plane points with the camera described by theta,
-    solves the segment-length cross-ratio equality for both algebraic
-    roots, rebuilds a candidate surface point from each, and keeps the
-    root whose reprojection lands closer to the observed pixel.  feasible
-    marks triples whose plane projections and winning reprojection all
-    have positive depth and a finite offset; everything else in those rows
-    is unreliable.
+    takes the physical offset of _cross_ratio_offset and reprojects the
+    point it rebuilds.  feasible marks triples whose plane projections and
+    rebuilt point all have positive depth and a finite offset; everything
+    else in those rows is unreliable.
     """
     p = _projection_matrix(theta)
     with np.errstate(all="ignore"):
         hs = tuple(_homogeneous(p, q) for q in (lifts.p0, lifts.p1, lifts.p2))
         pixels = tuple(_dehom(h) for h in hs)
-        roots_minus, roots_plus, k, segments, squared = _cross_ratio_roots(lifts, *pixels, m_obs)
-
-        def rebuild(s):
-            h = _homogeneous(p, _on_line(lifts, s))
-            proj = _dehom(h)
-            residual = m_obs - proj
-            gap = np.einsum("ij,ij->j", residual, residual)
-            gap = np.where(np.isfinite(gap) & (h[2] > 0), gap, np.inf)
-            return h[2], proj, residual, gap
-
-        depth_a, proj_a, residual_a, gap_a = rebuild(roots_minus)
-        depth_b, proj_b, residual_b, gap_b = rebuild(roots_plus)
-        minus = gap_a <= gap_b
-        s = np.where(minus, roots_minus, roots_plus)
-        depth = np.where(minus, depth_a, depth_b)
-        m_proj = np.where(minus, proj_a, proj_b)
+        s, k, segments, squared = _cross_ratio_offset(lifts, *pixels, m_obs)
+        h = _homogeneous(p, _on_line(lifts, s))
+        m_proj = _dehom(h)
         depths = tuple(h[2] for h in hs)
         feasible = (
             (depths[0] > 0)
             & (depths[1] > 0)
             & (depths[2] > 0)
-            & (depth > 0)
+            & (h[2] > 0)
             & np.isfinite(s)
             & (np.abs(s) < MAX_OFFSET_MM)
             & np.isfinite(m_proj).all(axis=0)
         )
+        residuals = np.where(feasible, m_obs - m_proj, np.nan)
     return _View(
         theta=theta,
         pixels=pixels,
@@ -254,12 +242,11 @@ def _resolve_offsets(theta: np.ndarray, lifts: Lifts, m_obs) -> _View:
         segments=segments,
         squared=squared,
         k=k,
-        minus=minus,
         s=s,
         m_proj=m_proj,
-        depth=depth,
+        depth=h[2],
         feasible=feasible,
-        residuals=np.where(feasible, np.where(minus, residual_a, residual_b), np.nan),
+        residuals=residuals,
     )
 
 
@@ -295,11 +282,10 @@ def _frozen_jacobian(view: _View, lifts: Lifts) -> np.ndarray:
     k = c d10 d20 / (d1x d2m), with the 3D factor c fixed, moves by
     dk = k (dd10/d10 + dd20/d20 - dd1x/d1x - dd2m/d2m), and an image
     distance d = |a| by a . da / d, so dk / k is a weighted sum of the
-    three plane points' pixel derivatives.  The chosen root moves by
-    ds = s dk / (1 - k) for xi1 / (1 - k) and by -s dk / (1 + k) for
-    xi1 / (1 + k).  The rebuilt point's pixel moves as a fixed world point
-    would, plus ds along the camera-frame line direction R d, with
-    d = -lifts.unit pointing from X2 toward X0.  The residual is the
+    three plane points' pixel derivatives.  The offset s = xi1 / (1 - k)
+    moves by ds = s dk / (1 - k).  The rebuilt point's pixel moves as a
+    fixed world point would, plus ds along the camera-frame line direction
+    R d, with d = -lifts.unit pointing from X2 toward X0.  The residual is the
     observed pixel minus that one, hence the sign.
 
     Like the fit's residuals it sees only the frozen triples, and nothing is
@@ -333,7 +319,7 @@ def _frozen_jacobian(view: _View, lifts: Lifts) -> np.ndarray:
             dlogk = terms if dlogk is None else [np.add(d, t, out=d) for d, t in zip(dlogk, terms)]
         k, s = view.k, view.s
         # -ds / dlogk over the rebuilt point's depth
-        along = np.where(view.minus, -s * k / (1.0 - k), s * k / (1.0 + k)) / view.depth
+        along = -s * k / (1.0 - k) / view.depth
         ray = np.einsum("ij,jn->in", -so3.exp(theta[4:7]), lifts.unit)
         # one row per parameter, in the residuals' order: u rows, then v rows
         jt = np.empty((10, 2 * n))
@@ -390,7 +376,7 @@ def _gate(theta: np.ndarray, lifts: Lifts, m_obs, noisy):
     COLLINEARITY_TOL times that length.  Euclidean segment lengths only
     mean something for points actually on the image plane, so the plane
     points must project with positive depth; the rebuilt surface point
-    must too, and the cross-ratio must have a usable root.  noisy maps the
+    must too, and the cross-ratio must give a usable offset.  noisy maps the
     triples that pass every earlier check to those masked as
     noise_sensitive.
 
@@ -453,12 +439,23 @@ def refine(
     reprojection cost, and returns the refined camera, the surface rebuilt
     from it, and a convergence report.  The validity mask is frozen at the
     starting camera so the objective stays fixed during the optimization:
-    the fit takes the frozen triples' lifts and pixels once and sees no
+    the fit takes the frozen triples' lifts and pixels once, as
+    C-contiguous copies (np.compress; a boolean index on the last axis
+    returns column-major stacks, whose strided rows are slower), and sees no
     other triple.  Both masks come from _gate.  The noise-sensitive triples
     are measured at the start and stay masked at the end; every other check
     is made again at the optimized camera.  So the report counts the start
     camera's mask and the surface the final camera's, and a triple left out
     of the fit (behind the start camera, say) can come back valid.
+
+    Everything runs in a world frame centred on the mean pose-0 lift c:
+    the lifts are p - c and the translation T + R c, and the camera and the
+    surface are moved back at the end.  The plane's coordinate origin is a
+    gauge choice that may lie metres from the scan; about it a small
+    rotation moves the points much as a translation does, and where the fit
+    stopped moved with that origin.  On noisy grid 8, moving the world
+    rigidly by up to 2.1 m moved the refined surface by up to 3.5e-4 mm
+    besides the move, and by 8e-11 mm centred.
 
     The solver is MINPACK's Levenberg-Marquardt (linalg.least_squares, as
     in projection._refine_metric) on the analytic Jacobian of
@@ -473,8 +470,12 @@ def refine(
     Raises TooFewCorrespondencesError when fewer than MIN_TRIPLES triples
     pass the gate at the start camera.
     """
-    theta = _pack(theta0)
     lifts = lift_triples(poses, corrs.x0, corrs.x1, corrs.x2)
+    # a non-finite plane coordinate masks its own triple, not the frame
+    centre = np.mean(lifts.p0, axis=1, where=np.isfinite(lifts.p0))
+    lifts = replace(lifts, **{name: getattr(lifts, name) - centre[:, None] for name in ("p0", "p1", "p2")})
+    theta = _pack(theta0)
+    theta[7:] += theta0.rotation @ centre
     m_obs = np.asarray(corrs.pixels, dtype=float).T.copy()
 
     def measure_noise(usable):
@@ -495,13 +496,15 @@ def refine(
     def finish(vec, status, iterations, cost0, cost):
         theta, camera = _unpack(vec, cost)
         _, surface, _ = _gate(theta, lifts, m_obs, lambda usable: noisy)
+        camera.translation -= camera.rotation @ centre
+        surface.points += centre
         return camera, surface, ConvergenceReport(status, iterations, cost0, cost, mask_reasons)
 
     cost0 = sum_squares(start.residuals[:, frozen].ravel())
     if cost0 < 1e-16:
         return finish(theta, "non_decreasing_start", 0, cost0, cost0)
-    fit_lifts = Lifts(*(getattr(lifts, f.name)[..., frozen] for f in fields(Lifts)))
-    fit_obs = m_obs[:, frozen]
+    fit_lifts = Lifts(*(np.compress(frozen, getattr(lifts, f.name), axis=-1) for f in fields(Lifts)))
+    fit_obs = np.compress(frozen, m_obs, axis=1)
 
     def model(vec):
         view = _resolve_offsets(vec, fit_lifts, fit_obs)
