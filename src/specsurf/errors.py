@@ -60,14 +60,6 @@ class TooFewObservationsError(SpecsurfError):
     """Fewer pixel/line observations than the 17 the camera solve needs."""
 
 
-class RankDeficientZError(SpecsurfError):
-    """The incidence design matrix has an ambiguous nullspace.
-
-    Raised by a focal-sweep sample's cold start; projection.focal_sweep
-    skips that sample, so the error never leaves the sweep.
-    """
-
-
 class DegenerateLineProjectionError(SpecsurfError):
     """A projected image line has a vanishing direction part for every item."""
 

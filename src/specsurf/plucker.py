@@ -52,18 +52,6 @@ def lines_from_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([so3.cross(a, b), a - b])
 
 
-def rescale_lines(lines: np.ndarray, rho: float) -> np.ndarray:
-    """Unit line coordinates of the lines with every point divided by rho.
-
-    The moment a x b is divided by rho^2 and the direction a - b by rho;
-    works on (6, n) stacks, one line per column.
-    """
-    out = np.array(lines, dtype=float)
-    out[:3] /= rho * rho
-    out[3:] /= rho
-    return out / np.linalg.norm(out, axis=0)
-
-
 def point_to_line_matrix(p: np.ndarray) -> np.ndarray:
     """The 3x6 line projection matrix [cof(Q) | -[t]x Q] of P = [Q | t].
 

@@ -72,14 +72,13 @@ from .errors import (
     CheiralityUnresolvableError,
     DegenerateLineProjectionError,
     RankDeficientError,
-    RankDeficientZError,
     SweepNoMinimumError,
     TooFewObservationsError,
 )
 from . import so3
 from .linalg import least_squares, right_singular
 from .plane_pose import MIN_LIFT_SEPARATION_MM, lift_triples
-from .plucker import line_to_point_matrix, lines_from_points, point_to_line_matrix, rescale_lines
+from .plucker import line_to_point_matrix, lines_from_points, point_to_line_matrix
 from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, PlanePosePair
 
 MIN_OBSERVATIONS = 17
@@ -144,25 +143,24 @@ def _incidence_rows(obs: LineObservationSet) -> np.ndarray:
     return np.concatenate([u * obs.lines, v * obs.lines, obs.lines]).T
 
 
-def _world_scale(lines: np.ndarray) -> float:
-    """Typical distance of the lines from the world origin."""
-    dists = np.linalg.norm(lines[:3], axis=0) / np.linalg.norm(lines[3:], axis=0)
-    rho = float(np.mean(dists))
-    return rho if np.isfinite(rho) and rho > 1e-9 else 1.0
-
-
 def _normalized_copy(obs: LineObservationSet):
     """Rescaled observations plus the scales that undo the rescale.
 
     Pixels are scaled about the origin, so a principal-point-centered
-    origin stays put, and every line as if its points were divided by the
-    world scale.  Returns (obs_n, s_pix, rho).
+    origin stays put.  The world scale rho is the lines' mean distance from
+    the world origin, and every line becomes the unit line through its
+    points divided by rho: its moment divided by rho^2, its direction by
+    rho.  Returns (obs_n, s_pix, rho).
     """
     spread = np.mean(np.linalg.norm(obs.pixels, axis=0))
     s_pix = np.sqrt(2.0) / spread if spread > 1e-12 else 1.0
-    rho = _world_scale(obs.lines)
-    obs_n = replace(obs, pixels=obs.pixels * s_pix, lines=rescale_lines(obs.lines, rho))
-    return obs_n, s_pix, rho
+    moments, directions = obs.lines[:3], obs.lines[3:]
+    rho = float(np.mean(np.linalg.norm(moments, axis=0) / np.linalg.norm(directions, axis=0)))
+    if not (np.isfinite(rho) and rho > 1e-9):
+        rho = 1.0
+    lines = np.concatenate([moments / (rho * rho), directions / rho])
+    lines /= np.linalg.norm(lines, axis=0)
+    return replace(obs, pixels=obs.pixels * s_pix, lines=lines), s_pix, rho
 
 
 def point_line_cost(line_matrix: np.ndarray, obs: LineObservationSet) -> float:
@@ -203,12 +201,13 @@ def _metric_decode(metric_lm: np.ndarray):
     Scale from the mean rotation-row norm.  The converted camera g has
     det(g[:, :3]) > 0 (a cofactor block's determinant is a square) and comes
     first; -g, its block taken to the nearest rotation, is a second start.
+    Rows that collapse to zero, or are not finite, give no start.
     """
     g = line_to_point_matrix(metric_lm)
     row_norms = np.linalg.norm(g[:, :3], axis=1)
     lam = float(np.mean(row_norms))
     if lam <= 0 or not np.isfinite(lam):
-        raise RankDeficientZError("metric camera rows collapsed to zero")
+        return []
     g = g / lam
     return [(so3.closest_rotation(s * g[:, :3]), s * g[:, 3]) for s in (1.0, -1.0)]
 
@@ -350,7 +349,9 @@ def _solve_at_focal(f_n, obs_n, z_n, init=None):
 
     Returns one (R, T, fit) per start, lowest cost first, fit being the
     refinement's linalg.least_squares result, its cost the point-to-line
-    cost in rescaled pixel units.  The caller tests the cameras'
+    cost in rescaled pixel units.  A cold start whose incidence matrix
+    leaves more than a scale ambiguity, or whose decode collapses, has no
+    start and returns no fits.  The caller tests the cameras'
     chirality: under heavy noise the fixed-focal cost has spurious
     attractors (a reflected and a reversed camera) that a start can fall
     into, and the sweep's continuation across focal lengths escapes them.
@@ -359,11 +360,7 @@ def _solve_at_focal(f_n, obs_n, z_n, init=None):
     if init is None:
         d = np.concatenate([np.full(12, f_n), np.full(6, f_n * f_n)])
         s, vt = right_singular(z_n * d)
-        if s[16] < 1e-12 * s[0]:
-            raise RankDeficientZError(
-                "incidence matrix leaves more than a scale ambiguity"
-            )
-        starts = _metric_decode(vt[17].reshape(3, 6))
+        starts = [] if s[16] < 1e-12 * s[0] else _metric_decode(vt[17].reshape(3, 6))
     fits = [_refine_metric(f_n, obs_n, start)[1:] for start in starts]
     return sorted(fits, key=lambda refined: refined[2].cost)
 
@@ -391,9 +388,10 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
     each sample in pixels squared (cost_curve, inf where the solve failed),
     the residual evaluations of all its fits, the polish and the cold
     starts of ended passes included (nfev), the number of passes ended
-    after their cold start (dropped_passes, 0 or 1 on an estimate),
-    n_observations and n_skipped.  SweepNoMinimumError's message says how
-    many of the two passes ended after their cold start.
+    after their cold start (dropped_passes, 0 or 1 on an estimate).  The
+    estimate's cost is the polish's own point-to-line cost in pixels
+    squared.  SweepNoMinimumError's message says how many of the two
+    passes ended after their cold start.
     """
     width, height = image_size
     u0 = (width - 1) / 2.0
@@ -418,13 +416,13 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
         # sample behind the camera, or one bad focal value, must not cut
         # the chain; a cold start behind the camera lies in the mirror
         # twin's basin, which the warm chain would not leave, so the pass
-        # ends there and returns True
+        # ends there and returns True; a cold start with no fits skips its
+        # sample, and the next one starts cold
         warm = None
         for i in order:
             f_n = grid[i] * s_pix
-            try:
-                fits = _solve_at_focal(f_n, obs_n, z_n, init=warm)
-            except RankDeficientZError:
+            fits = _solve_at_focal(f_n, obs_n, z_n, init=warm)
+            if not fits:
                 continue
             nfev.extend(fit.nfev for *_, fit in fits)
             rotation, t_n, fit = fits[0]
@@ -455,21 +453,17 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
     if front < MIN_FRONT_FRACTION:
         raise CheiralityUnresolvableError(f"only {front:.1%} of the pixels see their lines in front")
     f_best = f_n / s_pix
-    translation = t_n * rho
-    intr = Intrinsics(f_best, f_best, u0, v0)
-    cost = point_line_cost(camera_line_matrix(intr, rotation, translation), obs)
     return CalibrationEstimate(
-        intrinsics=intr,
+        intrinsics=Intrinsics(f_best, f_best, u0, v0),
         rotation=rotation,
-        translation=translation,
+        translation=t_n * rho,
         source="constrained",
-        cost=cost,
+        # the rescaled fits' costs, back to raw pixel units
+        cost=polish.cost / (s_pix * s_pix),
         diagnostics={
             "f_grid": grid,
-            "cost_curve": costs / (s_pix * s_pix),  # back to raw pixel units
+            "cost_curve": costs / (s_pix * s_pix),
             "nfev": polish.nfev + sum(nfev),
             "dropped_passes": dropped,
-            "n_observations": len(obs),
-            "n_skipped": obs.n_skipped,
         },
     )

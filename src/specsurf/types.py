@@ -150,8 +150,8 @@ class CalibrationEstimate:
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,) mm
     source: str  # "constrained" (focal_sweep) | "crossratio" (refine)
-    # px^2 (sum): the point-to-line cost for "constrained", the cross-ratio
-    # reprojection cost for "crossratio"
+    # px^2 (sum): the focal sweep polish's own point-to-line cost for
+    # "constrained", the cross-ratio reprojection cost for "crossratio"
     cost: float = float("nan")
     diagnostics: dict[str, Any] = field(default_factory=dict)
 

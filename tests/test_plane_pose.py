@@ -7,6 +7,8 @@ algebraic pipeline is checked against geometry it has never seen.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from specsurf.plane_pose import (
     refine_plane_poses,
     spurious_null_vector,
 )
-from specsurf.sim import default_two_sphere_scene, generate_dataset, pure_translation_scene
+from specsurf.sim import SphereMirror, default_two_sphere_scene, generate_dataset, pure_translation_scene
 from specsurf.types import CorrespondenceSet, NoiseSpec, PlanePosePair, RigidPose
 
 from conftest import random_rotation, second_root_scene
@@ -552,6 +554,16 @@ class TestEstimate:
             )
             with pytest.raises(RankAmbiguousError):
                 estimate_plane_poses(data)
+
+    @pytest.mark.parametrize("center, radius", [((0.0, 0.0, 850.0), 300.0), ((0.0, 0.0, 1450.0), 900.0)])
+    def test_one_sphere_rejected_clean(self, center, radius):
+        # one sphere makes the rig an axial camera: every reflected ray
+        # meets the line through the camera and the sphere centres, and the
+        # design matrix has more than two vanishing singular values
+        scene = dataclasses.replace(default_two_sphere_scene(), mirrors=(SphereMirror(center, radius),))
+        data = generate_dataset(scene, grid_step=8, noise=NoiseSpec())
+        with pytest.raises(RankAmbiguousError, match="more than two vanishing singular values"):
+            estimate_plane_poses(data)
 
     def test_diagnostics_present(self, clean_data):
         sol = estimate_plane_poses(clean_data)

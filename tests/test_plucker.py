@@ -54,22 +54,6 @@ class TestLineFromPoints:
             assert np.array_equal(batch[:, i], plucker.lines_from_points(a[:, i], b[:, i]))
 
 
-class TestRescaleLines:
-    def test_line_rescale_matches_endpoint_rescale(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(3, 40)) * 300.0
-        b = a + rng.normal(size=(3, 40)) * 150.0
-        rho = 7.3
-        direct = plucker.lines_from_points(a / rho, b / rho)
-        direct /= np.linalg.norm(direct, axis=0)
-        lines = plucker.lines_from_points(a, b)
-        lines /= np.linalg.norm(lines, axis=0)
-        scaled = plucker.rescale_lines(lines, rho)
-        # columns agree up to a per-line sign
-        dots = np.abs(np.einsum("in,in->n", direct, scaled))
-        assert np.min(dots) > 1.0 - 1e-12
-
-
 class TestReciprocalProduct:
     """The blocks are Pluecker coordinates: coplanarity is bilinear in them."""
 
