@@ -377,6 +377,154 @@ def test_jacobian_shape_checked_before_minpack():
         least_squares(model, np.array([1.0, 0.1]))
 
 
+def scipy_lm(model, start, **kwargs):
+    """scipy's MINPACK fit of model on the full m-row Jacobian, which it
+    factors by Householder QR at every accepted point."""
+    return scipy.optimize.least_squares(
+        lambda x: model(x)[0],
+        start,
+        jac=lambda x: model(x)[1](),
+        method="lm",
+        x_scale="jac",
+        xtol=1e-12,
+        ftol=1e-12,
+        **kwargs,
+    )
+
+
+@pytest.fixture(scope="module")
+def noisy4(scene):
+    # surface-g4's draw: 14,049 triples
+    return generate_dataset(scene, grid_step=4, noise=NoiseSpec(0.5, 0.5, 0.0, 0))
+
+
+def test_square_root_polish_matches_full_qr(scene, noisy4):
+    # 42,147 x 12: MINPACK factors the 13 x 12 square root instead, whose
+    # steps, scaling and tests are the full problem's in exact arithmetic
+    model, start, _ = polish_problem(scene, noisy4)
+    assert model(start)[0].size == 42_147 >= linalg.SQUARE_ROOT_MIN_ROWS
+    ref = scipy_lm(model, start)
+    fit = least_squares(model, start)
+    assert (fit.nfev, fit.njev) == (ref.nfev, ref.njev)
+    assert fit.status == SCIPY_STATUS[ref.status]
+    # x is (w1, t1, w2, t2): the w are corrections of 1e-4 rad to the true
+    # rotations, so they are held to radians and the t to their own size
+    w, t = fit.x.reshape(2, 2, 3).transpose(1, 0, 2)
+    ref_w, ref_t = ref.x.reshape(2, 2, 3).transpose(1, 0, 2)
+    assert np.max(np.abs(w - ref_w)) <= 1e-14
+    assert np.all(np.linalg.norm(t - ref_t, axis=1) <= 1e-12 * np.linalg.norm(ref_t, axis=1))
+    assert fit.cost == pytest.approx(2.0 * ref.cost, rel=1e-12)
+
+
+def test_square_root_refine_matches_full_qr(scene, noisy4, monkeypatch):
+    # the surface-g4 refine from the rig camera, on the twin the rig picks
+    fits = []
+
+    def recorded(model, x0, **kwargs):
+        fits.append((model, x0.copy(), linalg.least_squares(model, x0, **kwargs)))
+        return fits[-1][2]
+
+    monkeypatch.setattr(crossratio, "least_squares", recorded)
+    rig = CalibrationEstimate(
+        scene.intrinsics, scene.camera_pose.rotation, scene.camera_pose.translation, "rig"
+    )
+    lines = projection.camera_line_matrix(rig.intrinsics, rig.rotation, rig.translation)
+
+    def rig_cost(pair):
+        return projection.point_line_cost(lines, build_observations(noisy4, pair))
+
+    kept = min(estimate_plane_poses(noisy4).candidates, key=rig_cost)
+    crossratio.refine(rig, noisy4, kept)
+    [(model, start, fit)] = fits
+    assert model(start)[0].size == 24_908 >= linalg.SQUARE_ROOT_MIN_ROWS
+    ref = scipy_lm(model, start)
+    assert (fit.nfev, fit.njev) == (ref.nfev, ref.njev) == (34, 28)
+    assert fit.status == SCIPY_STATUS[ref.status]
+    assert fit.cost == pytest.approx(2.0 * ref.cost, rel=1e-12)
+
+
+DENSE_T = np.linspace(0.0, 4.0, 20_000)
+DENSE_Y = 3.0 * np.exp(-0.7 * DENSE_T) + 0.05 * np.random.default_rng(0).normal(size=DENSE_T.size)
+
+
+def test_square_root_fit_through_nan_trials():
+    # a rate past 0.3 makes every residual NaN: MINPACK rejects such a
+    # trial on its NaN norm, ||r|| in the square-root form, and shrinks the
+    # step, as it does on the full residuals
+    model = decay(DENSE_Y, DENSE_T)
+
+    def bounded(x):
+        residuals, jacobian = model(x)
+        return (np.full_like(residuals, np.nan) if x[1] > 0.3 else residuals), jacobian
+
+    start = np.array([1.0, 0.1])
+    ref = scipy_lm(bounded, start)
+    fit = least_squares(bounded, start)
+    assert (fit.nfev, fit.njev) == (ref.nfev, ref.njev) == (64, 39)
+    assert fit.status == SCIPY_STATUS[ref.status] == "step"
+    np.testing.assert_allclose(fit.x, ref.x, rtol=1e-12)
+
+
+def test_square_root_fit_with_duplicated_column():
+    # a e^(-b t) with a = x0 + x2: the Jacobian has rank 2 of 3, so x is
+    # not unique, but the cost, x0 + x2 and x1 are.  The reference ends at
+    # x0 and x2 of about +-1,200, so its sum of about 3 keeps 13 digits.
+    def model(x):
+        a = x[0] + x[2]
+
+        def jacobian():
+            e = np.exp(-x[1] * DENSE_T)
+            return np.column_stack([e, -a * DENSE_T * e, e])
+
+        return a * np.exp(-x[1] * DENSE_T) - DENSE_Y, jacobian
+
+    start = np.array([0.5, 0.1, 0.5])
+    ref = scipy_lm(model, start)
+    fit = least_squares(model, start)
+    assert fit.cost == pytest.approx(2.0 * ref.cost, rel=1e-12)
+    assert fit.x[0] + fit.x[2] == pytest.approx(ref.x[0] + ref.x[2], rel=1e-11)
+    assert fit.x[1] == pytest.approx(ref.x[1], rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "start, nfev, njev, status", [((3.0, 0.7), 1, 1, "gradient"), ((1.0, 0.1), 7, 6, "step")]
+)
+def test_square_root_zero_residual_stays_exact(start, nfev, njev, status):
+    # h = J^T r / ||r|| is read as zero when r is: from the truth the fit
+    # stops at once, and from afar it reaches the truth exactly
+    model = decay(3.0 * np.exp(-0.7 * DENSE_T), DENSE_T)
+    ref = scipy_lm(model, np.array(start))
+    fit = least_squares(model, np.array(start))
+    assert (fit.nfev, fit.njev) == (ref.nfev, ref.njev) == (nfev, njev)
+    assert fit.status == SCIPY_STATUS[ref.status] == status
+    np.testing.assert_array_equal(fit.x, [3.0, 0.7])
+    assert fit.cost == ref.cost == 0.0
+
+
+@pytest.mark.parametrize("below", [1, 0])
+def test_square_root_form_from_the_constant_on(below, monkeypatch):
+    # below the constant MINPACK gets the m residuals and the n x m
+    # transposed Jacobian; from it on, n + 1 residuals and n x (n + 1)
+    shapes = []
+    lmder = linalg._lmder
+
+    def recorded(fun, jac, x0, *args):
+        return lmder(
+            lambda x: shapes.append(("f", fun(x).shape)) or fun(x),
+            lambda x: shapes.append(("J", jac(x).shape)) or jac(x),
+            x0,
+            *args,
+        )
+
+    monkeypatch.setattr(linalg, "_lmder", recorded)
+    rows = linalg.SQUARE_ROOT_MIN_ROWS - below
+    t = np.linspace(0.0, 4.0, rows)
+    fit = least_squares(decay(3.0 * np.exp(-0.7 * t) + 0.01 * np.sin(7.0 * t), t), np.array([1.0, 0.1]))
+    seen = rows if below else 3
+    assert fit.njev > 1
+    assert set(shapes) == {("f", (seen,)), ("J", (2, seen))}
+
+
 def import_fresh_linalg(monkeypatch):
     """Execute linalg.py afresh under another name, as its import would."""
     spec = importlib.util.spec_from_file_location("fresh_linalg", linalg.__file__)
