@@ -109,12 +109,11 @@ def _unpack(theta: np.ndarray, cost: float) -> tuple[np.ndarray, CalibrationEsti
 
 @dataclass
 class ConvergenceReport:
-    """How refine's fit ended; mask_reasons counts the start mask's reasons."""
+    """How refine's fit ended; mask_reasons counts the triples the start
+    gate left out of the fit by reason, and the camera carries its cost."""
 
     status: str
     iterations: int
-    initial_cost: float
-    final_cost: float
     mask_reasons: dict[str, int]
 
 
@@ -493,16 +492,16 @@ def refine(
     noisy = reason == "noise_sensitive"
     mask_reasons = dict(Counter(reason[~frozen].tolist()))
 
-    def finish(vec, status, iterations, cost0, cost):
+    def finish(vec, status, iterations, cost):
         theta, camera = _unpack(vec, cost)
         _, surface, _ = _gate(theta, lifts, m_obs, lambda usable: noisy)
         camera.translation -= camera.rotation @ centre
         surface.points += centre
-        return camera, surface, ConvergenceReport(status, iterations, cost0, cost, mask_reasons)
+        return camera, surface, ConvergenceReport(status, iterations, mask_reasons)
 
     cost0 = sum_squares(start.residuals[:, frozen].ravel())
     if cost0 < 1e-16:
-        return finish(theta, "non_decreasing_start", 0, cost0, cost0)
+        return finish(theta, "non_decreasing_start", 0, cost0)
     fit_lifts = Lifts(*(np.compress(frozen, getattr(lifts, f.name), axis=-1) for f in fields(Lifts)))
     fit_obs = np.compress(frozen, m_obs, axis=1)
 
@@ -511,4 +510,4 @@ def refine(
         return view.residuals.ravel(), lambda: _frozen_jacobian(view, fit_lifts)
 
     fit = least_squares(model, theta)
-    return finish(fit.x, fit.status, fit.njev, cost0, fit.cost)
+    return finish(fit.x, fit.status, fit.njev, fit.cost)

@@ -389,10 +389,11 @@ def refine_plane_poses(pair: PlanePosePair, x0, x1, x2) -> PlanePosePair:
 
 @dataclass(frozen=True)
 class PoseSolution:
-    """The best-fitting plane-motion pair, then its mirror twin."""
+    """The polished plane-motion pair and its mirror twin; the twin whose
+    pose 2 moves toward +z comes first."""
 
     candidates: tuple[PlanePosePair, ...]
-    residuals: np.ndarray  # RMS line-offset per candidate, mm; the twins tie
+    residual: float  # RMS line offset, mm, which the twins share to the bit
     gap_ratio: float
 
 
@@ -406,7 +407,9 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     started from it.  The pair with the lowest line-offset residual is
     polished by refine_plane_poses, and the candidates are it and its
     reflection, always two.  Both twins are returned because only
-    camera-side reasoning can tell them apart.
+    camera-side reasoning can tell them apart.  The twin whose pose 2 moves
+    toward +z (pose 1, when pose 2 keeps z) comes first: the reflection
+    flips both, so neither the row order nor an SVD sign sets the order.
 
     Raises RankAmbiguousError, carrying the rank gap, when no nullspace
     direction factors into a rigid pair: the data do not determine the
@@ -440,12 +443,14 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     best = min(pairs, key=lambda p: line_offset_residual(p, x0, x1, x2))
     best = refine_plane_poses(best, x0, x1, x2)
     residual = scale * line_offset_residual(best, x0, x1, x2)
+    twins = (best, _mirror_twin(best))
+    if (best.pose2.translation[2] or best.pose1.translation[2]) < 0:
+        twins = twins[::-1]
     candidates = tuple(
         PlanePosePair(
             RigidPose(p.pose1.rotation, scale * p.pose1.translation),
             RigidPose(p.pose2.rotation, scale * p.pose2.translation),
         )
-        for p in (best, _mirror_twin(best))
+        for p in twins
     )
-    residuals = np.array([residual, residual])
-    return PoseSolution(candidates=candidates, residuals=residuals, gap_ratio=gap)
+    return PoseSolution(candidates=candidates, residual=residual, gap_ratio=gap)

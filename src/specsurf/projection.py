@@ -106,7 +106,6 @@ class LineObservationSet:
     pixels: np.ndarray
     lines: np.ndarray
     indices: np.ndarray
-    n_skipped: int = 0
 
     def __len__(self) -> int:
         return self.pixels.shape[1]
@@ -122,8 +121,8 @@ def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineOb
     The line is the one plane_pose.Lifts decides for the triple.  Triples
     with a pixel or plane coordinate that is not finite, or whose pose-0
     and pose-2 lifts are closer than MIN_LIFT_SEPARATION_MM (the line
-    direction would be noise), are skipped; the skip count is kept on the
-    result.
+    direction would be noise), are skipped: indices names the triples
+    kept, so len(corrs) - len(obs) counts the skipped ones.
     """
     pixels, x0, x1, x2 = (np.asarray(a, dtype=float) for a in (corrs.pixels, corrs.x0, corrs.x1, corrs.x2))
     # only finite triples are lifted: an infinite coordinate has no line
@@ -133,7 +132,7 @@ def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineOb
     indices = np.flatnonzero(finite)[far]
     lines = lines_from_points(lifts.p0[:, far], lifts.p2[:, far])
     lines /= np.linalg.norm(lines, axis=0)
-    return LineObservationSet(pixels[indices].T.copy(), lines, indices, len(corrs) - len(indices))
+    return LineObservationSet(pixels[indices].T.copy(), lines, indices)
 
 
 def _incidence_rows(obs: LineObservationSet) -> np.ndarray:

@@ -394,8 +394,8 @@ def _draw_noise(seed: int, indices: np.ndarray):
 def generate_dataset(scene: MirrorScene, grid_step: int, noise: NoiseSpec) -> CorrespondenceSet:
     """Trace a pixel grid and apply the noise model.
 
-    Ground truth (surface points/normals, exact poses, camera) is stored in
-    the returned set but never perturbed.  Raises EmptyDatasetError when
+    The mirror points and normals go in gt_points and gt_normals, never
+    perturbed; the poses stay with the scene.  Raises EmptyDatasetError when
     fewer than 12 pixels produce valid triples (the pose solver minimum).
     """
     if grid_step < 1:
@@ -418,30 +418,7 @@ def generate_dataset(scene: MirrorScene, grid_step: int, noise: NoiseSpec) -> Co
     pix = _distort_pixels(pix, noise.k1, scene.intrinsics, scene.image_size)
     pix = pix + noise.gamma_px * pixel_noise
 
-    meta = {
-        "format_version": 1,
-        "units": "mm,px",
-        "image_size": scene.image_size,
-        "plane_half_extent": scene.plane_half_extent,
-        "grid_step": grid_step,
-        "sigma_mm": noise.sigma_mm,
-        "gamma_px": noise.gamma_px,
-        "k1": noise.k1,
-        "seed": noise.seed,
-        "gt_intrinsics": scene.intrinsics,
-        "gt_camera_pose": scene.camera_pose,
-        "gt_pose1": scene.pose1,
-        "gt_pose2": scene.pose2,
-    }
-    return CorrespondenceSet(
-        pixels=pix,
-        x0=x0,
-        x1=x1,
-        x2=x2,
-        gt_points=points,
-        gt_normals=normals,
-        meta=meta,
-    )
+    return CorrespondenceSet(pixels=pix, x0=x0, x1=x1, x2=x2, gt_points=points, gt_normals=normals)
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,8 @@ class NoiseSpec:
 class CorrespondenceSet:
     """Column-array container for reflection correspondences.
 
-    meta carries image size, plane extent, units, the noise spec used and
-    (optionally) ground-truth camera and plane poses.
+    gt_points and gt_normals, filled by the simulator, are for scoring
+    alone; no solver stage reads them.
     """
 
     pixels: np.ndarray  # (n, 2)
@@ -115,7 +115,6 @@ class CorrespondenceSet:
     x2: np.ndarray  # (n, 2)
     gt_points: np.ndarray | None = None  # (n, 3)
     gt_normals: np.ndarray | None = None  # (n, 3)
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.pixels)
@@ -128,10 +127,6 @@ class CorrespondenceSet:
 
     def __len__(self) -> int:
         return len(self.pixels)
-
-    @property
-    def has_ground_truth(self) -> bool:
-        return self.gt_points is not None and self.gt_normals is not None
 
 
 @dataclass(frozen=True)

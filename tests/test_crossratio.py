@@ -197,9 +197,9 @@ class TestFrozenJacobian:
         assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-12 * np.max(np.abs(expected), axis=0))
 
     def test_fit_sees_the_frozen_subset_alone(self, rig, noisy_data, poses, monkeypatch):
-        # refine's start cost and its fit's rows against every triple's
-        # rows with those outside the frozen set zeroed, all in the world
-        # frame refine fits in: centred on the mean pose-0 lift
+        # refine's fit rows against every triple's rows with those outside
+        # the frozen set zeroed, all in the world frame refine fits in:
+        # centred on the mean pose-0 lift; the fit ends below their cost
         lifts, theta = centred(lifts_of(noisy_data, poses), rig)
         m_obs = pixel_rows(noisy_data)
         sens = cr.noise_sensitivity(theta, lifts, m_obs, poses)
@@ -218,10 +218,10 @@ class TestFrozenJacobian:
             return original(model, x0, **kwargs)
 
         monkeypatch.setattr(cr, "least_squares", recorded)
-        _, _, report = cr.refine(rig, noisy_data, poses)
+        camera, _, report = cr.refine(rig, noisy_data, poses)
         assert report.mask_reasons == dict(Counter(reason[~frozen].tolist()))
-        assert report.initial_cost == pytest.approx(np.sum(padded**2), rel=1e-12)
         assert np.array_equal(rows[0], padded[:, frozen])
+        assert camera.cost < np.sum(padded**2)
 
     def test_fit_sees_contiguous_stacks(self, rig, noisy_data, poses, monkeypatch):
         # the fit's lift and pixel stacks are the frozen columns copied out
@@ -372,9 +372,8 @@ class TestRefine:
         # analytic Jacobian leads to must be the same too
         camera, surface, report = noisy_fit
         assert report.status in ("step", "plateau", "gradient")
-        assert report.final_cost == pytest.approx(242904.90312354808, rel=1e-6)
+        assert camera.cost == pytest.approx(242904.90312354808, rel=1e-6)
         assert camera.intrinsics.fx == pytest.approx(2177.1265085386426, rel=1e-6)
-        assert report.final_cost < report.initial_cost
         assert report.mask_reasons.get("noise_sensitive", 0) > 0
         assert np.isfinite(surface.points[surface.valid]).all()
         norms = np.linalg.norm(surface.normals[surface.valid], axis=1)
@@ -415,7 +414,7 @@ class TestRefine:
         }
         assert moved_report.mask_reasons == report.mask_reasons
         assert (moved_report.iterations, fits[0].nfev) == (report.iterations, 31)
-        assert moved_report.final_cost == pytest.approx(report.final_cost, rel=1e-12)
+        assert moved.cost == pytest.approx(camera.cost, rel=1e-12)
         assert moved.intrinsics.fx == pytest.approx(camera.intrinsics.fx, rel=1e-6)
         assert moved.intrinsics.fy == pytest.approx(camera.intrinsics.fy, rel=1e-6)
         gap = moved_surface.points[valid] - surface.points[order][valid]
@@ -538,6 +537,22 @@ class TestGate:
         expected[i] = "coincident_lift"
         assert surface.invalid_reason == expected
         assert reason.tolist() == [expected[j] for j in range(len(noisy_data))]
+
+    def test_coincident_pixels(self, rig, noisy_data, poses):
+        # a valid triple's pose-1 lift moved onto its pose-2 lift keeps its
+        # line and lies on it, but x1 and x2 project to one pixel
+        theta = cr._pack(rig)
+        m_obs = pixel_rows(noisy_data)
+        lifted = lifts_of(noisy_data, poses)
+        _, _, before = cr._gate(theta, lifted, m_obs, np.zeros_like)
+        i = int(np.flatnonzero(before == "")[0])
+        p1 = lifted.p1.copy()
+        p1[:, i] = lifted.p2[:, i]
+        _, surface, reason = cr._gate(theta, Lifts.of(lifted.p0, p1, lifted.p2), m_obs, np.zeros_like)
+        assert reason[i] == "coincident_pixels"
+        assert np.isnan(surface.points[i]).all() and np.isnan(surface.normals[i]).all()
+        others = np.arange(len(reason)) != i
+        assert np.array_equal(reason[others], before[others])
 
     def test_zero_length_line_fails_collinearity(self, rig, noisy_data, poses, monkeypatch):
         # with the separation check switched off, a line of zero length

@@ -408,7 +408,7 @@ class TestEstimate:
         rot, tr = best_pose_errors(sol, scene.pose1, scene.pose2)
         assert rot < 1e-5
         assert tr < 1e-6
-        assert sol.residuals[0] < 1e-6
+        assert sol.residual < 1e-6
 
     def test_exact_recovery_from_synthetic_lines(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
@@ -425,7 +425,7 @@ class TestEstimate:
         assert len(sol.candidates) >= 2
         # twins differ in the sign of the translation z-components but fit
         # the collinearity identically
-        r0, r1 = sol.residuals[:2]
+        r0, r1 = (line_offset_residual(c, clean_data.x0, clean_data.x1, clean_data.x2) for c in sol.candidates)
         assert r1 <= max(10.0 * max(r0, 1e-14), 1e-6)
         z0 = sol.candidates[0].pose1.translation[2]
         z1 = sol.candidates[1].pose1.translation[2]
@@ -537,7 +537,7 @@ class TestEstimate:
         s = rms_scale(data.x0, data.x1, data.x2)
         offsets = sorted(s * line_offset_residual(pair, *polished[0]) for pair in rigid)
         assert offsets[0] < 1e-9 and offsets[1] > 10.0
-        assert sol.residuals[0] == sol.residuals[1] < 1e-9
+        assert sol.residual < 1e-9
 
     def test_pure_translation_rejected_clean(self):
         data = generate_dataset(
@@ -567,7 +567,7 @@ class TestEstimate:
 
     def test_diagnostics_present(self, clean_data):
         sol = estimate_plane_poses(clean_data)
-        assert len(sol.residuals) == len(sol.candidates)
+        assert np.isfinite(sol.residual)
         assert sol.gap_ratio >= 100.0
 
     def test_swapped_roles_swap_the_motions(self, scene):
@@ -645,7 +645,9 @@ class TestProperties:
         data = generate_dataset(scene, grid_step=20, noise=NoiseSpec(sigma, 0.0, 0.0, seed))
         sol = estimate_plane_poses(data)
         first, second = sol.candidates[:2]
-        assert sol.residuals[0] == sol.residuals[1]
+        assert line_offset_residual(first, data.x0, data.x1, data.x2) == line_offset_residual(
+            second, data.x0, data.x1, data.x2
+        )
         # the twin is the first candidate reflected in the reference plane
         mirror = np.diag([1.0, 1.0, -1.0])
         for a, b in ((first.pose1, second.pose1), (first.pose2, second.pose2)):
@@ -707,6 +709,37 @@ class TestTwinReflection:
         sol, factored, polished = self.traced_estimate(data, monkeypatch)
         assert len(polished) == len(factored) == 1
         assert len(sol.candidates) == 2
+
+
+class TestCandidateOrder:
+    """The twins come in an order the pair itself fixes, not an SVD sign:
+    the one whose pose 2 moves toward +z first, pose 1 deciding when pose 2
+    keeps z."""
+
+    def test_row_order_keeps_the_candidate_order(self, scene):
+        data = generate_dataset(scene, grid_step=8, noise=NoiseSpec(sigma_mm=0.5, gamma_px=0.5, seed=0))
+        want = estimate_plane_poses(data).candidates
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(data))
+            shuffled = CorrespondenceSet(
+                pixels=data.pixels[order], x0=data.x0[order], x1=data.x1[order], x2=data.x2[order]
+            )
+            for got, pair in zip(estimate_plane_poses(shuffled).candidates, want, strict=True):
+                for a, b in ((got.pose1, pair.pose1), (got.pose2, pair.pose2)):
+                    assert np.linalg.norm(a.translation - b.translation) <= 1e-12 * np.linalg.norm(b.translation)
+        assert want[0].pose2.translation[2] > 0 > want[1].pose2.translation[2]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pose_one_decides_when_pose_two_keeps_z(self, clean_data, monkeypatch, sign):
+        def flattened(pair, *coords):
+            t1, t2 = pair.pose1.translation.copy(), pair.pose2.translation.copy()
+            t1[2], t2[2] = sign * abs(t1[2]), 0.0
+            return PlanePosePair(RigidPose(pair.pose1.rotation, t1), RigidPose(pair.pose2.rotation, t2))
+
+        monkeypatch.setattr(plane_pose, "refine_plane_poses", flattened)
+        first, second = estimate_plane_poses(clean_data).candidates
+        assert first.pose2.translation[2] == second.pose2.translation[2] == 0.0
+        assert first.pose1.translation[2] > 0 > second.pose1.translation[2]
 
 
 class TestLifts:

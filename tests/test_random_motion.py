@@ -27,20 +27,20 @@ PINNED = {
         "SweepNoMinimumError",
     ],
     1: [
-        (1228.6493510233342, [1.2400666410552312, 0.041378602406116856, -0.05827320857028021]),
         (1435.2127994116695, [1.4842175630086918, 0.0026262433032424944, -0.003031699700051271]),
+        (1228.6493510233342, [1.2400666410552312, 0.041378602406116856, -0.05827320857028021]),
     ],
     2: [
-        "SweepNoMinimumError",
         (1388.1601717308097, [1.4606401295465246, -0.0007679738882637928, -0.00016311380490000637]),
+        "SweepNoMinimumError",
     ],
     3: [
         "SweepNoMinimumError",
         (473.4480581359935, [0.4589188227057288, 0.019466159287658873, -0.025026571256447562]),
     ],
     4: [
-        "SweepNoMinimumError",
         (707.0075837635002, [1.1671043568767714, 0.19335113927443703, -0.10321700213585544]),
+        "SweepNoMinimumError",
     ],
     5: [
         "SweepNoMinimumError",
@@ -48,12 +48,12 @@ PINNED = {
     ],
     6: "RankAmbiguousError",
     7: [
-        (1170.1990002792145, [1.3034355637830746, -1.794770144549631e-05, 0.007175560570578859]),
         (1407.667455587788, [1.460961541236873, -0.0035801092136581317, 0.0021405573166007317]),
+        (1170.1990002792145, [1.3034355637830746, -1.794770144549631e-05, 0.007175560570578859]),
     ],
     8: [
-        "SweepNoMinimumError",
         (1419.471348349697, [1.4757687143414573, -0.0014133310284481046, 0.0017952601807036132]),
+        "SweepNoMinimumError",
     ],
     9: [
         "SweepNoMinimumError",
@@ -64,12 +64,12 @@ PINNED = {
         "SweepNoMinimumError",
     ],
     11: [
-        "SweepNoMinimumError",
         (1431.9253213891673, [1.4496391728590272, -0.0067623722052487885, 0.004104790571425734]),
+        "SweepNoMinimumError",
     ],
     12: [
-        "CheiralityUnresolvableError",
         "SweepNoMinimumError",
+        "CheiralityUnresolvableError",
     ],
     13: "RankAmbiguousError",
     14: [
@@ -78,8 +78,8 @@ PINNED = {
     ],
     15: "RankAmbiguousError",
     16: [
-        "SweepNoMinimumError",
         (1396.425514351304, [1.466087802545844, -0.0015382576570723465, 0.0004327596458418816]),
+        "SweepNoMinimumError",
     ],
     17: [
         (1405.3277998247554, [1.4715812095744578, 0.0016518103661912241, 0.00042675902968086575]),

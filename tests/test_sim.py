@@ -374,12 +374,6 @@ class TestGenerateDataset:
         with pytest.raises(EmptyDatasetError):
             generate_dataset(scene, 500, NoiseSpec())
 
-    def test_meta_carries_ground_truth(self, scene):
-        ds = generate_dataset(scene, 12, NoiseSpec(sigma_mm=1.0, seed=7))
-        assert ds.meta["sigma_mm"] == 1.0
-        assert ds.meta["gt_intrinsics"] == scene.intrinsics
-        assert ds.has_ground_truth
-
 
 SCENES = Path(__file__).parent / "scenes"
 
