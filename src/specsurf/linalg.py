@@ -9,11 +9,14 @@ thread (0.25 ms for a 42,147-element sum of squares), as do dot and gemv
 below those sizes (0.2 ms at 9,000 elements, 0.6 ms for 28,098 x 10).
 
 The plane motions and the camera's line projection matrix are null vectors
-of tall systems: 2n x 24 and n x 18 for n triples.  The R-SVD (Chan, "An
+of tall systems, which their builders hand over rows first, as every
+per-triple stack in the package is: 24 x 2n and 18 x n for n triples, one
+row per unknown and one column per constraint.  The R-SVD (Chan, "An
 improved algorithm for computing the singular value decomposition", ACM
 TOMS 1982) needs the tall matrix only to triangularise it: A = Q R has the
 singular values and right singular vectors of R.  right_singular
-triangularises in NumPy, and only the small k x k R goes to LAPACK.
+triangularises in NumPy, and only the small k x k R goes to LAPACK: a LAPACK
+factorization of the tall matrix would wake the thread pool.
 
 The plane poses, the camera and the cross-ratio refinement are each fitted
 by MINPACK's Levenberg-Marquardt (More, "The Levenberg-Marquardt
@@ -117,23 +120,23 @@ SQUARE_ROOT_MIN_ROWS = 16_384
 
 
 def right_singular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors of an m x k matrix.
+    """Singular values and right singular vectors of the m x k system a.T.
 
-    Returns (s, vt) as np.linalg.svd(a) would, with s descending and the
-    rows of vt the right singular vectors, except that vt is always k x k:
-    when m < k the missing rows of R are zero, so the last k - m singular
-    values vanish and the trailing rows of vt span the null space that the
-    data leave free.
+    a holds the system rows first, k x m: row j is unknown j's coefficient
+    in each of the m constraints.  Returns (s, vt) as np.linalg.svd(a.T)
+    would, with s descending and the rows of vt the right singular vectors,
+    except that vt is always k x k: when m < k the missing rows of R are
+    zero, so the last k - m singular values vanish and the trailing rows of
+    vt span the null space that the data leave free.
 
-    The Householder sweep works on a contiguous transposed copy, one row
-    per column of a, so each column costs one matrix-vector product and
-    one elementwise rank-1 update over contiguous rows.  The products are
-    einsum's, not BLAS's: OpenBLAS threads dot and gemv on long vectors
-    too, and a dense scan has 28k rows.
+    The Householder sweep works on one contiguous copy of a, so each
+    unknown costs one matrix-vector product and one elementwise rank-1
+    update over contiguous rows.  The products are einsum's, not BLAS's:
+    OpenBLAS threads dot and gemv on long vectors too, and a dense scan has
+    28k constraints.
     """
-    a = np.asarray(a, dtype=float)
-    m, k = a.shape
-    w = np.array(a.T, order="C")
+    w = np.array(a, dtype=float, order="C")
+    k, m = w.shape
     r = np.zeros((k, k))
     for j in range(min(m, k)):
         x = w[j, j:]

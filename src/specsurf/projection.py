@@ -12,8 +12,8 @@ system in the 18 entries of M.
 The camera comes from one route, focal_sweep: a coarse logarithmic grid
 over a shared focal length with the principal point pinned to the image
 center.  Each sample solves the paper's analytic line projection matrix
-with the intrinsics factored out by a diagonal column scaling, so that the
-linear unknown is the line matrix of a metric camera [R T]
+with the intrinsics factored out by a diagonal scaling of its unknowns, so
+that the linear unknown is the line matrix of a metric camera [R T]
 (_solve_at_focal).  It is converted to point form and decoded to a pose,
 which Levenberg-Marquardt then polishes over (R, T) directly on the
 geometric point-to-line cost, with an analytic Jacobian: a line with
@@ -55,11 +55,9 @@ noise.  Two measures keep the solvers usable:
   the rigid-motion manifold excludes the spurious directions by
   construction.
 
-The incidence matrix is n x 18 for n observations.  Its least singular
-vector comes from linalg.right_singular, which triangularises it in NumPy
-and hands LAPACK only the 18 x 18 R factor: a LAPACK factorization of the
-tall matrix would wake OpenBLAS's thread pool, whose idle thread then
-spins for about 130 ms after every cold start.
+The incidence matrix is 18 x n for n observations, rows first.  Its least
+singular vector comes from linalg.right_singular, which hands LAPACK only
+the 18 x 18 R factor (see linalg).
 """
 
 from __future__ import annotations
@@ -136,10 +134,10 @@ def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineOb
 
 
 def _incidence_rows(obs: LineObservationSet) -> np.ndarray:
-    """n x 18 incidence matrix, row i pixel (u, v, 1) (x) line i: the rows
-    [u L; v L; L] handed over transposed, which right_singular reads as is."""
+    """18 x n incidence matrix [u L; v L; L], column i pixel (u, v, 1) (x)
+    line i."""
     u, v = obs.pixels
-    return np.concatenate([u * obs.lines, v * obs.lines, obs.lines]).T
+    return np.concatenate([u * obs.lines, v * obs.lines, obs.lines])
 
 
 def _normalized_copy(obs: LineObservationSet):
@@ -334,17 +332,17 @@ def _solve_at_focal(f_n, obs_n, z_n, init=None):
 
     The line matrix of K P with K = diag(f, f, 1) is cof(K) M(P) =
     diag(f, f, f^2) M(P), since cof(K) carries cross products the way K
-    carries points.  Scaling the incidence columns of the rows of M by f,
-    f and f^2 therefore reduces the linear unknown to the line matrix of
-    the metric camera [R T] itself.  A cold start decodes the least
-    singular vector of those scaled columns, restoring rigidity from the
+    carries points.  Scaling the incidence rows of the rows of M by f, f
+    and f^2 therefore reduces the linear unknown to the line matrix of the
+    metric camera [R T] itself.  A cold start decodes the least singular
+    vector of those scaled rows, restoring rigidity from the
     row norms (|scale| from their mean), and refines the decoded pose of
     either sign on the geometric cost; only that cold start takes the SVD
     and its rank test.  Given init (R, T) the refinement starts there
     instead, which lets the sweep warm-start each sample from its
-    neighbor's.  The SVD is right_singular's, so LAPACK sees only the
-    18 x 18 R factor and OpenBLAS's threads stay asleep; its padded R keeps
-    the 18th right vector when the fewest observations give 17 rows.
+    neighbor's.  The SVD is right_singular's, which factors only the
+    18 x 18 R factor (see linalg); its padded R keeps the 18th right vector
+    when the fewest observations give 17 constraints.
 
     Returns one (R, T, fit) per start, lowest cost first, fit being the
     refinement's linalg.least_squares result, its cost the point-to-line
@@ -358,7 +356,7 @@ def _solve_at_focal(f_n, obs_n, z_n, init=None):
     starts = [init]
     if init is None:
         d = np.concatenate([np.full(12, f_n), np.full(6, f_n * f_n)])
-        s, vt = right_singular(z_n * d)
+        s, vt = right_singular(z_n * d[:, None])
         starts = [] if s[16] < 1e-12 * s[0] else _metric_decode(vt[17].reshape(3, 6))
     fits = [_refine_metric(f_n, obs_n, start)[1:] for start in starts]
     return sorted(fits, key=lambda refined: refined[2].cost)

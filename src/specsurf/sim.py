@@ -126,12 +126,12 @@ def look_at_pose(eye, target) -> RigidPose:
     eye = np.asarray(eye, dtype=float).reshape(3)
     fwd = np.asarray(target, dtype=float).reshape(3) - eye
     fwd = fwd / np.linalg.norm(fwd)
-    right = np.cross(fwd, (0.0, 0.0, 1.0))
+    right = so3.cross(fwd, (0.0, 0.0, 1.0))
     nr = np.linalg.norm(right)
     if nr < 1e-12:
         raise ValueError("look_at_pose: view direction parallel to world up")
     right /= nr
-    down = np.cross(fwd, right)
+    down = so3.cross(fwd, right)
     r = np.vstack([right, down, fwd])
     return RigidPose(r, -r @ eye)
 

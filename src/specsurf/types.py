@@ -21,7 +21,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Intrinsics:
-    """Pinhole intrinsics: focal lengths and principal point in pixels."""
+    """Pinhole intrinsics: focal lengths and principal point in pixels,
+    all finite, the focal lengths positive."""
 
     fx: float
     fy: float
@@ -29,8 +30,9 @@ class Intrinsics:
     v0: float
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        finite = np.isfinite([self.fx, self.fy, self.u0, self.v0]).all()
+        if not (finite and self.fx > 0 and self.fy > 0):
+            raise ValueError("intrinsics must be finite and the focal lengths positive")
 
     def matrix(self) -> np.ndarray:
         return np.array(

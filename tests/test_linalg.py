@@ -32,7 +32,8 @@ def trailing_projector(vt, nullity):
 
 
 def graded(rng, m, k, decades):
-    """Gaussian m x k matrix with columns scaled over `decades` decades."""
+    """Gaussian m x k matrix with columns scaled over `decades` decades;
+    right_singular takes its transpose, one row per unknown."""
     return rng.normal(size=(m, k)) * np.logspace(0, -decades, k)
 
 
@@ -40,7 +41,7 @@ def graded(rng, m, k, decades):
 @given(seed=seeds, m=st.integers(1, 400), k=st.integers(1, 24), decades=st.floats(0.0, 8.0))
 def test_singular_values_match_numpy(seed, m, k, decades):
     a = graded(np.random.default_rng(seed), m, k, decades)
-    s, vt = right_singular(a)
+    s, vt = right_singular(a.T)
     ref = np.linalg.svd(a, compute_uv=False)
     assert s.shape == (k,) and vt.shape == (k, k)
     assert np.max(np.abs(s[: len(ref)] - ref)) <= 1e-12 * ref[0]
@@ -54,7 +55,7 @@ def test_trailing_subspace_on_rank_deficient_input(seed, m, k, data):
     rank = data.draw(st.integers(1, k - 1))
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, k))
-    _, vt = right_singular(a)
+    _, vt = right_singular(a.T)
     _, _, ref = np.linalg.svd(a)
     p = trailing_projector(vt, k - rank)
     np.testing.assert_allclose(p, trailing_projector(ref, k - rank), atol=1e-9)
@@ -66,7 +67,7 @@ def test_trailing_subspace_on_rank_deficient_input(seed, m, k, data):
 def test_zero_column(rng, column):
     a = rng.normal(size=(561, 18))
     a[:, column] = 0.0
-    s, vt = right_singular(a)
+    s, vt = right_singular(a.T)
     assert np.all(np.isfinite(s)) and np.all(np.isfinite(vt))
     assert s[-1] < 1e-14 * s[0]
     assert abs(vt[-1, column]) == pytest.approx(1.0, abs=1e-15)
@@ -74,24 +75,25 @@ def test_zero_column(rng, column):
 
 
 def test_zero_matrix():
-    s, vt = right_singular(np.zeros((30, 6)))
+    s, vt = right_singular(np.zeros((6, 30)))
     np.testing.assert_array_equal(s, 0.0)
     np.testing.assert_allclose(vt @ vt.T, np.eye(6), atol=1e-15)
 
 
 def test_square(rng):
     a = rng.normal(size=(18, 18))
-    s, vt = right_singular(a)
+    s, vt = right_singular(a.T)
     _, ref_s, ref_vt = np.linalg.svd(a)
     np.testing.assert_allclose(s, ref_s, rtol=0, atol=1e-12 * ref_s[0])
     assert abs(vt[-1] @ ref_vt[-1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wide_input_keeps_a_square_vt(rng):
-    # 17 rows of 18 unknowns: np.linalg.svd(full_matrices=False) stops at
-    # 17 right vectors; the padded R keeps the 18th, the data's null vector
+    # 17 constraints on 18 unknowns: np.linalg.svd(full_matrices=False)
+    # stops at 17 right vectors; the padded R keeps the 18th, the data's
+    # null vector
     a = rng.normal(size=(17, 18))
-    s, vt = right_singular(a)
+    s, vt = right_singular(a.T)
     assert s.shape == (18,) and vt.shape == (18, 18)
     assert s[17] < 1e-14 * s[0]
     assert np.max(np.abs(a @ vt[17])) < 1e-13 * s[0]
@@ -99,10 +101,20 @@ def test_wide_input_keeps_a_square_vt(rng):
 
 
 def test_input_untouched(rng):
-    a = rng.normal(size=(50, 6))
+    # a contiguous 6 x 50 input and a strided 6 x 50 view of a larger
+    # array are not written to, and the view factors as its copy does
+    a = rng.normal(size=(6, 50))
     before = a.copy()
     right_singular(a)
     np.testing.assert_array_equal(a, before)
+    big = rng.normal(size=(12, 100))
+    view = big[::2, ::2]
+    assert not view.flags.contiguous
+    before = big.copy()
+    s, vt = right_singular(view)
+    np.testing.assert_array_equal(big, before)
+    s_ref, vt_ref = right_singular(view.copy())
+    assert np.array_equal(s, s_ref) and np.array_equal(vt, vt_ref)
 
 
 def test_front_end_factors_no_tall_matrix(monkeypatch):

@@ -159,9 +159,21 @@ def synthetic():
 
 class TestDesignMatrix:
     def test_two_rows_per_triple(self, synthetic):
+        # rows first: one row per unknown, two constraint columns per triple
         x0, x1, x2, *_ = synthetic
-        e = build_design_matrix(x0[:12], x1[:12], x2[:12])
-        assert e.shape == (24, 24)
+        e = build_design_matrix(x0[:13], x1[:13], x2[:13])
+        assert e.shape == (24, 26)
+
+    def test_columns_of_each_triple(self, synthetic):
+        # column 2i is triple i's x constraint, column 2i + 1 its y one
+        x0, x1, x2, *_ = synthetic
+        e = build_design_matrix(x0, x1, x2)
+        for i in (0, 1, 117, len(x0) - 1):
+            h1, h2 = np.append(x1[i], 1.0), np.append(x2[i], 1.0)
+            kron, zero = np.kron(h2, h1), np.zeros(9)
+            a, b = x0[i]
+            assert np.array_equal(e[:, 2 * i], np.concatenate([kron, zero, -a * h2, a * h1]))
+            assert np.array_equal(e[:, 2 * i + 1], np.concatenate([zero, kron, -b * h2, b * h1]))
 
     def test_too_few_triples_rejected(self, synthetic):
         x0, x1, x2, *_ = synthetic
@@ -173,26 +185,27 @@ class TestDesignMatrix:
         s = rms_scale(x0, x1, x2)
         e = build_design_matrix(x0 / s, x1 / s, x2 / s)
         w = scaled_pack(pose1, pose2, s)
-        rel = np.linalg.norm(e @ w) / (np.linalg.norm(e) * np.linalg.norm(w))
+        rel = np.linalg.norm(w @ e) / (np.linalg.norm(e) * np.linalg.norm(w))
         assert rel < 1e-10
 
     def test_ground_truth_motion_annihilated_traced(self, scene, clean_data):
         s = rms_scale(clean_data.x0, clean_data.x1, clean_data.x2)
         e = build_design_matrix(clean_data.x0 / s, clean_data.x1 / s, clean_data.x2 / s)
         w = scaled_pack(scene.pose1, scene.pose2, s)
-        rel = np.linalg.norm(e @ w) / (np.linalg.norm(e) * np.linalg.norm(w))
+        rel = np.linalg.norm(w @ e) / (np.linalg.norm(e) * np.linalg.norm(w))
         assert rel < 1e-10
 
     def test_structural_column_pair(self, synthetic):
-        # translation-z slots of the two third-row blocks enter every row
-        # with opposite signs, making one null direction data-independent
+        # translation-z slots of the two third-row blocks enter every
+        # constraint with opposite signs, making one null direction
+        # data-independent
         x0, x1, x2, *_ = synthetic
         e = build_design_matrix(x0, x1, x2)
-        assert np.array_equal(e[:, 20], -e[:, 23])
-        assert np.max(np.abs(e @ spurious_null_vector())) < 1e-12 * np.abs(e).max()
+        assert np.array_equal(e[20], -e[23])
+        assert np.max(np.abs(spurious_null_vector() @ e)) < 1e-12 * np.abs(e).max()
 
     def test_coordinate_doubling_rescales_columns(self, synthetic):
-        # doubling all plane coordinates multiplies each column by a fixed
+        # doubling all plane coordinates multiplies each row by a fixed
         # factor (the homogeneous entry stays 1), so the nullspace span
         # moves by the inverse diagonal rather than staying put
         x0, x1, x2, *_ = synthetic
@@ -207,7 +220,7 @@ class TestDesignMatrix:
                 d[3 * i + j] = d[9 + 3 * i + j] = sdiag[i] * sdiag[j]
         d[18:21] = 2.0 * sdiag
         d[21:24] = 2.0 * sdiag
-        assert np.array_equal(e2, e1 * d)
+        assert np.array_equal(e2, e1 * d[:, None])
 
         d1a, d2a, _ = nullspace_basis(e1)
         d1b, d2b, _ = nullspace_basis(e2)
@@ -245,7 +258,7 @@ class TestNullspace:
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(TooFewCorrespondencesError):
-            nullspace_basis(np.zeros((22, 24)))
+            nullspace_basis(np.zeros((24, 22)))
 
     def test_noisy_data_shrinks_gap(self, scene):
         # the gap is a noise readout, not a degeneracy test: healthy data
@@ -399,7 +412,7 @@ class TestMotionForm:
             s = rms_scale(x0, x1, x2)
             e = build_design_matrix(x0 / s, x1 / s, x2 / s)
             w = scaled_pack(pose1, pose2, s)
-            assert np.linalg.norm(e @ w) / (np.linalg.norm(e) * np.linalg.norm(w)) < 1e-10
+            assert np.linalg.norm(w @ e) / (np.linalg.norm(e) * np.linalg.norm(w)) < 1e-10
 
 
 class TestEstimate:

@@ -167,10 +167,10 @@ class TestBuildObservations:
 class TestIncidenceRows:
     def test_row_is_kronecker_product_of_pixel_and_line(self, clean_obs):
         z = pj._incidence_rows(clean_obs)
-        assert z.shape == (len(clean_obs), 18)
+        assert z.shape == (18, len(clean_obs))
         for i in range(len(clean_obs)):
             u, v = clean_obs.pixels[:, i]
-            assert np.array_equal(z[i], np.kron([u, v, 1.0], clean_obs.lines[:, i]))
+            assert np.array_equal(z[:, i], np.kron([u, v, 1.0], clean_obs.lines[:, i]))
 
 
 class TestPointLineCost:
@@ -547,7 +547,7 @@ class TestFocalSweep:
 
         monkeypatch.setattr(pj, "right_singular", counted)
         pj.focal_sweep(clean_obs, scene.image_size)
-        assert incidence_svds == [(len(clean_obs), 18)]
+        assert incidence_svds == [(18, len(clean_obs))]
 
     def test_fewest_observations(self, scene, fewest_obs):
         est = pj.focal_sweep(fewest_obs, scene.image_size)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specsurf.types import CorrespondenceSet
+from specsurf.types import CorrespondenceSet, Intrinsics
 
 
 def columns(n=4, **shapes):
@@ -29,3 +29,20 @@ def columns(n=4, **shapes):
 def test_malformed_arrays_rejected(arrays):
     with pytest.raises(ValueError):
         CorrespondenceSet(**arrays)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (0.0, 1000.0, 320.0, 240.0),
+        (1000.0, -1.0, 320.0, 240.0),
+        (np.inf, 1000.0, 320.0, 240.0),
+        (1000.0, np.nan, 320.0, 240.0),
+        (1000.0, 1000.0, np.nan, 240.0),
+        (1000.0, 1000.0, 320.0, -np.inf),
+    ],
+    ids=["zero-fx", "negative-fy", "infinite-fx", "nan-fy", "nan-u0", "infinite-v0"],
+)
+def test_bad_intrinsics_rejected(values):
+    with pytest.raises(ValueError, match="finite"):
+        Intrinsics(*values)
