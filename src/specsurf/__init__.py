@@ -12,7 +12,6 @@ from .types import (
     CorrespondenceSet,
     Intrinsics,
     NoiseSpec,
-    PlanePosePair,
     RigidPose,
     SurfaceEstimate,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "CorrespondenceSet",
     "Intrinsics",
     "NoiseSpec",
-    "PlanePosePair",
     "RigidPose",
     "SurfaceEstimate",
     "__version__",

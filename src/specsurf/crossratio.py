@@ -41,13 +41,7 @@ from . import so3
 from .errors import TooFewCorrespondencesError
 from .linalg import least_squares, sum_squares
 from .plane_pose import MIN_LIFT_SEPARATION_MM, Lifts, lift_triples
-from .types import (
-    CalibrationEstimate,
-    CorrespondenceSet,
-    Intrinsics,
-    PlanePosePair,
-    SurfaceEstimate,
-)
+from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, RigidPose, SurfaceEstimate
 
 # X1 may sit off the X0-X2 line by this fraction of the segment length
 # before the triple is treated as corrupted rather than merely noisy
@@ -329,7 +323,7 @@ def _frozen_jacobian(view: _View, lifts: Lifts) -> np.ndarray:
     return jt.T
 
 
-def noise_sensitivity(theta: np.ndarray, lifts: Lifts, m_obs, poses: PlanePosePair) -> np.ndarray:
+def noise_sensitivity(theta: np.ndarray, lifts: Lifts, m_obs, poses: tuple[RigidPose, ...]) -> np.ndarray:
     """Per-triple response of the residual to correspondence noise, px/mm.
 
     Central differences of the view's residual rows at the camera vector
@@ -344,7 +338,6 @@ def noise_sensitivity(theta: np.ndarray, lifts: Lifts, m_obs, poses: PlanePosePa
     millimetre while well-posed ones answer with tens.
     """
     stacks = (lifts.p0, lifts.p1, lifts.p2)
-    axes = (np.eye(3), poses.pose1.rotation, poses.pose2.rotation)
 
     def residuals_at(which, step):
         moved = list(stacks)
@@ -352,9 +345,9 @@ def noise_sensitivity(theta: np.ndarray, lifts: Lifts, m_obs, poses: PlanePosePa
         return _resolve_offsets(theta, Lifts.of(*moved), m_obs).residuals
 
     total = np.zeros(m_obs.shape[1])
-    for which in range(3):
+    for which, axes in enumerate((np.eye(3), *(pose.rotation for pose in poses))):
         for coord in range(2):
-            step = SENSITIVITY_STEP_MM * axes[which][:, coord : coord + 1]
+            step = SENSITIVITY_STEP_MM * axes[:, coord : coord + 1]
             dr = (residuals_at(which, step) - residuals_at(which, -step)) / (2.0 * SENSITIVITY_STEP_MM)
             dr = np.clip(np.nan_to_num(dr, nan=_SINGULAR_RESIDUAL), -_SINGULAR_RESIDUAL, _SINGULAR_RESIDUAL)
             total += np.einsum("ij,ij->j", dr, dr)
@@ -426,7 +419,7 @@ def _gate(theta: np.ndarray, lifts: Lifts, m_obs, noisy):
 
 
 def refine(
-    theta0: CalibrationEstimate, corrs: CorrespondenceSet, poses: PlanePosePair
+    theta0: CalibrationEstimate, corrs: CorrespondenceSet, poses: tuple[RigidPose, ...]
 ) -> tuple[CalibrationEstimate, SurfaceEstimate, ConvergenceReport]:
     """Levenberg-Marquardt over the 10 camera parameters.
 
@@ -465,7 +458,7 @@ def refine(
     Raises TooFewCorrespondencesError when fewer than MIN_TRIPLES triples
     pass the gate at the start camera.
     """
-    lifts = lift_triples(poses, corrs.x0, corrs.x1, corrs.x2)
+    lifts = lift_triples(poses, corrs.planes)
     # a non-finite plane coordinate masks its own triple, not the frame
     centre = np.mean(lifts.p0, axis=1, where=np.isfinite(lifts.p0))
     lifts = replace(lifts, **{name: getattr(lifts, name) - centre[:, None] for name in ("p0", "p1", "p2")})

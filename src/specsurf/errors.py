@@ -40,7 +40,7 @@ class RankAmbiguousError(SpecsurfError):
 
     Raised when the design matrix has more than two vanishing singular
     values, or when no direction of its two-dimensional nullspace factors
-    into a rigid motion pair (e.g. pure translation).  gap_ratio is the
+    into rigid motions (e.g. pure translation).  gap_ratio is the
     nullspace rank gap sigma_22/sigma_23 of the design matrix.
     """
 

@@ -1,10 +1,13 @@
 """Recovery of the two unknown plane motions from reflection triples.
 
 Each reflection triple gives the in-plane coordinates of one surface point's
-image on the reference plane at poses 0, 1 and 2.  Lifted to 3D, the three
-points lie on one line (the reflected ray), and pose 0 is the world frame.
-lift_triples returns them as Lifts, which fixes that line for every stage;
-the pose-1 lift's offset from it is the residual the motions are fitted by.
+image on the reference plane at poses 0, 1 and 2, read as the (3, 2, n)
+stack CorrespondenceSet.planes: pose-major, one row per coordinate.  The
+motions are a tuple of RigidPose, poses 1 and 2 relative to pose 0.  Lifted
+to 3D, the three points lie on one line (the reflected ray), and pose 0 is
+the world frame.  lift_triples returns them as Lifts, which fixes that line
+for every stage; the pose-1 lift's offset from it is the residual the
+motions are fitted by.
 Eliminating the ray turns every triple into two linear constraints on a
 24-vector packing products of the two unknown motions (the collinearity
 constraints of Sturm & Bonfort, ACCV 2006).  The stacked system has two null
@@ -15,13 +18,13 @@ solves.
 
 The factorization is sign-ambiguous: flipping the plane normal direction of
 both motions (a mirror twin) satisfies the same constraints with identical
-residual, so the best-fitting pair is returned with its twin and the
-caller disambiguates with camera-side evidence.
+residual, so the best-fitting motions are returned with their twin and
+the caller disambiguates with camera-side evidence.
 
 Degeneracy is decided by the factoring, not by a threshold on the rank gap
 (which shrinks with measurement noise on healthy data): a motion the data
 cannot pin down, such as pure translation, leaves no nullspace direction
-that factors into a rigid pair, and estimate_plane_poses raises
+that factors into rigid motions, and estimate_plane_poses raises
 RankAmbiguousError.
 """
 
@@ -34,7 +37,7 @@ import numpy as np
 from . import so3
 from .errors import NoValidCandidateError, RankAmbiguousError, TooFewCorrespondencesError
 from .linalg import least_squares, right_singular
-from .types import CorrespondenceSet, PlanePosePair, RigidPose
+from .types import CorrespondenceSet, RigidPose
 
 MIN_TRIPLES = 12
 
@@ -42,15 +45,14 @@ MIN_TRIPLES = 12
 # orthogonal to within this
 ORTHO_TOL = 0.3
 
-def pack_motion(pose1: RigidPose, pose2: RigidPose) -> np.ndarray:
+def pack_motion(motions: tuple[RigidPose, ...]) -> np.ndarray:
     """24-vector of motion products annihilated by the design matrix.
 
     Layout: slots 0..8 and 9..17 hold two 3x3 row-major product blocks of
     the motions, slots 18..20 the third row of [R2[:,0] R2[:,1] T2], slots
     21..23 the third row of [R1[:,0] R1[:,1] T1].
     """
-    m = np.column_stack([pose1.rotation[:, 0], pose1.rotation[:, 1], pose1.translation])
-    n = np.column_stack([pose2.rotation[:, 0], pose2.rotation[:, 1], pose2.translation])
+    m, n = (np.column_stack([pose.rotation[:, :2], pose.translation]) for pose in motions)
     a = np.outer(n[2], m[0]) - np.outer(n[0], m[2])
     b = np.outer(n[2], m[1]) - np.outer(n[1], m[2])
     return np.concatenate([a.ravel(), b.ravel(), n[2], m[2]])
@@ -64,26 +66,28 @@ def spurious_null_vector() -> np.ndarray:
     return v / np.sqrt(2.0)
 
 
-def build_design_matrix(x0, x1, x2) -> np.ndarray:
+def build_design_matrix(planes: np.ndarray) -> np.ndarray:
     """24 x 2n constraint stack, rows first: column 2i is triple i's x
     constraint and column 2i + 1 its y constraint.
 
-    x0, x1, x2 are (n,2) in-plane coordinates at poses 0, 1, 2.  Rows 20
-    and 23 are exact negatives by construction, which is what creates the
-    structural second null direction.
+    planes is the (3, 2, n) stack of in-plane coordinates at poses 0, 1, 2
+    (CorrespondenceSet.planes).  Rows 20 and 23 are exact negatives by
+    construction, which is what creates the structural second null
+    direction.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
+    x0, x1, x2 = planes
+    n = x0.shape[1]
     if n < MIN_TRIPLES:
         raise TooFewCorrespondencesError(
             f"need at least {MIN_TRIPLES} triples, got {n}"
         )
-    h1, h2 = (np.array([*np.asarray(x, dtype=float).T, np.ones(n)]) for x in (x1, x2))
+    h1, h2 = (np.array([*x, np.ones(n)]) for x in (x1, x2))
     # e[:, i, c]: constraint c (x or y) of triple i
     e = np.zeros((24, n, 2))
     e[0:9, :, 0] = e[9:18, :, 1] = (h2[:, None] * h1).reshape(9, n)
-    e[18:21] = -x0 * h2[..., None]
-    e[21:24] = x0 * h1[..., None]
+    for c, x in enumerate(x0):
+        e[18:21, :, c] = -x * h2
+        e[21:24, :, c] = x * h1
     return e.reshape(24, 2 * n)
 
 
@@ -193,10 +197,10 @@ def _factor_null_vector(d: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return m, n
 
 
-def _rows_to_pair(m: np.ndarray, n: np.ndarray) -> PlanePosePair | None:
-    """Build the pose pair from row matrices, or None when far from rigid."""
+def _rows_to_motions(*rows: np.ndarray) -> tuple[RigidPose, ...] | None:
+    """Build the motions from row matrices, or None when far from rigid."""
     poses = []
-    for mat in (m, n):
+    for mat in rows:
         c1 = mat[:, 0]
         c2 = mat[:, 1]
         for col in (c1, c2):
@@ -206,25 +210,21 @@ def _rows_to_pair(m: np.ndarray, n: np.ndarray) -> PlanePosePair | None:
             return None
         frame = np.column_stack([c1, c2, so3.cross(c1, c2)])
         poses.append(RigidPose(so3.closest_rotation(frame), mat[:, 2]))
-    return PlanePosePair(poses[0], poses[1])
+    return tuple(poses)
 
 
 # the diagonal of S = diag(1, 1, -1), the reflection in the reference plane
 _MIRROR = np.array([1.0, 1.0, -1.0])
 
 
-def _mirror_twin(pair: PlanePosePair) -> PlanePosePair:
-    """The pair reflected in the reference plane: (S R S, S t) per motion.
+def _mirror_twin(motions: tuple[RigidPose, ...]) -> tuple[RigidPose, ...]:
+    """The motions reflected in the reference plane: (S R S, S t) each.
 
-    The lifts of every triple reflect with it (the pose-0 lifts lie in the
-    plane), so each offset only changes sign in its components and the
+    The lifts of every triple reflect with them (the pose-0 lifts lie in
+    the plane), so each offset only changes sign in its components and the
     line-offset residual stays the same to the bit.
     """
-
-    def mirror(pose: RigidPose) -> RigidPose:
-        return RigidPose(_MIRROR[:, None] * pose.rotation * _MIRROR, _MIRROR * pose.translation)
-
-    return PlanePosePair(mirror(pair.pose1), mirror(pair.pose2))
+    return tuple(RigidPose(_MIRROR[:, None] * p.rotation * _MIRROR, _MIRROR * p.translation) for p in motions)
 
 
 # lifted pose-0/pose-2 points closer than this carry no line direction
@@ -265,38 +265,41 @@ class Lifts:
         return so3.cross(self.p1 - self.p0, self.unit)
 
 
-def lift_triples(pair: PlanePosePair, x0, x1, x2) -> Lifts:
+def lift_triples(motions: tuple[RigidPose, ...], planes: np.ndarray) -> Lifts:
     """Lifts of each triple under the candidate motions (pose-0 frame).
 
-    A plane point (x, y, 0) lifts to R[:, 0] x + R[:, 1] y + t.
+    motions holds one RigidPose per pose after pose 0 and planes is the
+    (3, 2, n) stack of CorrespondenceSet.planes; a count that does not
+    match raises ValueError.  A plane point (x, y, 0) lifts to
+    R[:, 0] x + R[:, 1] y + t, one contraction over the rows.
     """
+    x0 = planes[0]
+    lifted = (
+        np.einsum("ij,jn->in", pose.rotation[:, :2], x) + pose.translation[:, None]
+        for pose, x in zip(motions, planes[1:], strict=True)
+    )
+    return Lifts.of(np.array([*x0, np.zeros(x0.shape[1])]), *lifted)
 
-    def lift(pose, x):
-        x = np.asarray(x, dtype=float).T
-        return np.einsum("ij,jn->in", pose.rotation[:, :2], x) + pose.translation[:, None]
 
-    x0 = np.asarray(x0, dtype=float).T
-    return Lifts.of(np.array([*x0, np.zeros(x0.shape[1])]), lift(pair.pose1, x1), lift(pair.pose2, x2))
-
-
-def line_offset_residual(pair: PlanePosePair, x0, x1, x2) -> float:
+def line_offset_residual(motions: tuple[RigidPose, ...], planes: np.ndarray) -> float:
     """RMS distance of each lifted pose-1 point from its pose-0/pose-2 line.
 
     Same units as the plane coordinates.  This is the quantity the
     geometric polish minimizes, so candidate ranking uses it as well.
     """
-    lifts = lift_triples(pair, x0, x1, x2)
+    lifts = lift_triples(motions, planes)
     good = lifts.length > 1e-12
     if not np.any(good):
         return np.inf
     return float(np.sqrt(np.mean(np.sum(lifts.offset()[:, good] ** 2, axis=0))))
 
 
-def _polish_objective(pair: PlanePosePair, x0, x1, x2):
+def _polish_objective(motions: tuple[RigidPose, ...], planes: np.ndarray):
     """Line-offset residuals of the polish and their Jacobian, in closed form.
 
     Returns the least_squares model over x = (w1, t1, w2, t2), the motions
-    R_i = exp(w_i) R_i^0 of pair with translations t_i.
+    R_i = exp(w_i) R_i^0 with translations t_i, R_i^0 the rotations of
+    motions.
 
     The residual is r = v x u with v = p1 - p0 and u = (p2 - p0) / L the
     line's unit direction.  A move dp1 changes it by dp1 x u and a move dp2
@@ -314,17 +317,12 @@ def _polish_objective(pair: PlanePosePair, x0, x1, x2):
     triples are einsums and elementwise: a matmul on a long stack wakes
     OpenBLAS's threads.
     """
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
 
     def model(x):
-        t1, t2 = x[3:6], x[9:12]
-        cur = PlanePosePair(
-            RigidPose(so3.exp(x[0:3]) @ pair.pose1.rotation, t1),
-            RigidPose(so3.exp(x[6:9]) @ pair.pose2.rotation, t2),
-        )
-        lifts = lift_triples(cur, x0, x1, x2)
+        steps = x.reshape(-1, 2, 3)
+        (w1, t1), (w2, t2) = steps
+        cur = tuple(RigidPose(so3.exp(w) @ p.rotation, t) for (w, t), p in zip(steps, motions, strict=True))
+        lifts = lift_triples(cur, planes)
         good = lifts.length > 1e-12
         res = lifts.offset()
         res[:, ~good] = 0.0
@@ -335,8 +333,8 @@ def _polish_objective(pair: PlanePosePair, x0, x1, x2):
             q1 = lifts.p1 - t1[:, None]
             q2 = lifts.p2 - t2[:, None]
             inv = 1.0 / np.where(good, lifts.length, 1.0)
-            j1 = so3.left_jacobian(x[0:3])
-            j2 = so3.left_jacobian(x[6:9])
+            j1 = so3.left_jacobian(w1)
+            j2 = so3.left_jacobian(w2)
             # jt[k, c, i]: derivative of component c of triple i's offset
             jt = np.empty((12, 3, u.shape[1]))
             jt[0:3] = q1 * np.einsum("ai,ak->ki", u, j1)[:, None]
@@ -356,8 +354,8 @@ def _polish_objective(pair: PlanePosePair, x0, x1, x2):
     return model
 
 
-def refine_plane_poses(pair: PlanePosePair, x0, x1, x2) -> PlanePosePair:
-    """Levenberg-Marquardt polish of a motion pair on the geometric residual.
+def refine_plane_poses(motions: tuple[RigidPose, ...], planes: np.ndarray) -> tuple[RigidPose, ...]:
+    """Levenberg-Marquardt polish of the motions on the geometric residual.
 
     The residual per triple is the offset of the lifted pose-1 point from
     the line through the lifted pose-0 and pose-2 points (the longest
@@ -369,21 +367,20 @@ def refine_plane_poses(pair: PlanePosePair, x0, x1, x2) -> PlanePosePair:
     make 42k residuals on a dense scan; least_squares keeps their products
     off OpenBLAS's thread pool.
     """
-    start = np.concatenate([np.zeros(3), pair.pose1.translation, np.zeros(3), pair.pose2.translation])
-    fit = least_squares(_polish_objective(pair, x0, x1, x2), start)
-    w1, t1, w2, t2 = np.split(fit.x, 4)
-    return PlanePosePair(
-        RigidPose(so3.closest_rotation(so3.exp(w1) @ pair.pose1.rotation), t1),
-        RigidPose(so3.closest_rotation(so3.exp(w2) @ pair.pose2.rotation), t2),
+    start = np.concatenate([part for p in motions for part in (np.zeros(3), p.translation)])
+    fit = least_squares(_polish_objective(motions, planes), start)
+    return tuple(
+        RigidPose(so3.closest_rotation(so3.exp(w) @ p.rotation), t)
+        for (w, t), p in zip(fit.x.reshape(-1, 2, 3), motions, strict=True)
     )
 
 
 @dataclass(frozen=True)
 class PoseSolution:
-    """The polished plane-motion pair and its mirror twin; the twin whose
+    """The polished plane motions and their mirror twin; the twin whose
     pose 2 moves toward +z comes first."""
 
-    candidates: tuple[PlanePosePair, ...]
+    candidates: tuple[tuple[RigidPose, ...], ...]
     residual: float  # RMS line offset, mm, which the twins share to the bit
     gap_ratio: float
 
@@ -392,56 +389,47 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     """Recover the two plane motions from a correspondence set.
 
     Each candidate direction of the nullspace pencil is factored once into
-    a motion pair.  Its mirror twin (plane normal flipped) fits the data
-    identically: it is the pair reflected in the reference plane,
+    the motions.  Their mirror twin (plane normal flipped) fits the data
+    identically: it is the motions reflected in the reference plane,
     (S R S, S t) with S = diag(1, 1, -1), and so is every step of a polish
-    started from it.  The pair with the lowest line-offset residual is
-    polished by refine_plane_poses, and the candidates are it and its
+    started from it.  The motions with the lowest line-offset residual are
+    polished by refine_plane_poses, and the candidates are they and their
     reflection, always two.  Both twins are returned because only
     camera-side reasoning can tell them apart.  The twin whose pose 2 moves
     toward +z (pose 1, when pose 2 keeps z) comes first: the reflection
     flips both, so neither the row order nor an SVD sign sets the order.
 
     Raises RankAmbiguousError, carrying the rank gap, when no nullspace
-    direction factors into a rigid pair: the data do not determine the
-    motions (e.g. pure translation).
+    direction factors into rigid motions: the data do not determine them
+    (e.g. pure translation).
     """
     coords = np.concatenate([data.x0.ravel(), data.x1.ravel(), data.x2.ravel()])
     scale = float(np.sqrt(np.mean(coords**2)))
     if not 0.0 < scale < np.inf:
         raise NoValidCandidateError("plane coordinates are all zero, or one is not finite")
-    x0 = data.x0 / scale
-    x1 = data.x1 / scale
-    x2 = data.x2 / scale
+    planes = data.planes / scale
 
-    e = build_design_matrix(x0, x1, x2)
-    d1, d2, gap = nullspace_basis(e)
-    pairs: list[PlanePosePair] = []
+    d1, d2, gap = nullspace_basis(build_design_matrix(planes))
+    factored = []
     for d in candidate_null_vectors(d1, d2):
         rows = _factor_null_vector(d)
-        pair = _rows_to_pair(*rows) if rows is not None else None
-        if pair is not None:
-            pairs.append(pair)
-    if not pairs:
+        motions = _rows_to_motions(*rows) if rows is not None else None
+        if motions is not None:
+            factored.append(motions)
+    if not factored:
         raise RankAmbiguousError(
-            "no nullspace direction factors into a rigid motion pair; the "
-            "plane motions are degenerate",
+            "no nullspace direction factors into rigid motions; the plane "
+            "motions are degenerate",
             gap_ratio=gap,
         )
 
-    # geometric polish of the best pair; the reflection carries the
-    # residual and the polish to its twin
-    best = min(pairs, key=lambda p: line_offset_residual(p, x0, x1, x2))
-    best = refine_plane_poses(best, x0, x1, x2)
-    residual = scale * line_offset_residual(best, x0, x1, x2)
+    # geometric polish of the best motions; the reflection carries the
+    # residual and the polish to their twin
+    best = min(factored, key=lambda m: line_offset_residual(m, planes))
+    best = refine_plane_poses(best, planes)
+    residual = scale * line_offset_residual(best, planes)
     twins = (best, _mirror_twin(best))
-    if (best.pose2.translation[2] or best.pose1.translation[2]) < 0:
+    if (best[1].translation[2] or best[0].translation[2]) < 0:
         twins = twins[::-1]
-    candidates = tuple(
-        PlanePosePair(
-            RigidPose(p.pose1.rotation, scale * p.pose1.translation),
-            RigidPose(p.pose2.rotation, scale * p.pose2.translation),
-        )
-        for p in twins
-    )
+    candidates = tuple(tuple(RigidPose(p.rotation, scale * p.translation) for p in twin) for twin in twins)
     return PoseSolution(candidates=candidates, residual=residual, gap_ratio=gap)

@@ -77,7 +77,7 @@ from . import so3
 from .linalg import least_squares, right_singular
 from .plane_pose import MIN_LIFT_SEPARATION_MM, lift_triples
 from .plucker import line_to_point_matrix, lines_from_points, point_to_line_matrix
-from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, PlanePosePair
+from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, RigidPose
 
 MIN_OBSERVATIONS = 17
 SWEEP_SPAN = (0.15, 10.0)  # focal range as multiples of the image diagonal
@@ -113,7 +113,7 @@ class LineObservationSet:
         return replace(self, pixels=self.pixels - [[u0], [v0]])
 
 
-def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineObservationSet:
+def build_observations(corrs: CorrespondenceSet, poses: tuple[RigidPose, ...]) -> LineObservationSet:
     """One (pixel, reflected-line) item per triple.
 
     The line is the one plane_pose.Lifts decides for the triple.  Triples
@@ -122,10 +122,11 @@ def build_observations(corrs: CorrespondenceSet, poses: PlanePosePair) -> LineOb
     direction would be noise), are skipped: indices names the triples
     kept, so len(corrs) - len(obs) counts the skipped ones.
     """
-    pixels, x0, x1, x2 = (np.asarray(a, dtype=float) for a in (corrs.pixels, corrs.x0, corrs.x1, corrs.x2))
+    pixels = np.asarray(corrs.pixels, dtype=float)
+    planes = corrs.planes
     # only finite triples are lifted: an infinite coordinate has no line
-    finite = np.isfinite(np.hstack([pixels, x0, x1, x2])).all(axis=1)
-    lifts = lift_triples(poses, x0[finite], x1[finite], x2[finite])
+    finite = np.isfinite(pixels).all(axis=1) & np.isfinite(planes).all(axis=(0, 1))
+    lifts = lift_triples(poses, np.compress(finite, planes, axis=2))
     far = lifts.length >= MIN_LIFT_SEPARATION_MM
     indices = np.flatnonzero(finite)[far]
     lines = lines_from_points(lifts.p0[:, far], lifts.p2[:, far])

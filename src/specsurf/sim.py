@@ -95,16 +95,19 @@ class MirrorScene:
     camera_pose: RigidPose  # world -> camera
     image_size: tuple[int, int]  # (width, height) pixels
     plane_half_extent: tuple[float, float]  # (half_width, half_height) mm
-    pose1: RigidPose  # plane local -> world, pose 1
-    pose2: RigidPose  # plane local -> world, pose 2
+    poses: tuple[RigidPose, ...]  # plane local -> world, poses 1 and 2
     mirrors: tuple[SphereMirror | ParaboloidMirror, ...]
 
     def __post_init__(self):
-        for pose in (self.camera_pose, self.pose1, self.pose2):
+        if len(self.poses) != 2:
+            raise ValueError(f"scene needs two plane motions, got {len(self.poses)}")
+        for pose in (self.camera_pose, *self.poses):
+            if not (np.isfinite(pose.rotation).all() and np.isfinite(pose.translation).all()):
+                raise ValueError("scene poses must be finite")
             if pose.orthonormality_error() > 1e-12 or np.linalg.det(pose.rotation) < 0:
                 raise ValueError("scene rotations must be proper and orthonormal")
-        if min(self.plane_half_extent) <= 0:
-            raise ValueError("plane extent must be positive")
+        if not all(0 < h < np.inf for h in self.plane_half_extent):
+            raise ValueError("plane extent must be positive and finite")
         if not self.mirrors:
             raise ValueError("scene needs at least one mirror")
 
@@ -271,7 +274,7 @@ def _trace_chunk(scene: MirrorScene, pixels: np.ndarray):
 
     hw, hh = scene.plane_half_extent
     coords = []
-    for pose in (identity_pose(), scene.pose1, scene.pose2):
+    for pose in (identity_pose(), *scene.poses):
         pn = pose.rotation[:, 2]  # plane normal in world coords
         denom = _dot(reflected, pn)
         offset = pose.translation - points
@@ -434,17 +437,19 @@ def default_two_sphere_scene() -> MirrorScene:
     """
     intr = Intrinsics(fx=1400.0, fy=1400.0, u0=639.5, v0=479.5)
     camera = look_at_pose(eye=(0.0, -1000.0, 750.0), target=(0.0, 0.0, 850.0))
-    pose1 = RigidPose(
-        rotation_about_axis((1.0, 0.0, 0.0), -10.0)
-        @ rotation_about_axis((0.0, 1.0, 0.0), 6.0)
-        @ rotation_about_axis((0.0, 0.0, 1.0), 8.0),
-        (40.0, -60.0, 170.0),
-    )
-    pose2 = RigidPose(
-        rotation_about_axis((1.0, 0.0, 0.0), 8.0)
-        @ rotation_about_axis((0.0, 1.0, 0.0), -12.0)
-        @ rotation_about_axis((0.0, 0.0, 1.0), -10.0),
-        (-70.0, 80.0, 345.0),
+    poses = (
+        RigidPose(
+            rotation_about_axis((1.0, 0.0, 0.0), -10.0)
+            @ rotation_about_axis((0.0, 1.0, 0.0), 6.0)
+            @ rotation_about_axis((0.0, 0.0, 1.0), 8.0),
+            (40.0, -60.0, 170.0),
+        ),
+        RigidPose(
+            rotation_about_axis((1.0, 0.0, 0.0), 8.0)
+            @ rotation_about_axis((0.0, 1.0, 0.0), -12.0)
+            @ rotation_about_axis((0.0, 0.0, 1.0), -10.0),
+            (-70.0, 80.0, 345.0),
+        ),
     )
     mirrors = (
         SphereMirror(center=(-340.0, 0.0, 850.0), radius=300.0),
@@ -455,8 +460,7 @@ def default_two_sphere_scene() -> MirrorScene:
         camera_pose=camera,
         image_size=(1280, 960),
         plane_half_extent=(1000.0, 1000.0),
-        pose1=pose1,
-        pose2=pose2,
+        poses=poses,
         mirrors=mirrors,
     )
 
@@ -465,8 +469,7 @@ def pure_translation_scene() -> MirrorScene:
     """Degenerate variant: the plane only translates between poses."""
     return replace(
         default_two_sphere_scene(),
-        pose1=RigidPose(np.eye(3), (25.0, -30.0, 170.0)),
-        pose2=RigidPose(np.eye(3), (-40.0, 45.0, 345.0)),
+        poses=(RigidPose(np.eye(3), (25.0, -30.0, 170.0)), RigidPose(np.eye(3), (-40.0, 45.0, 345.0))),
     )
 
 
@@ -513,8 +516,8 @@ def write_scene(scene: MirrorScene, path):
         **_to_section(scene.camera_pose),
     }
     cfg["plane"] = dict(zip(("half_width", "half_height"), map(_fmt_floats, scene.plane_half_extent)))
-    cfg["pose1"] = _to_section(scene.pose1)
-    cfg["pose2"] = _to_section(scene.pose2)
+    for i, pose in enumerate(scene.poses, start=1):
+        cfg[f"pose{i}"] = _to_section(pose)
     for i, mirror in enumerate(scene.mirrors, start=1):
         kind = next(name for name, cls in _MIRRORS.items() if isinstance(mirror, cls))
         cfg[f"mirror{i}"] = {"type": kind, **_to_section(mirror)}
@@ -550,8 +553,7 @@ def read_scene(path) -> MirrorScene:
             camera_pose=_from_section(RigidPose, cam, "camera"),
             image_size=(int(cam["width"]), int(cam["height"])),
             plane_half_extent=(float(plane["half_width"]), float(plane["half_height"])),
-            pose1=_from_section(RigidPose, cfg["pose1"], "pose1"),
-            pose2=_from_section(RigidPose, cfg["pose2"], "pose2"),
+            poses=tuple(_from_section(RigidPose, cfg[f"pose{i}"], f"pose{i}") for i in (1, 2)),
             mirrors=tuple(mirrors),
         )
     except KeyError as exc:

@@ -7,6 +7,8 @@ Conventions
 * RigidPose maps local coordinates to world coordinates for plane poses
   (X_world = R @ X_local + t) and world to camera for the camera pose
   (X_cam = R @ X_world + t).
+* The plane motions are a tuple of RigidPose, one per pose after pose 0,
+  each relative to pose 0.
 * Image coordinates are pixels, (u, v) with u along the image width.
 """
 
@@ -107,8 +109,10 @@ class NoiseSpec:
 class CorrespondenceSet:
     """Column-array container for reflection correspondences.
 
-    gt_points and gt_normals, filled by the simulator, are for scoring
-    alone; no solver stage reads them.
+    pixels and the plane points x0, x1, x2 at poses 0, 1, 2 are (n, 2);
+    the solvers read the plane points once, as the rows-first stack
+    planes.  gt_points and gt_normals, filled by the simulator, are for
+    scoring alone; no solver stage reads them.
     """
 
     pixels: np.ndarray  # (n, 2)
@@ -130,13 +134,11 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return len(self.pixels)
 
-
-@dataclass(frozen=True)
-class PlanePosePair:
-    """Rigid poses of the reference plane at poses 1 and 2, relative to pose 0."""
-
-    pose1: RigidPose
-    pose2: RigidPose
+    @property
+    def planes(self) -> np.ndarray:
+        """C-contiguous (3, 2, n) copy of x0, x1, x2: pose-major, one row
+        per coordinate."""
+        return np.array([np.asarray(x, dtype=float).T for x in (self.x0, self.x1, self.x2)])
 
 
 @dataclass

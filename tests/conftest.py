@@ -34,8 +34,10 @@ def second_root_scene():
     off its lines against 1e-13 mm for the true motions."""
     return dataclasses.replace(
         default_two_sphere_scene(),
-        pose1=RigidPose(so3.exp([-0.1333, -0.1176, 0.1564]), (-25.16, -35.36, 188.54)),
-        pose2=RigidPose(so3.exp([-0.1881, -0.2361, 0.1183]), (51.29, -40.73, 382.55)),
+        poses=(
+            RigidPose(so3.exp([-0.1333, -0.1176, 0.1564]), (-25.16, -35.36, 188.54)),
+            RigidPose(so3.exp([-0.1881, -0.2361, 0.1183]), (51.29, -40.73, 382.55)),
+        ),
     )
 
 
@@ -52,11 +54,11 @@ def random_motion_scene(k: int):
     """
     rng = np.random.default_rng(21)
     for _ in range(k + 1):
-        poses = [
+        poses = tuple(
             RigidPose(so3.exp(rng.normal(0, 0.15, 3)), (rng.normal(0, 50), rng.normal(0, 50), rng.uniform(*z)))
             for z in ((120, 230), (300, 450))
-        ]
-    scene = dataclasses.replace(default_two_sphere_scene(), pose1=poses[0], pose2=poses[1])
+        )
+    scene = dataclasses.replace(default_two_sphere_scene(), poses=poses)
     return scene, NoiseSpec(sigma_mm=[0.5, 1.0][k % 2], gamma_px=0.5, seed=k)
 
 

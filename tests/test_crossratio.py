@@ -18,7 +18,7 @@ from specsurf import so3
 from specsurf.errors import TooFewCorrespondencesError
 from specsurf.plane_pose import Lifts, lift_triples
 from specsurf.sim import default_two_sphere_scene, generate_dataset
-from specsurf.types import CalibrationEstimate, CorrespondenceSet, NoiseSpec, PlanePosePair, RigidPose
+from specsurf.types import CalibrationEstimate, CorrespondenceSet, NoiseSpec, RigidPose
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from specbench.tracing import MASK_REASONS  # noqa: E402
@@ -36,7 +36,7 @@ def scene():
 
 @pytest.fixture(scope="module")
 def poses(scene):
-    return PlanePosePair(scene.pose1, scene.pose2)
+    return scene.poses
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def noisy_fit(rig, noisy_data, poses):
 
 
 def lifts_of(data, poses):
-    return lift_triples(poses, data.x0, data.x1, data.x2)
+    return lift_triples(poses, data.planes)
 
 
 def pixel_rows(data):
@@ -259,7 +259,7 @@ class TestResolveOffsets:
         for i in np.flatnonzero(noisy_fit[1].valid)[::150][:20]:
             lifted = [np.append(noisy_data.x0[i], 0.0)] + [
                 pose.rotation @ np.append(x[i], 0.0) + pose.translation
-                for pose, x in ((poses.pose1, noisy_data.x1), (poses.pose2, noisy_data.x2))
+                for pose, x in zip(poses, (noisy_data.x1, noisy_data.x2), strict=True)
             ]
             pixels, depths = zip(*(project(q) for q in lifted))
             for k in range(3):
@@ -301,15 +301,15 @@ def reference_sensitivity(theta, data, poses):
     at a time: each of the six plane coordinates of every triple moved by
     +-SENSITIVITY_STEP_MM before the lift."""
     m_obs = pixel_rows(data)
-    base = [np.asarray(a, dtype=float) for a in (data.x0, data.x1, data.x2)]
+    base = data.planes
     total = np.zeros(m_obs.shape[1])
     for which in range(3):
         for coord in range(2):
             rows = []
             for sign in (1.0, -1.0):
-                moved = [a.copy() for a in base]
-                moved[which][:, coord] += sign * cr.SENSITIVITY_STEP_MM
-                rows.append(cr._resolve_offsets(theta, lift_triples(poses, *moved), m_obs).residuals)
+                moved = base.copy()
+                moved[which, coord] += sign * cr.SENSITIVITY_STEP_MM
+                rows.append(cr._resolve_offsets(theta, lift_triples(poses, moved), m_obs).residuals)
             dr = (rows[0] - rows[1]) / (2.0 * cr.SENSITIVITY_STEP_MM)
             dr = np.clip(np.nan_to_num(dr, nan=cr._SINGULAR_RESIDUAL), -cr._SINGULAR_RESIDUAL, cr._SINGULAR_RESIDUAL)
             total += np.einsum("ij,ij->j", dr, dr)
@@ -433,9 +433,7 @@ class TestRefine:
         moved_data = CorrespondenceSet(
             pixels=noisy_data.pixels, x0=noisy_data.x0 + shift, x1=noisy_data.x1 + shift, x2=noisy_data.x2 + shift
         )
-        moved_poses = PlanePosePair(
-            *(RigidPose(p.rotation, p.translation + c - p.rotation @ c) for p in (poses.pose1, poses.pose2))
-        )
+        moved_poses = tuple(RigidPose(p.rotation, p.translation + c - p.rotation @ c) for p in poses)
         moved_rig = replace(rig, translation=rig.translation - rig.rotation @ c)
         fits = record_fits(monkeypatch)
         _, surface, report = cr.refine(rig, noisy_data, poses)

@@ -21,7 +21,7 @@ from specsurf.linalg import least_squares, right_singular
 from specsurf.plane_pose import _polish_objective, estimate_plane_poses, refine_plane_poses
 from specsurf.projection import _point_line_objective, build_observations, focal_sweep
 from specsurf.sim import default_two_sphere_scene, generate_dataset
-from specsurf.types import CalibrationEstimate, NoiseSpec, PlanePosePair
+from specsurf.types import CalibrationEstimate, NoiseSpec
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -180,9 +180,8 @@ def noisy8(scene):
 def polish_problem(scene, data):
     """The plane-pose polish from the true motions, which noisy data move
     off the optimum."""
-    pair = PlanePosePair(scene.pose1, scene.pose2)
-    model = _polish_objective(pair, data.x0, data.x1, data.x2)
-    start = np.concatenate([np.zeros(3), pair.pose1.translation, np.zeros(3), pair.pose2.translation])
+    model = _polish_objective(scene.poses, data.planes)
+    start = np.concatenate([part for p in scene.poses for part in (np.zeros(3), p.translation)])
     return model, start, {}
 
 
@@ -191,7 +190,7 @@ def point_line_problem(scene):
     residual evaluations."""
     data = generate_dataset(scene, grid_step=8, noise=NoiseSpec(seed=3))
     intr = scene.intrinsics
-    obs = build_observations(data, PlanePosePair(scene.pose1, scene.pose2)).centered(intr.u0, intr.v0)
+    obs = build_observations(data, scene.poses).centered(intr.u0, intr.v0)
     model = _point_line_objective(obs)
     rotation = so3.exp(np.array([0.02, -0.01, 0.015])) @ scene.camera_pose.rotation
     translation = scene.camera_pose.translation + np.array([5.0, -5.0, 20.0])
@@ -276,13 +275,13 @@ def test_ftol_matches_scipy(scene, noisy8):
 
 
 def polish_fit(scene, data):
-    refine_plane_poses(PlanePosePair(scene.pose1, scene.pose2), data.x0, data.x1, data.x2)
+    refine_plane_poses(scene.poses, data.planes)
 
 
 def camera_fit(scene, data):
     # free focal from a perturbed camera
     intr = scene.intrinsics
-    obs = build_observations(data, PlanePosePair(scene.pose1, scene.pose2)).centered(intr.u0, intr.v0)
+    obs = build_observations(data, scene.poses).centered(intr.u0, intr.v0)
     start = (
         so3.exp(np.array([0.02, -0.01, 0.015])) @ scene.camera_pose.rotation,
         scene.camera_pose.translation + np.array([5.0, -5.0, 20.0]),
@@ -294,7 +293,7 @@ def cross_ratio_fit(scene, data):
     rig = CalibrationEstimate(
         scene.intrinsics, scene.camera_pose.rotation, scene.camera_pose.translation, "rig"
     )
-    crossratio.refine(rig, data, PlanePosePair(scene.pose1, scene.pose2))
+    crossratio.refine(rig, data, scene.poses)
 
 
 @pytest.mark.parametrize(
@@ -595,8 +594,8 @@ def test_long_fit_leaves_blas_threads_asleep():
 
 def test_plane_pose_polish_leaves_blas_threads_asleep(scene, noisy8):
     # three residuals per triple: 10,542, above the size dot threads
-    pair = PlanePosePair(scene.pose1, scene.pose2)
-    assert spin_cpu(lambda: refine_plane_poses(pair, noisy8.x0, noisy8.x1, noisy8.x2)) < 0.02
+    planes = noisy8.planes
+    assert spin_cpu(lambda: refine_plane_poses(scene.poses, planes)) < 0.02
 
 
 @pytest.fixture(scope="module")
@@ -608,8 +607,8 @@ def grid2(scene):
 
 
 def test_dense_polish_leaves_blas_threads_asleep(scene, grid2):
-    pair = PlanePosePair(scene.pose1, scene.pose2)
-    assert spin_cpu(lambda: refine_plane_poses(pair, grid2.x0, grid2.x1, grid2.x2)) < 0.02
+    planes = grid2.planes
+    assert spin_cpu(lambda: refine_plane_poses(scene.poses, planes)) < 0.02
 
 
 def test_skew_stack_leaves_blas_threads_asleep(grid2):
@@ -617,7 +616,7 @@ def test_skew_stack_leaves_blas_threads_asleep(grid2):
 
 
 def test_point_line_cost_leaves_blas_threads_asleep(scene, grid2):
-    obs = build_observations(grid2, PlanePosePair(scene.pose1, scene.pose2))
+    obs = build_observations(grid2, scene.poses)
     assert len(obs) >= 50_000
     intr, pose = scene.intrinsics, scene.camera_pose
     line_matrix = projection.camera_line_matrix(intr, pose.rotation, pose.translation)

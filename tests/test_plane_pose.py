@@ -34,7 +34,7 @@ from specsurf.plane_pose import (
     spurious_null_vector,
 )
 from specsurf.sim import SphereMirror, default_two_sphere_scene, generate_dataset, pure_translation_scene
-from specsurf.types import CorrespondenceSet, NoiseSpec, PlanePosePair, RigidPose
+from specsurf.types import CorrespondenceSet, NoiseSpec, RigidPose
 
 from conftest import random_rotation, second_root_scene
 
@@ -88,10 +88,13 @@ def rms_scale(x0, x1, x2):
     return float(np.sqrt(np.mean(np.concatenate([x0.ravel(), x1.ravel(), x2.ravel()]) ** 2)))
 
 
-def scaled_pack(pose1, pose2, scale):
-    p1 = RigidPose(pose1.rotation, pose1.translation / scale)
-    p2 = RigidPose(pose2.rotation, pose2.translation / scale)
-    return pack_motion(p1, p2)
+def planes_of(x0, x1, x2):
+    """The (3, 2, n) stack CorrespondenceSet.planes holds for (n, 2) coordinates."""
+    return np.array([x0.T, x1.T, x2.T])
+
+
+def scaled_pack(motions, scale):
+    return pack_motion(tuple(RigidPose(p.rotation, p.translation / scale) for p in motions))
 
 
 def rows_pack(m, n):
@@ -102,7 +105,7 @@ def rows_pack(m, n):
             np.column_stack([rows[:, 0], rows[:, 1], np.cross(rows[:, 0], rows[:, 1])]), rows[:, 2]
         )
 
-    return pack_motion(pose(m), pose(n))
+    return pack_motion((pose(m), pose(n)))
 
 
 def motion_form(v):
@@ -112,7 +115,7 @@ def motion_form(v):
 
 def unpolished(monkeypatch):
     """Make estimate_plane_poses return its candidates without the polish."""
-    monkeypatch.setattr(plane_pose, "refine_plane_poses", lambda pair, x0, x1, x2: pair)
+    monkeypatch.setattr(plane_pose, "refine_plane_poses", lambda motions, planes: motions)
 
 
 def rotation_angle_deg(r1, r2):
@@ -120,20 +123,13 @@ def rotation_angle_deg(r1, r2):
     return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
 
 
-def best_pose_errors(solution, pose1, pose2):
+def best_pose_errors(solution, truth):
     """(rotation deg, relative translation) of the closest returned candidate."""
     best = (np.inf, np.inf)
     for cand in solution.candidates:
-        rot = max(
-            rotation_angle_deg(cand.pose1.rotation, pose1.rotation),
-            rotation_angle_deg(cand.pose2.rotation, pose2.rotation),
-        )
-        tr = max(
-            np.linalg.norm(cand.pose1.translation - pose1.translation)
-            / np.linalg.norm(pose1.translation),
-            np.linalg.norm(cand.pose2.translation - pose2.translation)
-            / np.linalg.norm(pose2.translation),
-        )
+        pairs = list(zip(cand, truth, strict=True))
+        rot = max(rotation_angle_deg(c.rotation, t.rotation) for c, t in pairs)
+        tr = max(np.linalg.norm(c.translation - t.translation) / np.linalg.norm(t.translation) for c, t in pairs)
         if rot < best[0]:
             best = (rot, tr)
     return best
@@ -161,13 +157,13 @@ class TestDesignMatrix:
     def test_two_rows_per_triple(self, synthetic):
         # rows first: one row per unknown, two constraint columns per triple
         x0, x1, x2, *_ = synthetic
-        e = build_design_matrix(x0[:13], x1[:13], x2[:13])
+        e = build_design_matrix(planes_of(x0, x1, x2)[..., :13])
         assert e.shape == (24, 26)
 
     def test_columns_of_each_triple(self, synthetic):
         # column 2i is triple i's x constraint, column 2i + 1 its y one
         x0, x1, x2, *_ = synthetic
-        e = build_design_matrix(x0, x1, x2)
+        e = build_design_matrix(planes_of(x0, x1, x2))
         for i in (0, 1, 117, len(x0) - 1):
             h1, h2 = np.append(x1[i], 1.0), np.append(x2[i], 1.0)
             kron, zero = np.kron(h2, h1), np.zeros(9)
@@ -178,20 +174,20 @@ class TestDesignMatrix:
     def test_too_few_triples_rejected(self, synthetic):
         x0, x1, x2, *_ = synthetic
         with pytest.raises(TooFewCorrespondencesError):
-            build_design_matrix(x0[:11], x1[:11], x2[:11])
+            build_design_matrix(planes_of(x0, x1, x2)[..., :11])
 
     def test_ground_truth_motion_annihilated(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
         s = rms_scale(x0, x1, x2)
-        e = build_design_matrix(x0 / s, x1 / s, x2 / s)
-        w = scaled_pack(pose1, pose2, s)
+        e = build_design_matrix(planes_of(x0, x1, x2) / s)
+        w = scaled_pack((pose1, pose2), s)
         rel = np.linalg.norm(w @ e) / (np.linalg.norm(e) * np.linalg.norm(w))
         assert rel < 1e-10
 
     def test_ground_truth_motion_annihilated_traced(self, scene, clean_data):
         s = rms_scale(clean_data.x0, clean_data.x1, clean_data.x2)
-        e = build_design_matrix(clean_data.x0 / s, clean_data.x1 / s, clean_data.x2 / s)
-        w = scaled_pack(scene.pose1, scene.pose2, s)
+        e = build_design_matrix(clean_data.planes / s)
+        w = scaled_pack(scene.poses, s)
         rel = np.linalg.norm(w @ e) / (np.linalg.norm(e) * np.linalg.norm(w))
         assert rel < 1e-10
 
@@ -200,7 +196,7 @@ class TestDesignMatrix:
         # constraint with opposite signs, making one null direction
         # data-independent
         x0, x1, x2, *_ = synthetic
-        e = build_design_matrix(x0, x1, x2)
+        e = build_design_matrix(planes_of(x0, x1, x2))
         assert np.array_equal(e[20], -e[23])
         assert np.max(np.abs(spurious_null_vector() @ e)) < 1e-12 * np.abs(e).max()
 
@@ -210,9 +206,9 @@ class TestDesignMatrix:
         # moves by the inverse diagonal rather than staying put
         x0, x1, x2, *_ = synthetic
         s = rms_scale(x0, x1, x2)
-        x0, x1, x2 = x0 / s, x1 / s, x2 / s
-        e1 = build_design_matrix(x0, x1, x2)
-        e2 = build_design_matrix(2 * x0, 2 * x1, 2 * x2)
+        planes = planes_of(x0, x1, x2) / s
+        e1 = build_design_matrix(planes)
+        e2 = build_design_matrix(2 * planes)
         sdiag = np.array([2.0, 2.0, 1.0])
         d = np.empty(24)
         for i in range(3):
@@ -234,7 +230,7 @@ class TestNullspace:
     def test_exactly_two_vanishing_singulars(self, synthetic):
         x0, x1, x2, *_ = synthetic
         s = rms_scale(x0, x1, x2)
-        e = build_design_matrix(x0 / s, x1 / s, x2 / s)
+        e = build_design_matrix(planes_of(x0, x1, x2) / s)
         sv = np.linalg.svd(e, compute_uv=False)
         assert sv[22] < 1e-10 * sv[0]
         assert sv[23] < 1e-10 * sv[0]
@@ -243,15 +239,15 @@ class TestNullspace:
     def test_gap_large_on_clean_data(self, synthetic):
         x0, x1, x2, *_ = synthetic
         s = rms_scale(x0, x1, x2)
-        _, _, gap = nullspace_basis(build_design_matrix(x0 / s, x1 / s, x2 / s))
+        _, _, gap = nullspace_basis(build_design_matrix(planes_of(x0, x1, x2) / s))
         assert gap >= 100.0
 
     def test_basis_spans_truth_and_structural_direction(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
         s = rms_scale(x0, x1, x2)
-        d1, d2, _ = nullspace_basis(build_design_matrix(x0 / s, x1 / s, x2 / s))
+        d1, d2, _ = nullspace_basis(build_design_matrix(planes_of(x0, x1, x2) / s))
         basis = np.column_stack([d1, d2])
-        for target in (scaled_pack(pose1, pose2, s), spurious_null_vector()):
+        for target in (scaled_pack((pose1, pose2), s), spurious_null_vector()):
             t = target / np.linalg.norm(target)
             coeff, *_ = np.linalg.lstsq(basis, t, rcond=None)
             assert np.linalg.norm(basis @ coeff - t) < 1e-8
@@ -265,7 +261,7 @@ class TestNullspace:
         # at 3 mm brings it near 1 and the basis is still returned
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(3.0, 0.0, 0.0, 5))
         s = rms_scale(data.x0, data.x1, data.x2)
-        _, _, gap = nullspace_basis(build_design_matrix(data.x0 / s, data.x1 / s, data.x2 / s))
+        _, _, gap = nullspace_basis(build_design_matrix(data.planes / s))
         assert 1.0 < gap < 10.0
 
 
@@ -275,8 +271,8 @@ class TestBetaSolver:
     def test_truth_direction_among_pencil_roots(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
         s = rms_scale(x0, x1, x2)
-        d1, d2, _ = nullspace_basis(build_design_matrix(x0 / s, x1 / s, x2 / s))
-        w = scaled_pack(pose1, pose2, s)
+        d1, d2, _ = nullspace_basis(build_design_matrix(planes_of(x0, x1, x2) / s))
+        w = scaled_pack((pose1, pose2), s)
         w /= np.linalg.norm(w)
         best = min(
             min(np.linalg.norm(v - w), np.linalg.norm(v + w)) for v in candidate_null_vectors(d1, d2)
@@ -286,7 +282,7 @@ class TestBetaSolver:
     def test_zero_root_when_first_vector_already_solves(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
         s = rms_scale(x0, x1, x2)
-        w = scaled_pack(pose1, pose2, s)
+        w = scaled_pack((pose1, pose2), s)
         w /= np.linalg.norm(w)
         vectors = candidate_null_vectors(w, spurious_null_vector())
         assert min(np.linalg.norm(v - w) for v in vectors) < 1e-10
@@ -308,7 +304,7 @@ class TestBetaSolver:
         # quadratic along it leaves exactly the two finite roots
         data = generate_dataset(scene, grid_step=grid, noise=NoiseSpec(sigma, gamma, 0.0, 0))
         s = rms_scale(data.x0, data.x1, data.x2)
-        d1, d2, _ = nullspace_basis(build_design_matrix(data.x0 / s, data.x1 / s, data.x2 / s))
+        d1, d2, _ = nullspace_basis(build_design_matrix(data.planes / s))
         vectors = candidate_null_vectors(d1, d2)
         assert len(vectors) == 2
         structural = spurious_null_vector()
@@ -320,7 +316,7 @@ class TestBetaSolver:
     def test_candidate_directions_are_unit(self, synthetic):
         x0, x1, x2, *_ = synthetic
         s = rms_scale(x0, x1, x2)
-        d1, d2, _ = nullspace_basis(build_design_matrix(x0 / s, x1 / s, x2 / s))
+        d1, d2, _ = nullspace_basis(build_design_matrix(planes_of(x0, x1, x2) / s))
         for v in candidate_null_vectors(d1, d2):
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
@@ -331,8 +327,8 @@ class TestAlphaSolver:
     def pencil_truth(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
         s = rms_scale(x0, x1, x2)
-        d1, d2, _ = nullspace_basis(build_design_matrix(x0 / s, x1 / s, x2 / s))
-        w = scaled_pack(pose1, pose2, s)
+        d1, d2, _ = nullspace_basis(build_design_matrix(planes_of(x0, x1, x2) / s))
+        w = scaled_pack((pose1, pose2), s)
         unit = w / np.linalg.norm(w)
         v = min(
             candidate_null_vectors(d1, d2),
@@ -346,27 +342,27 @@ class TestAlphaSolver:
         m, n = _factor_null_vector(v)
         pack = rows_pack(m, n)
         assert min(np.linalg.norm(pack - w), np.linalg.norm(pack + w)) < 1e-7 * np.linalg.norm(w)
-        twin = plane_pose._mirror_twin(plane_pose._rows_to_pair(m, n))
-        assert np.linalg.norm(pack_motion(twin.pose1, twin.pose2) + pack) < 1e-12 * np.linalg.norm(w)
+        twin = plane_pose._mirror_twin(plane_pose._rows_to_motions(m, n))
+        assert np.linalg.norm(pack_motion(twin) + pack) < 1e-12 * np.linalg.norm(w)
 
     def test_both_signs_returned(self, synthetic):
         # the twin is the -alpha factoring: the same first two rows of
         # [R[:, 0] R[:, 1] t], the third negated
         v, _ = self.pencil_truth(synthetic)
-        pair = plane_pose._rows_to_pair(*_factor_null_vector(v))
-        twin = plane_pose._mirror_twin(pair)
-        for a, b in ((pair.pose1, twin.pose1), (pair.pose2, twin.pose2)):
+        motions = plane_pose._rows_to_motions(*_factor_null_vector(v))
+        twin = plane_pose._mirror_twin(motions)
+        for a, b in zip(motions, twin, strict=True):
             rows_a = np.column_stack([a.rotation[:, :2], a.translation])
             rows_b = np.column_stack([b.rotation[:, :2], b.translation])
             assert np.array_equal(rows_a[:2], rows_b[:2])
             assert np.array_equal(rows_a[2], -rows_b[2])
 
     def test_negating_input_flips_signs(self, synthetic):
-        # -v factors into the mirror twin of v's pair
+        # -v factors into the mirror twin of v's motions
         v, _ = self.pencil_truth(synthetic)
-        twin = plane_pose._mirror_twin(plane_pose._rows_to_pair(*_factor_null_vector(v)))
-        flipped = plane_pose._rows_to_pair(*_factor_null_vector(-v))
-        for a, b in ((twin.pose1, flipped.pose1), (twin.pose2, flipped.pose2)):
+        twin = plane_pose._mirror_twin(plane_pose._rows_to_motions(*_factor_null_vector(v)))
+        flipped = plane_pose._rows_to_motions(*_factor_null_vector(-v))
+        for a, b in zip(twin, flipped, strict=True):
             assert np.allclose(a.rotation, b.rotation, rtol=0, atol=1e-12)
             assert np.allclose(a.translation, b.translation, rtol=0, atol=1e-12)
 
@@ -378,9 +374,9 @@ class TestAlphaSolver:
         (m1, n1), (m2, n2) = _factor_null_vector(v), _factor_null_vector(2.0 * v)
         assert np.allclose(m1, m2, rtol=1e-9, atol=0)
         assert np.allclose(n1, n2, rtol=1e-9, atol=0)
-        twin1 = plane_pose._mirror_twin(plane_pose._rows_to_pair(m1, n1))
-        twin2 = plane_pose._mirror_twin(plane_pose._rows_to_pair(m2, n2))
-        for a, b in ((twin1.pose1, twin2.pose1), (twin1.pose2, twin2.pose2)):
+        twin1 = plane_pose._mirror_twin(plane_pose._rows_to_motions(m1, n1))
+        twin2 = plane_pose._mirror_twin(plane_pose._rows_to_motions(m2, n2))
+        for a, b in zip(twin1, twin2, strict=True):
             assert np.allclose(a.rotation, b.rotation, rtol=1e-9, atol=1e-15)
             assert np.allclose(a.translation, b.translation, rtol=1e-9, atol=0)
 
@@ -396,7 +392,7 @@ class TestMotionForm:
         for _ in range(25):
             pose1 = RigidPose(random_rotation(rng), rng.uniform(-2, 2, size=3))
             pose2 = RigidPose(random_rotation(rng), rng.uniform(-2, 2, size=3))
-            w = pack_motion(pose1, pose2)
+            w = pack_motion((pose1, pose2))
             assert abs(motion_form(w)) < 1e-12 * np.linalg.norm(w) ** 3
             for block in (w[:9].reshape(3, 3), w[9:18].reshape(3, 3)):
                 sv = np.linalg.svd(block, compute_uv=False)
@@ -410,15 +406,15 @@ class TestMotionForm:
             pose2 = RigidPose(random_rotation(rng), rng.uniform(-200, 200, size=3))
             x0, x1, x2 = line_plane_triples(rng, 40, pose1, pose2)
             s = rms_scale(x0, x1, x2)
-            e = build_design_matrix(x0 / s, x1 / s, x2 / s)
-            w = scaled_pack(pose1, pose2, s)
+            e = build_design_matrix(planes_of(x0, x1, x2) / s)
+            w = scaled_pack((pose1, pose2), s)
             assert np.linalg.norm(w @ e) / (np.linalg.norm(e) * np.linalg.norm(w)) < 1e-10
 
 
 class TestEstimate:
     def test_exact_recovery_from_traced_data(self, scene, clean_data):
         sol = estimate_plane_poses(clean_data)
-        rot, tr = best_pose_errors(sol, scene.pose1, scene.pose2)
+        rot, tr = best_pose_errors(sol, scene.poses)
         assert rot < 1e-5
         assert tr < 1e-6
         assert sol.residual < 1e-6
@@ -427,7 +423,7 @@ class TestEstimate:
         x0, x1, x2, pose1, pose2 = synthetic
         data = CorrespondenceSet(pixels=np.zeros((len(x0), 2)), x0=x0, x1=x1, x2=x2)
         sol = estimate_plane_poses(data)
-        rot, tr = best_pose_errors(sol, pose1, pose2)
+        rot, tr = best_pose_errors(sol, (pose1, pose2))
         # the angle readout bottoms out near sqrt(eps); check it and the
         # translations at their respective floors
         assert rot < 1e-5
@@ -438,19 +434,19 @@ class TestEstimate:
         assert len(sol.candidates) >= 2
         # twins differ in the sign of the translation z-components but fit
         # the collinearity identically
-        r0, r1 = (line_offset_residual(c, clean_data.x0, clean_data.x1, clean_data.x2) for c in sol.candidates)
+        r0, r1 = (line_offset_residual(c, clean_data.planes) for c in sol.candidates)
         assert r1 <= max(10.0 * max(r0, 1e-14), 1e-6)
-        z0 = sol.candidates[0].pose1.translation[2]
-        z1 = sol.candidates[1].pose1.translation[2]
+        z0 = sol.candidates[0][0].translation[2]
+        z1 = sol.candidates[1][0].translation[2]
         assert z0 == pytest.approx(-z1, rel=1e-5)
 
     def test_candidate_translations_unscaled_to_mm(self, scene, clean_data):
         sol = estimate_plane_poses(clean_data)
         best = min(
             sol.candidates,
-            key=lambda c: np.linalg.norm(c.pose1.translation - scene.pose1.translation),
+            key=lambda c: np.linalg.norm(c[0].translation - scene.poses[0].translation),
         )
-        assert np.linalg.norm(best.pose1.translation - scene.pose1.translation) < 1e-6
+        assert np.linalg.norm(best[0].translation - scene.poses[0].translation) < 1e-6
 
     def test_too_few_triples_rejected(self, clean_data):
         data = CorrespondenceSet(
@@ -474,7 +470,7 @@ class TestEstimate:
     def test_noisy_recovery_within_tolerance(self, scene):
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(1.0, 0.0, 0.0, 11))
         sol = estimate_plane_poses(data)
-        rot, tr = best_pose_errors(sol, scene.pose1, scene.pose2)
+        rot, tr = best_pose_errors(sol, scene.poses)
         assert rot < 0.5
         assert tr < 0.05
 
@@ -483,7 +479,7 @@ class TestEstimate:
         # are still recovered
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(3.0, 0.0, 0.0, 13))
         sol = estimate_plane_poses(data)
-        rot, _ = best_pose_errors(sol, scene.pose1, scene.pose2)
+        rot, _ = best_pose_errors(sol, scene.poses)
         assert rot < 2.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -493,14 +489,8 @@ class TestEstimate:
         sol = estimate_plane_poses(data)
         best = min(
             (
-                max(
-                    rotation_angle_deg(cand.pose1.rotation, scene.pose1.rotation),
-                    rotation_angle_deg(cand.pose2.rotation, scene.pose2.rotation),
-                ),
-                max(
-                    np.linalg.norm(cand.pose1.translation - scene.pose1.translation),
-                    np.linalg.norm(cand.pose2.translation - scene.pose2.translation),
-                ),
+                max(rotation_angle_deg(c.rotation, t.rotation) for c, t in zip(cand, scene.poses, strict=True)),
+                max(np.linalg.norm(c.translation - t.translation) for c, t in zip(cand, scene.poses, strict=True)),
             )
             for cand in sol.candidates
         )
@@ -525,30 +515,30 @@ class TestEstimate:
 
     @pytest.mark.parametrize("grid", [8, 12, 20])
     def test_second_rigid_root_is_dropped(self, grid, monkeypatch):
-        # two nullspace roots factor into rigid pairs; only the better fit
+        # two nullspace roots factor into rigid motions; only the better fit
         # is polished and returned, with its mirror twin
         data = generate_dataset(second_root_scene(), grid_step=grid, noise=NoiseSpec())
-        rows_to_pair, refine = plane_pose._rows_to_pair, plane_pose.refine_plane_poses
+        rows_to_motions, refine = plane_pose._rows_to_motions, plane_pose.refine_plane_poses
         rigid, polished = [], []
 
-        def rows_to_pair_traced(m, n):
-            pair = rows_to_pair(m, n)
-            if pair is not None:
-                rigid.append(pair)
-            return pair
+        def rows_to_motions_traced(*rows):
+            motions = rows_to_motions(*rows)
+            if motions is not None:
+                rigid.append(motions)
+            return motions
 
-        def refine_traced(pair, *coords):
-            polished.append(coords)
-            return refine(pair, *coords)
+        def refine_traced(motions, planes):
+            polished.append(planes)
+            return refine(motions, planes)
 
-        monkeypatch.setattr(plane_pose, "_rows_to_pair", rows_to_pair_traced)
+        monkeypatch.setattr(plane_pose, "_rows_to_motions", rows_to_motions_traced)
         monkeypatch.setattr(plane_pose, "refine_plane_poses", refine_traced)
         sol = estimate_plane_poses(data)
         assert len(rigid) == 2
         assert len(polished) == 1
         assert len(sol.candidates) == 2
         s = rms_scale(data.x0, data.x1, data.x2)
-        offsets = sorted(s * line_offset_residual(pair, *polished[0]) for pair in rigid)
+        offsets = sorted(s * line_offset_residual(motions, polished[0]) for motions in rigid)
         assert offsets[0] < 1e-9 and offsets[1] > 10.0
         assert sol.residual < 1e-9
 
@@ -593,10 +583,10 @@ class TestEstimate:
         for cand in sol.candidates:
             errors = [
                 max(
-                    np.abs(other.pose2.rotation - cand.pose1.rotation).max(),
-                    np.abs(other.pose1.rotation - cand.pose2.rotation).max(),
-                    np.abs(other.pose2.translation - cand.pose1.translation).max(),
-                    np.abs(other.pose1.translation - cand.pose2.translation).max(),
+                    np.abs(other[1].rotation - cand[0].rotation).max(),
+                    np.abs(other[0].rotation - cand[1].rotation).max(),
+                    np.abs(other[1].translation - cand[0].translation).max(),
+                    np.abs(other[0].translation - cand[1].translation).max(),
                 )
                 for other in sol_swapped.candidates
             ]
@@ -641,12 +631,12 @@ class TestProperties:
         for cand in sol_scaled.candidates:
             errors = [
                 max(
-                    np.abs(cand.pose1.rotation - other.pose1.rotation).max(),
-                    np.abs(cand.pose2.rotation - other.pose2.rotation).max(),
-                    np.abs(cand.pose1.translation - k * other.pose1.translation).max()
-                    / np.linalg.norm(k * other.pose1.translation),
-                    np.abs(cand.pose2.translation - k * other.pose2.translation).max()
-                    / np.linalg.norm(k * other.pose2.translation),
+                    np.abs(cand[0].rotation - other[0].rotation).max(),
+                    np.abs(cand[1].rotation - other[1].rotation).max(),
+                    np.abs(cand[0].translation - k * other[0].translation).max()
+                    / np.linalg.norm(k * other[0].translation),
+                    np.abs(cand[1].translation - k * other[1].translation).max()
+                    / np.linalg.norm(k * other[1].translation),
                 )
                 for other in sol.candidates
             ]
@@ -658,24 +648,23 @@ class TestProperties:
         data = generate_dataset(scene, grid_step=20, noise=NoiseSpec(sigma, 0.0, 0.0, seed))
         sol = estimate_plane_poses(data)
         first, second = sol.candidates[:2]
-        assert line_offset_residual(first, data.x0, data.x1, data.x2) == line_offset_residual(
-            second, data.x0, data.x1, data.x2
-        )
+        assert line_offset_residual(first, data.planes) == line_offset_residual(second, data.planes)
         # the twin is the first candidate reflected in the reference plane
         mirror = np.diag([1.0, 1.0, -1.0])
-        for a, b in ((first.pose1, second.pose1), (first.pose2, second.pose2)):
+        for a, b in zip(first, second, strict=True):
             assert np.allclose(mirror @ a.rotation @ mirror, b.rotation, rtol=0, atol=1e-12)
             assert np.allclose(mirror @ a.translation, b.translation, rtol=0, atol=1e-9)
 
 
 class TestTwinReflection:
-    """estimate_plane_poses polishes the factored pair and reflects it;
-    polishing the reflected start on its own lands on the same motions."""
+    """estimate_plane_poses polishes the factored motions and reflects
+    them; polishing the reflected start on its own lands on the same
+    motions."""
 
     @staticmethod
     def traced_estimate(data, monkeypatch):
         """The solution, every factored row pair and every polish
-        (start, result, scaled coordinates)."""
+        (start, result, scaled plane stack)."""
         factor, refine = plane_pose._factor_null_vector, plane_pose.refine_plane_poses
         factored, polished = [], []
 
@@ -683,8 +672,8 @@ class TestTwinReflection:
             factored.append(factor(d))
             return factored[-1]
 
-        def refine_traced(pair, *coords):
-            polished.append((pair, refine(pair, *coords), coords))
+        def refine_traced(motions, planes):
+            polished.append((motions, refine(motions, planes), planes))
             return polished[-1][1]
 
         monkeypatch.setattr(plane_pose, "_factor_null_vector", factor_traced)
@@ -701,19 +690,19 @@ class TestTwinReflection:
         scale = rms_scale(data.x0, data.x1, data.x2)
         mirror = np.diag([1.0, 1.0, -1.0])
         assert polished
-        for start, result, coords in polished:
+        for start, result, planes in polished:
             assert any(
-                np.array_equal(plane_pose._rows_to_pair(*rows).pose1.rotation, start.pose1.rotation)
+                np.array_equal(plane_pose._rows_to_motions(*rows)[0].rotation, start[0].rotation)
                 for rows in factored
             )
-            own = refine_plane_poses(plane_pose._mirror_twin(start), *coords)
-            for a, b in ((result.pose1, own.pose1), (result.pose2, own.pose2)):
+            own = refine_plane_poses(plane_pose._mirror_twin(start), planes)
+            for a, b in zip(result, own, strict=True):
                 assert np.allclose(mirror @ a.rotation @ mirror, b.rotation, rtol=0, atol=1e-12)
                 assert np.allclose(scale * mirror @ a.translation, scale * b.translation, rtol=0, atol=1e-9)
             # the returned second twin is the exact reflection
             assert any(
-                np.array_equal(c.pose1.rotation, mirror @ result.pose1.rotation @ mirror)
-                and np.array_equal(c.pose2.translation, scale * (mirror @ result.pose2.translation))
+                np.array_equal(c[0].rotation, mirror @ result[0].rotation @ mirror)
+                and np.array_equal(c[1].translation, scale * (mirror @ result[1].translation))
                 for c in sol.candidates
             )
 
@@ -725,7 +714,7 @@ class TestTwinReflection:
 
 
 class TestCandidateOrder:
-    """The twins come in an order the pair itself fixes, not an SVD sign:
+    """The twins come in an order the motions themselves fix, not an SVD sign:
     the one whose pose 2 moves toward +z first, pose 1 deciding when pose 2
     keeps z."""
 
@@ -737,22 +726,22 @@ class TestCandidateOrder:
             shuffled = CorrespondenceSet(
                 pixels=data.pixels[order], x0=data.x0[order], x1=data.x1[order], x2=data.x2[order]
             )
-            for got, pair in zip(estimate_plane_poses(shuffled).candidates, want, strict=True):
-                for a, b in ((got.pose1, pair.pose1), (got.pose2, pair.pose2)):
+            for got, motions in zip(estimate_plane_poses(shuffled).candidates, want, strict=True):
+                for a, b in zip(got, motions, strict=True):
                     assert np.linalg.norm(a.translation - b.translation) <= 1e-12 * np.linalg.norm(b.translation)
-        assert want[0].pose2.translation[2] > 0 > want[1].pose2.translation[2]
+        assert want[0][1].translation[2] > 0 > want[1][1].translation[2]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_pose_one_decides_when_pose_two_keeps_z(self, clean_data, monkeypatch, sign):
-        def flattened(pair, *coords):
-            t1, t2 = pair.pose1.translation.copy(), pair.pose2.translation.copy()
+        def flattened(motions, planes):
+            t1, t2 = (p.translation.copy() for p in motions)
             t1[2], t2[2] = sign * abs(t1[2]), 0.0
-            return PlanePosePair(RigidPose(pair.pose1.rotation, t1), RigidPose(pair.pose2.rotation, t2))
+            return tuple(RigidPose(p.rotation, t) for p, t in zip(motions, (t1, t2), strict=True))
 
         monkeypatch.setattr(plane_pose, "refine_plane_poses", flattened)
         first, second = estimate_plane_poses(clean_data).candidates
-        assert first.pose2.translation[2] == second.pose2.translation[2] == 0.0
-        assert first.pose1.translation[2] > 0 > second.pose1.translation[2]
+        assert first[1].translation[2] == second[1].translation[2] == 0.0
+        assert first[0].translation[2] > 0 > second[0].translation[2]
 
 
 class TestLifts:
@@ -762,12 +751,9 @@ class TestLifts:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
     def test_line_geometry(self, seed, n):
         rng = np.random.default_rng(seed)
-        pair = PlanePosePair(
-            RigidPose(random_rotation(rng), rng.uniform(-300.0, 300.0, 3)),
-            RigidPose(random_rotation(rng), rng.uniform(-300.0, 300.0, 3)),
-        )
+        motions = tuple(RigidPose(random_rotation(rng), rng.uniform(-300.0, 300.0, 3)) for _ in range(2))
         x0, x1, x2 = (rng.uniform(-200.0, 200.0, (n, 2)) for _ in range(3))
-        lifts = plane_pose.lift_triples(pair, x0, x1, x2)
+        lifts = plane_pose.lift_triples(motions, planes_of(x0, x1, x2))
         offset = lifts.offset()
 
         # Pythagoras about the foot point of p1, reached from p2 toward p0
@@ -780,7 +766,7 @@ class TestLifts:
 
         # the observation line of each kept triple runs along unit
         data = CorrespondenceSet(pixels=np.zeros((n, 2)), x0=x0, x1=x1, x2=x2)
-        obs = projection.build_observations(data, pair)
+        obs = projection.build_observations(data, motions)
         direction = obs.lines[3:] / np.linalg.norm(obs.lines[3:], axis=0)
         unit = lifts.unit[:, obs.indices]
         assert np.allclose(np.linalg.norm(unit, axis=0), 1.0, rtol=0, atol=1e-12)
@@ -797,18 +783,26 @@ class TestLifts:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
     def test_rows_are_the_rigid_motion_of_each_point(self, seed, n):
         rng = np.random.default_rng(seed)
-        pair = PlanePosePair(
-            RigidPose(random_rotation(rng), rng.uniform(-300.0, 300.0, 3)),
-            RigidPose(random_rotation(rng), rng.uniform(-300.0, 300.0, 3)),
-        )
+        motions = tuple(RigidPose(random_rotation(rng), rng.uniform(-300.0, 300.0, 3)) for _ in range(2))
         x0, x1, x2 = (rng.uniform(-200.0, 200.0, (n, 2)) for _ in range(3))
-        lifts = plane_pose.lift_triples(pair, x0, x1, x2)
+        lifts = plane_pose.lift_triples(motions, planes_of(x0, x1, x2))
         pose0 = RigidPose(np.eye(3), np.zeros(3))
-        for rows, pose, x in ((lifts.p0, pose0, x0), (lifts.p1, pair.pose1, x1), (lifts.p2, pair.pose2, x2)):
+        for rows, pose, x in zip((lifts.p0, lifts.p1, lifts.p2), (pose0, *motions), (x0, x1, x2), strict=True):
             assert rows.shape == (3, n) and rows.flags.c_contiguous
             for i in range(n):
                 expected = pose.rotation @ np.array([x[i, 0], x[i, 1], 0.0]) + pose.translation
                 assert np.allclose(rows[:, i], expected, rtol=1e-14, atol=1e-12)
+
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_motion_count_must_match_the_poses(self, count):
+        # one motion per pose after pose 0: a wrong count raises rather
+        # than lifting a subset
+        rng = np.random.default_rng(count)
+        motions = tuple(RigidPose(random_rotation(rng), rng.uniform(-300.0, 300.0, 3)) for _ in range(count))
+        planes = rng.uniform(-200.0, 200.0, (3, 2, 5))
+        with pytest.raises(ValueError):
+            plane_pose.lift_triples(motions, planes)
 
 
 class TestRefine:
@@ -818,13 +812,10 @@ class TestRefine:
             unpolished(patch)
             raw = estimate_plane_poses(data).candidates[0]
         s = rms_scale(data.x0, data.x1, data.x2)
-        x0, x1, x2 = data.x0 / s, data.x1 / s, data.x2 / s
-        pair = PlanePosePair(
-            RigidPose(raw.pose1.rotation, raw.pose1.translation / s),
-            RigidPose(raw.pose2.rotation, raw.pose2.translation / s),
-        )
-        before = line_offset_residual(pair, x0, x1, x2)
-        after = line_offset_residual(refine_plane_poses(pair, x0, x1, x2), x0, x1, x2)
+        planes = data.planes / s
+        motions = tuple(RigidPose(p.rotation, p.translation / s) for p in raw)
+        before = line_offset_residual(motions, planes)
+        after = line_offset_residual(refine_plane_poses(motions, planes), planes)
         assert after < before
 
     def test_polish_improves_mean_pose_accuracy(self, scene, monkeypatch):
@@ -838,9 +829,9 @@ class TestRefine:
             with monkeypatch.context() as patch:
                 unpolished(patch)
                 sol = estimate_plane_poses(data)
-            raws.append(best_pose_errors(sol, scene.pose1, scene.pose2)[0])
+            raws.append(best_pose_errors(sol, scene.poses)[0])
             sol = estimate_plane_poses(data)
-            refs.append(best_pose_errors(sol, scene.pose1, scene.pose2)[0])
+            refs.append(best_pose_errors(sol, scene.poses)[0])
         assert np.mean(refs) < np.mean(raws)
 
     def test_unpolished_rotation_error_per_sigma(self, scene, monkeypatch):
@@ -852,33 +843,25 @@ class TestRefine:
             for seed in range(6):
                 data = generate_dataset(scene, grid_step=8, noise=NoiseSpec(sigma, 0.5, 0.0, seed))
                 sol = estimate_plane_poses(data)
-                ratios.append(best_pose_errors(sol, scene.pose1, scene.pose2)[0] / sigma)
+                ratios.append(best_pose_errors(sol, scene.poses)[0] / sigma)
         assert np.mean(ratios) < 0.36
 
     def test_exact_solution_is_fixed_point(self, scene, clean_data):
         s = rms_scale(clean_data.x0, clean_data.x1, clean_data.x2)
-        x0, x1, x2 = clean_data.x0 / s, clean_data.x1 / s, clean_data.x2 / s
-        pair = PlanePosePair(
-            RigidPose(scene.pose1.rotation, scene.pose1.translation / s),
-            RigidPose(scene.pose2.rotation, scene.pose2.translation / s),
-        )
-        refined = refine_plane_poses(pair, x0, x1, x2)
-        assert rotation_angle_deg(refined.pose1.rotation, pair.pose1.rotation) < 1e-9
-        assert np.linalg.norm(refined.pose1.translation - pair.pose1.translation) < 1e-9
+        motions = tuple(RigidPose(p.rotation, p.translation / s) for p in scene.poses)
+        refined = refine_plane_poses(motions, clean_data.planes / s)
+        assert rotation_angle_deg(refined[0].rotation, motions[0].rotation) < 1e-9
+        assert np.linalg.norm(refined[0].translation - motions[0].translation) < 1e-9
 
     def test_polish_jacobian_matches_central_differences(self, scene):
         # away from w = 0 the rotation columns carry the SO(3) left
         # Jacobian; without it they are off by about |w| / 2
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(1.0, 0.0, 0.0, 17))
         s = rms_scale(data.x0, data.x1, data.x2)
-        x0, x1, x2 = data.x0 / s, data.x1 / s, data.x2 / s
-        pair = PlanePosePair(
-            RigidPose(scene.pose1.rotation, scene.pose1.translation / s),
-            RigidPose(scene.pose2.rotation, scene.pose2.translation / s),
-        )
-        model = _polish_objective(pair, x0, x1, x2)
+        motions = tuple(RigidPose(p.rotation, p.translation / s) for p in scene.poses)
+        model = _polish_objective(motions, data.planes / s)
         x = np.concatenate(
-            [[0.2, -0.1, 0.15], pair.pose1.translation, [-0.1, 0.25, 0.05], pair.pose2.translation]
+            [[0.2, -0.1, 0.15], motions[0].translation, [-0.1, 0.25, 0.05], motions[1].translation]
         )
         jac = model(x)[1]()
         numeric = np.empty_like(jac)
@@ -894,5 +877,5 @@ class TestRefine:
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(2.0, 0.0, 0.0, 19))
         sol = estimate_plane_poses(data)
         for cand in sol.candidates:
-            assert cand.pose1.orthonormality_error() < 1e-12
-            assert cand.pose2.orthonormality_error() < 1e-12
+            for pose in cand:
+                assert pose.orthonormality_error() < 1e-12

@@ -31,7 +31,6 @@ from specsurf.types import (
     CorrespondenceSet,
     Intrinsics,
     NoiseSpec,
-    PlanePosePair,
     RigidPose,
     identity_pose,
 )
@@ -91,7 +90,7 @@ def scene():
 
 @pytest.fixture(scope="module")
 def poses(scene):
-    return PlanePosePair(scene.pose1, scene.pose2)
+    return scene.poses
 
 
 @pytest.fixture(scope="module")
@@ -158,8 +157,7 @@ class TestBuildObservations:
             x1=np.zeros((n, 2)),
             x2=x2,
         )
-        pair = PlanePosePair(identity_pose(), identity_pose())
-        obs = pj.build_observations(corrs, pair)
+        obs = pj.build_observations(corrs, (identity_pose(), identity_pose()))
         assert len(obs) == n - 3
         assert obs.indices.tolist() == [0, 2, 4]
 
@@ -615,7 +613,7 @@ class TestFocalSweep:
         est = pj.focal_sweep(obs, scene.image_size)
         assert abs(est.intrinsics.fx - scene.intrinsics.fx) / scene.intrinsics.fx < 1e-8
         sol = estimate_plane_poses(bad)
-        dist = [rot_err_deg(c.pose1.rotation, poses.pose1.rotation) for c in sol.candidates]
+        dist = [rot_err_deg(c[0].rotation, poses[0].rotation) for c in sol.candidates]
         twin = sol.candidates[int(np.argmax(dist))]
         with pytest.raises(SweepNoMinimumError):
             pj.focal_sweep(pj.build_observations(bad, twin), scene.image_size)
@@ -637,7 +635,7 @@ class TestFocalSweep:
 
     def test_mirror_twin_has_no_minimum_at_default_range(self, scene, poses, clean_data):
         sol = estimate_plane_poses(clean_data)
-        dist = [rot_err_deg(c.pose1.rotation, poses.pose1.rotation) for c in sol.candidates]
+        dist = [rot_err_deg(c[0].rotation, poses[0].rotation) for c in sol.candidates]
         twin = sol.candidates[int(np.argmax(dist))]
         with pytest.raises(SweepNoMinimumError):
             pj.focal_sweep(pj.build_observations(clean_data, twin), scene.image_size)
@@ -682,8 +680,8 @@ class TestRowOrder:
             shuffled = CorrespondenceSet(
                 pixels=data.pixels[order], x0=data.x0[order], x1=data.x1[order], x2=data.x2[order]
             )
-            for (pair, est), (want_pair, want_est) in zip(outcomes(scene, shuffled), want, strict=True):
-                for got_pose, want_pose in ((pair.pose1, want_pair.pose1), (pair.pose2, want_pair.pose2)):
+            for (motions, est), (want_motions, want_est) in zip(outcomes(scene, shuffled), want, strict=True):
+                for got_pose, want_pose in zip(motions, want_motions, strict=True):
                     assert_close(got_pose.rotation, want_pose.rotation)
                     assert_close(got_pose.translation, want_pose.translation)
                 if isinstance(want_est, SpecsurfError):

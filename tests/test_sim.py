@@ -64,8 +64,8 @@ class TestRotationHelpers:
             [-0.20045436175062997, 0.9701990375235617, -0.1361318347907717],
             [0.17859324713776506, 0.17281087841623477, 0.9686283355228664],
         ]
-        np.testing.assert_allclose(scene.pose1.rotation, pose1, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(scene.pose2.rotation, pose2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(scene.poses[0].rotation, pose1, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(scene.poses[1].rotation, pose2, rtol=0, atol=1e-15)
 
     def test_look_at_geometry(self):
         eye = np.array([100.0, -500.0, 300.0])
@@ -150,8 +150,8 @@ class TestTracer:
     def test_three_plane_points_colinear(self, scene, traced):
         _, valid, x0, x1, x2, _, _ = traced
         p0 = lift(x0[valid], RigidPose(np.eye(3), np.zeros(3)))
-        p1 = lift(x1[valid], scene.pose1)
-        p2 = lift(x2[valid], scene.pose2)
+        p1 = lift(x1[valid], scene.poses[0])
+        p2 = lift(x2[valid], scene.poses[1])
         d01 = p1 - p0
         d02 = p2 - p0
         cross = np.cross(d01, d02)
@@ -174,8 +174,7 @@ class TestTracer:
             camera_pose=base.camera_pose,
             image_size=base.image_size,
             plane_half_extent=base.plane_half_extent,
-            pose1=base.pose1,
-            pose2=base.pose2,
+            poses=base.poses,
             mirrors=(
                 ParaboloidMirror(vertex=(0.0, 0.0, 880.0), axis=(0.0, 0.8, 0.6), focal=250.0),
             ),
@@ -406,6 +405,10 @@ class TestSceneFiles:
         write_scene(scene, path)
         loaded = read_scene(path)
         assert_same_fields(loaded, scene)
+        assert len(loaded.poses) == 2
+        for got, want in zip(loaded.poses, scene.poses, strict=True):
+            assert np.array_equal(got.rotation, want.rotation)
+            assert np.array_equal(got.translation, want.translation)
         assert isinstance(loaded.mirrors[2], ParaboloidMirror)
         assert loaded.mirrors[0].radius == 300.0
 
@@ -442,8 +445,59 @@ class TestSceneFiles:
         with pytest.raises(ParseError):
             read_scene(path)
 
+    def test_non_finite_pose_raises(self, tmp_path):
+        # a NaN rotation entry fails no orthonormality comparison; the scene
+        # rejects it before the determinant, and read_scene says ParseError
+        path = tmp_path / "scene.ini"
+        write_scene(default_two_sphere_scene(), path)
+        text = path.read_text()
+        start = text.index("[pose2]\nrotation = ") + len("[pose2]\nrotation = ")
+        path.write_text(text[:start] + "nan" + text[text.index(" ", start):])
+        with pytest.raises(ParseError):
+            read_scene(path)
+
     def test_garbage_file_raises(self, tmp_path):
         path = tmp_path / "scene.ini"
         path.write_text("not an ini file\x00???")
         with pytest.raises((ParseError, SchemaMismatchError)):
             read_scene(path)
+
+
+class TestSceneValidation:
+    """MirrorScene rejects what the tracer cannot use: NaN fails every
+    comparison, so each finiteness is checked before the rotation tests."""
+
+    @staticmethod
+    def with_nan(pose: RigidPose, field: str) -> RigidPose:
+        values = {"rotation": pose.rotation.copy(), "translation": pose.translation.copy()}
+        values[field].flat[4 if field == "rotation" else 1] = np.nan
+        return RigidPose(**values)
+
+    @pytest.mark.parametrize("field", ["rotation", "translation"])
+    def test_non_finite_camera_pose_rejected(self, field):
+        base = default_two_sphere_scene()
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(base, camera_pose=self.with_nan(base.camera_pose, field))
+
+    @pytest.mark.parametrize("field", ["rotation", "translation"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_plane_pose_rejected(self, field, which):
+        base = default_two_sphere_scene()
+        poses = list(base.poses)
+        poses[which] = self.with_nan(poses[which], field)
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(base, poses=tuple(poses))
+
+    @pytest.mark.parametrize(
+        "extent", [(np.nan, 1000.0), (1000.0, np.nan), (np.inf, 1000.0), (1000.0, 0.0), (-5.0, 1000.0)]
+    )
+    def test_bad_plane_extent_rejected(self, extent):
+        with pytest.raises(ValueError, match="plane extent"):
+            dataclasses.replace(default_two_sphere_scene(), plane_half_extent=extent)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_pose_count_other_than_two_rejected(self, count):
+        # a CorrespondenceSet holds three plane points: poses 0, 1 and 2
+        base = default_two_sphere_scene()
+        with pytest.raises(ValueError, match="two plane motions"):
+            dataclasses.replace(base, poses=(base.poses * 2)[:count])

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from specsurf import projection
 from specsurf.sim import default_two_sphere_scene, generate_dataset
-from specsurf.types import NoiseSpec, PlanePosePair
+from specsurf.types import NoiseSpec
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from specbench.tracing import LAYER_CALLS, Tracer  # noqa: E402
@@ -30,7 +30,7 @@ def test_installed_wraps_and_restores_every_name():
 def test_counts_every_sweep_fit(monkeypatch):
     scene = default_two_sphere_scene()
     data = generate_dataset(scene, grid_step=20, noise=NoiseSpec())
-    obs = projection.build_observations(data, PlanePosePair(scene.pose1, scene.pose2))
+    obs = projection.build_observations(data, scene.poses)
     original = projection.least_squares
     fits = []
 

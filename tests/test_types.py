@@ -46,3 +46,18 @@ def test_malformed_arrays_rejected(arrays):
 def test_bad_intrinsics_rejected(values):
     with pytest.raises(ValueError, match="finite"):
         Intrinsics(*values)
+
+
+def test_planes_are_rows_first_copies():
+    # one (2, n) row stack per pose, pose-major, in memory of its own
+    rng = np.random.default_rng(5)
+    arrays = {name: rng.normal(size=(7, 2)) for name in ("pixels", "x0", "x1", "x2")}
+    data = CorrespondenceSet(**arrays)
+    planes = data.planes
+    assert planes.shape == (3, 2, 7) and planes.dtype == float
+    assert planes.flags.c_contiguous
+    for k, name in enumerate(("x0", "x1", "x2")):
+        assert np.array_equal(planes[k], arrays[name].T)
+        assert not np.shares_memory(planes, arrays[name])
+    planes[0, 0, 0] += 1.0
+    assert np.array_equal(data.planes[0], arrays["x0"].T)
