@@ -469,9 +469,9 @@ class TestSceneValidation:
 
     @staticmethod
     def with_nan(pose: RigidPose, field: str) -> RigidPose:
-        values = {"rotation": pose.rotation.copy(), "translation": pose.translation.copy()}
-        values[field].flat[4 if field == "rotation" else 1] = np.nan
-        return RigidPose(**values)
+        value = getattr(pose, field).copy()
+        value.flat[1] = np.nan
+        return dataclasses.replace(pose, **{field: value})
 
     @pytest.mark.parametrize("field", ["rotation", "translation"])
     def test_non_finite_camera_pose_rejected(self, field):
