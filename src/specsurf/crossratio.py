@@ -399,7 +399,7 @@ def _gate(theta: np.ndarray, lifts: Lifts, m_obs, noisy):
             ~(np.linalg.norm(lifts.offset(), axis=0) < COLLINEARITY_TOL * lifts.length),
             ~((depths[0] > 0) & (depths[1] > 0) & (depths[2] > 0)),
             close(x0, x1) | close(x0, x2) | close(x1, x2),
-            view.depth <= 0,  # NaN, as from a NaN pixel, fails the cross-ratio check
+            view.depth <= 0,
             ~view.feasible,
         ]
     failed.append(noisy(~np.any(failed, axis=0)))
@@ -459,8 +459,7 @@ def refine(
     pass the gate at the start camera.
     """
     lifts = lift_triples(poses, corrs.planes)
-    # a non-finite plane coordinate masks its own triple, not the frame
-    centre = np.mean(lifts.p0, axis=1, where=np.isfinite(lifts.p0))
+    centre = np.mean(lifts.p0, axis=1)
     lifts = replace(lifts, **{name: getattr(lifts, name) - centre[:, None] for name in ("p0", "p1", "p2")})
     theta = _pack(theta0)
     theta[7:] += theta0.rotation @ centre

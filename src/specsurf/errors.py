@@ -25,33 +25,31 @@ class RankDeficientError(SpecsurfError):
 # simulator
 
 class EmptyDatasetError(SpecsurfError):
-    """Tracing produced too few valid correspondence triples."""
+    """No pixel of the grid traced to a correspondence triple."""
 
 
 # plane pose solver
 
 class TooFewCorrespondencesError(SpecsurfError):
-    """Fewer triples than a stage needs: 12 for the pose solver, 5 for the
-    cross-ratio refinement."""
+    """Fewer triples than a stage needs: plane_pose.MIN_TRIPLES in the scan
+    for the pose solver, crossratio.MIN_TRIPLES past the start gate for the
+    cross-ratio refinement.  A simulated scan may hold fewer than the pose
+    solver needs; the solver, not the simulator, says so."""
 
 
 class RankAmbiguousError(SpecsurfError):
     """The data do not determine the two plane motions.
 
-    Raised when the design matrix has more than two vanishing singular
-    values, or when no direction of its two-dimensional nullspace factors
-    into rigid motions (e.g. pure translation).  gap_ratio is the
-    nullspace rank gap sigma_22/sigma_23 of the design matrix.
+    Raised when the plane coordinates are all zero, when the design matrix
+    has more than two vanishing singular values, or when no direction of
+    its two-dimensional nullspace factors into rigid motions (e.g. pure
+    translation).  gap_ratio is the nullspace rank gap sigma_22/sigma_23
+    of the design matrix, NaN when none was built.
     """
 
     def __init__(self, message: str, gap_ratio: float = float("nan")):
         super().__init__(message)
         self.gap_ratio = gap_ratio
-
-
-class NoValidCandidateError(SpecsurfError):
-    """No pose candidate: the plane coordinates are all zero, or one is not
-    finite."""
 
 
 # projection estimation

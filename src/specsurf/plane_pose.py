@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .errors import NoValidCandidateError, RankAmbiguousError, TooFewCorrespondencesError
+from .errors import RankAmbiguousError, TooFewCorrespondencesError
 from .linalg import least_squares, right_singular
 from .types import CorrespondenceSet, RigidPose
 
@@ -401,12 +401,14 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
 
     Raises RankAmbiguousError, carrying the rank gap, when no nullspace
     direction factors into rigid motions: the data do not determine them
-    (e.g. pure translation).
+    (e.g. pure translation).  It raises it without one when the plane
+    coordinates have no scale: all zero, or so large that their squares
+    overflow.
     """
     coords = np.concatenate([data.x0.ravel(), data.x1.ravel(), data.x2.ravel()])
     scale = float(np.sqrt(np.mean(coords**2)))
     if not 0.0 < scale < np.inf:
-        raise NoValidCandidateError("plane coordinates are all zero, or one is not finite")
+        raise RankAmbiguousError("the data do not determine the plane motions")
     planes = data.planes / scale
 
     d1, d2, gap = nullspace_basis(build_design_matrix(planes))

@@ -117,21 +117,16 @@ def build_observations(corrs: CorrespondenceSet, poses: tuple[RigidPose, ...]) -
     """One (pixel, reflected-line) item per triple.
 
     The line is the one plane_pose.Lifts decides for the triple.  Triples
-    with a pixel or plane coordinate that is not finite, or whose pose-0
-    and pose-2 lifts are closer than MIN_LIFT_SEPARATION_MM (the line
-    direction would be noise), are skipped: indices names the triples
-    kept, so len(corrs) - len(obs) counts the skipped ones.
+    whose pose-0 and pose-2 lifts are closer than MIN_LIFT_SEPARATION_MM
+    (the line direction would be noise) are skipped: indices names the
+    triples kept, so len(corrs) - len(obs) counts the skipped ones.
     """
-    pixels = np.asarray(corrs.pixels, dtype=float)
-    planes = corrs.planes
-    # only finite triples are lifted: an infinite coordinate has no line
-    finite = np.isfinite(pixels).all(axis=1) & np.isfinite(planes).all(axis=(0, 1))
-    lifts = lift_triples(poses, np.compress(finite, planes, axis=2))
+    lifts = lift_triples(poses, corrs.planes)
     far = lifts.length >= MIN_LIFT_SEPARATION_MM
-    indices = np.flatnonzero(finite)[far]
+    indices = np.flatnonzero(far)
     lines = lines_from_points(lifts.p0[:, far], lifts.p2[:, far])
     lines /= np.linalg.norm(lines, axis=0)
-    return LineObservationSet(pixels[indices].T.copy(), lines, indices)
+    return LineObservationSet(np.asarray(corrs.pixels, dtype=float)[indices].T.copy(), lines, indices)
 
 
 def _incidence_rows(obs: LineObservationSet) -> np.ndarray:

@@ -64,8 +64,8 @@ class SphereMirror:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
-        if not self.radius > 0:
-            raise ValueError("sphere radius must be positive")
+        if not (np.isfinite(self.center).all() and 0 < self.radius < np.inf):
+            raise ValueError("sphere geometry must be finite and its radius positive")
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,9 @@ class ParaboloidMirror:
         object.__setattr__(self, "vertex", np.asarray(self.vertex, dtype=float).reshape(3))
         ax = np.asarray(self.axis, dtype=float).reshape(3)
         n = float(np.sqrt(ax @ ax))
-        if n == 0:
-            raise ValueError("paraboloid axis must be nonzero")
+        if not (np.isfinite(self.vertex).all() and 0 < n < np.inf and 0 < self.focal < np.inf):
+            raise ValueError("paraboloid geometry must be finite, its axis nonzero and its focal parameter positive")
         object.__setattr__(self, "axis", ax / n)
-        if not self.focal > 0:
-            raise ValueError("paraboloid focal parameter must be positive")
 
 
 @dataclass(frozen=True)
@@ -399,17 +397,16 @@ def generate_dataset(scene: MirrorScene, grid_step: int, noise: NoiseSpec) -> Co
 
     The mirror points and normals go in gt_points and gt_normals, never
     perturbed; the poses stay with the scene.  Raises EmptyDatasetError when
-    fewer than 12 pixels produce valid triples (the pose solver minimum).
+    no pixel yields a triple; a scan too small for a solver is returned, and
+    the solver raises TooFewCorrespondencesError.
     """
     if grid_step < 1:
         raise ValueError("grid_step must be >= 1")
     pixels = grid_pixels(scene.image_size, grid_step)
     valid, *traced = trace_pixels(scene, pixels)
     idx = np.nonzero(valid)[0]
-    if idx.size < 12:
-        raise EmptyDatasetError(
-            f"only {idx.size} valid triples (< 12); adjust scene or grid"
-        )
+    if idx.size == 0:
+        raise EmptyDatasetError("no pixel traced to a triple; adjust scene or grid")
     # keep the valid rows only; the full-grid arrays are released here
     pix, x0, x1, x2, points, normals = (a[idx] for a in (pixels, *traced))
     del pixels, valid, traced

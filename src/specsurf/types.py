@@ -109,10 +109,11 @@ class NoiseSpec:
 class CorrespondenceSet:
     """Column-array container for reflection correspondences.
 
-    pixels and the plane points x0, x1, x2 at poses 0, 1, 2 are (n, 2);
-    the solvers read the plane points once, as the rows-first stack
-    planes.  gt_points and gt_normals, filled by the simulator, are for
-    scoring alone; no solver stage reads them.
+    pixels and the plane points x0, x1, x2 at poses 0, 1, 2 are (n, 2)
+    and finite, checked here, so no stage handles a non-finite value; the
+    solvers read the plane points once, as the rows-first stack planes.
+    gt_points and gt_normals, filled by the simulator, are for scoring
+    alone; no solver stage reads them.
     """
 
     pixels: np.ndarray  # (n, 2)
@@ -127,9 +128,11 @@ class CorrespondenceSet:
         if n < 1:
             raise ValueError("correspondence set may not be empty")
         for name in ("pixels", "x0", "x1", "x2"):
-            shape = np.shape(getattr(self, name))
-            if shape != (n, 2):
-                raise ValueError(f"{name} has shape {shape}, expected ({n}, 2)")
+            value = getattr(self, name)
+            if np.shape(value) != (n, 2):
+                raise ValueError(f"{name} has shape {np.shape(value)}, expected ({n}, 2)")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
 
     def __len__(self) -> int:
         return len(self.pixels)

@@ -564,32 +564,6 @@ class TestGate:
         _, _, reason = cr._gate(cr._pack(rig), lifts, m_obs, np.zeros_like)
         assert reason[0] == "noncollinear_lift"
 
-    def test_nan_pixel_is_a_degenerate_cross_ratio(self, scene, rig, poses):
-        data = generate_dataset(scene, 20, NoiseSpec())
-        pixels = np.array(data.pixels, dtype=float)
-        pixels[100] = np.nan
-        nan_pixel = CorrespondenceSet(pixels=pixels, x0=data.x0, x1=data.x1, x2=data.x2)
-        _, clean, _ = cr.refine(rig, data, poses)
-        _, surface, report = cr.refine(rig, nan_pixel, poses)
-        assert 100 not in clean.invalid_reason
-        assert surface.invalid_reason == {**clean.invalid_reason, 100: "degenerate_cross_ratio"}
-        assert report.mask_reasons["degenerate_cross_ratio"] == 1
-
-    def test_nan_plane_coordinate_is_a_noncollinear_lift(self, scene, rig, poses):
-        # the refine's frame is centred on the finite pose-0 lifts alone, so
-        # one NaN coordinate masks its own triple and moves no other row
-        data = generate_dataset(scene, 20, NoiseSpec())
-        x0 = np.array(data.x0, dtype=float)
-        x0[100] = np.nan
-        nan_coordinate = CorrespondenceSet(pixels=data.pixels, x0=x0, x1=data.x1, x2=data.x2)
-        _, clean, _ = cr.refine(rig, data, poses)
-        _, surface, report = cr.refine(rig, nan_coordinate, poses)
-        assert 100 not in clean.invalid_reason
-        assert surface.invalid_reason == {**clean.invalid_reason, 100: "noncollinear_lift"}
-        assert report.mask_reasons["noncollinear_lift"] == 1
-        valid = surface.valid
-        assert np.max(np.abs(surface.points[valid] - clean.points[valid])) < 1e-9
-
     def test_reasons_match_benchmark_counters(self):
         # the benchmark counts masked triples under the reasons it lists; a
         # reason missing there would silently read 0

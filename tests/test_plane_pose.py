@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsurf.errors import (
-    NoValidCandidateError,
     RankAmbiguousError,
     SpecsurfError,
     TooFewCorrespondencesError,
@@ -458,13 +457,11 @@ class TestEstimate:
         with pytest.raises(TooFewCorrespondencesError):
             estimate_plane_poses(data)
 
-    def test_non_finite_coordinate_rejected(self, clean_data):
-        x1 = clean_data.x1.copy()
-        x1[3, 0] = np.nan
-        data = CorrespondenceSet(
-            pixels=clean_data.pixels, x0=clean_data.x0, x1=x1, x2=clean_data.x2
-        )
-        with pytest.raises(NoValidCandidateError):
+    def test_zero_coordinates_rejected(self, clean_data):
+        # coordinates with no scale determine no motion
+        zeros = np.zeros_like(clean_data.x0)
+        data = CorrespondenceSet(pixels=clean_data.pixels, x0=zeros, x1=zeros, x2=zeros)
+        with pytest.raises(RankAmbiguousError, match="do not determine"):
             estimate_plane_poses(data)
 
     def test_noisy_recovery_within_tolerance(self, scene):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from specsurf import sim
-from specsurf.errors import EmptyDatasetError, ParseError, SchemaMismatchError
+from specsurf.errors import EmptyDatasetError, ParseError, SchemaMismatchError, TooFewCorrespondencesError
+from specsurf.plane_pose import estimate_plane_poses
 from specsurf.sim import (
     MirrorScene,
     ParaboloidMirror,
@@ -370,8 +371,15 @@ class TestGenerateDataset:
         assert np.array_equal(noisy.gt_normals, clean.gt_normals)
 
     def test_too_few_triples_raises(self, scene):
+        # grid 500 traces no triple
         with pytest.raises(EmptyDatasetError):
             generate_dataset(scene, 500, NoiseSpec())
+
+    def test_scan_below_the_pose_minimum_returned(self, scene):
+        data = generate_dataset(scene, 150, NoiseSpec())
+        assert len(data) == 9
+        with pytest.raises(TooFewCorrespondencesError):
+            estimate_plane_poses(data)
 
 
 SCENES = Path(__file__).parent / "scenes"
@@ -456,6 +464,15 @@ class TestSceneFiles:
         with pytest.raises(ParseError):
             read_scene(path)
 
+    def test_non_finite_mirror_raises(self, tmp_path):
+        path = tmp_path / "scene.ini"
+        write_scene(default_two_sphere_scene(), path)
+        text = path.read_text()
+        assert text.count("center = -340 0 850") == 1
+        path.write_text(text.replace("center = -340 0 850", "center = nan 0 850"))
+        with pytest.raises(ParseError):
+            read_scene(path)
+
     def test_garbage_file_raises(self, tmp_path):
         path = tmp_path / "scene.ini"
         path.write_text("not an ini file\x00???")
@@ -494,6 +511,21 @@ class TestSceneValidation:
     def test_bad_plane_extent_rejected(self, extent):
         with pytest.raises(ValueError, match="plane extent"):
             dataclasses.replace(default_two_sphere_scene(), plane_half_extent=extent)
+
+    @pytest.mark.parametrize(
+        "cls, geometry",
+        [
+            (SphereMirror, {"center": (np.nan, 0.0, 850.0), "radius": 300.0}),
+            (SphereMirror, {"center": (0.0, 0.0, 850.0), "radius": np.inf}),
+            (ParaboloidMirror, {"vertex": (0.0, 0.0, 880.0), "axis": (np.nan, 0.8, 0.6), "focal": 250.0}),
+            (ParaboloidMirror, {"vertex": (0.0, np.inf, 880.0), "axis": (0.0, 0.8, 0.6), "focal": 250.0}),
+            (ParaboloidMirror, {"vertex": (0.0, 0.0, 880.0), "axis": (0.0, 0.8, 0.6), "focal": np.inf}),
+        ],
+        ids=["nan-sphere-center", "infinite-radius", "nan-paraboloid-axis", "infinite-vertex", "infinite-focal"],
+    )
+    def test_non_finite_mirror_rejected(self, cls, geometry):
+        with pytest.raises(ValueError, match="finite"):
+            cls(**geometry)
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_pose_count_other_than_two_rejected(self, count):

@@ -31,6 +31,16 @@ def test_malformed_arrays_rejected(arrays):
         CorrespondenceSet(**arrays)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["pixels", "x0", "x1", "x2"])
+def test_non_finite_scan_rejected(name, value):
+    # the stages hold no path for a non-finite value: the scan is checked here
+    arrays = columns()
+    arrays[name][2, 1] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        CorrespondenceSet(**arrays)
+
+
 @pytest.mark.parametrize(
     "values",
     [
