@@ -463,7 +463,7 @@ def refine(
     lifts = replace(lifts, **{name: getattr(lifts, name) - centre[:, None] for name in ("p0", "p1", "p2")})
     theta = _pack(theta0)
     theta[7:] += theta0.rotation @ centre
-    m_obs = np.asarray(corrs.pixels, dtype=float).T.copy()
+    m_obs = corrs.pixels.T.copy()
 
     def measure_noise(usable):
         if not usable.any():

@@ -405,7 +405,9 @@ def estimate_plane_poses(data: CorrespondenceSet) -> PoseSolution:
     coordinates have no scale: all zero, or so large that their squares
     overflow.
     """
-    coords = np.concatenate([data.x0.ravel(), data.x1.ravel(), data.x2.ravel()])
+    # the (n, 2) points of poses 0, 1 and 2 in turn, row-major: the order
+    # of the sum fixes the scale to the last bit
+    coords = data.planes.transpose(0, 2, 1).ravel()
     scale = float(np.sqrt(np.mean(coords**2)))
     if not 0.0 < scale < np.inf:
         raise RankAmbiguousError("the data do not determine the plane motions")

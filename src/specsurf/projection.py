@@ -126,7 +126,7 @@ def build_observations(corrs: CorrespondenceSet, poses: tuple[RigidPose, ...]) -
     indices = np.flatnonzero(far)
     lines = lines_from_points(lifts.p0[:, far], lifts.p2[:, far])
     lines /= np.linalg.norm(lines, axis=0)
-    return LineObservationSet(np.asarray(corrs.pixels, dtype=float)[indices].T.copy(), lines, indices)
+    return LineObservationSet(corrs.pixels[indices].T.copy(), lines, indices)
 
 
 def _incidence_rows(obs: LineObservationSet) -> np.ndarray:
@@ -374,8 +374,9 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
     and ends after it.  The minimum must be interior to the grid; if the
     forward pass leaves none, the grid is swept again from its top.
     Levenberg-Marquardt over (f, R, T) then polishes the best sample to a
-    relative cost decrease of 1e-12, and the polished camera must pass the
-    same gate.
+    relative cost decrease of 1e-12; the polished focal must lie in the
+    grid's range, or SweepNoMinimumError is raised, and the polished camera
+    must pass the same gate.
 
     The estimate's diagnostics hold the focal grid (f_grid), the cost of
     each sample in pixels squared (cost_curve, inf where the solve failed),
@@ -442,10 +443,14 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
 
     # joint polish of (f, R, T): the free-focal solve takes f off the grid
     f_n, rotation, t_n, polish = _refine_metric(grid[best] * s_pix, obs_n, solutions[best], free_focal=True)
+    f_best = f_n / s_pix
+    if not f_lo <= f_best <= f_hi:
+        raise SweepNoMinimumError(
+            f"the polish left the focal range [{f_lo:.1f}, {f_hi:.1f}] px for f = {f_best:.1f} px"
+        )
     front = _front_fraction(f_n, obs_n, rotation, t_n)
     if front < MIN_FRONT_FRACTION:
         raise CheiralityUnresolvableError(f"only {front:.1%} of the pixels see their lines in front")
-    f_best = f_n / s_pix
     return CalibrationEstimate(
         intrinsics=Intrinsics(f_best, f_best, u0, v0),
         rotation=rotation,

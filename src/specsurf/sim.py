@@ -407,18 +407,19 @@ def generate_dataset(scene: MirrorScene, grid_step: int, noise: NoiseSpec) -> Co
     idx = np.nonzero(valid)[0]
     if idx.size == 0:
         raise EmptyDatasetError("no pixel traced to a triple; adjust scene or grid")
-    # keep the valid rows only; the full-grid arrays are released here
-    pix, x0, x1, x2, points, normals = (a[idx] for a in (pixels, *traced))
+    # keep the valid rows only, the plane points as the rows-first (3, 2, n)
+    # stack; the full-grid arrays are released here
+    pix, points, normals = (a[idx] for a in (pixels, *traced[3:]))
+    planes = np.array([x[idx].T for x in traced[:3]])
     del pixels, valid, traced
 
     plane_noise, pixel_noise = _draw_noise(noise.seed, idx)
-    x0 = x0 + noise.sigma_mm * plane_noise[:, 0:2]
-    x1 = x1 + noise.sigma_mm * plane_noise[:, 2:4]
-    x2 = x2 + noise.sigma_mm * plane_noise[:, 4:6]
+    # a row's normal draws 2k and 2k + 1 perturb its pose-k point
+    planes += noise.sigma_mm * plane_noise.reshape(-1, 3, 2).transpose(1, 2, 0)
     pix = _distort_pixels(pix, noise.k1, scene.intrinsics, scene.image_size)
     pix = pix + noise.gamma_px * pixel_noise
 
-    return CorrespondenceSet(pixels=pix, x0=x0, x1=x1, x2=x2, gt_points=points, gt_normals=normals)
+    return CorrespondenceSet(pixels=pix, planes=planes, gt_points=points, gt_normals=normals)
 
 
 # ---------------------------------------------------------------------------

@@ -105,21 +105,20 @@ class NoiseSpec:
         object.__setattr__(self, "seed", int(seed))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrespondenceSet:
     """Column-array container for reflection correspondences.
 
-    pixels and the plane points x0, x1, x2 at poses 0, 1, 2 are (n, 2)
-    and finite, checked here, so no stage handles a non-finite value; the
-    solvers read the plane points once, as the rows-first stack planes.
-    gt_points and gt_normals, filled by the simulator, are for scoring
-    alone; no solver stage reads them.
+    pixels (n, 2) and planes, the plane points at poses 0, 1, 2 as the
+    rows-first stack (3, 2, n), are copied here into C-contiguous float64
+    arrays, checked finite and made read-only, so the check holds for the
+    life of the scan and no stage handles a non-finite value.  gt_points
+    and gt_normals, filled by the simulator, are kept as given and are for
+    scoring alone; no solver stage reads them.
     """
 
     pixels: np.ndarray  # (n, 2)
-    x0: np.ndarray  # (n, 2)
-    x1: np.ndarray  # (n, 2)
-    x2: np.ndarray  # (n, 2)
+    planes: np.ndarray  # (3, 2, n)
     gt_points: np.ndarray | None = None  # (n, 3)
     gt_normals: np.ndarray | None = None  # (n, 3)
 
@@ -127,21 +126,22 @@ class CorrespondenceSet:
         n = len(self.pixels)
         if n < 1:
             raise ValueError("correspondence set may not be empty")
-        for name in ("pixels", "x0", "x1", "x2"):
-            value = getattr(self, name)
-            if np.shape(value) != (n, 2):
-                raise ValueError(f"{name} has shape {np.shape(value)}, expected ({n}, 2)")
+        for name, shape in (("pixels", (n, 2)), ("planes", (3, 2, n))):
+            value = np.array(getattr(self, name), dtype=float, order="C")
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.pixels)
 
-    @property
-    def planes(self) -> np.ndarray:
-        """C-contiguous (3, 2, n) copy of x0, x1, x2: pose-major, one row
-        per coordinate."""
-        return np.array([np.asarray(x, dtype=float).T for x in (self.x0, self.x1, self.x2)])
+    # read-only (n, 2) views of planes, kept for the benchmark's scoring
+    x0 = property(lambda self: self.planes[0].T)
+    x1 = property(lambda self: self.planes[1].T)
+    x2 = property(lambda self: self.planes[2].T)
 
 
 @dataclass

@@ -62,6 +62,12 @@ def random_motion_scene(k: int):
     return scene, NoiseSpec(sigma_mm=[0.5, 1.0][k % 2], gamma_px=0.5, seed=k)
 
 
+def planes_of(x0, x1, x2) -> np.ndarray:
+    """The rows-first (3, 2, n) stack CorrespondenceSet.planes holds for
+    the (n, 2) plane points of poses 0, 1 and 2."""
+    return np.array([x0.T, x1.T, x2.T])
+
+
 def random_point_camera(rng: np.random.Generator) -> np.ndarray:
     """Random full-rank 3x4 point projection matrix with sane conditioning."""
     fx, fy = rng.uniform(500, 3000, size=2)

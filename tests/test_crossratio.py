@@ -402,9 +402,7 @@ class TestRefine:
         # evaluations
         camera, surface, report = noisy_fit
         order = np.random.default_rng(seed).permutation(len(noisy_data))
-        shuffled = CorrespondenceSet(
-            pixels=noisy_data.pixels[order], x0=noisy_data.x0[order], x1=noisy_data.x1[order], x2=noisy_data.x2[order]
-        )
+        shuffled = CorrespondenceSet(noisy_data.pixels[order], noisy_data.planes[..., order])
         fits = record_fits(monkeypatch)
         moved, moved_surface, moved_report = cr.refine(rig, shuffled, poses)
         valid = moved_surface.valid
@@ -430,9 +428,7 @@ class TestRefine:
         # and 5.7e-11 mm at most over these shifts (3.5e-4 mm, with other
         # iteration counts, when the fit ran about the plane origin)
         c = np.append(shift, 0.0)
-        moved_data = CorrespondenceSet(
-            pixels=noisy_data.pixels, x0=noisy_data.x0 + shift, x1=noisy_data.x1 + shift, x2=noisy_data.x2 + shift
-        )
+        moved_data = CorrespondenceSet(noisy_data.pixels, noisy_data.planes + np.reshape(shift, (2, 1)))
         moved_poses = tuple(RigidPose(p.rotation, p.translation + c - p.rotation @ c) for p in poses)
         moved_rig = replace(rig, translation=rig.translation - rig.rotation @ c)
         fits = record_fits(monkeypatch)
@@ -444,12 +440,7 @@ class TestRefine:
         assert np.max(np.abs(moved.points[valid] - (surface.points[valid] + c))) < 1e-6
 
     def test_too_few_triples_rejected(self, rig, noisy_data, poses):
-        few = CorrespondenceSet(
-            pixels=noisy_data.pixels[:4],
-            x0=noisy_data.x0[:4],
-            x1=noisy_data.x1[:4],
-            x2=noisy_data.x2[:4],
-        )
+        few = CorrespondenceSet(noisy_data.pixels[:4], noisy_data.planes[..., :4])
         with pytest.raises(TooFewCorrespondencesError):
             cr.refine(rig, few, poses)
 

@@ -35,7 +35,7 @@ from specsurf.plane_pose import (
 from specsurf.sim import SphereMirror, default_two_sphere_scene, generate_dataset, pure_translation_scene
 from specsurf.types import CorrespondenceSet, NoiseSpec, RigidPose
 
-from conftest import random_rotation, second_root_scene
+from conftest import planes_of, random_rotation, second_root_scene
 
 
 def line_plane_triples(rng, n, pose1, pose2):
@@ -85,11 +85,6 @@ def tilted_pose_pair():
 
 def rms_scale(x0, x1, x2):
     return float(np.sqrt(np.mean(np.concatenate([x0.ravel(), x1.ravel(), x2.ravel()]) ** 2)))
-
-
-def planes_of(x0, x1, x2):
-    """The (3, 2, n) stack CorrespondenceSet.planes holds for (n, 2) coordinates."""
-    return np.array([x0.T, x1.T, x2.T])
 
 
 def scaled_pack(motions, scale):
@@ -420,7 +415,7 @@ class TestEstimate:
 
     def test_exact_recovery_from_synthetic_lines(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
-        data = CorrespondenceSet(pixels=np.zeros((len(x0), 2)), x0=x0, x1=x1, x2=x2)
+        data = CorrespondenceSet(np.zeros((len(x0), 2)), planes_of(x0, x1, x2))
         sol = estimate_plane_poses(data)
         rot, tr = best_pose_errors(sol, (pose1, pose2))
         # the angle readout bottoms out near sqrt(eps); check it and the
@@ -448,19 +443,13 @@ class TestEstimate:
         assert np.linalg.norm(best[0].translation - scene.poses[0].translation) < 1e-6
 
     def test_too_few_triples_rejected(self, clean_data):
-        data = CorrespondenceSet(
-            pixels=clean_data.pixels[:11],
-            x0=clean_data.x0[:11],
-            x1=clean_data.x1[:11],
-            x2=clean_data.x2[:11],
-        )
+        data = CorrespondenceSet(clean_data.pixels[:11], clean_data.planes[..., :11])
         with pytest.raises(TooFewCorrespondencesError):
             estimate_plane_poses(data)
 
     def test_zero_coordinates_rejected(self, clean_data):
         # coordinates with no scale determine no motion
-        zeros = np.zeros_like(clean_data.x0)
-        data = CorrespondenceSet(pixels=clean_data.pixels, x0=zeros, x1=zeros, x2=zeros)
+        data = CorrespondenceSet(clean_data.pixels, np.zeros_like(clean_data.planes))
         with pytest.raises(RankAmbiguousError, match="do not determine"):
             estimate_plane_poses(data)
 
@@ -573,7 +562,7 @@ class TestEstimate:
     def test_swapped_roles_swap_the_motions(self, scene):
         # exchanging x1 and x2 exchanges the two motions the data encodes
         data = generate_dataset(scene, grid_step=20, noise=NoiseSpec(0.0, 0.0, 0.0, 0))
-        swapped = CorrespondenceSet(pixels=data.pixels, x0=data.x0, x1=data.x2, x2=data.x1)
+        swapped = CorrespondenceSet(data.pixels, data.planes[[0, 2, 1]])
         sol = estimate_plane_poses(data)
         sol_swapped = estimate_plane_poses(swapped)
         assert len(sol_swapped.candidates) == len(sol.candidates)
@@ -617,9 +606,7 @@ class TestProperties:
     @given(sigma=sigmas, seed=seeds, k=st.floats(0.01, 1000.0))
     def test_scale_invariance(self, scene, sigma, seed, k):
         data = generate_dataset(scene, grid_step=20, noise=NoiseSpec(sigma, 0.0, 0.0, seed))
-        scaled = CorrespondenceSet(
-            pixels=data.pixels, x0=k * data.x0, x1=k * data.x1, x2=k * data.x2
-        )
+        scaled = CorrespondenceSet(data.pixels, k * data.planes)
         sol = estimate_plane_poses(data)
         sol_scaled = estimate_plane_poses(scaled)
         assert len(sol_scaled.candidates) == len(sol.candidates)
@@ -720,9 +707,7 @@ class TestCandidateOrder:
         want = estimate_plane_poses(data).candidates
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(len(data))
-            shuffled = CorrespondenceSet(
-                pixels=data.pixels[order], x0=data.x0[order], x1=data.x1[order], x2=data.x2[order]
-            )
+            shuffled = CorrespondenceSet(data.pixels[order], data.planes[..., order])
             for got, motions in zip(estimate_plane_poses(shuffled).candidates, want, strict=True):
                 for a, b in zip(got, motions, strict=True):
                     assert np.linalg.norm(a.translation - b.translation) <= 1e-12 * np.linalg.norm(b.translation)
@@ -762,7 +747,7 @@ class TestLifts:
         )
 
         # the observation line of each kept triple runs along unit
-        data = CorrespondenceSet(pixels=np.zeros((n, 2)), x0=x0, x1=x1, x2=x2)
+        data = CorrespondenceSet(np.zeros((n, 2)), planes_of(x0, x1, x2))
         obs = projection.build_observations(data, motions)
         direction = obs.lines[3:] / np.linalg.norm(obs.lines[3:], axis=0)
         unit = lifts.unit[:, obs.indices]

@@ -35,7 +35,7 @@ from specsurf.types import (
     identity_pose,
 )
 
-from conftest import second_root_scene
+from conftest import planes_of, second_root_scene
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from specbench.workloads import reconstruct_chain  # noqa: E402
@@ -149,12 +149,7 @@ class TestBuildObservations:
         x2 = x0 + np.array([5.0, 0.0])
         x2[3] = x0[3]  # identity pose keeps this lift coincident
         pixels = np.arange(2.0 * n).reshape(n, 2) + 100.0
-        corrs = CorrespondenceSet(
-            pixels=pixels,
-            x0=x0,
-            x1=np.zeros((n, 2)),
-            x2=x2,
-        )
+        corrs = CorrespondenceSet(pixels, planes_of(x0, np.zeros((n, 2)), x2))
         obs = pj.build_observations(corrs, (identity_pose(), identity_pose()))
         assert len(obs) == n - 1
         assert obs.indices.tolist() == [0, 1, 2, 4, 5]
@@ -600,6 +595,25 @@ class TestFocalSweep:
         with pytest.raises(CheiralityUnresolvableError):
             pj.focal_sweep(clean_obs, scene.image_size)
 
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_polished_focal_outside_the_range_raises(self, clean_obs, scene, monkeypatch, side):
+        # the range gate: the polish moved to half the grid's lowest focal,
+        # or twice its highest (120 and 32,000 px on this image)
+        want = pj.focal_sweep(clean_obs, scene.image_size).intrinsics.fx
+        lo, hi = np.multiply(pj.SWEEP_SPAN, np.hypot(*scene.image_size))
+        target = {"below": 0.5 * lo, "above": 2.0 * hi}[side]
+        refine = pj._refine_metric
+
+        def moved(*args, **kwargs):
+            f, rotation, t, fit = refine(*args, **kwargs)
+            if kwargs.get("free_focal"):
+                return f * target / want, rotation, t, fit
+            return f, rotation, t, fit
+
+        monkeypatch.setattr(pj, "_refine_metric", moved)
+        with pytest.raises(SweepNoMinimumError, match=f"left the focal range .* for f = {target:.1f} px"):
+            pj.focal_sweep(clean_obs, scene.image_size)
+
     def test_mirror_twin_has_no_minimum_at_default_range(self, scene, poses, clean_data):
         sol = estimate_plane_poses(clean_data)
         dist = [rot_err_deg(c[0].rotation, poses[0].rotation) for c in sol.candidates]
@@ -644,9 +658,7 @@ class TestRowOrder:
         want = outcomes(scene, data)
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(len(data))
-            shuffled = CorrespondenceSet(
-                pixels=data.pixels[order], x0=data.x0[order], x1=data.x1[order], x2=data.x2[order]
-            )
+            shuffled = CorrespondenceSet(data.pixels[order], data.planes[..., order])
             for (motions, est), (want_motions, want_est) in zip(outcomes(scene, shuffled), want, strict=True):
                 for got_pose, want_pose in zip(motions, want_motions, strict=True):
                     assert_close(got_pose.rotation, want_pose.rotation)
@@ -818,7 +830,7 @@ class TestGauge:
         f_tol, rot_tol, t_tol, point_tol = GAUGE_SCANS[name][2]
         data, ref = gauge_runs[name]
         c = np.array(shift)
-        moved = CorrespondenceSet(pixels=data.pixels, x0=data.x0 + c, x1=data.x1 + c, x2=data.x2 + c)
+        moved = CorrespondenceSet(data.pixels, data.planes + c[:, None])
         rec = reconstruct_chain(moved, scene.image_size)
         got, want = rec.start, ref.start
         assert abs(got.intrinsics.fx - want.intrinsics.fx) < f_tol * want.intrinsics.fx
