@@ -204,7 +204,10 @@ def _resolve_offsets(theta: np.ndarray, lifts: Lifts, m_obs) -> _View:
     takes the physical offset of _cross_ratio_offset and reprojects the
     point it rebuilds.  feasible marks triples whose plane projections and
     rebuilt point all have positive depth and a finite offset; everything
-    else in those rows is unreliable.
+    else in those rows is unreliable.  No triple is feasible when a focal
+    length is not positive: the step that took it there is a failed one,
+    as a step that puts a point behind the camera is, and never reaches
+    Intrinsics.
     """
     p = _projection_matrix(theta)
     with np.errstate(all="ignore"):
@@ -215,7 +218,8 @@ def _resolve_offsets(theta: np.ndarray, lifts: Lifts, m_obs) -> _View:
         m_proj = _dehom(h)
         depths = tuple(h[2] for h in hs)
         feasible = (
-            (depths[0] > 0)
+            np.all(theta[:2] > 0)
+            & (depths[0] > 0)
             & (depths[1] > 0)
             & (depths[2] > 0)
             & (h[2] > 0)
@@ -283,13 +287,12 @@ def _frozen_jacobian(view: _View, lifts: Lifts) -> np.ndarray:
     segments a and their squared lengths come with the view, and each
     pixel derivative is only its varying rows (_pixel_jacobian): dk / k
     skips the zero terms, takes the weight itself for a row that is one
-    and is summed in place.  The 10 x 2n transpose, u columns then v
+    and is summed in place.  The 10 x 2n Jacobian, u columns then v
     columns, is written straight into the one array handed over: a row is
     -ds/dlogk times dk / k less the rebuilt pixel's own row, so the
     negation rides on the products.  Each element sees the operations of
     -(du + du/ds ds) over dense (10, n) blocks, up to exact sign flips, so
-    it is the same to the bit.  The array goes out as .T, column-major,
-    which least_squares passes to MINPACK without a copy.
+    it is the same to the bit.
     """
     theta = view.theta
     n = view.k.shape[0]
@@ -320,7 +323,7 @@ def _frozen_jacobian(view: _View, lifts: Lifts) -> np.ndarray:
             for r, d in zip((c, 2 + c, 4, 5, 6, 7 + c, 9), (q, 1.0, *rot, g, tz)):
                 half[r] -= d
     jt[4:7] = np.einsum("ak,an->kn", so3.left_jacobian(theta[4:7]), jt[4:7])
-    return jt.T
+    return jt
 
 
 def noise_sensitivity(theta: np.ndarray, lifts: Lifts, m_obs, poses: tuple[RigidPose, ...]) -> np.ndarray:
@@ -463,7 +466,7 @@ def refine(
     lifts = replace(lifts, **{name: getattr(lifts, name) - centre[:, None] for name in ("p0", "p1", "p2")})
     theta = _pack(theta0)
     theta[7:] += theta0.rotation @ centre
-    m_obs = corrs.pixels.T.copy()
+    m_obs = corrs.pixels
 
     def measure_noise(usable):
         if not usable.any():

@@ -25,11 +25,10 @@ least_squares is the one entry point to it, and it sums squares with
 einsum.  A fit hands it a model, which returns the residuals at x and a
 closure that builds the Jacobian there; least_squares keeps the last x's
 bytes, hands the model a copy of x (MINPACK reuses its buffer) and
-answers both of MINPACK's callbacks from that one evaluation.  MINPACK
-stores the Jacobian column-major, so least_squares hands lmder its
-transpose: a Jacobian filled column-major, as the package's objectives
-fill theirs, reaches MINPACK as one memcpy, and any other is copied into
-that layout once.
+answers both of MINPACK's callbacks from that one evaluation.  The
+Jacobian is rows first too: n x m for n parameters and m residuals, one
+row per parameter.  That is the column-major m x n matrix MINPACK stores,
+so lmder takes a C-contiguous one as it is, with one memcpy.
 
 A dense fit is the m >> n case: the plane-pose polish on a 14,049-triple
 scan is 42,147 x 12, and MINPACK spent most of its time re-factoring such
@@ -171,7 +170,7 @@ def _square_root_residuals(r: np.ndarray, n: int) -> np.ndarray:
 
 def _square_root_jacobian_t(jt: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Transpose of the (n + 1) x n Jacobian [B; h^T] that stands for the
-    m x n Jacobian J = jt.T at residuals r.
+    n x m rows-first Jacobian jt, J = jt.T, at residuals r.
 
     h = J^T r / ||r|| (zero when r is) and B^T B = J^T J - h h^T, B taken
     from the eigendecomposition of that n x n matrix, its roundoff-negative
@@ -211,24 +210,22 @@ class LeastSquaresFit:
 def least_squares(model, x0, max_nfev=None, ftol=1e-12) -> LeastSquaresFit:
     """Levenberg-Marquardt fit of model(x) to zero from x0 by MINPACK's lmder.
 
-    model(x) returns the residuals at x and a zero-argument closure that
-    builds the analytic m x n Jacobian there.  MINPACK asks for a Jacobian
-    only at the x it has just evaluated, so one memo entry (x's bytes,
-    residuals, Jacobian once built) answers both callbacks; comparing the
-    bytes is exact, and cheaper than comparing arrays.  The model gets a
-    copy of x: MINPACK reuses the buffer it passes, which would change
-    under a Jacobian built later.
+    model(x) returns the m residuals at x and a zero-argument closure that
+    builds the analytic Jacobian there, n x m for the n parameters, one row
+    per parameter.  MINPACK asks for a Jacobian only at the x it has just
+    evaluated, so one memo entry (x's bytes, residuals, Jacobian once
+    built) answers both callbacks; comparing the bytes is exact, and
+    cheaper than comparing arrays.  The model gets a copy of x: MINPACK
+    reuses the buffer it passes, which would change under a Jacobian built
+    later.
 
-    lmder is called directly, with the Jacobian's transpose column by
-    column (col_deriv 1): a column-major m x n Jacobian, whose transpose is
-    C-contiguous, is copied into MINPACK's buffer as it is, and a row-major
-    one is transposed into it once, so MINPACK sees the same numbers from
-    either.  The other arguments are relative cost decrease ftol (the fit
-    stops once both the actual and the predicted relative decrease of the
-    cost over a step are at most ftol), relative step 1e-12,
+    lmder is called directly and given that array as it is (col_deriv 1).
+    The other arguments are relative cost decrease ftol (the fit stops once
+    both the actual and the predicted relative decrease of the cost over a
+    step are at most ftol), relative step 1e-12,
     residual-Jacobian cosine 1e-8, at most max_nfev residual evaluations
     (100 n by default), step bound factor 100 and the parameters scaled by
-    the Jacobian's column norms (diag None).  scipy.optimize.leastsq passed
+    the norms of their Jacobian rows (diag None).  scipy.optimize.leastsq passed
     it the same, as does scipy.optimize.least_squares(method="lm",
     x_scale="jac", xtol=1e-12, ftol=ftol), so the iterates are the same.
     The default ftol 1e-12 runs a fit to convergence; a caller that only
@@ -251,7 +248,7 @@ def least_squares(model, x0, max_nfev=None, ftol=1e-12) -> LeastSquaresFit:
     same nfev, njev and status.  The reported cost is the square of ||r||.
 
     Raises ValueError when the residuals at x0 are not finite or fewer
-    than x0 has parameters, or when the Jacobian at x0 is not m x n.
+    than x0 has parameters, or when the Jacobian at x0 is not n x m.
     """
     last = [None]  # x's bytes, residuals, Jacobian closure, Jacobian
 
@@ -276,8 +273,8 @@ def least_squares(model, x0, max_nfev=None, ftol=1e-12) -> LeastSquaresFit:
             "Method 'lm' doesn't work when the number of residuals is less than the number of variables."
         )
     shape = np.shape(jac(x0))
-    if shape != (f0.size, x0.size):
-        raise ValueError(f"The Jacobian at the initial point is {shape}, not ({f0.size}, {x0.size}).")
+    if shape != (x0.size, f0.size):
+        raise ValueError(f"The Jacobian at the initial point is {shape}, not ({x0.size}, {f0.size}).")
     square_root = f0.size >= SQUARE_ROOT_MIN_ROWS
 
     def fun(x):
@@ -285,8 +282,7 @@ def least_squares(model, x0, max_nfev=None, ftol=1e-12) -> LeastSquaresFit:
         return _square_root_residuals(residuals, x.size) if square_root else residuals
 
     def jac_t(x):
-        jt = jac(x).T
-        return _square_root_jacobian_t(jt, at(x)[1]) if square_root else jt
+        return _square_root_jacobian_t(jac(x), at(x)[1]) if square_root else jac(x)
 
     x, info, code = _lmder(fun, jac_t, x0, (), 1, 1, ftol, 1e-12, 1e-8, max_nfev or 100 * x0.size, 100, None)
     return LeastSquaresFit(

@@ -311,9 +311,7 @@ def _polish_objective(motions: tuple[RigidPose, ...], planes: np.ndarray):
     scaled by per-triple dot products, and no 3 x 3 matrix per triple is
     multiplied.
 
-    The Jacobian is filled as its 12 x 3n transpose, one row per parameter,
-    and handed over as that array's .T, column-major, which least_squares
-    passes to MINPACK without a transposing copy.  The products over the
+    The Jacobian is 12 x 3n, one row per parameter.  The products over the
     triples are einsums and elementwise: a matmul on a long stack wakes
     OpenBLAS's threads.
     """
@@ -347,7 +345,7 @@ def _polish_objective(motions: tuple[RigidPose, ...], planes: np.ndarray):
             jt[9:12] = -so3.skew(v) - u[:, None] * res
             jt[6:12] *= inv
             jt[..., ~good] = 0.0
-            return jt.reshape(12, -1).T
+            return jt.reshape(12, -1)
 
         return res.reshape(-1), jacobian
 

@@ -126,7 +126,8 @@ def build_observations(corrs: CorrespondenceSet, poses: tuple[RigidPose, ...]) -
     indices = np.flatnonzero(far)
     lines = lines_from_points(lifts.p0[:, far], lifts.p2[:, far])
     lines /= np.linalg.norm(lines, axis=0)
-    return LineObservationSet(corrs.pixels[indices].T.copy(), lines, indices)
+    # np.compress keeps the pixel rows contiguous, as a boolean index would not
+    return LineObservationSet(np.compress(far, corrs.pixels, axis=1), lines, indices)
 
 
 def _incidence_rows(obs: LineObservationSet) -> np.ndarray:
@@ -232,8 +233,8 @@ def _point_line_objective(obs: LineObservationSet):
     """Point-to-line residuals and their Jacobian, both in closed form.
 
     Returns the least_squares model over theta = (log f, axis-angle of R, T)
-    for the camera diag(f, f, 1)[R T]; the Jacobian has one column per
-    entry of theta.
+    for the camera diag(f, f, 1)[R T]; the Jacobian has one row per entry
+    of theta.
 
     A line [v; w] through p and q has moment v = p x q and direction
     w = p - q; the camera maps the points to R p + T and R q + T, whose
@@ -248,11 +249,8 @@ def _point_line_objective(obs: LineObservationSet):
     to the axis-angle.  By the triple-product expansion that rotation
     gradient equals (dr/dT) x T - u x m, one cross product fewer.
 
-    The Jacobian is filled as its 7 x n transpose and handed over as that
-    array's .T, column-major, which least_squares passes to MINPACK without
-    a transposing copy.  Every product over the n lines is an einsum: a
-    matmul against a 3 x n or 6 x n stack wakes OpenBLAS's threads on a
-    dense scan.
+    Every product over the n lines is an einsum: a matmul against a 3 x n
+    or 6 x n stack wakes OpenBLAS's threads on a dense scan.
     """
     x0, x1 = obs.pixels
     directions = obs.lines[3:]
@@ -277,7 +275,7 @@ def _point_line_objective(obs: LineObservationSet):
             jt[4:] = d_t
             d_phi = so3.cross(d_t, t) - so3.cross(u, m)
             np.einsum("ik,in->kn", so3.left_jacobian(theta[1:4]), d_phi, out=jt[1:4])
-            return jt.T
+            return jt
 
         return num / s, jacobian
 
@@ -308,9 +306,7 @@ def _refine_metric(f: float, obs: LineObservationSet, start, free_focal=False):
 
     def model(q):
         residuals, jacobian = full(np.concatenate([held, q]))
-        # a column slice of the column-major Jacobian: rows of its buffer,
-        # so it stays column-major
-        return residuals, lambda: jacobian()[:, len(held) :]
+        return residuals, lambda: jacobian()[len(held) :]
 
     fit = least_squares(
         model,
@@ -386,7 +382,12 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
     estimate's cost is the polish's own point-to-line cost in pixels
     squared.  SweepNoMinimumError's message says how many of the two
     passes ended after their cold start.
+
+    Raises ValueError, before any fit, unless both entries of image_size
+    (width, height) are positive and finite.
     """
+    if not all(0 < s < np.inf for s in image_size):
+        raise ValueError(f"image size {image_size!r} must be positive and finite")
     width, height = image_size
     u0 = (width - 1) / 2.0
     v0 = (height - 1) / 2.0

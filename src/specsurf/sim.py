@@ -106,6 +106,8 @@ class MirrorScene:
                 raise ValueError("scene rotations must be proper and orthonormal")
         if not all(0 < h < np.inf for h in self.plane_half_extent):
             raise ValueError("plane extent must be positive and finite")
+        if not all(0 < s < np.inf for s in self.image_size):
+            raise ValueError(f"image size {self.image_size!r} must be positive and finite")
         if not self.mirrors:
             raise ValueError("scene needs at least one mirror")
 
@@ -408,7 +410,8 @@ def generate_dataset(scene: MirrorScene, grid_step: int, noise: NoiseSpec) -> Co
     if idx.size == 0:
         raise EmptyDatasetError("no pixel traced to a triple; adjust scene or grid")
     # keep the valid rows only, the plane points as the rows-first (3, 2, n)
-    # stack; the full-grid arrays are released here
+    # stack; the full-grid arrays are released here, and the (n, 2) pixels
+    # go into the scan as their (2, n) rows
     pix, points, normals = (a[idx] for a in (pixels, *traced[3:]))
     planes = np.array([x[idx].T for x in traced[:3]])
     del pixels, valid, traced
@@ -419,7 +422,7 @@ def generate_dataset(scene: MirrorScene, grid_step: int, noise: NoiseSpec) -> Co
     pix = _distort_pixels(pix, noise.k1, scene.intrinsics, scene.image_size)
     pix = pix + noise.gamma_px * pixel_noise
 
-    return CorrespondenceSet(pixels=pix, planes=planes, gt_points=points, gt_normals=normals)
+    return CorrespondenceSet(pixels=pix.T, planes=planes, gt_points=points, gt_normals=normals)
 
 
 # ---------------------------------------------------------------------------

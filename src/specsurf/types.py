@@ -10,6 +10,12 @@ Conventions
 * The plane motions are a tuple of RigidPose, one per pose after pose 0,
   each relative to pose 0.
 * Image coordinates are pixels, (u, v) with u along the image width.
+* Every per-triple stack handed between stages is rows first, one column
+  per triple: the scan's pixels are (2, n) and its plane points (3, 2, n),
+  and a fit's Jacobian is n_params x m, one row per parameter.  Only the
+  simulator's pixel grid and traced arrays, the scan's ground truth and
+  its scoring views x0-x2, and the surface's points and normals are
+  (n, k).
 """
 
 from __future__ import annotations
@@ -109,24 +115,26 @@ class NoiseSpec:
 class CorrespondenceSet:
     """Column-array container for reflection correspondences.
 
-    pixels (n, 2) and planes, the plane points at poses 0, 1, 2 as the
-    rows-first stack (3, 2, n), are copied here into C-contiguous float64
-    arrays, checked finite and made read-only, so the check holds for the
-    life of the scan and no stage handles a non-finite value.  gt_points
-    and gt_normals, filled by the simulator, are kept as given and are for
-    scoring alone; no solver stage reads them.
+    pixels, the (2, n) rows of u and v, and planes, the plane points at
+    poses 0, 1, 2 as the stack (3, 2, n), are copied here into C-contiguous
+    float64 arrays, checked finite and made read-only, so the check holds
+    for the life of the scan and no stage handles a non-finite value.  n is
+    the planes' last axis, so the shape error of pixels given as (n, 2)
+    names the (2, n) expected.  gt_points and gt_normals, filled by the
+    simulator, are kept as given and are for scoring alone; no solver stage
+    reads them.
     """
 
-    pixels: np.ndarray  # (n, 2)
+    pixels: np.ndarray  # (2, n)
     planes: np.ndarray  # (3, 2, n)
     gt_points: np.ndarray | None = None  # (n, 3)
     gt_normals: np.ndarray | None = None  # (n, 3)
 
     def __post_init__(self):
-        n = len(self.pixels)
+        n = np.shape(self.planes)[-1]
         if n < 1:
             raise ValueError("correspondence set may not be empty")
-        for name, shape in (("pixels", (n, 2)), ("planes", (3, 2, n))):
+        for name, shape in (("planes", (3, 2, n)), ("pixels", (2, n))):
             value = np.array(getattr(self, name), dtype=float, order="C")
             if value.shape != shape:
                 raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
@@ -136,7 +144,7 @@ class CorrespondenceSet:
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.pixels)
+        return self.pixels.shape[1]
 
     # read-only (n, 2) views of planes, kept for the benchmark's scoring
     x0 = property(lambda self: self.planes[0].T)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import settings
 
 from specsurf import so3
-from specsurf.sim import default_two_sphere_scene
-from specsurf.types import NoiseSpec, RigidPose
+from specsurf.sim import SphereMirror, default_two_sphere_scene
+from specsurf.types import Intrinsics, NoiseSpec, RigidPose
 
 # the same examples on every run, and no per-example deadline, so timing
 # noise cannot fail a property test
@@ -60,6 +60,42 @@ def random_motion_scene(k: int):
         )
     scene = dataclasses.replace(default_two_sphere_scene(), poses=poses)
     return scene, NoiseSpec(sigma_mm=[0.5, 1.0][k % 2], gamma_px=0.5, seed=k)
+
+
+def random_scene(k: int):
+    """Scene k of the fuzz set, the noise it is scanned with and its grid
+    step.
+
+    All draws come from default_rng(7), scene after scene, in this order:
+    the two plane motions as random_motion_scene draws them; f ~ U(800,
+    2500) px with fx = fy and the principal point at (639.5, 479.5); the
+    radius r1 ~ U(200, 400) mm of sphere 1; sphere 1's centre (-340, 0,
+    850) mm plus (N(0, 40), N(0, 40), N(0, 60)) mm; sphere 2's centre
+    (340, 0, 850) mm plus the same kind of offset, then its radius ~ U(200,
+    400) mm; sigma chosen from {0, 0.25, 0.5, 1, 2} mm, with gamma 0.5 px
+    when sigma > 0 and noise seed k; and a grid step chosen from {10, 12,
+    16}.  Everything else is default_two_sphere_scene's.
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(k + 1):
+        poses = tuple(
+            RigidPose(so3.exp(rng.normal(0, 0.15, 3)), (rng.normal(0, 50), rng.normal(0, 50), rng.uniform(*z)))
+            for z in ((120, 230), (300, 450))
+        )
+        f = rng.uniform(800, 2500)
+        r1 = rng.uniform(200, 400)
+        c1 = (-340.0, 0.0, 850.0) + rng.normal(0, (40, 40, 60))
+        c2 = (340.0, 0.0, 850.0) + rng.normal(0, (40, 40, 60))
+        r2 = rng.uniform(200, 400)
+        sigma = float(rng.choice([0.0, 0.25, 0.5, 1.0, 2.0]))
+        grid = int(rng.choice([10, 12, 16]))
+    scene = dataclasses.replace(
+        default_two_sphere_scene(),
+        intrinsics=Intrinsics(f, f, 639.5, 479.5),
+        poses=poses,
+        mirrors=(SphereMirror(c1, r1), SphereMirror(c2, r2)),
+    )
+    return scene, NoiseSpec(sigma_mm=sigma, gamma_px=0.5 if sigma > 0 else 0.0, seed=k), grid
 
 
 def planes_of(x0, x1, x2) -> np.ndarray:

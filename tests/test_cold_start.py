@@ -48,7 +48,7 @@ t = np.linspace(0.0, 4.0, 50)
 
 def model(x):
     e = np.exp(-x[1] * t)
-    return x[0] * e - 3.0 * np.exp(-0.7 * t), lambda: np.column_stack([e, -x[0] * t * e])
+    return x[0] * e - 3.0 * np.exp(-0.7 * t), lambda: np.stack([e, -x[0] * t * e])
 
 fit = least_squares(model, np.array([1.0, 0.1]))
 print(json.dumps([fit.x.tobytes().hex(), fit.nfev, fit.njev, hasattr(scipy.optimize, "_minpack")]))

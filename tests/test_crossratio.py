@@ -74,10 +74,6 @@ def lifts_of(data, poses):
     return lift_triples(poses, data.planes)
 
 
-def pixel_rows(data):
-    return np.asarray(data.pixels, dtype=float).T.copy()
-
-
 def frozen_subset(lifts, m_obs, frozen):
     return Lifts(*(getattr(lifts, f.name)[..., frozen] for f in fields(Lifts))), m_obs[:, frozen]
 
@@ -125,7 +121,7 @@ class TestFrozenJacobian:
         if free_intrinsics:
             theta[:4] += self.INTRINSIC_STEP
         lifts = lifts_of(noisy_data, poses)
-        m_obs = pixel_rows(noisy_data)
+        m_obs = noisy_data.pixels
         frozen = cr._gate(theta, lifts, m_obs, np.zeros_like)[1].valid
         assert frozen.sum() > 0.8 * len(frozen)
         lifts, m_obs = frozen_subset(lifts, m_obs, frozen)
@@ -138,11 +134,11 @@ class TestFrozenJacobian:
         for k in range(10):
             h = 1e-6 * max(abs(theta[k]), 1.0)
             step = h * np.eye(10)[k]
-            numeric[:, k] = (residuals(theta + step) - residuals(theta - step)) / (2.0 * h)
+            numeric[k] = (residuals(theta + step) - residuals(theta - step)) / (2.0 * h)
         assert np.isfinite(numeric).all()
-        col_max = np.max(np.abs(numeric), axis=0)
-        assert np.all(col_max > 0)
-        assert np.all(np.max(np.abs(jac - numeric), axis=0) <= 1e-5 * col_max)
+        row_max = np.max(np.abs(numeric), axis=1)
+        assert np.all(row_max > 0)
+        assert np.all(np.max(np.abs(jac - numeric), axis=1) <= 1e-5 * row_max)
 
     def test_matches_per_triple_reference(self, rig, noisy_data, poses, noisy_fit):
         # the docstring's chain rule written out with 3 x 3 matrices, one
@@ -153,7 +149,7 @@ class TestFrozenJacobian:
         # element by element, 1 of these triples differs by more than 1e-12
         # (1.1e-12), against 1.2e-13 of the column
         theta = cr._pack(rig)
-        lifts, m_obs = frozen_subset(lifts_of(noisy_data, poses), pixel_rows(noisy_data), noisy_fit[1].valid)
+        lifts, m_obs = frozen_subset(lifts_of(noisy_data, poses), noisy_data.pixels, noisy_fit[1].valid)
         view = cr._resolve_offsets(theta, lifts, m_obs)
         jac = cr._frozen_jacobian(view, lifts)
         n = m_obs.shape[1]
@@ -193,7 +189,7 @@ class TestFrozenJacobian:
             row[:, 4:7] = row[:, 4:7] @ so3.left_jacobian(theta[4:7])
             expected.append(row)
         expected = np.concatenate(expected)
-        got = jac[np.ravel([[i, n + i] for i in rows])]
+        got = jac[:, np.ravel([[i, n + i] for i in rows])].T
         assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-12 * np.max(np.abs(expected), axis=0))
 
     def test_fit_sees_the_frozen_subset_alone(self, rig, noisy_data, poses, monkeypatch):
@@ -201,7 +197,7 @@ class TestFrozenJacobian:
         # the frozen set zeroed, all in the world frame refine fits in:
         # centred on the mean pose-0 lift; the fit ends below their cost
         lifts, theta = centred(lifts_of(noisy_data, poses), rig)
-        m_obs = pixel_rows(noisy_data)
+        m_obs = noisy_data.pixels
         sens = cr.noise_sensitivity(theta, lifts, m_obs, poses)
 
         def noisy(usable):
@@ -249,7 +245,7 @@ class TestResolveOffsets:
         # the rows-first stacks against K [R | T] applied to one triple at
         # a time, for 20 triples the fit keeps
         theta = cr._pack(rig)
-        view = cr._resolve_offsets(theta, lifts_of(noisy_data, poses), pixel_rows(noisy_data))
+        view = cr._resolve_offsets(theta, lifts_of(noisy_data, poses), noisy_data.pixels)
         p = rig.intrinsics.matrix() @ np.column_stack([rig.rotation, rig.translation])
 
         def project(point):
@@ -265,7 +261,7 @@ class TestResolveOffsets:
             for k in range(3):
                 assert view.pixels[k][:, i] == pytest.approx(pixels[k], rel=1e-12)
                 assert view.depths[k][i] == pytest.approx(depths[k], rel=1e-12)
-            m = noisy_data.pixels[i]
+            m = noisy_data.pixels[:, i]
             base = lifted[2] - lifted[0]
             length = np.linalg.norm(base)
             along = (lifted[2] - lifted[1]) @ base / length
@@ -278,6 +274,16 @@ class TestResolveOffsets:
             assert view.m_proj[:, i] == pytest.approx(proj, rel=1e-12)
             assert view.depth[i] == pytest.approx(depth, rel=1e-12)
 
+    @pytest.mark.parametrize(("index", "factor"), [(0, -1.0), (1, 0.0)], ids=["negative-fx", "zero-fy"])
+    def test_non_positive_focal_is_infeasible(self, rig, noisy_data, poses, index, factor):
+        # a refine step to such a focal once reached Intrinsics and raised
+        # an untyped ValueError; as a failed step MINPACK rejects it
+        theta = cr._pack(rig)
+        theta[index] *= factor
+        view = cr._resolve_offsets(theta, lifts_of(noisy_data, poses), noisy_data.pixels)
+        assert not view.feasible.any()
+        assert np.isnan(view.residuals).all()
+
     def test_residuals_contract(self, rig, noisy_data, poses):
         # NaN exactly where infeasible and m_obs - m_proj elsewhere, all u
         # rows before all v rows once raveled: the order the central
@@ -285,7 +291,7 @@ class TestResolveOffsets:
         # The camera is moved off the rig so that some triples fall infeasible
         theta = cr._pack(rig)
         theta[4:] += TestFrozenJacobian.EXTRINSIC_STEP
-        m_obs = pixel_rows(noisy_data)
+        m_obs = noisy_data.pixels
         view = cr._resolve_offsets(theta, lifts_of(noisy_data, poses), m_obs)
         feasible = view.feasible
         assert 0 < feasible.sum() < len(feasible)
@@ -300,7 +306,7 @@ def reference_sensitivity(theta, data, poses):
     """noise_sensitivity by re-lifting perturbed correspondences, one probe
     at a time: each of the six plane coordinates of every triple moved by
     +-SENSITIVITY_STEP_MM before the lift."""
-    m_obs = pixel_rows(data)
+    m_obs = data.pixels
     base = data.planes
     total = np.zeros(m_obs.shape[1])
     for which in range(3):
@@ -326,7 +332,7 @@ class TestNoiseSensitivity:
         # rows (the triples behind the camera) and the mask must not move
         data = request.getfixturevalue(draw)
         theta = cr._pack(rig)
-        lifts, m_obs = lifts_of(data, poses), pixel_rows(data)
+        lifts, m_obs = lifts_of(data, poses), data.pixels
         sens = cr.noise_sensitivity(theta, lifts, m_obs, poses)
         expected = reference_sensitivity(theta, data, poses)
         singular = expected >= cr._SINGULAR_RESIDUAL
@@ -402,7 +408,7 @@ class TestRefine:
         # evaluations
         camera, surface, report = noisy_fit
         order = np.random.default_rng(seed).permutation(len(noisy_data))
-        shuffled = CorrespondenceSet(noisy_data.pixels[order], noisy_data.planes[..., order])
+        shuffled = CorrespondenceSet(noisy_data.pixels[:, order], noisy_data.planes[..., order])
         fits = record_fits(monkeypatch)
         moved, moved_surface, moved_report = cr.refine(rig, shuffled, poses)
         valid = moved_surface.valid
@@ -440,7 +446,7 @@ class TestRefine:
         assert np.max(np.abs(moved.points[valid] - (surface.points[valid] + c))) < 1e-6
 
     def test_too_few_triples_rejected(self, rig, noisy_data, poses):
-        few = CorrespondenceSet(noisy_data.pixels[:4], noisy_data.planes[..., :4])
+        few = CorrespondenceSet(noisy_data.pixels[:, :4], noisy_data.planes[..., :4])
         with pytest.raises(TooFewCorrespondencesError):
             cr.refine(rig, few, poses)
 
@@ -454,7 +460,7 @@ class TestRefine:
             translation=flip @ rig.translation,
             source="rig",
         )
-        m_obs = pixel_rows(clean_data)
+        m_obs = clean_data.pixels
         _, _, reason = cr._gate(cr._pack(away), lifts_of(clean_data, poses), m_obs, np.zeros_like)
         assert set(reason) == {"behind_camera"}
         with pytest.raises(TooFewCorrespondencesError):
@@ -508,7 +514,7 @@ class TestGate:
 
     def test_first_failed_check_wins(self, rig, noisy_data, poses):
         theta = cr._pack(rig)
-        m_obs = pixel_rows(noisy_data)
+        m_obs = noisy_data.pixels
         _, before, _ = cr._gate(theta, lifts_of(noisy_data, poses), m_obs, np.zeros_like)
         # move the three lifts of a valid triple onto one point behind the
         # camera: it fails coincident_lift, noncollinear_lift and behind_camera
@@ -531,7 +537,7 @@ class TestGate:
         # a valid triple's pose-1 lift moved onto its pose-2 lift keeps its
         # line and lies on it, but x1 and x2 project to one pixel
         theta = cr._pack(rig)
-        m_obs = pixel_rows(noisy_data)
+        m_obs = noisy_data.pixels
         lifted = lifts_of(noisy_data, poses)
         _, _, before = cr._gate(theta, lifted, m_obs, np.zeros_like)
         i = int(np.flatnonzero(before == "")[0])
@@ -551,7 +557,7 @@ class TestGate:
         p2 = lifted.p2.copy()
         p2[:, 0] = lifted.p0[:, 0]
         lifts = Lifts.of(lifted.p0, lifted.p1, p2)
-        m_obs = pixel_rows(noisy_data)
+        m_obs = noisy_data.pixels
         _, _, reason = cr._gate(cr._pack(rig), lifts, m_obs, np.zeros_like)
         assert reason[0] == "noncollinear_lift"
 

@@ -149,8 +149,9 @@ DECAY_T = np.linspace(0.0, 4.0, 50)
 
 
 def model_of(fun, jac):
-    """The least_squares model of a residual and a Jacobian function."""
-    return lambda x: (fun(x), lambda: jac(x))
+    """The least_squares model of a residual function and a scipy-style
+    m x n Jacobian function."""
+    return lambda x: (fun(x), lambda: jac(x).T)
 
 
 def decay(y, t=DECAY_T):
@@ -160,7 +161,7 @@ def decay(y, t=DECAY_T):
     def model(x):
         def jacobian():
             e = np.exp(-x[1] * t)
-            return np.column_stack([e, -x[0] * t * e])
+            return np.stack([e, -x[0] * t * e])
 
         return x[0] * np.exp(-x[1] * t) - y, jacobian
 
@@ -240,7 +241,7 @@ def test_least_squares_matches_scipy(case, status, scene, noisy8):
     ref = scipy.optimize.least_squares(
         lambda x: model(x)[0],
         start,
-        jac=lambda x: model(x)[1](),
+        jac=lambda x: model(x)[1]().T,
         method="lm",
         x_scale="jac",
         xtol=1e-12,
@@ -261,7 +262,7 @@ def test_ftol_matches_scipy(scene, noisy8):
     ref = scipy.optimize.least_squares(
         lambda x: model(x)[0],
         start,
-        jac=lambda x: model(x)[1](),
+        jac=lambda x: model(x)[1]().T,
         method="lm",
         x_scale="jac",
         xtol=1e-12,
@@ -306,15 +307,16 @@ def test_jacobian_at_solution_not_recomputed(module, run, scene, noisy8, monkeyp
     # MINPACK then asks for it there again, and afterwards only at the
     # point whose residuals it has just evaluated: the memo answers every
     # repeat, so each fit evaluates its model once per point and builds
-    # njev Jacobians.  Each objective fills its Jacobian's transpose, so the
-    # n x m transpose lmder takes is C-contiguous and reaches MINPACK
-    # without a copy.
-    points, built, fits = [], [], []
+    # njev Jacobians.  Each objective builds its Jacobian rows first, a
+    # C-contiguous n x m array for n parameters and m residuals, which
+    # reaches MINPACK without a copy.
+    points, built, fits, shapes = [], [], [], set()
 
     def recorded(model, x0, **kwargs):
         def traced(x):
             points.append(x.tobytes())
             residuals, jacobian = model(x)
+            shapes.add((x0.size, residuals.size))
             return residuals, lambda: built.append(jacobian()) or built[-1]
 
         fits.append(linalg.least_squares(traced, x0, **kwargs))
@@ -325,13 +327,14 @@ def test_jacobian_at_solution_not_recomputed(module, run, scene, noisy8, monkeyp
     assert len(fits) == 1
     assert len(set(points)) == len(points) == fits[0].nfev
     assert len(built) == fits[0].njev > 0
-    assert all(jac.flags.f_contiguous and jac.T.flags.c_contiguous for jac in built)
+    [shape] = shapes
+    assert all(jac.flags.c_contiguous and jac.shape == shape for jac in built)
 
 
 def test_jacobian_layout_does_not_change_the_fit():
-    # lmder takes the Jacobian column-major; a row-major one is copied
-    # into that layout, a column-major one handed over as it is, and
-    # MINPACK sees the same bytes either way
+    # lmder takes the n x m Jacobian as MINPACK's column-major m x n: a
+    # C-contiguous one is handed over as it is, any other is copied into
+    # that layout, and MINPACK sees the same bytes either way
     model = decay(3.0 * np.exp(-0.7 * DECAY_T) + 0.05 * np.random.default_rng(0).normal(size=DECAY_T.size))
 
     def laid_out(order):
@@ -384,8 +387,25 @@ def test_jacobian_shape_checked_before_minpack():
     # size between calls"
     y = 3.0 * np.exp(-0.7 * DECAY_T)
     model = model_of(lambda x: x[0] * np.exp(-x[1] * DECAY_T) - y, lambda x: np.ones((DECAY_T.size, 3)))
-    with pytest.raises(ValueError, match=re.escape("is (50, 3), not (50, 2)")):
+    with pytest.raises(ValueError, match=re.escape("is (3, 50), not (2, 50)")):
         least_squares(model, np.array([1.0, 0.1]))
+
+
+def test_jacobian_rows_last_rejected_before_minpack(monkeypatch):
+    # a model that hands over the m x n Jacobian, as scipy takes it, is
+    # refused at the start: MINPACK would read its bytes as the transpose
+    calls = []
+    monkeypatch.setattr(linalg, "_lmder", lambda *args: calls.append(args))
+    y = 3.0 * np.exp(-0.7 * DECAY_T)
+    model = decay(y)
+
+    def rows_last(x):
+        residuals, jacobian = model(x)
+        return residuals, lambda: jacobian().T
+
+    with pytest.raises(ValueError, match=re.escape("is (50, 2), not (2, 50)")):
+        least_squares(rows_last, np.array([1.0, 0.1]))
+    assert calls == []
 
 
 def scipy_lm(model, start, **kwargs):
@@ -394,7 +414,7 @@ def scipy_lm(model, start, **kwargs):
     return scipy.optimize.least_squares(
         lambda x: model(x)[0],
         start,
-        jac=lambda x: model(x)[1](),
+        jac=lambda x: model(x)[1]().T,
         method="lm",
         x_scale="jac",
         xtol=1e-12,
@@ -485,7 +505,7 @@ def test_square_root_fit_with_duplicated_column():
 
         def jacobian():
             e = np.exp(-x[1] * DENSE_T)
-            return np.column_stack([e, -a * DENSE_T * e, e])
+            return np.stack([e, -a * DENSE_T * e, e])
 
         return a * np.exp(-x[1] * DENSE_T) - DENSE_Y, jacobian
 
@@ -515,7 +535,7 @@ def test_square_root_zero_residual_stays_exact(start, nfev, njev, status):
 @pytest.mark.parametrize("below", [1, 0])
 def test_square_root_form_from_the_constant_on(below, monkeypatch):
     # below the constant MINPACK gets the m residuals and the n x m
-    # transposed Jacobian; from it on, n + 1 residuals and n x (n + 1)
+    # Jacobian; from it on, n + 1 residuals and n x (n + 1)
     shapes = []
     lmder = linalg._lmder
 
@@ -612,7 +632,7 @@ def test_dense_polish_leaves_blas_threads_asleep(scene, grid2):
 
 
 def test_skew_stack_leaves_blas_threads_asleep(grid2):
-    assert spin_cpu(lambda: so3.skew(grid2.pixels.T[[0, 1, 0]])) < 0.02
+    assert spin_cpu(lambda: so3.skew(grid2.pixels[[0, 1, 0]])) < 0.02
 
 
 def test_point_line_cost_leaves_blas_threads_asleep(scene, grid2):

@@ -415,7 +415,7 @@ class TestEstimate:
 
     def test_exact_recovery_from_synthetic_lines(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
-        data = CorrespondenceSet(np.zeros((len(x0), 2)), planes_of(x0, x1, x2))
+        data = CorrespondenceSet(np.zeros((2, len(x0))), planes_of(x0, x1, x2))
         sol = estimate_plane_poses(data)
         rot, tr = best_pose_errors(sol, (pose1, pose2))
         # the angle readout bottoms out near sqrt(eps); check it and the
@@ -443,7 +443,7 @@ class TestEstimate:
         assert np.linalg.norm(best[0].translation - scene.poses[0].translation) < 1e-6
 
     def test_too_few_triples_rejected(self, clean_data):
-        data = CorrespondenceSet(clean_data.pixels[:11], clean_data.planes[..., :11])
+        data = CorrespondenceSet(clean_data.pixels[:, :11], clean_data.planes[..., :11])
         with pytest.raises(TooFewCorrespondencesError):
             estimate_plane_poses(data)
 
@@ -707,7 +707,7 @@ class TestCandidateOrder:
         want = estimate_plane_poses(data).candidates
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(len(data))
-            shuffled = CorrespondenceSet(data.pixels[order], data.planes[..., order])
+            shuffled = CorrespondenceSet(data.pixels[:, order], data.planes[..., order])
             for got, motions in zip(estimate_plane_poses(shuffled).candidates, want, strict=True):
                 for a, b in zip(got, motions, strict=True):
                     assert np.linalg.norm(a.translation - b.translation) <= 1e-12 * np.linalg.norm(b.translation)
@@ -747,7 +747,7 @@ class TestLifts:
         )
 
         # the observation line of each kept triple runs along unit
-        data = CorrespondenceSet(np.zeros((n, 2)), planes_of(x0, x1, x2))
+        data = CorrespondenceSet(np.zeros((2, n)), planes_of(x0, x1, x2))
         obs = projection.build_observations(data, motions)
         direction = obs.lines[3:] / np.linalg.norm(obs.lines[3:], axis=0)
         unit = lifts.unit[:, obs.indices]
@@ -850,10 +850,10 @@ class TestRefine:
         for k in range(12):
             h = 1e-6 * max(abs(x[k]), 1.0)
             step = h * np.eye(12)[k]
-            numeric[:, k] = (model(x + step)[0] - model(x - step)[0]) / (2.0 * h)
-        col_max = np.max(np.abs(numeric), axis=0)
-        assert np.all(col_max > 0)
-        assert np.all(np.max(np.abs(jac - numeric), axis=0) <= 1e-6 * col_max)
+            numeric[k] = (model(x + step)[0] - model(x - step)[0]) / (2.0 * h)
+        row_max = np.max(np.abs(numeric), axis=1)
+        assert np.all(row_max > 0)
+        assert np.all(np.max(np.abs(jac - numeric), axis=1) <= 1e-6 * row_max)
 
     def test_rotations_stay_orthonormal(self, scene):
         data = generate_dataset(scene, grid_step=12, noise=NoiseSpec(2.0, 0.0, 0.0, 19))

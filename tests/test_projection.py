@@ -6,6 +6,7 @@ failure exits, all against the ray-traced simulator as oracle.
 """
 
 import dataclasses
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -128,7 +129,7 @@ class TestBuildObservations:
         assert len(clean_obs) == len(clean_data)
         assert np.array_equal(clean_obs.indices, np.arange(len(clean_data)))
         assert clean_obs.pixels.shape == (2, len(clean_data))
-        assert np.array_equal(clean_obs.pixels, clean_data.pixels.T)
+        assert np.array_equal(clean_obs.pixels, clean_data.pixels)
         assert clean_obs.lines.shape == (6, len(clean_data))
         assert np.allclose(np.linalg.norm(clean_obs.lines, axis=0), 1.0, atol=1e-12)
 
@@ -148,12 +149,12 @@ class TestBuildObservations:
         x0 = np.arange(2.0 * n).reshape(n, 2) * 10.0
         x2 = x0 + np.array([5.0, 0.0])
         x2[3] = x0[3]  # identity pose keeps this lift coincident
-        pixels = np.arange(2.0 * n).reshape(n, 2) + 100.0
+        pixels = (np.arange(2.0 * n).reshape(n, 2) + 100.0).T
         corrs = CorrespondenceSet(pixels, planes_of(x0, np.zeros((n, 2)), x2))
         obs = pj.build_observations(corrs, (identity_pose(), identity_pose()))
         assert len(obs) == n - 1
         assert obs.indices.tolist() == [0, 1, 2, 4, 5]
-        assert np.array_equal(obs.pixels, pixels[obs.indices].T)
+        assert np.array_equal(obs.pixels, pixels[:, obs.indices])
 
 
 class TestIncidenceRows:
@@ -258,9 +259,9 @@ class TestPointLineObjective:
             obs, theta = self.random_problem(seed, angle)
             model = pj._point_line_objective(obs)
             cols = range(7) if free_focal else range(1, 7)
-            jac = model(theta)[1]()[:, list(cols)]
+            jac = model(theta)[1]()[list(cols)]
             h = 1e-6
-            numeric = np.column_stack(
+            numeric = np.stack(
                 [
                     (model(theta + h * np.eye(7)[k])[0] - model(theta - h * np.eye(7)[k])[0])
                     / (2.0 * h)
@@ -614,6 +615,20 @@ class TestFocalSweep:
         with pytest.raises(SweepNoMinimumError, match=f"left the focal range .* for f = {target:.1f} px"):
             pj.focal_sweep(clean_obs, scene.image_size)
 
+    @pytest.mark.parametrize(
+        "size",
+        [(0, 0), (1280, np.nan), (-5, 10), (np.inf, 960), (1280, 0)],
+        ids=["zero", "nan-height", "negative-width", "infinite-width", "zero-height"],
+    )
+    def test_malformed_image_size_rejected_before_any_fit(self, clean_obs, size, monkeypatch):
+        # (0, 0) once crashed in np.geomspace, (1280, nan) in the first SVD,
+        # and (-5, 10) ran the whole sweep about a principal point off the image
+        calls = []
+        monkeypatch.setattr(pj, "least_squares", lambda *args, **kwargs: calls.append(1))
+        with pytest.raises(ValueError, match=re.escape(f"image size {size!r}")):
+            pj.focal_sweep(clean_obs, size)
+        assert calls == []
+
     def test_mirror_twin_has_no_minimum_at_default_range(self, scene, poses, clean_data):
         sol = estimate_plane_poses(clean_data)
         dist = [rot_err_deg(c[0].rotation, poses[0].rotation) for c in sol.candidates]
@@ -658,7 +673,7 @@ class TestRowOrder:
         want = outcomes(scene, data)
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(len(data))
-            shuffled = CorrespondenceSet(data.pixels[order], data.planes[..., order])
+            shuffled = CorrespondenceSet(data.pixels[:, order], data.planes[..., order])
             for (motions, est), (want_motions, want_est) in zip(outcomes(scene, shuffled), want, strict=True):
                 for got_pose, want_pose in zip(motions, want_motions, strict=True):
                     assert_close(got_pose.rotation, want_pose.rotation)

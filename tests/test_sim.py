@@ -250,7 +250,7 @@ def reference_dataset(scene, grid_step, noise):
         pixel_noise[row] = stream.uniform(-1.0, 1.0, size=2)
     pix = sim._distort_pixels(pixels[idx], noise.k1, scene.intrinsics, scene.image_size)
     return (
-        pix + noise.gamma_px * pixel_noise,
+        (pix + noise.gamma_px * pixel_noise).T,
         x0[idx] + noise.sigma_mm * plane_noise[:, 0:2],
         x1[idx] + noise.sigma_mm * plane_noise[:, 2:4],
         x2[idx] + noise.sigma_mm * plane_noise[:, 4:6],
@@ -323,7 +323,7 @@ class TestGenerateDataset:
     def test_zero_noise_matches_trace_bitwise(self, scene, traced):
         pixels, valid, x0, x1, x2, points, normals = traced
         ds = generate_dataset(scene, 8, NoiseSpec(seed=3))
-        assert np.array_equal(ds.pixels, pixels[valid])
+        assert np.array_equal(ds.pixels, pixels[valid].T)
         assert np.array_equal(ds.x0, x0[valid])
         assert np.array_equal(ds.x1, x1[valid])
         assert np.array_equal(ds.x2, x2[valid])
@@ -356,9 +356,9 @@ class TestGenerateDataset:
     def test_distortion_moves_pixels_radially(self, scene):
         clean = generate_dataset(scene, 12, NoiseSpec())
         warped = generate_dataset(scene, 12, NoiseSpec(k1=0.02, seed=0))
-        centre = np.array([scene.intrinsics.u0, scene.intrinsics.v0])
-        r_clean = np.linalg.norm(clean.pixels - centre, axis=1)
-        r_warped = np.linalg.norm(warped.pixels - centre, axis=1)
+        centre = np.array([[scene.intrinsics.u0], [scene.intrinsics.v0]])
+        r_clean = np.linalg.norm(clean.pixels - centre, axis=0)
+        r_warped = np.linalg.norm(warped.pixels - centre, axis=0)
         off_centre = r_clean > 1.0
         assert np.all(r_warped[off_centre] > r_clean[off_centre])
         # plane coordinates untouched by pixel distortion
@@ -473,6 +473,16 @@ class TestSceneFiles:
         with pytest.raises(ParseError):
             read_scene(path)
 
+    @pytest.mark.parametrize("size", [("0", "960"), ("-5", "10")])
+    def test_bad_image_size_raises(self, tmp_path, size):
+        path = tmp_path / "scene.ini"
+        write_scene(default_two_sphere_scene(), path)
+        text = path.read_text()
+        assert text.count("width = 1280\nheight = 960") == 1
+        path.write_text(text.replace("width = 1280\nheight = 960", "width = {}\nheight = {}".format(*size)))
+        with pytest.raises(ParseError, match="image size"):
+            read_scene(path)
+
     def test_garbage_file_raises(self, tmp_path):
         path = tmp_path / "scene.ini"
         path.write_text("not an ini file\x00???")
@@ -511,6 +521,11 @@ class TestSceneValidation:
     def test_bad_plane_extent_rejected(self, extent):
         with pytest.raises(ValueError, match="plane extent"):
             dataclasses.replace(default_two_sphere_scene(), plane_half_extent=extent)
+
+    @pytest.mark.parametrize("size", [(0, 0), (1280, np.nan), (-5, 10), (np.inf, 960), (1280, 0)])
+    def test_bad_image_size_rejected(self, size):
+        with pytest.raises(ValueError, match="image size"):
+            dataclasses.replace(default_two_sphere_scene(), image_size=size)
 
     @pytest.mark.parametrize(
         "cls, geometry",

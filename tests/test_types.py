@@ -10,8 +10,8 @@ from specsurf.types import CorrespondenceSet, Intrinsics, NoiseSpec
 
 
 def columns(n=4, **shapes):
-    """pixels (n, 2) and planes (3, 2, n) of zeros, with some shapes replaced."""
-    arrays = {"pixels": np.zeros((n, 2)), "planes": np.zeros((3, 2, n))}
+    """pixels (2, n) and planes (3, 2, n) of zeros, with some shapes replaced."""
+    arrays = {"pixels": np.zeros((2, n)), "planes": np.zeros((3, 2, n))}
     arrays.update({name: np.zeros(shape) for name, shape in shapes.items()})
     return arrays
 
@@ -27,7 +27,7 @@ def columns(n=4, **shapes):
         columns(planes=(2, 2, 4)),
         columns(planes=(3, 4, 2)),
         columns(pixels=(4, 3)),
-        columns(pixels=(4, 2, 1)),
+        columns(pixels=(2, 4, 1)),
     ],
     ids=[
         "empty",
@@ -48,7 +48,7 @@ def test_malformed_arrays_rejected(arrays):
 
 # where a non-finite value goes: a pixel, or a plane point of pose 0, 1 or 2
 NON_FINITE_AT = {
-    "pixels": ("pixels", (2, 1)),
+    "pixels": ("pixels", (1, 2)),
     "x0": ("planes", (0, 1, 2)),
     "x1": ("planes", (1, 0, 2)),
     "x2": ("planes", (2, 1, 3)),
@@ -87,7 +87,7 @@ def test_planes_are_rows_first_copies():
     # one (2, n) row stack per pose, pose-major, in memory of its own and
     # read-only, as are the pixels
     rng = np.random.default_rng(5)
-    pixels, planes = rng.normal(size=(7, 2)), rng.normal(size=(3, 2, 7))
+    pixels, planes = rng.normal(size=(2, 7)), rng.normal(size=(3, 2, 7))
     want_pixels, want_planes = pixels.copy(), planes.copy()
     data = CorrespondenceSet(pixels, planes)
     for got, given in ((data.pixels, pixels), (data.planes, planes)):
@@ -101,8 +101,14 @@ def test_planes_are_rows_first_copies():
     assert np.array_equal(data.planes, want_planes)
 
 
+def test_pixels_rows_last_rejected():
+    # the scan's pixels are rows first; an (n, 2) stack is named as such
+    with pytest.raises(ValueError, match=r"pixels has shape \(4, 2\), expected \(2, 4\)"):
+        CorrespondenceSet(np.zeros((4, 2)), np.zeros((3, 2, 4)))
+
+
 def test_integer_points_become_float():
-    data = CorrespondenceSet(np.arange(8).reshape(4, 2), np.ones((3, 2, 4), dtype=int))
+    data = CorrespondenceSet(np.arange(8).reshape(2, 4), np.ones((3, 2, 4), dtype=int))
     assert data.pixels.dtype == data.planes.dtype == float
 
 
@@ -112,7 +118,8 @@ def clean_g20():
 
 
 @pytest.mark.parametrize(
-    ("name", "index"), [("pixels", 100), ("planes", (0, 0, 100)), ("x0", 100), ("x2", (100, 1))]
+    ("name", "index"),
+    [pytest.param("pixels", np.s_[:, 100], id="pixels-100"), ("planes", (0, 0, 100)), ("x0", 100), ("x2", (100, 1))],
 )
 def test_write_to_the_scan_raises_at_the_write(clean_g20, name, index):
     # an in-place NaN once got round the check and reached the sweep as an
