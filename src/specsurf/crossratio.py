@@ -40,7 +40,7 @@ import numpy as np
 from . import so3
 from .errors import TooFewCorrespondencesError
 from .linalg import least_squares, sum_squares
-from .plane_pose import MIN_LIFT_SEPARATION_MM, Lifts, lift_triples
+from .plane_pose import Lifts, lift_triples
 from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, RigidPose, SurfaceEstimate
 
 # X1 may sit off the X0-X2 line by this fraction of the segment length
@@ -363,12 +363,12 @@ def _gate(theta: np.ndarray, lifts: Lifts, m_obs, noisy):
     Each row of the table masks the triples that fail one check of
     _CHECKS; a triple is valid when it fails none and otherwise carries the
     reason of the first check it fails.  The two lift checks read the line
-    that Lifts decided: its length, and the offset of X1 from it against
-    COLLINEARITY_TOL times that length.  Euclidean segment lengths only
-    mean something for points actually on the image plane, so the plane
-    points must project with positive depth; the rebuilt surface point
-    must too, and the cross-ratio must give a usable offset.  noisy maps the
-    triples that pass every earlier check to those masked as
+    that Lifts decided: whether it is Lifts.far, and the offset of X1 from
+    it against COLLINEARITY_TOL times its length.  Euclidean segment
+    lengths only mean something for points actually on the image plane, so
+    the plane points must project with positive depth; the rebuilt surface
+    point must too, and the cross-ratio must give a usable offset.  noisy
+    maps the triples that pass every earlier check to those masked as
     noise_sensitive.
 
     The normal at M bisects the ray toward the camera center and the ray
@@ -397,7 +397,7 @@ def _gate(theta: np.ndarray, lifts: Lifts, m_obs, noisy):
         nb = np.linalg.norm(bisector, axis=0)
         normals = bisector / nb
         failed = [
-            lifts.length < MIN_LIFT_SEPARATION_MM,
+            ~lifts.far,
             # a zero-length line fails here too: 0 < 0 is false
             ~(np.linalg.norm(lifts.offset(), axis=0) < COLLINEARITY_TOL * lifts.length),
             ~((depths[0] > 0) & (depths[1] > 0) & (depths[2] > 0)),

@@ -77,10 +77,6 @@ def build_design_matrix(planes: np.ndarray) -> np.ndarray:
     """
     x0, x1, x2 = planes
     n = x0.shape[1]
-    if n < MIN_TRIPLES:
-        raise TooFewCorrespondencesError(
-            f"need at least {MIN_TRIPLES} triples, got {n}"
-        )
     h1, h2 = (np.array([*x, np.ones(n)]) for x in (x1, x2))
     # e[:, i, c]: constraint c (x or y) of triple i
     e = np.zeros((24, n, 2))
@@ -101,7 +97,9 @@ def nullspace_basis(e: np.ndarray):
     measurement noise on healthy data, so it is returned for the record and
     not tested.  Raises RankAmbiguousError when sigma_22 itself vanishes
     relative to sigma_1: the nullity is above two and the ratio of two
-    near-zero values is meaningless.
+    near-zero values is meaningless.  Raises TooFewCorrespondencesError,
+    before the SVD, when e holds fewer than MIN_TRIPLES triples; this is
+    the one check of that minimum.
 
     The 24 x 2n stack is factored by right_singular, which runs LAPACK's
     SVD on the 24 x 24 R factor alone (see linalg).
@@ -236,9 +234,13 @@ class Lifts:
     """Lifted points of every triple and the line every stage reads.
 
     The line runs through the pose-0 and pose-2 lifts, the widest
-    separation; this is the one place that choice is made.  length is
-    |p2 - p0|, unit the direction from p0 toward p2 and along the signed
-    coordinate of p1 from p2 toward p0; a zero length divides by 1.
+    separation; this is the one place that choice is made, and far the one
+    place that decides which triples carry a line at all (a shorter
+    separation than MIN_LIFT_SEPARATION_MM leaves its direction to noise).
+    projection.build_observations skips the triples that are not far and
+    crossratio._gate masks them as coincident_lift.  length is |p2 - p0|,
+    unit the direction from p0 toward p2 and along the signed coordinate
+    of p1 from p2 toward p0; a zero length divides by 1.
 
     Rows first: p0, p1, p2 and unit are (3, n), length and along (n,), so
     every per-triple product runs over long contiguous rows, not along a
@@ -259,6 +261,11 @@ class Lifts:
         safe = np.where(length > 0, length, 1.0)
         along = np.einsum("ij,ij->j", p2 - p1, base) / safe
         return cls(p0, p1, p2, length, base / safe, along)
+
+    @property
+    def far(self) -> np.ndarray:
+        """Whether each triple's lifts span a line, length >= MIN_LIFT_SEPARATION_MM."""
+        return self.length >= MIN_LIFT_SEPARATION_MM
 
     def offset(self) -> np.ndarray:
         """Offset of each p1 from its line, (p1 - p0) x unit, (3, n)."""

@@ -3,8 +3,9 @@
 Each correspondence triple pins a 3D line: the lifted plane points of pose
 0 and pose 2 (the widest separation) both lie on the reflected ray, and the
 camera must project that line through the pixel that observed it.  The line
-is the one plane_pose.Lifts decides; this module only reads it, stored as
-the unit 6-vector L = [v; w] of its moment and direction (see plucker).
+is the one plane_pose.Lifts decides, and Lifts.far decides which triples
+carry one; this module only reads both, storing each line as the unit
+6-vector L = [v; w] of its moment and direction (see plucker).
 The camera's 3x6 line projection matrix M maps L to its image line M L, so
 a pixel x on that line gives x . (M L) = 0, one row x (x) L of a linear
 system in the 18 entries of M.
@@ -13,18 +14,18 @@ The camera comes from one route, focal_sweep: a coarse logarithmic grid
 over a shared focal length with the principal point pinned to the image
 center.  Each sample solves the paper's analytic line projection matrix
 with the intrinsics factored out by a diagonal scaling of its unknowns, so
-that the linear unknown is the line matrix of a metric camera [R T]
-(_solve_at_focal).  It is converted to point form and decoded to a pose,
-which Levenberg-Marquardt then polishes over (R, T) directly on the
+that the linear unknown is the line matrix of a metric camera [R T].
+_cold_starts converts it to point form and decodes it to a pose of either
+sign, each of which Levenberg-Marquardt then polishes over (R, T) on the
 geometric point-to-line cost, with an analytic Jacobian: a line with
 direction w and moment v has the camera-frame moment m = R v - T x R w
 (the cross product of its two points after the camera moves them), whose
 image line is K^-T m.  Each sample is warm-started from its neighbor, so
-the SVD and the decode run only on a cold start: the first sample, or one
-after a failed neighbor.  The point-to-line cost ranks the samples, and
-Levenberg-Marquardt over (f, R, T) polishes the best one.  The inner
-solves report no diagnostics; the estimate carries the focal grid, the
-cost curve and the evaluation count.
+_cold_starts, the SVD and the decode, runs only on a cold start: the first
+sample, or one after a failed neighbor.  The point-to-line cost ranks the
+samples, and Levenberg-Marquardt over (f, R, T) polishes the best one.
+The inner solves report no diagnostics; the estimate carries the focal
+grid, the cost curve and the evaluation count.
 
 A fixed-focal fit stops once a step lowers the cost by at most SWEEP_FTOL
 relative: a sample's cost only ranks it against the others and its pose
@@ -75,7 +76,7 @@ from .errors import (
 )
 from . import so3
 from .linalg import least_squares, right_singular
-from .plane_pose import MIN_LIFT_SEPARATION_MM, lift_triples
+from .plane_pose import lift_triples
 from .plucker import line_to_point_matrix, lines_from_points, point_to_line_matrix
 from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, RigidPose
 
@@ -117,12 +118,12 @@ def build_observations(corrs: CorrespondenceSet, poses: tuple[RigidPose, ...]) -
     """One (pixel, reflected-line) item per triple.
 
     The line is the one plane_pose.Lifts decides for the triple.  Triples
-    whose pose-0 and pose-2 lifts are closer than MIN_LIFT_SEPARATION_MM
-    (the line direction would be noise) are skipped: indices names the
-    triples kept, so len(corrs) - len(obs) counts the skipped ones.
+    whose lifts are not Lifts.far (the line direction would be noise) are
+    skipped: indices names the triples kept, so len(corrs) - len(obs)
+    counts the skipped ones.
     """
     lifts = lift_triples(poses, corrs.planes)
-    far = lifts.length >= MIN_LIFT_SEPARATION_MM
+    far = lifts.far
     indices = np.flatnonzero(far)
     lines = lines_from_points(lifts.p0[:, far], lifts.p2[:, far])
     lines /= np.linalg.norm(lines, axis=0)
@@ -189,21 +190,36 @@ def camera_line_matrix(
     return point_to_line_matrix(p)
 
 
-def _metric_decode(metric_lm: np.ndarray):
-    """Scaled line matrix of lambda [R T] -> starts (R0, T0) of both signs.
+def _cold_starts(f_n, z_n):
+    """Both starts (R, T) the incidence rows z_n decode to at focal f_n,
+    principal point at the origin, in the rescaled frame.
 
-    Scale from the mean rotation-row norm.  The converted camera g has
-    det(g[:, :3]) > 0 (a cofactor block's determinant is a square) and comes
-    first; -g, its block taken to the nearest rotation, is a second start.
-    Rows that collapse to zero, or are not finite, give no start.
+    The line matrix of K P with K = diag(f, f, 1) is cof(K) M(P) =
+    diag(f, f, f^2) M(P), since cof(K) carries cross products the way K
+    carries points.  Scaling the incidence rows of the rows of M by f, f
+    and f^2 therefore reduces the linear unknown to the line matrix of the
+    metric camera lambda [R T] itself, the least singular vector of the
+    scaled rows.  The SVD is right_singular's, which factors only the
+    18 x 18 R factor (see linalg); its padded R keeps the 18th right vector
+    when the fewest observations give 17 constraints.
+
+    The vector is converted to a point camera g, scaled by the mean norm of
+    its rotation rows.  g has det(g[:, :3]) > 0 (a cofactor block's
+    determinant is a square) and comes first; -g, its block taken to the
+    nearest rotation, is the second start.  Returns [] when the rows leave
+    more than a scale ambiguity, or when the decoded rows collapse to zero
+    or are not finite.
     """
-    g = line_to_point_matrix(metric_lm)
-    row_norms = np.linalg.norm(g[:, :3], axis=1)
-    lam = float(np.mean(row_norms))
+    d = np.concatenate([np.full(12, f_n), np.full(6, f_n * f_n)])
+    s, vt = right_singular(z_n * d[:, None])
+    if s[16] < 1e-12 * s[0]:
+        return []
+    g = line_to_point_matrix(vt[17].reshape(3, 6))
+    lam = float(np.mean(np.linalg.norm(g[:, :3], axis=1)))
     if lam <= 0 or not np.isfinite(lam):
         return []
     g = g / lam
-    return [(so3.closest_rotation(s * g[:, :3]), s * g[:, 3]) for s in (1.0, -1.0)]
+    return [(so3.closest_rotation(sign * g[:, :3]), sign * g[:, 3]) for sign in (1.0, -1.0)]
 
 
 def _camera_moments(rotation: np.ndarray, t: np.ndarray, lines: np.ndarray) -> np.ndarray:
@@ -318,51 +334,18 @@ def _refine_metric(f: float, obs: LineObservationSet, start, free_focal=False):
     return float(np.exp(theta[0])), so3.exp(theta[1:4]), theta[4:], fit
 
 
-def _solve_at_focal(f_n, obs_n, z_n, init=None):
-    """Metric camera fits (R, T) at focal f_n, principal point at origin,
-    in an already-rescaled frame; T stays in that frame.
-
-    The line matrix of K P with K = diag(f, f, 1) is cof(K) M(P) =
-    diag(f, f, f^2) M(P), since cof(K) carries cross products the way K
-    carries points.  Scaling the incidence rows of the rows of M by f, f
-    and f^2 therefore reduces the linear unknown to the line matrix of the
-    metric camera [R T] itself.  A cold start decodes the least singular
-    vector of those scaled rows, restoring rigidity from the
-    row norms (|scale| from their mean), and refines the decoded pose of
-    either sign on the geometric cost; only that cold start takes the SVD
-    and its rank test.  Given init (R, T) the refinement starts there
-    instead, which lets the sweep warm-start each sample from its
-    neighbor's.  The SVD is right_singular's, which factors only the
-    18 x 18 R factor (see linalg); its padded R keeps the 18th right vector
-    when the fewest observations give 17 constraints.
-
-    Returns one (R, T, fit) per start, lowest cost first, fit being the
-    refinement's linalg.least_squares result, its cost the point-to-line
-    cost in rescaled pixel units.  A cold start whose incidence matrix
-    leaves more than a scale ambiguity, or whose decode collapses, has no
-    start and returns no fits.  The caller tests the cameras'
-    chirality: under heavy noise the fixed-focal cost has spurious
-    attractors (a reflected and a reversed camera) that a start can fall
-    into, and the sweep's continuation across focal lengths escapes them.
-    """
-    starts = [init]
-    if init is None:
-        d = np.concatenate([np.full(12, f_n), np.full(6, f_n * f_n)])
-        s, vt = right_singular(z_n * d[:, None])
-        starts = [] if s[16] < 1e-12 * s[0] else _metric_decode(vt[17].reshape(3, 6))
-    fits = [_refine_metric(f_n, obs_n, start)[1:] for start in starts]
-    return sorted(fits, key=lambda refined: refined[2].cost)
-
-
 def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> CalibrationEstimate:
     """Best shared focal length with the principal point at the image center.
 
     Logarithmic grid of SWEEP_SAMPLES focal lengths spanning SWEEP_SPAN
     times the image diagonal.  Each constrained solve is started from its
     neighbor's solution; only the first, or one after a failed neighbor,
-    decodes a cold start from the incidence matrix, whose lower-cost sign
-    the chain follows.  A sample's fit stops at a relative cost decrease of
-    SWEEP_FTOL: its cost only ranks it and its pose only warm-starts the
+    takes _cold_starts from the incidence matrix, and the chain follows
+    the lower-cost of its two refined signs.  Under heavy noise the
+    fixed-focal cost has spurious attractors (a reflected and a reversed
+    camera) that a cold start can fall into; the warm chain across focal
+    lengths escapes them.  A sample's fit stops at a relative cost decrease
+    of SWEEP_FTOL: its cost only ranks it and its pose only warm-starts the
     next sample.  A sample ranks only if MIN_FRONT_FRACTION of its pixels
     are in front, so the wrong mirror twin, whose one exact basin lies
     behind the camera, ranks none.  A pass whose cold start has at most
@@ -411,16 +394,17 @@ def focal_sweep(obs: LineObservationSet, image_size: tuple[int, int]) -> Calibra
         # sample behind the camera, or one bad focal value, must not cut
         # the chain; a cold start behind the camera lies in the mirror
         # twin's basin, which the warm chain would not leave, so the pass
-        # ends there and returns True; a cold start with no fits skips its
-        # sample, and the next one starts cold
+        # ends there and returns True; a cold start with no starts skips
+        # its sample, and the next one starts cold
         warm = None
         for i in order:
             f_n = grid[i] * s_pix
-            fits = _solve_at_focal(f_n, obs_n, z_n, init=warm)
+            starts = _cold_starts(f_n, z_n) if warm is None else [warm]
+            fits = [_refine_metric(f_n, obs_n, start)[1:] for start in starts]
             if not fits:
                 continue
             nfev.extend(fit.nfev for *_, fit in fits)
-            rotation, t_n, fit = fits[0]
+            rotation, t_n, fit = min(fits, key=lambda refined: refined[2].cost)
             front = _front_fraction(f_n, obs_n, rotation, t_n)
             if warm is None and front <= 1.0 - MIN_FRONT_FRACTION:
                 return True

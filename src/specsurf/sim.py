@@ -527,7 +527,12 @@ def write_scene(scene: MirrorScene, path):
 
 
 def read_scene(path) -> MirrorScene:
-    """Parse a scene description written by write_scene."""
+    """Parse a scene description written by write_scene.
+
+    A missing key or section, or a section it would not read (an extra
+    pose, a mirror after a gap in the numbering), raises
+    SchemaMismatchError; a value that does not parse raises ParseError.
+    """
     cfg = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -547,6 +552,9 @@ def read_scene(path) -> MirrorScene:
             if cls is None:
                 raise SchemaMismatchError(f"unknown mirror type {kind!r}")
             mirrors.append(_from_section(cls, cfg[name], name))
+        read = {"scene", "camera", "plane", "pose1", "pose2", *(f"mirror{i}" for i in range(1, len(mirrors) + 1))}
+        if unread := sorted(set(cfg.sections()) - read):
+            raise SchemaMismatchError(f"scene file has sections read_scene does not read: {', '.join(unread)}")
         if not mirrors:
             raise SchemaMismatchError("scene file defines no mirror sections")
         return MirrorScene(

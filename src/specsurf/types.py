@@ -131,9 +131,10 @@ class CorrespondenceSet:
     gt_normals: np.ndarray | None = None  # (n, 3)
 
     def __post_init__(self):
-        n = np.shape(self.planes)[-1]
+        # a 0-d planes holds no correspondence axis and counts as empty
+        n = np.shape(self.planes)[-1] if np.ndim(self.planes) else 0
         if n < 1:
-            raise ValueError("correspondence set may not be empty")
+            raise ValueError(f"correspondence set may not be empty; planes has shape {np.shape(self.planes)}")
         for name, shape in (("planes", (3, 2, n)), ("pixels", (2, n))):
             value = np.array(getattr(self, name), dtype=float, order="C")
             if value.shape != shape:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from specsurf import crossratio as cr
-from specsurf import so3
+from specsurf import plane_pose, so3
 from specsurf.errors import TooFewCorrespondencesError
 from specsurf.plane_pose import Lifts, lift_triples
 from specsurf.sim import default_two_sphere_scene, generate_dataset
@@ -552,7 +552,7 @@ class TestGate:
     def test_zero_length_line_fails_collinearity(self, rig, noisy_data, poses, monkeypatch):
         # with the separation check switched off, a line of zero length
         # still fails the check after it
-        monkeypatch.setattr(cr, "MIN_LIFT_SEPARATION_MM", 0.0)
+        monkeypatch.setattr(plane_pose, "MIN_LIFT_SEPARATION_MM", 0.0)
         lifted = lifts_of(noisy_data, poses)
         p2 = lifted.p2.copy()
         p2[:, 0] = lifted.p0[:, 0]

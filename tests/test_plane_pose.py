@@ -165,11 +165,6 @@ class TestDesignMatrix:
             assert np.array_equal(e[:, 2 * i], np.concatenate([kron, zero, -a * h2, a * h1]))
             assert np.array_equal(e[:, 2 * i + 1], np.concatenate([zero, kron, -b * h2, b * h1]))
 
-    def test_too_few_triples_rejected(self, synthetic):
-        x0, x1, x2, *_ = synthetic
-        with pytest.raises(TooFewCorrespondencesError):
-            build_design_matrix(planes_of(x0, x1, x2)[..., :11])
-
     def test_ground_truth_motion_annihilated(self, synthetic):
         x0, x1, x2, pose1, pose2 = synthetic
         s = rms_scale(x0, x1, x2)

@@ -294,12 +294,17 @@ class TestPointLineObjective:
 
 
 def solve_at_focal(f, obs_centered, init=None):
-    """The sweep's sample step at focal f on centered observations: the
-    lowest-cost fit's (R, T), T back in the observations' units."""
+    """The sweep's sample step at focal f on centered observations: each
+    start refined, init's or else both cold starts, and the lowest-cost
+    fit's (R, T), T back in the observations' units."""
     obs_n, s_pix, rho = pj._normalized_copy(obs_centered)
-    init_n = None if init is None else (init[0], np.asarray(init[1], dtype=float) / rho)
-    fits = pj._solve_at_focal(f * s_pix, obs_n, pj._incidence_rows(obs_n), init=init_n)
-    rotation, t_n, _ = fits[0]
+    f_n = f * s_pix
+    if init is None:
+        starts = pj._cold_starts(f_n, pj._incidence_rows(obs_n))
+    else:
+        starts = [(init[0], np.asarray(init[1], dtype=float) / rho)]
+    fits = [pj._refine_metric(f_n, obs_n, start) for start in starts]
+    _, rotation, t_n, _ = min(fits, key=lambda refined: refined[3].cost)
     return rotation, t_n * rho
 
 
@@ -371,9 +376,9 @@ class TestSolveConstrained:
             pj.focal_sweep(small, scene.image_size)
 
     def test_rank_deficient_raises(self, scene, clean_obs, monkeypatch):
-        # one observation repeated leaves a rank-1 incidence matrix, on
-        # which every cold start finds no start and returns no fits; the
-        # sweep skips each such sample, so none ranks and the sweep raises
+        # one observation repeated leaves a rank-1 incidence matrix, from
+        # which every cold start decodes no start; the sweep skips each
+        # such sample, so none ranks and the sweep raises
         intr = scene.intrinsics
         rep = pj.LineObservationSet(
             pixels=np.tile(clean_obs.pixels[:, :1], (1, 20)),
@@ -381,20 +386,26 @@ class TestSolveConstrained:
             indices=np.arange(20),
         )
         obs_n, s_pix, _ = pj._normalized_copy(rep.centered(intr.u0, intr.v0))
-        assert pj._solve_at_focal(intr.fx * s_pix, obs_n, pj._incidence_rows(obs_n)) == []
+        assert pj._cold_starts(intr.fx * s_pix, pj._incidence_rows(obs_n)) == []
 
-        solve = pj._solve_at_focal
-        returned = []
+        cold_starts, refine = pj._cold_starts, pj._refine_metric
+        returned, refined = [], []
 
-        def recorded(*args, **kwargs):
-            returned.append(solve(*args, **kwargs))
+        def recorded(*args):
+            returned.append(cold_starts(*args))
             return returned[-1]
 
-        monkeypatch.setattr(pj, "_solve_at_focal", recorded)
+        def counted(*args, **kwargs):
+            refined.append(1)
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(pj, "_cold_starts", recorded)
+        monkeypatch.setattr(pj, "_refine_metric", counted)
         with pytest.raises(SweepNoMinimumError):
             pj.focal_sweep(rep, scene.image_size)
-        # both passes, every sample a cold start with no fits
+        # both passes, every sample a cold start with no starts, so no fit
         assert returned == [[]] * (2 * pj.SWEEP_SAMPLES)
+        assert refined == []
 
 
 class TestFocalSweep:
@@ -774,17 +785,24 @@ class TestMirrorTwins:
         # mirror sign, so the forward pass ends there and the reverse pass
         # finds the camera, the same f as a forward pass run to its end
         right, _ = right_and_wrong_twin(scene, 8, NoiseSpec(sigma_mm=0.5, gamma_px=0.5, seed=0))
-        solve = pj._solve_at_focal
-        cold = []
+        cold_starts, refine = pj._cold_starts, pj._refine_metric
+        events = []
 
-        def counted(*args, init=None):
-            cold.append(init is None)
-            return solve(*args, init=init)
+        def cold(*args):
+            events.append("cold")
+            return cold_starts(*args)
 
-        monkeypatch.setattr(pj, "_solve_at_focal", counted)
+        def fit(*args, free_focal=False):
+            events.append("polish" if free_focal else "fit")
+            return refine(*args, free_focal=free_focal)
+
+        monkeypatch.setattr(pj, "_cold_starts", cold)
+        monkeypatch.setattr(pj, "_refine_metric", fit)
         est = pj.focal_sweep(right, scene.image_size)
         assert est.diagnostics["dropped_passes"] == 1
-        assert cold == [True, True] + [False] * (pj.SWEEP_SAMPLES - 1)
+        # each pass opens with a cold start, both of whose starts are fitted;
+        # the forward pass ends there, the reverse pass warm-starts the rest
+        assert events == ["cold", "fit", "fit"] * 2 + ["fit"] * (pj.SWEEP_SAMPLES - 1) + ["polish"]
         assert est.intrinsics.fx == pytest.approx(1404.631732410813, rel=1e-9)
 
     def test_chain_keeps_the_right_twin_when_the_wrong_one_returns(self, scene):

@@ -437,6 +437,17 @@ class TestSceneFiles:
         with pytest.raises(SchemaMismatchError):
             read_scene(path)
 
+    def test_unread_section_raises(self, tmp_path):
+        # a mirror after a gap in the numbering and a third pose would be
+        # dropped without a word: one mirror and two motions read back
+        path = tmp_path / "scene.ini"
+        write_scene(default_two_sphere_scene(), path)
+        text = path.read_text().replace("[mirror2]", "[mirror3]")
+        pose = text[text.index("[pose2]") : text.index("[mirror1]")]
+        path.write_text(text + "\n" + pose.replace("[pose2]", "[pose3]"))
+        with pytest.raises(SchemaMismatchError, match="mirror3, pose3"):
+            read_scene(path)
+
     def test_bad_version_raises(self, tmp_path):
         scene = default_two_sphere_scene()
         path = tmp_path / "scene.ini"

@@ -28,6 +28,7 @@ def columns(n=4, **shapes):
         columns(planes=(3, 4, 2)),
         columns(pixels=(4, 3)),
         columns(pixels=(2, 4, 1)),
+        columns(planes=()),
     ],
     ids=[
         "empty",
@@ -39,6 +40,7 @@ def columns(n=4, **shapes):
         "planes-rows-last",
         "pixels-three-columns",
         "pixels-3d",
+        "planes-0d",
     ],
 )
 def test_malformed_arrays_rejected(arrays):
