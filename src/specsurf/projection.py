@@ -39,7 +39,7 @@ if MIN_FRONT_FRACTION of its pixels meet their lines in front of it.  A
 cold start whose lower-cost camera sees its lines behind it has landed in
 the mirror basin, which the warm chain after it does not leave, so the
 sweep ends that pass there.  The wrong twin's sweep is then its two cold
-starts: on the clean grid-20 scan both sweeps take 243 evaluations, 79 of
+starts: on the clean grid-20 scan both sweeps take 195 evaluations, 79 of
 them on the wrong twin.
 
 Conditioning matters here far more than in ordinary resection.  Reflected
@@ -82,7 +82,9 @@ from .types import CalibrationEstimate, CorrespondenceSet, Intrinsics, RigidPose
 
 MIN_OBSERVATIONS = 17
 SWEEP_SPAN = (0.15, 10.0)  # focal range as multiples of the image diagonal
-SWEEP_SAMPLES = 20
+# the polish, not the grid, sets the camera: 10 samples give the cameras
+# 20 gave, to 8.3e-8 in f, on 36 % fewer evaluations (see README)
+SWEEP_SAMPLES = 10
 # relative cost decrease that stops a sweep sample's fixed-focal fit; the
 # free-focal polish runs to 1e-12
 SWEEP_FTOL = 1e-6
@@ -222,10 +224,24 @@ def _cold_starts(f_n, z_n):
     return [(so3.closest_rotation(sign * g[:, :3]), sign * g[:, 3]) for sign in (1.0, -1.0)]
 
 
-def _camera_moments(rotation: np.ndarray, t: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """(3, n) camera-frame moments m = R v - T x R w of the lines [v; w]."""
-    # R's columns crossed with T make -[T]x R
-    return np.einsum("ij,jn->in", np.hstack([rotation, so3.cross(rotation, t)]), lines)
+def _camera_moments(rotation: np.ndarray, t: np.ndarray, lines: np.ndarray, out=None) -> np.ndarray:
+    """(3, n) camera-frame moments m = R v - T x R w of the lines [v; w].
+
+    The 3 x 6 matrix [R | -[T]x R] is built from floats, its last three
+    columns R's columns crossed with T by components as so3.cross would:
+    3 x 3 array arithmetic costs more in calls than in flops.  The moments
+    go into out when it is given.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation.tolist()
+    t0, t1, t2 = t.tolist()
+    matrix = np.array(
+        [
+            [r00, r01, r02, r10 * t2 - r20 * t1, r11 * t2 - r21 * t1, r12 * t2 - r22 * t1],
+            [r10, r11, r12, r20 * t0 - r00 * t2, r21 * t0 - r01 * t2, r22 * t0 - r02 * t2],
+            [r20, r21, r22, r00 * t1 - r10 * t0, r01 * t1 - r11 * t0, r02 * t1 - r12 * t0],
+        ]
+    )
+    return np.einsum("ij,jn->in", matrix, lines, out=out)
 
 
 def _front_fraction(f: float, obs: LineObservationSet, rotation: np.ndarray, t: np.ndarray) -> float:
@@ -266,10 +282,15 @@ def _point_line_objective(obs: LineObservationSet):
     gradient equals (dr/dT) x T - u x m, one cross product fewer.
 
     Every product over the n lines is an einsum: a matmul against a 3 x n
-    or 6 x n stack wakes OpenBLAS's threads on a dense scan.
+    or 6 x n stack wakes OpenBLAS's threads on a dense scan, and sums in
+    another order.  On a few hundred lines each NumPy call costs more than
+    its arithmetic, so the rest is written into preallocated rows with
+    out=, whole stacks at a time, the cross products by _cross_cyclic: the
+    same operations on the same operands, so the same bits, as the plain
+    expressions above.
     """
-    x0, x1 = obs.pixels
     directions = obs.lines[3:]
+    n = len(obs)
 
     def model(theta):
         f = np.exp(theta[0])
@@ -278,24 +299,57 @@ def _point_line_objective(obs: LineObservationSet):
             raise RankDeficientError(f"singular camera: focal {f!r}")
         rotation = so3.exp(theta[1:4])
         t = theta[4:]
-        m = _camera_moments(rotation, t, obs.lines)
-        s = np.sqrt(m[0] * m[0] + m[1] * m[1] + 1e-30)
-        num = x0 * m[0] + x1 * m[1] + f * m[2]
+        # rows 3 and 4 are for the Jacobian's cyclic copy (see _cross_cyclic)
+        m = np.empty((5, n))
+        _camera_moments(rotation, t, obs.lines, out=m[:3])
+        # s, num, f m2, the residual, then two rows of scratch
+        s, num, fm2, r, *_ = rows = np.empty((6, n))
+        pair = rows[4:]
+        np.add(*np.multiply(m[:2], m[:2], out=pair), out=s)
+        s += 1e-30
+        np.sqrt(s, out=s)
+        np.add(*np.multiply(obs.pixels, m[:2], out=pair), out=num)
+        num += np.multiply(f, m[2], out=fm2)
 
         def jacobian():
-            c = num / (s * s)
-            u = ((x0 - c * m[0]) / s, (x1 - c * m[1]) / s, f / s)
-            jt = np.empty((7, len(s)))
-            jt[0] = f * m[2] / s
-            d_t = so3.cross(u, np.einsum("ij,jn->in", rotation, directions))
-            jt[4:] = d_t
-            d_phi = so3.cross(d_t, t) - so3.cross(u, m)
+            # u = dr/dm, R w, m and dr/dT (rows 4-6) each repeat their
+            # first two rows after their third, for _cross_cyclic;
+            # least_squares reads rows 0-6
+            jt = np.empty((9, n))
+            u = np.empty((5, n))
+            rw = np.empty((5, n))
+            scratch = np.empty((6, n))
+            # num / s^2, in a row u fills last
+            c = np.divide(num, np.multiply(s, s, out=u[3]), out=u[3])
+            np.subtract(obs.pixels, np.multiply(c, m[:2], out=u[:2]), out=u[:2])
+            u[:2] /= s
+            np.divide(f, s, out=u[2])
+            u[3:] = u[:2]
+            np.divide(fm2, s, out=jt[0])
+            np.einsum("ij,jn->in", rotation, directions, out=rw[:3])
+            rw[3:] = rw[:2]
+            _cross_cyclic(u, rw, jt[4:7], scratch[:3])
+            jt[7:] = jt[4:6]
+            m[3:] = m[:2]
+            # the rotation gradient goes where R w was
+            d_phi = _cross_cyclic(jt[4:], t[[0, 1, 2, 0, 1], None], rw[:3], scratch[:3])
+            d_phi -= _cross_cyclic(u, m, scratch[:3], scratch[3:])
             np.einsum("ik,in->kn", so3.left_jacobian(theta[1:4]), d_phi, out=jt[1:4])
-            return jt
+            return jt[:7]
 
-        return num / s, jacobian
+        return np.divide(num, s, out=r), jacobian
 
     return model
+
+
+def _cross_cyclic(p, q, out, scratch):
+    """p x q for 3-vectors stored as five rows, the first two repeated after
+    the third, into the 3 rows of out, scratch another 3 rows: then
+    p[1:4] q[2:5] - p[2:5] q[1:4] is so3.cross's arithmetic, bit for bit,
+    in three calls on whole stacks.  Returns out."""
+    np.multiply(p[1:4], q[2:5], out=out)
+    out -= np.multiply(p[2:5], q[1:4], out=scratch)
+    return out
 
 
 def _refine_metric(f: float, obs: LineObservationSet, start, free_focal=False):

@@ -32,16 +32,16 @@ CLEAN_FOCAL_TOL = 1e-4
 # of the error that ended it
 PINNED = {
     0: "RankAmbiguousError",
-    1: ["accepted", "kept"],
+    1: ["SweepNoMinimumError", "kept"],
     2: ["kept", "SweepNoMinimumError"],
     3: "RankAmbiguousError",
     4: "RankAmbiguousError",
-    5: ["kept", "SweepNoMinimumError"],
-    6: ["kept", "accepted"],
+    5: "SweepNoMinimumError",
+    6: ["kept", "SweepNoMinimumError"],
     7: "RankAmbiguousError",
     8: ["accepted", "kept"],
     9: "SweepNoMinimumError",
-    10: ["accepted", "kept"],
+    10: ["SweepNoMinimumError", "kept"],
     11: ["kept", "SweepNoMinimumError"],
     12: "SweepNoMinimumError",
     13: ["kept", "SweepNoMinimumError"],
@@ -74,16 +74,16 @@ PINNED = {
     40: "RankAmbiguousError",
     41: ["kept", "SweepNoMinimumError"],
     42: "RankAmbiguousError",
-    43: "SweepNoMinimumError",
+    43: "CheiralityUnresolvableError",
     44: "RankAmbiguousError",
     45: "RankAmbiguousError",
-    46: "SweepNoMinimumError",
+    46: ["kept", "SweepNoMinimumError"],
     47: ["kept", "SweepNoMinimumError"],
     48: "SweepNoMinimumError",
     49: ["kept", "SweepNoMinimumError"],
-    50: ["SweepNoMinimumError", "kept"],
+    50: "SweepNoMinimumError",
     51: ["kept", "SweepNoMinimumError"],
-    52: ["kept", "SweepNoMinimumError"],
+    52: "SweepNoMinimumError",
     53: "SweepNoMinimumError",
     54: ["kept", "accepted"],
     55: "RankAmbiguousError",
@@ -103,7 +103,7 @@ PINNED = {
     69: ["kept", "SweepNoMinimumError"],
     70: "RankAmbiguousError",
     71: "RankAmbiguousError",
-    72: "SweepNoMinimumError",
+    72: "CheiralityUnresolvableError",
     73: "SweepNoMinimumError",
     74: "RankAmbiguousError",
     75: ["kept", "SweepNoMinimumError"],

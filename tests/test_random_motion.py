@@ -23,12 +23,12 @@ from conftest import random_motion_scene
 # error name or its camera (f in px, axis-angle of R)
 PINNED = {
     0: [
-        (1399.4163498079051, [1.4703629341767142, 0.001049969730776743, -0.0009417758498545426]),
+        (1399.4163518044372, [1.470362934888046, 0.0010499696878606263, -0.0009417758511506809]),
         "SweepNoMinimumError",
     ],
     1: [
-        (1435.2127994116695, [1.4842175630086918, 0.0026262433032424944, -0.003031699700051271]),
-        (1228.6493510233342, [1.2400666410552312, 0.041378602406116856, -0.05827320857028021]),
+        (1435.2127395644675, [1.4842175433344198, 0.002626251000562699, -0.0030317046579656764]),
+        (1228.6495267744865, [1.2400666492459116, 0.041378570270926715, -0.05827312686322472]),
     ],
     2: [
         (1388.1601717308097, [1.4606401295465246, -0.0007679738882637928, -0.00016311380490000637]),
@@ -36,11 +36,11 @@ PINNED = {
     ],
     3: [
         "SweepNoMinimumError",
-        (473.4480581359935, [0.4589188227057288, 0.019466159287658873, -0.025026571256447562]),
+        (473.44820194539506, [0.4589189394539507, 0.019466154479270983, -0.025026565615090954]),
     ],
     4: [
-        (707.0075837635002, [1.1671043568767714, 0.19335113927443703, -0.10321700213585544]),
-        "SweepNoMinimumError",
+        (707.0080159384254, [1.1671043461049513, 0.19335124106352844, -0.10321708389538999]),
+        (1726.2768836145958, [0.5238243967761318, -0.0448540993182096, 0.01548393861996994]),
     ],
     5: [
         "SweepNoMinimumError",
@@ -49,10 +49,10 @@ PINNED = {
     6: "RankAmbiguousError",
     7: [
         (1407.667455587788, [1.460961541236873, -0.0035801092136581317, 0.0021405573166007317]),
-        (1170.1990002792145, [1.3034355637830746, -1.794770144549631e-05, 0.007175560570578859]),
+        "SweepNoMinimumError",
     ],
     8: [
-        (1419.471348349697, [1.4757687143414573, -0.0014133310284481046, 0.0017952601807036132]),
+        (1419.471346482418, [1.475768713854307, -0.0014133305962928196, 0.001795259921149288]),
         "SweepNoMinimumError",
     ],
     9: [
@@ -60,11 +60,11 @@ PINNED = {
         "SweepNoMinimumError",
     ],
     10: [
-        (1379.8008461551676, [1.4565928453673949, -0.0009447096442113731, 0.0007554972640150493]),
+        (1379.8008511069943, [1.4565928472033607, -0.0009447096943607075, 0.0007554973186350383]),
         "SweepNoMinimumError",
     ],
     11: [
-        (1431.9253213891673, [1.4496391728590272, -0.0067623722052487885, 0.004104790571425734]),
+        (1431.925304667852, [1.4496391652764005, -0.006762372218748813, 0.004104790593515718]),
         "SweepNoMinimumError",
     ],
     12: [
@@ -73,7 +73,7 @@ PINNED = {
     ],
     13: "RankAmbiguousError",
     14: [
-        "SweepNoMinimumError",
+        (594.5281750953377, [-2.004732689115842, 0.10378335430017752, 0.06523795443923314]),
         "SweepNoMinimumError",
     ],
     15: "RankAmbiguousError",
@@ -90,7 +90,7 @@ PINNED = {
         "SweepNoMinimumError",
     ],
     19: [
-        (1388.4352980267313, [1.386171287139347, 0.0025387174494281694, -0.00019091563122367096]),
+        (1388.435279116307, [1.386171278179225, 0.002538717942787155, -0.00019091594301293632]),
         "SweepNoMinimumError",
     ],
 }
