@@ -20,6 +20,9 @@ The plane poses stay fixed throughout; only the camera moves.  So does
 the correspondence line: plane_pose.Lifts decides it once per lift, from
 the pose-0 and pose-2 lifts, and this module only reads it.  refine lifts
 the triples once, and the noise probe moves those lifts (noise_sensitivity).
+refine also decides once which triples are valid, with _gate at the start
+camera: the fit runs on those triples, and the surface it returns is the
+same triples rebuilt at the fitted camera.
 refine works in a world frame centred on the mean pose-0 lift, as the
 eight-point algorithm centres its points (Hartley, "In Defense of the
 Eight-Point Algorithm", PAMI 1997): the fit's path then does not depend on
@@ -32,7 +35,6 @@ contiguous rows.  Only the returned surface is (n, 3).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -69,6 +71,7 @@ _CHECKS = (
     "degenerate_cross_ratio",
     "noise_sensitive",
     "degenerate_normal",
+    "degenerate_cross_ratio",  # an offset inside the X2-X0 segment
 )
 
 
@@ -99,12 +102,11 @@ def _unpack(theta: np.ndarray, cost: float) -> tuple[np.ndarray, CalibrationEsti
 
 @dataclass
 class ConvergenceReport:
-    """How refine's fit ended; mask_reasons counts the triples the start
-    gate left out of the fit by reason, and the camera carries its cost."""
+    """How refine's fit ended.  The camera carries its cost, and the
+    surface's invalid_reason the triples the start gate left out."""
 
     status: str
     iterations: int
-    mask_reasons: dict[str, int]
 
 
 def _dehom(h: np.ndarray) -> np.ndarray:
@@ -357,8 +359,28 @@ def noise_sensitivity(theta: np.ndarray, lifts: Lifts, m_obs, poses: tuple[Rigid
     return np.sqrt(total)
 
 
-def _gate(theta: np.ndarray, lifts: Lifts, m_obs, noisy):
-    """Surface at one camera and the validity of every triple, decided once.
+def _rebuild(theta: np.ndarray, lifts: Lifts, s: np.ndarray):
+    """Surface points at offsets s and their normals at one camera.
+
+    The normal at M bisects the ray toward the camera center and the ray
+    toward the pose-0 correspondence; both rays leave the surface, so the
+    bisector points toward the camera side.  Returns the (3, n) points and
+    normals and where each normal is defined: a point whose rays have zero
+    length or cancel has none.
+    """
+    with np.errstate(all="ignore"):
+        points = _on_line(lifts, s)
+        to_center = (-so3.exp(theta[4:7]).T @ theta[7:])[:, None] - points
+        incident = lifts.p0 - points
+        nv = np.linalg.norm(to_center, axis=0)
+        ni = np.linalg.norm(incident, axis=0)
+        bisector = to_center / nv + incident / ni
+        nb = np.linalg.norm(bisector, axis=0)
+        return points, bisector / nb, (nv > 0) & (ni > 0) & (nb >= 1e-9)
+
+
+def _gate(theta: np.ndarray, lifts: Lifts, m_obs, poses: tuple[RigidPose, ...]):
+    """The validity of every triple at one camera: the stage's one decision.
 
     Each row of the table masks the triples that fail one check of
     _CHECKS; a triple is valid when it fails none and otherwise carries the
@@ -367,19 +389,15 @@ def _gate(theta: np.ndarray, lifts: Lifts, m_obs, noisy):
     it against COLLINEARITY_TOL times its length.  Euclidean segment
     lengths only mean something for points actually on the image plane, so
     the plane points must project with positive depth; the rebuilt surface
-    point must too, and the cross-ratio must give a usable offset.  noisy
-    maps the triples that pass every earlier check to those masked as
-    noise_sensitive.
+    point must too, and the cross-ratio must give a usable offset.  Of the
+    triples that pass those six checks, one whose noise_sensitivity exceeds
+    SENSITIVITY_CAP times their median is noise_sensitive; with none to
+    take a median over, none is.  Then the normal must be defined
+    (_rebuild), and last the offset must lie outside the X2-X0 segment,
+    where the mirror point lies (_cross_ratio_offset): s < 0 or s > B.
 
-    The normal at M bisects the ray toward the camera center and the ray
-    toward the pose-0 correspondence; both rays leave the surface, so the
-    bisector points toward the camera side.  A point whose rays have zero
-    length or cancel has a degenerate normal.  Invalid rows read NaN
-    points and normals and a zero offset.
-
-    Returns the view at theta, the surface and the reason of every triple
-    ("" when valid).  The surface is the one (n, 3) stack here, transposed
-    from the rows at the end.
+    Returns the view at theta and the reason of every triple ("" when
+    valid).
     """
     view = _resolve_offsets(theta, lifts, m_obs)
     depths, (x0, x1, x2) = view.depths, view.pixels
@@ -388,14 +406,6 @@ def _gate(theta: np.ndarray, lifts: Lifts, m_obs, noisy):
         def close(a, b):
             return np.linalg.norm(a - b, axis=0) < MIN_PIXEL_SEPARATION
 
-        points = _on_line(lifts, view.s)
-        to_center = (-so3.exp(theta[4:7]).T @ theta[7:])[:, None] - points
-        incident = lifts.p0 - points
-        nv = np.linalg.norm(to_center, axis=0)
-        ni = np.linalg.norm(incident, axis=0)
-        bisector = to_center / nv + incident / ni
-        nb = np.linalg.norm(bisector, axis=0)
-        normals = bisector / nb
         failed = [
             ~lifts.far,
             # a zero-length line fails here too: 0 < 0 is false
@@ -405,20 +415,34 @@ def _gate(theta: np.ndarray, lifts: Lifts, m_obs, noisy):
             view.depth <= 0,
             ~view.feasible,
         ]
-    failed.append(noisy(~np.any(failed, axis=0)))
-    failed.append((nv <= 0) | (ni <= 0) | (nb < 1e-9))
-    failed = np.array(failed)
-    valid = ~failed.any(axis=0)
-    reason = np.where(valid, "", np.array(_CHECKS, dtype=object)[failed.argmax(axis=0)])
+    # the triples that pass every check so far, then the noisy ones of them
+    noisy = ~np.any(failed, axis=0)
+    if noisy.any():
+        sens = noise_sensitivity(theta, lifts, m_obs, poses)
+        noisy &= sens > SENSITIVITY_CAP * float(np.median(sens[noisy]))
+    inside = (view.s >= 0) & (view.s <= lifts.length)
+    failed = np.array([*failed, noisy, ~_rebuild(theta, lifts, view.s)[2], inside])
+    return view, np.where(failed.any(axis=0), np.array(_CHECKS, dtype=object)[failed.argmax(axis=0)], "")
+
+
+def _surface(theta: np.ndarray, lifts: Lifts, m_obs, reason) -> SurfaceEstimate:
+    """The triples valid by reason, rebuilt at the camera theta.
+
+    Every other row reads NaN points and normals, a zero offset and its
+    reason.  The surface is the one (n, 3) stack here, transposed from the
+    rows at the end.
+    """
+    valid = reason == ""
+    s = _resolve_offsets(theta, lifts, m_obs).s
+    points, normals, _ = _rebuild(theta, lifts, s)
     rows = np.flatnonzero(~valid)
-    surface = SurfaceEstimate(
+    return SurfaceEstimate(
         points=np.where(valid, points, np.nan).T,
         normals=np.where(valid, normals, np.nan).T,
-        s_values=np.where(valid, view.s, 0.0),
+        s_values=np.where(valid, s, 0.0),
         valid=valid,
         invalid_reason=dict(zip(rows.tolist(), reason[rows].tolist())),
     )
-    return view, surface, reason
 
 
 def refine(
@@ -428,16 +452,15 @@ def refine(
 
     Starts from a focal-sweep estimate, minimizes the cross-ratio
     reprojection cost, and returns the refined camera, the surface rebuilt
-    from it, and a convergence report.  The validity mask is frozen at the
-    starting camera so the objective stays fixed during the optimization:
-    the fit takes the frozen triples' lifts and pixels once, as
-    C-contiguous copies (np.compress; a boolean index on the last axis
-    returns column-major stacks, whose strided rows are slower), and sees no
-    other triple.  Both masks come from _gate.  The noise-sensitive triples
-    are measured at the start and stay masked at the end; every other check
-    is made again at the optimized camera.  So the report counts the start
-    camera's mask and the surface the final camera's, and a triple left out
-    of the fit (behind the start camera, say) can come back valid.
+    from it, and a convergence report.  Validity is decided once, by _gate
+    at the starting camera, so the objective stays fixed during the
+    optimization: the fit takes the valid ("frozen") triples' lifts and
+    pixels once, as C-contiguous copies (np.compress; a boolean index on
+    the last axis returns column-major stacks, whose strided rows are
+    slower), and sees no other triple.  The surface is those same triples
+    rebuilt at the fitted camera, and every other triple carries its start
+    gate reason.  MINPACK accepts no step whose residuals are not finite,
+    so every frozen triple is still feasible at the fitted camera.
 
     Everything runs in a world frame centred on the mean pose-0 lift c:
     the lifts are p - c and the translation T + R c, and the camera and the
@@ -467,28 +490,19 @@ def refine(
     theta = _pack(theta0)
     theta[7:] += theta0.rotation @ centre
     m_obs = corrs.pixels
-
-    def measure_noise(usable):
-        if not usable.any():
-            return usable
-        sens = noise_sensitivity(theta, lifts, m_obs, poses)
-        return usable & (sens > SENSITIVITY_CAP * float(np.median(sens[usable])))
-
-    start, _, reason = _gate(theta, lifts, m_obs, measure_noise)
+    start, reason = _gate(theta, lifts, m_obs, poses)
     frozen = reason == ""
     if frozen.sum() < MIN_TRIPLES:
         raise TooFewCorrespondencesError(
             f"{frozen.sum()} of {len(corrs)} triples pass the start gate; need {MIN_TRIPLES}"
         )
-    noisy = reason == "noise_sensitive"
-    mask_reasons = dict(Counter(reason[~frozen].tolist()))
 
     def finish(vec, status, iterations, cost):
         theta, camera = _unpack(vec, cost)
-        _, surface, _ = _gate(theta, lifts, m_obs, lambda usable: noisy)
+        surface = _surface(theta, lifts, m_obs, reason)
         camera.translation -= camera.rotation @ centre
         surface.points += centre
-        return camera, surface, ConvergenceReport(status, iterations, mask_reasons)
+        return camera, surface, ConvergenceReport(status, iterations)
 
     cost0 = sum_squares(start.residuals[:, frozen].ravel())
     if cost0 < 1e-16:

@@ -22,6 +22,7 @@ from specsurf.types import CalibrationEstimate, CorrespondenceSet, NoiseSpec, Ri
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from specbench.tracing import MASK_REASONS  # noqa: E402
+from specbench.workloads import reconstruct_with_rig  # noqa: E402
 
 
 def angles_deg(a, b):
@@ -70,6 +71,11 @@ def noisy_fit(rig, noisy_data, poses):
     return cr.refine(rig, noisy_data, poses)
 
 
+@pytest.fixture(scope="module")
+def dense_fit(rig, dense_data, poses):
+    return cr.refine(rig, dense_data, poses)
+
+
 def lifts_of(data, poses):
     return lift_triples(poses, data.planes)
 
@@ -86,6 +92,14 @@ def centred(lifts, camera):
     theta = cr._pack(camera)
     theta[7:] += camera.rotation @ centre
     return replace(lifts, **moved), theta
+
+
+def flat_sensitivity(monkeypatch, cap=cr.SENSITIVITY_CAP):
+    """Every triple answers the noise probe alike from here on, so the gate
+    masks none as noise_sensitive, or with a cap below 1 every one that
+    passes the checks before the noise rule."""
+    monkeypatch.setattr(cr, "noise_sensitivity", lambda theta, lifts, m_obs, poses: np.ones(m_obs.shape[1]))
+    monkeypatch.setattr(cr, "SENSITIVITY_CAP", cap)
 
 
 def record_fits(monkeypatch):
@@ -115,14 +129,15 @@ class TestFrozenJacobian:
     EXTRINSIC_STEP = np.array([0.01, -0.02, 0.01, 5.0, 3.0, -4.0])
 
     @pytest.mark.parametrize("free_intrinsics", [False, True])
-    def test_matches_central_differences(self, rig, noisy_data, poses, free_intrinsics):
+    def test_matches_central_differences(self, rig, noisy_data, poses, free_intrinsics, monkeypatch):
         theta = cr._pack(rig)
         theta[4:] += self.EXTRINSIC_STEP
         if free_intrinsics:
             theta[:4] += self.INTRINSIC_STEP
         lifts = lifts_of(noisy_data, poses)
         m_obs = noisy_data.pixels
-        frozen = cr._gate(theta, lifts, m_obs, np.zeros_like)[1].valid
+        flat_sensitivity(monkeypatch)
+        frozen = cr._gate(theta, lifts, m_obs, poses)[1] == ""
         assert frozen.sum() > 0.8 * len(frozen)
         lifts, m_obs = frozen_subset(lifts, m_obs, frozen)
 
@@ -195,15 +210,11 @@ class TestFrozenJacobian:
     def test_fit_sees_the_frozen_subset_alone(self, rig, noisy_data, poses, monkeypatch):
         # refine's fit rows against every triple's rows with those outside
         # the frozen set zeroed, all in the world frame refine fits in:
-        # centred on the mean pose-0 lift; the fit ends below their cost
+        # centred on the mean pose-0 lift; the fit ends below their cost,
+        # and the surface keeps the frozen set and its reasons
         lifts, theta = centred(lifts_of(noisy_data, poses), rig)
         m_obs = noisy_data.pixels
-        sens = cr.noise_sensitivity(theta, lifts, m_obs, poses)
-
-        def noisy(usable):
-            return usable & (sens > cr.SENSITIVITY_CAP * np.median(sens[usable]))
-
-        view, _, reason = cr._gate(theta, lifts, m_obs, noisy)
+        view, reason = cr._gate(theta, lifts, m_obs, poses)
         frozen = reason == ""
         padded = np.where(frozen, view.residuals, 0.0)
         rows = []
@@ -214,8 +225,8 @@ class TestFrozenJacobian:
             return original(model, x0, **kwargs)
 
         monkeypatch.setattr(cr, "least_squares", recorded)
-        camera, _, report = cr.refine(rig, noisy_data, poses)
-        assert report.mask_reasons == dict(Counter(reason[~frozen].tolist()))
+        camera, surface, _ = cr.refine(rig, noisy_data, poses)
+        assert surface.invalid_reason == {i: reason[i] for i in np.flatnonzero(~frozen).tolist()}
         assert np.array_equal(rows[0], padded[:, frozen])
         assert camera.cost < np.sum(padded**2)
 
@@ -324,12 +335,13 @@ def reference_sensitivity(theta, data, poses):
 
 class TestNoiseSensitivity:
     @pytest.mark.parametrize("draw", ["noisy_data", "dense_data"])
-    def test_matches_relifted_reference(self, rig, poses, draw, request):
+    def test_matches_relifted_reference(self, rig, poses, draw, request, monkeypatch):
         # moving a lift along its pose's in-plane axis differs from
         # re-lifting the moved coordinate only by roundoff (2.7e-10
         # relative at most on these draws, where the nearest usable triple
         # sits 4.8e-4 relative from the mask's threshold); the singular
-        # rows (the triples behind the camera) and the mask must not move
+        # rows (the triples behind the camera) and the gate's reasons must
+        # not move
         data = request.getfixturevalue(draw)
         theta = cr._pack(rig)
         lifts, m_obs = lifts_of(data, poses), data.pixels
@@ -340,20 +352,10 @@ class TestNoiseSensitivity:
         assert np.array_equal(sens >= cr._SINGULAR_RESIDUAL, singular)
         assert np.all(np.abs(sens - expected) <= 1e-9 * expected)
 
-        gated = []
-
-        def noisy(usable):
-            gated.append(usable)
-            return np.zeros_like(usable)
-
-        cr._gate(theta, lifts, m_obs, noisy)
-        (usable,) = gated
-
-        def mask(values):
-            return usable & (values > cr.SENSITIVITY_CAP * np.median(values[usable]))
-
-        assert mask(expected).any()
-        assert np.array_equal(mask(sens), mask(expected))
+        reason = cr._gate(theta, lifts, m_obs, poses)[1]
+        monkeypatch.setattr(cr, "noise_sensitivity", lambda *args: expected)
+        assert (reason == "noise_sensitive").any()
+        assert np.array_equal(cr._gate(theta, lifts, m_obs, poses)[1], reason)
 
 
 class TestRefine:
@@ -380,10 +382,40 @@ class TestRefine:
         assert report.status in ("step", "plateau", "gradient")
         assert camera.cost == pytest.approx(242904.90312354808, rel=1e-6)
         assert camera.intrinsics.fx == pytest.approx(2177.1265085386426, rel=1e-6)
-        assert report.mask_reasons.get("noise_sensitive", 0) > 0
+        assert "noise_sensitive" in surface.invalid_reason.values()
         assert np.isfinite(surface.points[surface.valid]).all()
         norms = np.linalg.norm(surface.normals[surface.valid], axis=1)
         assert np.allclose(norms, 1.0)
+
+    def test_one_validity_decision(self, rig, noisy_data, poses, monkeypatch):
+        # the start gate decides which triples the fit sees and which the
+        # surface keeps; nothing gates or probes again at the fitted camera
+        calls = []
+        for name in ("_gate", "noise_sensitivity"):
+
+            def recorded(*args, name=name, original=getattr(cr, name)):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(cr, name, recorded)
+        cr.refine(rig, noisy_data, poses)
+        assert Counter(calls) == {"_gate": 1, "noise_sensitivity": 1}
+
+    def test_dense_surface_is_the_start_gate(self, rig, dense_data):
+        # the surface-g4 op, from the rig camera on the plane poses the scan
+        # gives: the surface keeps the triples the fit saw and no other.  A
+        # second gate at the fitted camera would let back 361 of the 363
+        # behind_camera triples, at 114.9 mm RMS, and read 23.74 mm
+        result = reconstruct_with_rig(dense_data, rig)
+        kept = result.poses.candidates[result.outcomes.index("kept")]
+        lifts, theta = centred(lifts_of(dense_data, kept), rig)
+        _, reason = cr._gate(theta, lifts, dense_data.pixels, kept)
+        surface = result.surface
+        valid = surface.valid
+        assert np.array_equal(valid, reason == "")
+        assert Counter(surface.invalid_reason.values()) == {"behind_camera": 363, "noise_sensitive": 1232}
+        gap = surface.points[valid] - dense_data.gt_points[valid]
+        assert np.sqrt(np.mean(np.einsum("ij,ij->i", gap, gap))) <= 15.0
 
     def test_iterations_count_jacobian_evaluations(self, rig, noisy_data, poses, monkeypatch):
         fits = record_fits(monkeypatch)
@@ -416,7 +448,6 @@ class TestRefine:
         assert moved_surface.invalid_reason == {
             j: surface.invalid_reason[i] for j, i in enumerate(order.tolist()) if not surface.valid[i]
         }
-        assert moved_report.mask_reasons == report.mask_reasons
         assert (moved_report.iterations, fits[0].nfev) == (report.iterations, 31)
         assert moved.cost == pytest.approx(camera.cost, rel=1e-12)
         assert moved.intrinsics.fx == pytest.approx(camera.intrinsics.fx, rel=1e-6)
@@ -461,7 +492,7 @@ class TestRefine:
             source="rig",
         )
         m_obs = clean_data.pixels
-        _, _, reason = cr._gate(cr._pack(away), lifts_of(clean_data, poses), m_obs, np.zeros_like)
+        _, reason = cr._gate(cr._pack(away), lifts_of(clean_data, poses), m_obs, poses)
         assert set(reason) == {"behind_camera"}
         with pytest.raises(TooFewCorrespondencesError):
             cr.refine(away, clean_data, poses)
@@ -480,11 +511,21 @@ class TestPhysicalRoot:
         s = surface.s_values[valid]
         assert np.all((s < 0) | (s > lifts.length[valid]))
 
-    def test_dense_refine(self, rig, dense_data, poses):
-        # the surface-g4 draw refined from the rig camera; the noise gate
-        # is what masks the 2 triples that the rig camera, ungated, rebuilds
-        # inside the segment (X1 within 0.6 mm of X2, k within 0.4 % of 1)
-        self.assert_outside(cr.refine(rig, dense_data, poses)[1], lifts_of(dense_data, poses))
+    def test_dense_refine(self, dense_data, poses, dense_fit):
+        # the surface-g4 draw refined from the rig camera
+        self.assert_outside(dense_fit[1], lifts_of(dense_data, poses))
+
+    def test_gate_masks_offsets_inside_the_segment(self, rig, dense_data, poses, monkeypatch):
+        # with no triple noise_sensitive, the rig camera rebuilds 2 triples
+        # of the surface-g4 draw inside their segments (xi1 0.15 and
+        # -0.55 mm, k within 0.4 % of 1); the gate's last check masks them
+        flat_sensitivity(monkeypatch)
+        lifts = lifts_of(dense_data, poses)
+        view, reason = cr._gate(cr._pack(rig), lifts, dense_data.pixels, poses)
+        valid = reason == ""
+        assert valid.sum() > 0.8 * len(valid)
+        assert np.all((view.s[valid] < 0) | (view.s[valid] > lifts.length[valid]))
+        assert Counter(reason.tolist())["degenerate_cross_ratio"] == 2
 
     def test_noisy_refine(self, noisy_data, poses, noisy_fit):
         self.assert_outside(noisy_fit[1], lifts_of(noisy_data, poses))
@@ -499,52 +540,50 @@ class TestGate:
     # separate validity passes the gate replaced
 
     def test_noisy_reasons(self, noisy_fit):
-        _, surface, report = noisy_fit
-        assert report.mask_reasons == {"behind_camera": 82, "noise_sensitive": 313}
-        # one noise-sensitive triple rebuilds behind the final camera
-        assert Counter(surface.invalid_reason.values()) == {"noise_sensitive": 312, "behind_camera": 1}
+        _, surface, _ = noisy_fit
+        assert Counter(surface.invalid_reason.values()) == {"behind_camera": 82, "noise_sensitive": 313}
         assert_masked_rows_blank(surface)
 
     def test_clean_reasons(self, rig, clean_data, poses):
-        _, surface, report = cr.refine(rig, clean_data, poses)
-        expected = {"behind_camera": 82, "noise_sensitive": 313}
-        assert report.mask_reasons == expected
-        assert Counter(surface.invalid_reason.values()) == expected
+        _, surface, _ = cr.refine(rig, clean_data, poses)
+        assert Counter(surface.invalid_reason.values()) == {"behind_camera": 82, "noise_sensitive": 313}
         assert_masked_rows_blank(surface)
 
-    def test_first_failed_check_wins(self, rig, noisy_data, poses):
+    def test_first_failed_check_wins(self, rig, noisy_data, poses, monkeypatch):
+        # every triple that passes the checks before the noise rule is
+        # noise_sensitive, so each reads the reason of an earlier check or that
         theta = cr._pack(rig)
         m_obs = noisy_data.pixels
-        _, before, _ = cr._gate(theta, lifts_of(noisy_data, poses), m_obs, np.zeros_like)
-        # move the three lifts of a valid triple onto one point behind the
-        # camera: it fails coincident_lift, noncollinear_lift and behind_camera
-        i = int(np.flatnonzero(before.valid)[0])
+        flat_sensitivity(monkeypatch, cap=0.0)
+        _, before = cr._gate(theta, lifts_of(noisy_data, poses), m_obs, poses)
+        assert set(before) == {"behind_camera", "noise_sensitive"}
+        # move the three lifts of a triple that passed onto one point behind
+        # the camera: it fails coincident_lift, noncollinear_lift and behind_camera
+        i = int(np.flatnonzero(before == "noise_sensitive")[0])
         lifted = lifts_of(noisy_data, poses)
         p0, p1, p2 = lifted.p0, lifted.p1, lifted.p2
         p0[:, i] = p1[:, i] = p2[:, i] = rig.camera_center() - 100.0 * rig.rotation[2]
-        lifts = Lifts.of(p0, p1, p2)
-        # and flag every triple noise-sensitive, which comes after all of those
-        view, surface, reason = cr._gate(theta, lifts, m_obs, np.ones_like)
+        view, reason = cr._gate(theta, Lifts.of(p0, p1, p2), m_obs, poses)
         assert view.depths[0][i] < 0
-        assert not surface.valid.any()
-        expected = {j: "noise_sensitive" for j in range(len(noisy_data))}
-        expected.update(before.invalid_reason)
+        expected = before.copy()
         expected[i] = "coincident_lift"
-        assert surface.invalid_reason == expected
-        assert reason.tolist() == [expected[j] for j in range(len(noisy_data))]
+        assert reason.tolist() == expected.tolist()
 
-    def test_coincident_pixels(self, rig, noisy_data, poses):
+    def test_coincident_pixels(self, rig, noisy_data, poses, monkeypatch):
         # a valid triple's pose-1 lift moved onto its pose-2 lift keeps its
         # line and lies on it, but x1 and x2 project to one pixel
         theta = cr._pack(rig)
         m_obs = noisy_data.pixels
         lifted = lifts_of(noisy_data, poses)
-        _, _, before = cr._gate(theta, lifted, m_obs, np.zeros_like)
+        flat_sensitivity(monkeypatch)
+        _, before = cr._gate(theta, lifted, m_obs, poses)
         i = int(np.flatnonzero(before == "")[0])
         p1 = lifted.p1.copy()
         p1[:, i] = lifted.p2[:, i]
-        _, surface, reason = cr._gate(theta, Lifts.of(lifted.p0, p1, lifted.p2), m_obs, np.zeros_like)
+        moved = Lifts.of(lifted.p0, p1, lifted.p2)
+        _, reason = cr._gate(theta, moved, m_obs, poses)
         assert reason[i] == "coincident_pixels"
+        surface = cr._surface(theta, moved, m_obs, reason)
         assert np.isnan(surface.points[i]).all() and np.isnan(surface.normals[i]).all()
         others = np.arange(len(reason)) != i
         assert np.array_equal(reason[others], before[others])
@@ -553,12 +592,13 @@ class TestGate:
         # with the separation check switched off, a line of zero length
         # still fails the check after it
         monkeypatch.setattr(plane_pose, "MIN_LIFT_SEPARATION_MM", 0.0)
+        flat_sensitivity(monkeypatch)
         lifted = lifts_of(noisy_data, poses)
         p2 = lifted.p2.copy()
         p2[:, 0] = lifted.p0[:, 0]
         lifts = Lifts.of(lifted.p0, lifted.p1, p2)
         m_obs = noisy_data.pixels
-        _, _, reason = cr._gate(cr._pack(rig), lifts, m_obs, np.zeros_like)
+        _, reason = cr._gate(cr._pack(rig), lifts, m_obs, poses)
         assert reason[0] == "noncollinear_lift"
 
     def test_reasons_match_benchmark_counters(self):

@@ -4,16 +4,18 @@ conftest.random_scene varies the plane motions, the focal length, both
 mirrors, the noise and the grid step, which the default scene and the
 random-motion suite hold fixed.  The chain must end every scene in a
 reconstruction or a SpecsurfError, never another exception, and on clean
-data its sweep camera must be exact unless it raises.  Each scene's
-outcome names are pinned: a change to any stage that moves a candidate's
-outcome, or the error that ends a chain, shows here.  Only names are
-pinned, not refined values: the cross-ratio refine's camera can differ in
-its last digits from run to run.
+data its sweep camera must be exact unless it raises.  Every valid row
+of a reconstruction's surface must be a finite point with a unit normal.
+Each scene's outcome names are pinned: a change to any stage that moves a
+candidate's outcome, or the error that ends a chain, shows here.  Only
+names are pinned, not refined values: the cross-ratio refine's camera can
+differ in its last digits from run to run.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specsurf.errors import SpecsurfError
@@ -143,6 +145,22 @@ def test_chain_ends_typed_and_exact_on_clean_scans(chains):
             inexact.append((k, f, want))
     assert untyped == []
     assert inexact == []
+
+
+@pytest.mark.slow
+def test_valid_rows_finite_with_unit_normals(chains):
+    # the refine's surface is the triples its start gate passed, rebuilt at
+    # the fitted camera; MINPACK accepts no step whose residuals are not
+    # finite, so each of them still rebuilds there
+    broken = []
+    for k, (_, _, result) in enumerate(chains):
+        if isinstance(result, Exception):
+            continue
+        valid = result.surface.valid
+        points, normals = result.surface.points[valid], result.surface.normals[valid]
+        if not (np.isfinite(points).all() and np.all(np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-12)):
+            broken.append(k)
+    assert broken == []
 
 
 @pytest.mark.slow
